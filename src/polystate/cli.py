@@ -14,9 +14,8 @@ import sys
 import numpy as np
 
 from . import audit, engine, ensemble, linalg
-from .errors import (BranchExplosionError, EmptyEnsembleError, ImpossibleOutcomeError,
-                     ParseError, PolystateError, ScenarioValidationError)
-from .scenario import diagnose_document, parse_scenario
+from .errors import EmptyEnsembleError, ImpossibleOutcomeError, PolystateError
+from .scenario import SelectiveOp, diagnose_document, parse_scenario
 from .spacetime import Foliation, lightcone_crossings, position, proper_time_at_leaf
 
 SCHEMA_VERSION = 1
@@ -406,7 +405,6 @@ def cmd_diagram(args) -> int:
             t = float(traw)
         except (ValueError, UsageError):
             raise UsageError(f"bad --leaf {spec!r}; expected V:T") from None
-        f = Foliation(v)
         g = 1.0 / math.sqrt(1.0 - float(v[0]) ** 2)
         # leaf t: coordinate time = v*x + t/gamma
         line = [[_f17(float(v[0]) * x + t / g), _f17(x)] for x in (x_lo, x_hi)]
@@ -424,7 +422,7 @@ def cmd_diagram(args) -> int:
                 "on": s.names[iv.subsystem],
                 "tau": _f17(iv.tau),
                 "event": [_f17(c) for c in events[k]],
-                "kind": "unitary" if not hasattr(iv.op, "kraus") else "measure",
+                "kind": "measure" if isinstance(iv.op, SelectiveOp) else "unitary",
             }
             for k, iv in enumerate(s.interventions)
         ],
@@ -489,16 +487,10 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ParseError, ScenarioValidationError, BranchExplosionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except (ImpossibleOutcomeError, EmptyEnsembleError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except PolystateError as exc:
+    except (UsageError, PolystateError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -7,10 +7,19 @@ the complement, normalize. The polystate collects the sectors of all
 nonempty subsets. Singleton sectors depend only on their own proper time by
 construction, so the evaluation never signals across spacelike separation.
 
+Cost model: a sector never forms the d^n x d^n pushed state. Each
+subsystem outside the subset folds its selected interventions into one
+effect E_j = (K_m...K_1)^dagger (K_m...K_1) and is traced out of the initial
+state first, Tr_j[K rho K^dagger] = Tr_j[E_j rho], one factor at a time; the
+subset's own interventions then act on axis-local tensor factors at the
+subset's dimension d^|S|. A local operator costs O(d D^2) on a D x D state
+(`linalg.apply_local`), never a Kronecker lift and two D^3 products.
+
 Sectors are piecewise constant in the proper times: they change only when an
 intervention event enters or leaves the union of causal pasts. The optional
-cache passed to `sector` and `polystate_at` is keyed by the selected
-intervention set, so sweeps over tau grids reuse each distinct computation.
+cache passed to `sector` and `polystate_at` is keyed by the subset and the
+selected intervention set, so sweeps over tau grids reuse each distinct
+computation.
 """
 
 from __future__ import annotations
@@ -22,7 +31,7 @@ import numpy as np
 
 from . import linalg
 from .errors import ImpossibleOutcomeError
-from .scenario import Scenario, apply_interventions, selected_ids
+from .scenario import Scenario, apply_interventions, local_sequences, selected_ids
 from .spacetime import Foliation, PastOfEvent, PastOfLeaf, Region, Worldline, position
 
 MAX_SUBSYSTEMS = 10
@@ -45,6 +54,33 @@ def _past_union(s: Scenario, taus, subset) -> Region:
     return Region.union_of_pasts(events)
 
 
+def _effect(sequence):
+    """E = M^dagger M for M = K_m ... K_1, the recorded branch operators one
+    subsystem goes through; None when it goes through none."""
+    if not sequence:
+        return None
+    (m,) = sequence[0]
+    for (k,) in sequence[1:]:
+        m = k @ m
+    return m.conj().T @ m
+
+
+def _unnormalized_sector(s: Scenario, ids, subset) -> np.ndarray:
+    """Tr_complement[K rho K^dagger] for the selected interventions, by effect
+    contraction at the subset's own dimension (see the module docstring);
+    its trace is the recorded branches' Born weight. Factors are traced out
+    from the last, so the indices still to visit stay put."""
+    seqs = local_sequences(s, ids)
+    rho, dims = s.initial_state, list(s.dims)
+    for j in reversed(range(s.n)):
+        if j not in subset:
+            rho = linalg.trace_factor(rho, dims, j, _effect(seqs.get(j, ())))
+            del dims[j]
+    for pos, i in enumerate(subset):
+        rho = linalg.apply_channels(seqs.get(i, ()), pos, dims, rho)
+    return rho
+
+
 def sector(s: Scenario, taus, subset, cache=None) -> np.ndarray:
     """Density operator the subset assigns itself at the given proper times.
 
@@ -59,10 +95,8 @@ def sector(s: Scenario, taus, subset, cache=None) -> np.ndarray:
     key = (subset, ids)
     if cache is not None and key in cache:
         return cache[key]
-    pushed = apply_interventions(s, ids, s.initial_state)
-    reduced = linalg.ptrace(pushed, s.dims, subset)
     try:
-        result = linalg.normalize(reduced)
+        result = linalg.normalize(_unnormalized_sector(s, ids, subset))
     except ImpossibleOutcomeError as exc:
         names = ",".join(s.names[i] for i in subset)
         raise ImpossibleOutcomeError(f"sector {{{names}}}: {exc}") from None

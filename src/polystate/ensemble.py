@@ -20,7 +20,7 @@ import numpy as np
 from . import linalg
 from .engine import all_subsets, sector
 from .errors import BranchExplosionError, EmptyEnsembleError
-from .scenario import Scenario, SelectiveOp, UnitaryOp, intervention_event
+from .scenario import Scenario, SelectiveOp, apply_interventions, intervention_event
 from .spacetime import Region, position, region_contains
 
 BRANCH_CAP = 10**6
@@ -31,21 +31,6 @@ def selective_order(s: Scenario) -> tuple:
     (tau, subsystem) order used for outcome records and branch tuples."""
     ids = [k for k, iv in enumerate(s.interventions) if isinstance(iv.op, SelectiveOp)]
     return tuple(sorted(ids, key=lambda k: (s.interventions[k].tau, s.interventions[k].subsystem)))
-
-
-def _chain_state(s: Scenario, assignment: dict) -> np.ndarray:
-    """Unnormalized joint state after every intervention, selective branches
-    taken from `assignment` (scenario index -> outcome index). Applied per
-    subsystem in ascending proper time; the cross-subsystem order commutes."""
-    out = s.initial_state
-    for subsystem in range(s.n):
-        ks = sorted((k for k, iv in enumerate(s.interventions) if iv.subsystem == subsystem),
-                    key=lambda k: s.interventions[k].tau)
-        for k in ks:
-            op = s.interventions[k].op
-            mat = op.matrix if isinstance(op, UnitaryOp) else op.kraus[assignment[k]]
-            out = linalg.conj_apply(linalg.lift_local(mat, subsystem, s.dims), out)
-    return out
 
 
 @dataclass
@@ -70,7 +55,8 @@ def enumerate_branches(s: Scenario, cap: int = BRANCH_CAP) -> list:
     branches = []
     for combo in product(*[range(c) for c in counts]):
         assignment = dict(zip(order, combo))
-        raw = _chain_state(s, assignment)
+        raw = apply_interventions(s, range(len(s.interventions)), s.initial_state,
+                                  outcomes=assignment)
         prob = float(np.trace(raw).real)
         state = None
         if prob > linalg.ZERO_TRACE:
@@ -110,8 +96,14 @@ def sample_runs(s: Scenario, n_runs: int, seed: int) -> RunLog:
             key = b.outcomes[:depth]
             prefix_prob[key] = prefix_prob.get(key, 0.0) + b.probability
 
+    # one Philox stream per run, keyed by (seed, run) from counter zero;
+    # resetting the key is much cheaper than building a generator per run
+    bitgen = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
+    gen = np.random.Generator(bitgen)
+    state = bitgen.state
     for run in range(n_runs):
-        gen = np.random.Generator(np.random.Philox(key=np.array([seed, run], dtype=np.uint64)))
+        state["state"]["key"] = np.array([seed, run], dtype=np.uint64)
+        bitgen.state = state
         us = gen.random(k)
         prefix = ()
         for j in range(k):
@@ -156,18 +148,6 @@ def _applied_for_subset(s: Scenario, subset, inside) -> list:
             if inside[k] or s.interventions[k].subsystem not in subset]
 
 
-def _conditioned_chain(s: Scenario, subset, applied, assignment) -> np.ndarray:
-    out = s.initial_state
-    for subsystem in range(s.n):
-        ks = sorted((k for k in applied if s.interventions[k].subsystem == subsystem),
-                    key=lambda k: s.interventions[k].tau)
-        for k in ks:
-            op = s.interventions[k].op
-            mat = op.matrix if isinstance(op, UnitaryOp) else op.kraus[assignment[k]]
-            out = linalg.conj_apply(linalg.lift_local(mat, subsystem, s.dims), out)
-    return out
-
-
 def empirical_sector(log: RunLog, s: Scenario, subset, taus) -> np.ndarray:
     """The subset's ensemble average over retained runs.
 
@@ -197,7 +177,7 @@ def empirical_sector(log: RunLog, s: Scenario, subset, taus) -> np.ndarray:
         rows, counts = np.unique(retained, axis=0, return_counts=True)
     for row, count in zip(rows, counts):
         assignment = {k: int(row[j]) for j, k in enumerate(order)}
-        raw = _conditioned_chain(s, subset, applied, assignment)
+        raw = apply_interventions(s, applied, s.initial_state, outcomes=assignment)
         state = linalg.normalize(linalg.ptrace(raw, s.dims, subset))
         acc += count * state
     return linalg.check_density(acc / retained.shape[0])
@@ -211,22 +191,11 @@ def analytic_sector(s: Scenario, subset, taus) -> np.ndarray:
     channels on traced-out subsystems drop out of the partial trace.
     """
     subset, region, inside = _region_and_roles(s, subset, taus)
-    out = s.initial_state
-    for subsystem in range(s.n):
-        ks = sorted((k for k, iv in enumerate(s.interventions) if iv.subsystem == subsystem),
-                    key=lambda k: s.interventions[k].tau)
-        for k in ks:
-            op = s.interventions[k].op
-            if inside[k]:
-                mat = op.matrix if isinstance(op, UnitaryOp) else op.kraus[op.chosen]
-                out = linalg.conj_apply(linalg.lift_local(mat, subsystem, s.dims), out)
-            elif subsystem not in subset:
-                if isinstance(op, UnitaryOp):
-                    out = linalg.conj_apply(linalg.lift_local(op.matrix, subsystem, s.dims), out)
-                else:
-                    out = sum(linalg.conj_apply(linalg.lift_local(kk, subsystem, s.dims), out)
-                              for kk in op.kraus)
-            # else: on the subset but outside its past union, not applied
+    applied = _applied_for_subset(s, subset, inside)
+    # outside the past union, only interventions off the subset happen, and
+    # with no outcome recorded they act as their full channel
+    channels = {k: None for k in applied if not inside[k]}
+    out = apply_interventions(s, applied, s.initial_state, outcomes=channels)
     return linalg.normalize(linalg.ptrace(out, s.dims, subset))
 
 

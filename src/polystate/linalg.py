@@ -84,6 +84,62 @@ def lift_local(op, target: int, dims) -> np.ndarray:
     return kron_all(*factors)
 
 
+def _factor_split(rho, dims, target: int):
+    """(left, d, right): the dimensions before, of and after factor ``target``."""
+    dims = list(dims)
+    if not 0 <= target < len(dims):
+        raise DimensionMismatchError(f"no subsystem {target} in dims {dims}")
+    left, d, right = math.prod(dims[:target]), dims[target], math.prod(dims[target + 1:])
+    if rho.shape != (left * d * right,) * 2:
+        raise DimensionMismatchError(f"state dim {rho.shape} does not match subsystem dims {dims}")
+    return left, d, right
+
+
+def apply_local(op, target: int, dims, rho) -> np.ndarray:
+    """Return K rho K^dagger for K acting on factor ``target`` alone.
+
+    Equals ``conj_apply(lift_local(op, target, dims), rho)`` without forming
+    the lift: rows are contracted as a batch of (d, d) @ (d, right*D)
+    products, columns as a batch of (d, d) @ (d, right) products, so the cost
+    is O(d D^2) instead of O(D^3).
+    """
+    op = _as_matrix(op)
+    rho = _as_matrix(rho)
+    left, d, right = _factor_split(rho, dims, target)
+    total = left * d * right
+    if op.shape != (d, d):
+        raise DimensionMismatchError(
+            f"operator shape {op.shape} does not fit subsystem {target} of dims {list(dims)}")
+    out = op @ rho.reshape(left, d, right * total)
+    out = op.conj() @ out.reshape(total * left, d, right)
+    return out.reshape(total, total)
+
+
+def apply_channels(channels, target: int, dims, rho) -> np.ndarray:
+    """Apply a sequence of channels, each a tuple of Kraus operators, to
+    factor ``target`` in order: rho -> sum_K K rho K^dagger per channel."""
+    for kraus in channels:
+        terms = [apply_local(k, target, dims, rho) for k in kraus]
+        rho = sum(terms[1:], terms[0])
+    return rho
+
+
+def trace_factor(rho, dims, target: int, effect=None) -> np.ndarray:
+    """Tr_target[E rho] on the remaining factors, order preserved.
+
+    With ``effect`` E = M^dagger M this equals tracing out ``target`` after
+    applying M there, by cyclicity of the partial trace on that factor; with
+    no effect it is the plain partial trace of one factor.
+    """
+    rho = _as_matrix(rho)
+    left, d, right = _factor_split(rho, dims, target)
+    t = rho.reshape(left, d, right * rho.shape[0])
+    if effect is not None:
+        t = _as_matrix(effect) @ t
+    out = np.trace(t.reshape(left, d, right, left, d, right), axis1=1, axis2=4)
+    return out.reshape(left * right, left * right)
+
+
 def conj_apply(k, rho) -> np.ndarray:
     """Return k @ rho @ k.conj().T, not normalized."""
     k = _as_matrix(k)

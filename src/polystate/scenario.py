@@ -472,23 +472,39 @@ def selected_ids(s: Scenario, region: Region) -> tuple:
                  if region_contains(region, intervention_event(s, k)))
 
 
-def apply_interventions(s: Scenario, ids, rho, subsystem_order=None) -> np.ndarray:
-    """Fold the chosen interventions into rho, per subsystem in ascending
-    proper time. The cross-subsystem order is immaterial because the lifted
-    operators act on disjoint tensor factors; `subsystem_order` exists so
-    tests can check exactly that. The result is unnormalized: its trace is
-    the joint Born weight of the chosen selective branches.
+def local_sequences(s: Scenario, ids, outcomes=None) -> dict:
+    """Per subsystem, the chosen interventions as channels in ascending
+    proper time; each channel is a tuple of Kraus operators.
+
+    A unitary is its own matrix. A selective intervention takes the branch
+    `outcomes` gives for its scenario index, else its recorded outcome; an
+    outcome of None stands for every branch, the non-selective channel.
     """
-    order = range(s.n) if subsystem_order is None else subsystem_order
-    idset = set(ids)
+    outcomes = outcomes or {}
+    seqs: dict = {}
+    for k in sorted(set(ids), key=lambda k: s.interventions[k].tau):
+        iv = s.interventions[k]
+        if isinstance(iv.op, UnitaryOp):
+            kraus = (iv.op.matrix,)
+        else:
+            branch = outcomes.get(k, iv.op.chosen)
+            kraus = iv.op.kraus if branch is None else (iv.op.kraus[branch],)
+        seqs.setdefault(iv.subsystem, []).append(kraus)
+    return seqs
+
+
+def apply_interventions(s: Scenario, ids, rho, subsystem_order=None, outcomes=None) -> np.ndarray:
+    """Fold the chosen interventions into rho, per subsystem in ascending
+    proper time. The cross-subsystem order is immaterial because the local
+    operators act on disjoint tensor factors; `subsystem_order` exists so
+    tests can check exactly that. `outcomes` overrides branches as in
+    `local_sequences`. The result is unnormalized: its trace is the joint
+    Born weight of the chosen selective branches.
+    """
+    seqs = local_sequences(s, ids, outcomes)
     out = np.asarray(rho, dtype=complex)
-    for subsystem in order:
-        ks = sorted((k for k in idset if s.interventions[k].subsystem == subsystem),
-                    key=lambda k: s.interventions[k].tau)
-        for k in ks:
-            op = s.interventions[k].op
-            mat = op.matrix if isinstance(op, UnitaryOp) else op.kraus[op.chosen]
-            out = linalg.conj_apply(linalg.lift_local(mat, subsystem, s.dims), out)
+    for subsystem in range(s.n) if subsystem_order is None else subsystem_order:
+        out = linalg.apply_channels(seqs.get(subsystem, ()), subsystem, s.dims, out)
     return out
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from polystate import linalg
-from polystate.errors import ImpossibleOutcomeError, StateValidationError
+from polystate.errors import DimensionMismatchError, ImpossibleOutcomeError, StateValidationError
 
 from helpers import random_density, random_ket, random_unitary
 
@@ -141,3 +141,12 @@ def test_conj_apply_unitary_preserves_trace():
     out = linalg.conj_apply(u, rho)
     assert abs(np.trace(out) - 1.0) < 1e-12
     assert np.allclose(out, u @ rho @ u.conj().T)
+
+
+def test_local_kernels_reject_mismatched_shapes():
+    with pytest.raises(DimensionMismatchError):
+        linalg.apply_local(np.eye(3), 0, (2, 2), np.eye(4))
+    with pytest.raises(DimensionMismatchError):
+        linalg.apply_local(np.eye(2), 2, (2, 2), np.eye(4))
+    with pytest.raises(DimensionMismatchError):
+        linalg.trace_factor(np.eye(4), (2, 3), 0)

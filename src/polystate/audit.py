@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import engine, linalg
-from .scenario import Intervention, Scenario, SelectiveOp, apply_interventions, intervention_event
+from .scenario import Intervention, Scenario, SelectiveOp, apply_interventions
 from .spacetime import (Foliation, Worldline, causally_precedes,
                         chronologically_precedes, position, proper_time_at_leaf)
 
@@ -59,27 +59,37 @@ class PolystateRule:
     name = "polystate"
 
 
-def _applied(p, event_of_intervention, x_eval) -> bool:
+def _applied(p, intervention_events, x_eval):
+    """Whether the rule has folded each intervention event (one event, or a
+    stack of them) into the state at x_eval."""
     if isinstance(p, FutureLightcone):
-        return causally_precedes(event_of_intervention, x_eval)
+        return causally_precedes(intervention_events, x_eval)
     if isinstance(p, PastLightcone):
         # updated everywhere outside the strict causal past; the boundary
         # counts as updated
-        return not chronologically_precedes(x_eval, event_of_intervention)
+        return ~chronologically_precedes(x_eval, intervention_events)
     if isinstance(p, FixedFoliation):
         f = p.foliation
-        return f.time(event_of_intervention) <= f.time(x_eval)
+        return f.time(intervention_events) <= f.time(x_eval)
     raise TypeError(f"no event rule for {type(p).__name__}")
 
 
-def _applied_ids(p, s: Scenario, x_eval):
-    return tuple(k for k in range(len(s.interventions))
-                 if _applied(p, intervention_event(s, k), x_eval))
+def _applied_ids(p, s: Scenario, x_eval) -> tuple:
+    return tuple(np.flatnonzero(_applied(p, s.events, x_eval)).tolist())
 
 
-def _state_at_event(p, s: Scenario, x_eval) -> np.ndarray:
-    ids = _applied_ids(p, s, x_eval)
+def _event_id_sets(p, s: Scenario, taus) -> list:
+    """Per subsystem, the interventions the rule has applied at its
+    evaluation event."""
+    return [_applied_ids(p, s, position(s.worldlines[i], taus[i])) for i in range(s.n)]
+
+
+def _pushed_state(s: Scenario, ids) -> np.ndarray:
     return linalg.normalize(apply_interventions(s, ids, s.initial_state))
+
+
+def _reduced(s: Scenario, id_sets) -> list:
+    return [linalg.ptrace(_pushed_state(s, ids), s.dims, (i,)) for i, ids in enumerate(id_sets)]
 
 
 def single_state(p, s: Scenario, taus) -> np.ndarray:
@@ -89,21 +99,17 @@ def single_state(p, s: Scenario, taus) -> np.ndarray:
     the tensor product of the per-event reduced states."""
     if isinstance(p, PolystateRule):
         return engine.sector(s, taus, range(s.n))
-    events = [position(s.worldlines[i], taus[i]) for i in range(s.n)]
-    id_sets = [_applied_ids(p, s, x) for x in events]
+    id_sets = _event_id_sets(p, s, taus)
     if all(ids == id_sets[0] for ids in id_sets):
-        return linalg.normalize(apply_interventions(s, id_sets[0], s.initial_state))
-    parts = [linalg.ptrace(_state_at_event(p, s, events[i]), s.dims, (i,))
-             for i in range(s.n)]
-    return linalg.check_density(linalg.kron_all(*parts))
+        return _pushed_state(s, id_sets[0])
+    return linalg.check_density(linalg.kron_all(*_reduced(s, id_sets)))
 
 
 def reduced_states(p, s: Scenario, taus) -> list:
     """Per-subsystem local descriptions under the prescription."""
     if isinstance(p, PolystateRule):
         return [engine.sector(s, taus, (i,)) for i in range(s.n)]
-    return [linalg.ptrace(_state_at_event(p, s, position(s.worldlines[i], taus[i])), s.dims, (i,))
-            for i in range(s.n)]
+    return _reduced(s, _event_id_sets(p, s, taus))
 
 
 def _flip_outcomes(s: Scenario, subsystem: int) -> Scenario:

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import audit, engine, ensemble, linalg
 from .errors import EmptyEnsembleError, ImpossibleOutcomeError, PolystateError
-from .scenario import SelectiveOp, diagnose_document, parse_scenario
+from .scenario import NAMED_STATES, SelectiveOp, diagnose_document, parse_scenario
 from .spacetime import Foliation, lightcone_crossings, position, proper_time_at_leaf
 
 SCHEMA_VERSION = 1
@@ -162,10 +162,8 @@ def _parse_observable(spec: str, subset, s) -> np.ndarray:
 
 
 def _reference_ket(name: str, s) -> np.ndarray:
-    if name == "bell_psi_plus":
-        return linalg.BELL_PSI_PLUS
-    if name == "bell_psi_minus":
-        return linalg.BELL_PSI_MINUS
+    if name in NAMED_STATES:
+        return NAMED_STATES[name]
     if len(name) == s.n and all(ch in "01+-" for ch in name):
         return linalg.product_ket(name)
     raise UsageError(f"unknown reference state {name!r}")
@@ -358,7 +356,7 @@ def cmd_diagram(args) -> int:
     s = _load(args.scenario)
     if s.spatial_dim != 1:
         raise UsageError("diagram output is planar; it needs a d=1 scenario")
-    events = [position(s.worldlines[iv.subsystem], iv.tau) for iv in s.interventions]
+    events = s.events
     taus_of_interest = [0.0] + [iv.tau for iv in s.interventions]
     times = [position(w, tau)[0] for w in s.worldlines for tau in taus_of_interest]
     t_lo = min(times + [e[0] for e in events], default=0.0) - 2.0

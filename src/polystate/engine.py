@@ -15,6 +15,12 @@ subset's own interventions then act on axis-local tensor factors at the
 subset's dimension d^|S|. A local operator costs O(d D^2) on a D x D state
 (`linalg.apply_local`), never a Kronecker lift and two D^3 products.
 
+Selecting the interventions is one vectorised test per evaluation event:
+the scenario computes its intervention events once (`Scenario.events`, a
+K x (1+d) array), and each member's closed past is checked against all K
+rows at once (`scenario.selected_ids`), so only the subset's own evaluation
+events are located on their worldlines per call.
+
 Sectors are piecewise constant in the proper times: they change only when an
 intervention event enters or leaves the union of causal pasts. The optional
 cache passed to `sector` and `polystate_at` is keyed by the subset and the

@@ -20,8 +20,8 @@ import numpy as np
 from . import linalg
 from .engine import all_subsets, sector
 from .errors import BranchExplosionError, EmptyEnsembleError
-from .scenario import Scenario, SelectiveOp, apply_interventions, intervention_event
-from .spacetime import Region, position, region_contains
+from .scenario import Scenario, SelectiveOp, apply_interventions, selected_ids
+from .spacetime import Region, position
 
 BRANCH_CAP = 10**6
 
@@ -132,12 +132,12 @@ def branch_frequencies(log: RunLog, s: Scenario) -> dict:
     return freq
 
 
-def _region_and_roles(s: Scenario, subset, taus):
+def _inside_past_union(s: Scenario, subset, taus):
+    """The sorted subset and the ids of the interventions inside the union
+    of its members' causal pasts."""
     subset = tuple(sorted(set(subset)))
     region = Region.union_of_pasts([position(s.worldlines[i], taus[i]) for i in subset])
-    inside = {k: region_contains(region, intervention_event(s, k))
-              for k in range(len(s.interventions))}
-    return subset, region, inside
+    return subset, frozenset(selected_ids(s, region))
 
 
 def _applied_for_subset(s: Scenario, subset, inside) -> list:
@@ -145,7 +145,7 @@ def _applied_for_subset(s: Scenario, subset, inside) -> list:
     # the past union; interventions on subsystems outside the subset happen
     # regardless, they just happen to someone else's qubit
     return [k for k in range(len(s.interventions))
-            if inside[k] or s.interventions[k].subsystem not in subset]
+            if k in inside or s.interventions[k].subsystem not in subset]
 
 
 def empirical_sector(log: RunLog, s: Scenario, subset, taus) -> np.ndarray:
@@ -157,10 +157,10 @@ def empirical_sector(log: RunLog, s: Scenario, subset, taus) -> np.ndarray:
     reduced to the subset; runs that differ only in outcomes that never
     reached the subset stay in the ensemble and contribute their own branch.
     """
-    subset, region, inside = _region_and_roles(s, subset, taus)
+    subset, inside = _inside_past_union(s, subset, taus)
     applied = _applied_for_subset(s, subset, inside)
     order = log.order
-    keep_cols = [j for j, k in enumerate(order) if inside[k]]
+    keep_cols = [j for j, k in enumerate(order) if k in inside]
     recorded = np.array([s.interventions[order[j]].op.chosen for j in keep_cols], dtype=np.int8)
     mask = np.ones(log.n_runs, dtype=bool)
     if keep_cols:
@@ -190,11 +190,11 @@ def analytic_sector(s: Scenario, subset, taus) -> np.ndarray:
     result is reduced and normalized. Equals the engine's sector because
     channels on traced-out subsystems drop out of the partial trace.
     """
-    subset, region, inside = _region_and_roles(s, subset, taus)
+    subset, inside = _inside_past_union(s, subset, taus)
     applied = _applied_for_subset(s, subset, inside)
     # outside the past union, only interventions off the subset happen, and
     # with no outcome recorded they act as their full channel
-    channels = {k: None for k in applied if not inside[k]}
+    channels = {k: None for k in applied if k not in inside}
     out = apply_interventions(s, applied, s.initial_state, outcomes=channels)
     return linalg.normalize(linalg.ptrace(out, s.dims, subset))
 

@@ -276,9 +276,10 @@ def product_ket(symbols: str) -> np.ndarray:
 
 
 def total_charge(n: int) -> np.ndarray:
-    """Sum of local charge operators on n qubits."""
-    dims = [2] * n
-    out = np.zeros((2**n, 2**n), dtype=complex)
-    for i in range(n):
-        out += lift_local(CHARGE, i, dims)
-    return out
+    """Sum of local charge operators on n qubits. CHARGE is diagonal, so the
+    sum is too: each product basis state carries the sum of its qubits'
+    charges, built up one qubit at a time in Kronecker order."""
+    charges = np.zeros(1)
+    for _ in range(n):
+        charges = np.add.outer(charges, np.diag(CHARGE).real).ravel()
+    return np.diag(charges).astype(complex)

@@ -35,6 +35,7 @@ import json
 import math
 import re
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -84,6 +85,17 @@ class Scenario:
     @property
     def n(self) -> int:
         return len(self.dims)
+
+    @cached_property
+    def events(self) -> np.ndarray:
+        """Intervention events as a read-only (K, 1+d) array, row k for
+        intervention k. Computed on first use; `dataclasses.replace` builds
+        a new Scenario, so a variant never sees another's events."""
+        out = np.empty((len(self.interventions), 1 + self.spatial_dim))
+        for k, iv in enumerate(self.interventions):
+            out[k] = position(self.worldlines[iv.subsystem], iv.tau)
+        out.flags.writeable = False
+        return out
 
 
 NAMED_STATES = {
@@ -462,14 +474,13 @@ def _intervention_to_json(s: Scenario, iv: Intervention):
 
 
 def intervention_event(s: Scenario, k: int) -> np.ndarray:
-    iv = s.interventions[k]
-    return position(s.worldlines[iv.subsystem], iv.tau)
+    return s.events[k]
 
 
 def selected_ids(s: Scenario, region: Region) -> tuple:
-    """Indices of the interventions whose event lies inside the region."""
-    return tuple(k for k in range(len(s.interventions))
-                 if region_contains(region, intervention_event(s, k)))
+    """Indices of the interventions whose event lies inside the region, as
+    Python ints in ascending order: one membership test over `s.events`."""
+    return tuple(np.flatnonzero(region_contains(region, s.events)).tolist())
 
 
 def local_sequences(s: Scenario, ids, outcomes=None) -> dict:

@@ -89,22 +89,32 @@ def position(w: Worldline, tau: float) -> np.ndarray:
     raise ValueError(f"proper time {tau} not covered; worldline pieces are broken")
 
 
-def causally_precedes(x, y) -> bool:
-    """True iff y is in the closed causal future of x (x itself included)."""
+def _separation(x, y):
+    """(dt, |dx|) from x to y, broadcast over leading axes. The spatial norm
+    is one elementwise sum of squares in component order, so a stack of
+    events gets, row by row, exactly the values a single event gets."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    if x.shape != y.shape:
+    if x.shape[-1] != y.shape[-1]:
         raise DimensionMismatchError(f"event dims {x.shape} vs {y.shape}")
-    dt = y[0] - x[0]
-    return dt >= 0 and dt >= float(np.linalg.norm(y[1:] - x[1:]))
+    return y[..., 0] - x[..., 0], np.linalg.norm(y[..., 1:] - x[..., 1:], axis=-1)
 
 
-def chronologically_precedes(x, y) -> bool:
-    """Strict timelike order: y is in the open interior of x's future cone."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    dt = y[0] - x[0]
-    return dt > 0 and dt > float(np.linalg.norm(y[1:] - x[1:]))
+def causally_precedes(x, y):
+    """True iff y is in the closed causal future of x (x itself included).
+
+    Either argument may be a stack of events with leading axes; the result
+    is then a boolean array over the broadcast leading shape.
+    """
+    dt, dr = _separation(x, y)
+    return (dt >= 0) & (dt >= dr)
+
+
+def chronologically_precedes(x, y):
+    """Strict timelike order: y is in the open interior of x's future cone.
+    Broadcasts over stacks of events like `causally_precedes`."""
+    dt, dr = _separation(x, y)
+    return (dt > 0) & (dt > dr)
 
 
 def _null_gap(w: Worldline, apex, tau: float, past: bool) -> float:
@@ -147,8 +157,15 @@ def _quadratic_crossing(w: Worldline, apex, past: bool) -> float | None:
         c = b[0] * b[0] - float(np.dot(b[1:], b[1:]))
         disc = m * m - c
         if disc < 1e-12:
-            # apex on or numerically at this piece's line; try the other
-            # pieces, else the caller falls back to bisection
+            # apex on or numerically near this piece's line, where m*m - c
+            # cancels. Its offset from the line, measured directly, decides:
+            # on the line and inside the piece, the apex is the worldline
+            # point at tau = m and both crossings are there; otherwise try
+            # the other pieces, else the caller falls back to bisection
+            off = b - m * four_velocity(v)
+            near = 1e-12 * max(1.0, abs(m), float(np.max(np.abs(apex))))
+            if np.max(np.abs(off)) <= near and tau_lo - near <= m <= tau_hi + near:
+                return m
             continue
         root = m - math.sqrt(disc) if past else m + math.sqrt(disc)
         pad = 1e-9 * max(1.0, abs(root))
@@ -184,11 +201,13 @@ class Foliation:
         self.frame_velocity = np.asarray(self.frame_velocity, dtype=float)
         gamma(self.frame_velocity)
 
-    def time(self, x) -> float:
-        """Leaf parameter of the event: its boosted time coordinate."""
+    def time(self, x):
+        """Leaf parameter of the event: its boosted time coordinate. A stack
+        of events gives an array over its leading axes; the dot product is an
+        elementwise sum in component order, the same for every row."""
         x = np.asarray(x, dtype=float)
         v = self.frame_velocity
-        return gamma(v) * (x[0] - float(np.dot(v, x[1:])))
+        return gamma(v) * (x[..., 0] - np.sum(x[..., 1:] * v, axis=-1))
 
 
 @dataclass
@@ -198,7 +217,8 @@ class PastOfEvent:
     def __post_init__(self):
         self.apex = np.asarray(self.apex, dtype=float)
 
-    def contains(self, x) -> bool:
+    def contains(self, x):
+        """Whether x (one event, or each of a stack) lies in the closed past."""
         return causally_precedes(x, self.apex)
 
 
@@ -207,7 +227,8 @@ class PastOfLeaf:
     foliation: Foliation
     t: float
 
-    def contains(self, x) -> bool:
+    def contains(self, x):
+        """Whether x (one event, or each of a stack) lies at or below the leaf."""
         return self.foliation.time(x) <= self.t
 
 
@@ -231,10 +252,13 @@ class Region:
         return cls(atoms=tuple(PastOfEvent(e) for e in events))
 
 
-def region_contains(r: Region, x) -> bool:
-    if r.all_events:
-        return True
-    return any(atom.contains(x) for atom in r.atoms)
+def region_contains(r: Region, x):
+    """Membership of one event, or of each event in a stack of them."""
+    x = np.asarray(x, dtype=float)
+    inside = np.full(x.shape[:-1], r.all_events)
+    for atom in r.atoms:
+        inside |= atom.contains(x)
+    return inside[()]
 
 
 def proper_time_at_leaf(w: Worldline, f: Foliation, t: float) -> float:

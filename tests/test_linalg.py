@@ -128,6 +128,14 @@ def test_charge_observable():
     assert abs(linalg.expect(bell, linalg.total_charge(2)) + 1.0) < 1e-12
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_total_charge_equals_sum_of_lifted_charges(n):
+    lifted = sum(linalg.lift_local(linalg.CHARGE, i, [2] * n) for i in range(n))
+    got = linalg.total_charge(n)
+    assert got.dtype == lifted.dtype
+    assert np.array_equal(got, lifted)
+
+
 def test_max_dim_env_override(monkeypatch):
     monkeypatch.setenv("POLYSTATE_MAX_DIM", "16")
     assert linalg.max_dim() == 16

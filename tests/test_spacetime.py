@@ -73,6 +73,20 @@ def test_crossing_with_apex_on_worldline():
     assert abs(tm - 1.0) < 1e-9 and abs(tp - 1.0) < 1e-9
 
 
+def test_crossings_of_an_event_on_a_multi_segment_worldline(monkeypatch):
+    def no_bisection(*args):
+        raise AssertionError("an event on the worldline needs no bisection")
+
+    monkeypatch.setattr(st, "_bisect_crossing", no_bisection)
+    w = st.Worldline(np.array([0.5, -1.0, 2.0]),
+                     (st.Segment(1.5, np.array([0.6, 0.0])), st.Segment(0.7, np.array([-0.3, 0.5]))),
+                     np.array([0.0, -0.8]))
+    # before the anchor, inside each segment, on both breakpoints, and after
+    for tau in (-2.0, 0.0, 0.4, 1.5, 1.9, 2.2, 5.0):
+        tm, tp = st.lightcone_crossings(w, st.position(w, tau))
+        assert abs(tm - tau) <= 1e-12 and abs(tp - tau) <= 1e-12
+
+
 def test_foliation_time_and_leaf_crossing():
     f = st.Foliation(np.array([0.5]))
     g = 1.0 / np.sqrt(0.75)

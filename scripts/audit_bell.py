@@ -45,10 +45,9 @@ def main():
               f"{row.correlation:>+8.3f} {row.ignorance_distance:>10.3f}  {verdict}")
 
     # charge bookkeeping along rest-frame leaves
-    rest = Foliation(np.zeros(s.worldlines[0].anchor.size - 1))
+    rest = Foliation(np.zeros(s.spatial_dim))
     grid = np.linspace(args.t_min, args.t_max, args.t_steps)
-    sources = [audit.PolystateRule(), audit.FutureLightcone(),
-               audit.PastLightcone(), audit.FixedFoliation(rest)]
+    sources = audit.default_prescriptions(rest)
     ledgers = [audit.charge_ledger(s, rest, grid, p) for p in sources]
     print()
     print(f"total charge along rest-frame leaves (initial = {ledgers[0].initial:+.3f})")

@@ -7,12 +7,15 @@ lightcone rule folds an intervention only once x is in its causal future.
 The past lightcone rule (the Hellwig-Kraus reading) folds it everywhere
 except strictly inside the intervention's own causal past, boundary
 included. A fixed foliation folds it once the intervention's leaf lies at
-or below the leaf through x. The sector rule delegates to the engine.
+or below the leaf through x. Each rule's test is its `applied(events, x)`
+method, which the sector rule shares with the future lightcone rule, and
+every state below is `engine.state_after` on the id sets a test picks.
 
 When the two parties' evaluation events disagree about what has been folded
 in, no single joint operator exists; `single_state` then returns the
 patchwork product of the per-event reduced states, which is exactly the
-object a single-state bookkeeper would be forced to write down.
+object a single-state bookkeeper would be forced to write down. The sector
+rule takes the sector of the union of their causal pasts instead.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import engine, linalg
-from .scenario import Intervention, Scenario, SelectiveOp, apply_interventions
+from .scenario import Intervention, Scenario, SelectiveOp
 from .spacetime import (Foliation, Worldline, causally_precedes,
                         chronologically_precedes, position, proper_time_at_leaf)
 
@@ -38,11 +41,18 @@ class PastLightcone:
     for this rule."""
     name = "past_lightcone"
 
+    def applied(self, events, x):
+        # the boundary counts as updated
+        return ~chronologically_precedes(x, events)
+
 
 @dataclass
 class FutureLightcone:
     """An event is updated only by interventions in its causal past."""
     name = "future_lightcone"
+
+    def applied(self, events, x):
+        return causally_precedes(events, x)
 
 
 @dataclass
@@ -52,63 +62,42 @@ class FixedFoliation:
     foliation: Foliation
     name = "foliation"
 
+    def applied(self, events, x):
+        return self.foliation.time(events) <= self.foliation.time(x)
+
 
 @dataclass
-class PolystateRule:
-    """The subset-dependent sector rule implemented by the engine."""
+class PolystateRule(FutureLightcone):
+    """The engine's sector rule: the future lightcone rule per event, with
+    the sector of the union of the causal pasts as its joint state."""
     name = "polystate"
-
-
-def _applied(p, intervention_events, x_eval):
-    """Whether the rule has folded each intervention event (one event, or a
-    stack of them) into the state at x_eval."""
-    if isinstance(p, FutureLightcone):
-        return causally_precedes(intervention_events, x_eval)
-    if isinstance(p, PastLightcone):
-        # updated everywhere outside the strict causal past; the boundary
-        # counts as updated
-        return ~chronologically_precedes(x_eval, intervention_events)
-    if isinstance(p, FixedFoliation):
-        f = p.foliation
-        return f.time(intervention_events) <= f.time(x_eval)
-    raise TypeError(f"no event rule for {type(p).__name__}")
-
-
-def _applied_ids(p, s: Scenario, x_eval) -> tuple:
-    return tuple(np.flatnonzero(_applied(p, s.events, x_eval)).tolist())
 
 
 def _event_id_sets(p, s: Scenario, taus) -> list:
     """Per subsystem, the interventions the rule has applied at its
-    evaluation event."""
-    return [_applied_ids(p, s, position(s.worldlines[i], taus[i])) for i in range(s.n)]
-
-
-def _pushed_state(s: Scenario, ids) -> np.ndarray:
-    return linalg.normalize(apply_interventions(s, ids, s.initial_state))
+    evaluation event (`p.applied` on one event or a stack of them)."""
+    xs = [position(s.worldlines[i], taus[i]) for i in range(s.n)]
+    return [tuple(np.flatnonzero(p.applied(s.events, x)).tolist()) for x in xs]
 
 
 def _reduced(s: Scenario, id_sets) -> list:
-    return [linalg.ptrace(_pushed_state(s, ids), s.dims, (i,)) for i, ids in enumerate(id_sets)]
+    return [engine.state_after(s, ids, (i,)) for i, ids in enumerate(id_sets)]
 
 
 def single_state(p, s: Scenario, taus) -> np.ndarray:
     """The prescription's one density operator for the whole system at the
-    given proper times. If every evaluation event agrees on the applied
-    interventions this is one well-defined state; otherwise it degrades to
-    the tensor product of the per-event reduced states."""
-    if isinstance(p, PolystateRule):
-        return engine.sector(s, taus, range(s.n))
+    given proper times. The sector rule and any rule whose evaluation events
+    agree on the applied interventions give one well-defined state; otherwise
+    it degrades to the tensor product of the per-event reduced states."""
     id_sets = _event_id_sets(p, s, taus)
-    if all(ids == id_sets[0] for ids in id_sets):
-        return _pushed_state(s, id_sets[0])
+    union = tuple(sorted(set().union(*id_sets)))
+    if isinstance(p, PolystateRule) or all(ids == union for ids in id_sets):
+        return engine.state_after(s, union, range(s.n))
     return linalg.check_density(linalg.kron_all(*_reduced(s, id_sets)))
 
 
 def reduced_states(p, s: Scenario, taus) -> list:
     """Per-subsystem local descriptions under the prescription."""
-    if isinstance(p, PolystateRule):
-        return [engine.sector(s, taus, (i,)) for i in range(s.n)]
     return _reduced(s, _event_id_sets(p, s, taus))
 
 

@@ -15,7 +15,8 @@ import numpy as np
 
 from . import audit, engine, ensemble, linalg
 from .errors import EmptyEnsembleError, ImpossibleOutcomeError, PolystateError
-from .scenario import NAMED_STATES, SelectiveOp, diagnose_document, parse_scenario
+from .scenario import (NAMED_STATES, SelectiveOp, _matrix_from_json, diagnose_document,
+                       parse_scenario)
 from .spacetime import Foliation, lightcone_crossings, position, proper_time_at_leaf
 
 SCHEMA_VERSION = 1
@@ -31,12 +32,17 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _f17(x: float) -> float:
-    return float(f"{float(x):.17g}")
-
-
 def _matrix_json(m) -> list:
-    return [[[_f17(v.real), _f17(v.imag)] for v in row] for row in np.asarray(m, dtype=complex)]
+    return [[[float(v.real), float(v.imag)] for v in row] for row in np.asarray(m, dtype=complex)]
+
+
+def _finite(raw: str) -> float:
+    """float(raw); ValueError unless it is a finite number, since NaN and
+    infinities have no JSON form and no physical reading here."""
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(f"{raw!r} is not finite")
+    return value
 
 
 def _load(path: str):
@@ -58,7 +64,7 @@ def _parse_taus(spec: str, s) -> tuple:
         if name not in s.names:
             raise UsageError(f"unknown subsystem {name!r} in --tau")
         try:
-            values[name] = float(raw)
+            values[name] = _finite(raw)
         except ValueError:
             raise UsageError(f"bad proper time {raw!r} for {name}") from None
     missing = [n for n in s.names if n not in values]
@@ -95,9 +101,9 @@ def _subset_name(subset, s) -> str:
 def _parse_range(spec: str):
     try:
         lo, hi, num = spec.split(":")
-        lo, hi, num = float(lo), float(hi), int(num)
+        lo, hi, num = _finite(lo), _finite(hi), int(num)
     except ValueError:
-        raise UsageError(f"bad range {spec!r}; expected LO:HI:COUNT") from None
+        raise UsageError(f"bad range {spec!r}; expected LO:HI:COUNT, LO and HI finite") from None
     if num < 1:
         raise UsageError("range needs at least one point")
     return np.linspace(lo, hi, num)
@@ -106,7 +112,7 @@ def _parse_range(spec: str):
 def _parse_velocity(spec: str, d: int) -> np.ndarray:
     raw = spec[2:] if spec.startswith("v=") else spec
     try:
-        v = np.array([float(c) for c in raw.split(",")], dtype=float)
+        v = np.array([_finite(c) for c in raw.split(",")], dtype=float)
     except ValueError:
         raise UsageError(f"bad velocity {spec!r}") from None
     if v.shape != (d,):
@@ -132,10 +138,14 @@ def _split_factors(spec: str) -> list:
 
 def _parse_observable(spec: str, subset, s) -> np.ndarray:
     if os.path.exists(spec):
-        with open(spec, encoding="utf-8") as fh:
-            rows = json.load(fh)
-        return np.array([[complex(v[0], v[1]) if isinstance(v, list) else complex(v)
-                          for v in row] for row in rows])
+        try:
+            with open(spec, encoding="utf-8") as fh:
+                obs = _matrix_from_json(json.load(fh))
+        except (OSError, ValueError, TypeError, OverflowError) as exc:
+            raise UsageError(f"bad observable file {spec}: {exc}") from None
+        if not np.isfinite(obs).all():
+            raise UsageError(f"observable file {spec} has non-finite entries")
+        return obs
     if spec == "charge_total":
         if any(s.dims[i] != 2 for i in subset):
             raise UsageError("charge_total needs qubit subsystems")
@@ -149,7 +159,7 @@ def _parse_observable(spec: str, subset, s) -> np.ndarray:
         elif (token.startswith("pauli_n(") or token.startswith("sigma_n(")) and token.endswith(")"):
             inner = token[token.index("(") + 1:-1]
             try:
-                theta, phi = (float(v) for v in inner.split(","))
+                theta, phi = (_finite(v) for v in inner.split(","))
             except ValueError:
                 raise UsageError(f"bad axis observable {token!r}") from None
             parts.append(linalg.sigma_n(theta, phi))
@@ -202,7 +212,7 @@ def cmd_eval(args) -> int:
     doc = {
         "schema_version": SCHEMA_VERSION,
         "command": "eval",
-        "taus": {n: _f17(t) for n, t in zip(s.names, taus)},
+        "taus": {n: float(t) for n, t in zip(s.names, taus)},
         "sectors": {name: _matrix_json(mat) for name, mat in sectors.items()},
     }
     if args.observable:
@@ -213,7 +223,7 @@ def cmd_eval(args) -> int:
         doc["expectations"] = {
             _subset_name(sub, s): {
                 "observable": args.observable,
-                "value": _f17(linalg.expect(sectors[_subset_name(sub, s)], obs)),
+                "value": float(linalg.expect(sectors[_subset_name(sub, s)], obs)),
             }
         }
     _emit(doc)
@@ -246,12 +256,12 @@ def cmd_sweep(args) -> int:
     for t in grid:
         taus = [proper_time_at_leaf(s.worldlines[i], f, t) for i in range(s.n)]
         joint = audit.single_state(source, s, taus)
-        row = [repr(_f17(t))] + [repr(_f17(tau)) for tau in taus]
-        row += [repr(_f17(linalg.fidelity_to_ket(joint, ref_kets[name]))) for name in refs]
+        row = [repr(float(t))] + [repr(float(tau)) for tau in taus]
+        row += [repr(float(linalg.fidelity_to_ket(joint, ref_kets[name]))) for name in refs]
         if qubits:
             locals_ = audit.reduced_states(source, s, taus)
-            row.append(repr(_f17(linalg.expect(joint, q_total))))
-            row.append(repr(_f17(sum(linalg.expect(r, linalg.CHARGE) for r in locals_))))
+            row.append(repr(float(linalg.expect(joint, q_total))))
+            row.append(repr(float(sum(linalg.expect(r, linalg.CHARGE) for r in locals_))))
         writer.writerow(row)
     return 0
 
@@ -270,10 +280,10 @@ def cmd_audit(args) -> int:
     for name, make in sources.items():
         ledger = audit.charge_ledger(s, f, grid, make(f))
         ledgers[name] = {
-            "t": [_f17(t) for t in ledger.t_grid],
-            "q_joint": [_f17(v) for v in ledger.q_joint],
-            "q_sum": [_f17(v) for v in ledger.q_sum],
-            "initial": _f17(ledger.initial),
+            "t": [float(t) for t in ledger.t_grid],
+            "q_joint": [float(v) for v in ledger.q_joint],
+            "q_sum": [float(v) for v in ledger.q_sum],
+            "initial": float(ledger.initial),
         }
     doc["charge_ledgers"] = ledgers
 
@@ -281,22 +291,22 @@ def cmd_audit(args) -> int:
         taus = _parse_taus(args.tau, s)
         report = audit.criteria_report(s, taus, foliation=f)
         doc["criteria"] = {
-            "taus": [_f17(t) for t in report.taus],
+            "taus": [float(t) for t in report.taus],
             "targets": {
-                "marginal_a": _f17(report.target_marginal_a),
-                "marginal_b": _f17(report.target_marginal_b),
-                "correlation": _f17(report.target_correlation),
+                "marginal_a": float(report.target_marginal_a),
+                "marginal_b": float(report.target_marginal_b),
+                "correlation": float(report.target_correlation),
             },
             "rows": [
                 {
                     "prescription": r.name,
-                    "marginal_a": _f17(r.marginal_a),
-                    "marginal_b": _f17(r.marginal_b),
-                    "correlation": _f17(r.correlation),
+                    "marginal_a": float(r.marginal_a),
+                    "marginal_b": float(r.marginal_b),
+                    "correlation": float(r.correlation),
                     "marginal_a_ok": r.marginal_a_ok,
                     "marginal_b_ok": r.marginal_b_ok,
                     "correlation_ok": r.correlation_ok,
-                    "ignorance_distance": _f17(r.ignorance_distance),
+                    "ignorance_distance": float(r.ignorance_distance),
                     "ignorance_ok": r.ignorance_ok,
                     "all_ok": r.all_ok,
                 }
@@ -328,25 +338,25 @@ def cmd_ensemble(args) -> int:
         "command": "ensemble",
         "n": args.n,
         "seed": args.seed,
-        "taus": {n: _f17(t) for n, t in zip(s.names, taus)},
+        "taus": {n: float(t) for n, t in zip(s.names, taus)},
         "branches": [
             {
                 "outcomes": list(b.outcomes),
                 "labels": [labels[j][o] for j, o in enumerate(b.outcomes)],
-                "probability": _f17(b.probability),
+                "probability": float(b.probability),
                 "frequency": freq.get(b.outcomes, 0),
             }
             for b in branches
         ],
         "sectors": {
             _subset_name(r.subset, s): {
-                "empirical_distance": _f17(r.empirical_distance),
-                "analytic_distance": _f17(r.analytic_distance),
+                "empirical_distance": float(r.empirical_distance),
+                "analytic_distance": float(r.analytic_distance),
             }
             for r in report.rows
         },
-        "max_empirical_distance": _f17(report.max_empirical),
-        "max_analytic_distance": _f17(report.max_analytic),
+        "max_empirical_distance": float(report.max_empirical),
+        "max_analytic_distance": float(report.max_analytic),
     }
     _emit(doc)
     return 0
@@ -362,14 +372,17 @@ def cmd_diagram(args) -> int:
     t_lo = min(times + [e[0] for e in events], default=0.0) - 2.0
     t_hi = max(times + [e[0] for e in events], default=0.0) + 2.0
     if args.tau_range:
-        t_lo, t_hi = (float(v) for v in args.tau_range.split(":"))
+        try:
+            t_lo, t_hi = (_finite(v) for v in args.tau_range.split(":"))
+        except ValueError:
+            raise UsageError(f"bad --tau-range {args.tau_range!r}; expected LO:HI") from None
 
     def polyline(w):
         taus = sorted({t_lo, 0.0, t_hi}
                       | {sum(seg.dtau for seg in w.segments[:k + 1]) for k in range(len(w.segments))})
-        return [[_f17(c) for c in position(w, tau)] for tau in taus if t_lo <= tau <= t_hi]
+        return [[float(c) for c in position(w, tau)] for tau in taus if t_lo <= tau <= t_hi]
 
-    xs = [e[1] for e in events] + [_f17(position(w, t)[1]) for w in s.worldlines for t in (t_lo, t_hi)]
+    xs = [e[1] for e in events] + [float(position(w, t)[1]) for w in s.worldlines for t in (t_lo, t_hi)]
     x_lo, x_hi = (min(xs, default=-1.0) - 2.0, max(xs, default=1.0) + 2.0)
     span = max(t_hi - t_lo, x_hi - x_lo)
 
@@ -377,9 +390,9 @@ def cmd_diagram(args) -> int:
     for e in events:
         rays = []
         for dt, dx in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
-            rays.append([[_f17(e[0]), _f17(e[1])],
-                         [_f17(e[0] + dt * span), _f17(e[1] + dx * span)]])
-        lightcones.append({"apex": [_f17(e[0]), _f17(e[1])], "rays": rays})
+            rays.append([[float(e[0]), float(e[1])],
+                         [float(e[0] + dt * span), float(e[1] + dx * span)]])
+        lightcones.append({"apex": [float(e[0]), float(e[1])], "rays": rays})
 
     crossings = []
     for k, iv in enumerate(s.interventions):
@@ -389,10 +402,10 @@ def cmd_diagram(args) -> int:
             tm, tp = lightcone_crossings(s.worldlines[i], events[k])
             crossings.append({
                 "apex_on": s.names[iv.subsystem],
-                "apex_tau": _f17(iv.tau),
+                "apex_tau": float(iv.tau),
                 "worldline": s.names[i],
-                "tau_minus": _f17(tm),
-                "tau_plus": _f17(tp),
+                "tau_minus": float(tm),
+                "tau_plus": float(tp),
             })
 
     leaves = []
@@ -400,26 +413,26 @@ def cmd_diagram(args) -> int:
         try:
             vraw, traw = spec.split(":")
             v = _parse_velocity(vraw, 1)
-            t = float(traw)
+            t = _finite(traw)
         except (ValueError, UsageError):
             raise UsageError(f"bad --leaf {spec!r}; expected V:T") from None
         g = 1.0 / math.sqrt(1.0 - float(v[0]) ** 2)
         # leaf t: coordinate time = v*x + t/gamma
-        line = [[_f17(float(v[0]) * x + t / g), _f17(x)] for x in (x_lo, x_hi)]
-        leaves.append({"v": _f17(float(v[0])), "t": _f17(t), "line": line})
+        line = [[float(v[0] * x + t / g), float(x)] for x in (x_lo, x_hi)]
+        leaves.append({"v": float(v[0]), "t": float(t), "line": line})
 
     _emit({
         "schema_version": SCHEMA_VERSION,
         "command": "diagram",
-        "t_range": [_f17(t_lo), _f17(t_hi)],
-        "x_range": [_f17(x_lo), _f17(x_hi)],
+        "t_range": [float(t_lo), float(t_hi)],
+        "x_range": [float(x_lo), float(x_hi)],
         "worldlines": [{"name": s.names[i], "vertices": polyline(s.worldlines[i])}
                        for i in range(s.n)],
         "interventions": [
             {
                 "on": s.names[iv.subsystem],
-                "tau": _f17(iv.tau),
-                "event": [_f17(c) for c in events[k]],
+                "tau": float(iv.tau),
+                "event": [float(c) for c in events[k]],
                 "kind": "measure" if isinstance(iv.op, SelectiveOp) else "unitary",
             }
             for k, iv in enumerate(s.interventions)

@@ -7,6 +7,11 @@ the complement, normalize. The polystate collects the sectors of all
 nonempty subsets. Singleton sectors depend only on their own proper time by
 construction, so the evaluation never signals across spacelike separation.
 
+A sector is two steps: `past_union_ids` selects the interventions and
+`state_after` computes the state they leave. Every other state the package
+assigns (observer and foliation states, each audit rule's states) is
+`state_after` on its own selection.
+
 Cost model: a sector never forms the d^n x d^n pushed state. Each
 subsystem outside the subset folds its selected interventions into one
 effect E_j = (K_m...K_1)^dagger (K_m...K_1) and is traced out of the initial
@@ -18,7 +23,7 @@ subset's dimension d^|S|. A local operator costs O(d D^2) on a D x D state
 Selecting the interventions is one vectorised test per evaluation event:
 the scenario computes its intervention events once (`Scenario.events`, a
 K x (1+d) array), and each member's closed past is checked against all K
-rows at once (`scenario.selected_ids`), so only the subset's own evaluation
+rows at once (`past_union_ids`), so only the subset's own evaluation
 events are located on their worldlines per call.
 
 Sectors are piecewise constant in the proper times: they change only when an
@@ -37,7 +42,7 @@ import numpy as np
 
 from . import linalg
 from .errors import ImpossibleOutcomeError
-from .scenario import Scenario, apply_interventions, local_sequences, selected_ids
+from .scenario import Scenario, local_sequences, selected_ids
 from .spacetime import Foliation, PastOfEvent, PastOfLeaf, Region, Worldline, position
 
 MAX_SUBSYSTEMS = 10
@@ -55,9 +60,11 @@ class Polystate:
         return self.sectors[tuple(sorted(subset))]
 
 
-def _past_union(s: Scenario, taus, subset) -> Region:
+def past_union_ids(s: Scenario, taus, subset) -> tuple:
+    """Ids of the interventions inside the union of the subset's closed
+    causal pasts at the given proper times."""
     events = [position(s.worldlines[i], taus[i]) for i in subset]
-    return Region.union_of_pasts(events)
+    return selected_ids(s, Region.union_of_pasts(events))
 
 
 def _effect(sequence):
@@ -71,11 +78,12 @@ def _effect(sequence):
     return m.conj().T @ m
 
 
-def _unnormalized_sector(s: Scenario, ids, subset) -> np.ndarray:
-    """Tr_complement[K rho K^dagger] for the selected interventions, by effect
-    contraction at the subset's own dimension (see the module docstring);
-    its trace is the recorded branches' Born weight. Factors are traced out
-    from the last, so the indices still to visit stay put."""
+def state_after(s: Scenario, ids, subset) -> np.ndarray:
+    """Tr_complement[K rho K^dagger] for the given interventions and sorted
+    subset, normalized by its trace, the recorded branches' Born weight; by
+    effect contraction at the subset's own dimension (see the module
+    docstring). Factors are traced out from the last, so the indices still
+    to visit stay put."""
     seqs = local_sequences(s, ids)
     rho, dims = s.initial_state, list(s.dims)
     for j in reversed(range(s.n)):
@@ -84,7 +92,11 @@ def _unnormalized_sector(s: Scenario, ids, subset) -> np.ndarray:
             del dims[j]
     for pos, i in enumerate(subset):
         rho = linalg.apply_channels(seqs.get(i, ()), pos, dims, rho)
-    return rho
+    try:
+        return linalg.normalize(rho)
+    except ImpossibleOutcomeError as exc:
+        names = ",".join(s.names[i] for i in subset)
+        raise ImpossibleOutcomeError(f"sector {{{names}}}: {exc}") from None
 
 
 def sector(s: Scenario, taus, subset, cache=None) -> np.ndarray:
@@ -97,15 +109,11 @@ def sector(s: Scenario, taus, subset, cache=None) -> np.ndarray:
     subset = tuple(sorted(set(subset)))
     if not subset:
         raise ValueError("subset must be nonempty")
-    ids = selected_ids(s, _past_union(s, taus, subset))
+    ids = past_union_ids(s, taus, subset)
     key = (subset, ids)
     if cache is not None and key in cache:
         return cache[key]
-    try:
-        result = linalg.normalize(_unnormalized_sector(s, ids, subset))
-    except ImpossibleOutcomeError as exc:
-        names = ",".join(s.names[i] for i in subset)
-        raise ImpossibleOutcomeError(f"sector {{{names}}}: {exc}") from None
+    result = state_after(s, ids, subset)
     if cache is not None:
         cache[key] = result
     return result
@@ -163,7 +171,7 @@ def observer_state(s: Scenario, x) -> np.ndarray:
     """What a maximally informed observer at event x assigns the whole
     system: the initial state pushed through the causal past of x."""
     ids = selected_ids(s, Region((PastOfEvent(np.asarray(x, dtype=float)),)))
-    return linalg.normalize(apply_interventions(s, ids, s.initial_state))
+    return state_after(s, ids, range(s.n))
 
 
 def recollection(s: Scenario, z: Worldline, tau: float) -> np.ndarray:
@@ -174,4 +182,4 @@ def recollection(s: Scenario, z: Worldline, tau: float) -> np.ndarray:
 def foliation_state(s: Scenario, f: Foliation, t: float) -> np.ndarray:
     """State conditioned on everything at or below leaf t of the foliation."""
     ids = selected_ids(s, Region((PastOfLeaf(f, t),)))
-    return linalg.normalize(apply_interventions(s, ids, s.initial_state))
+    return state_after(s, ids, range(s.n))

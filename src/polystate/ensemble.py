@@ -18,10 +18,9 @@ from itertools import product
 import numpy as np
 
 from . import linalg
-from .engine import all_subsets, sector
+from .engine import all_subsets, past_union_ids, sector
 from .errors import BranchExplosionError, EmptyEnsembleError
-from .scenario import Scenario, SelectiveOp, apply_interventions, selected_ids
-from .spacetime import Region, position
+from .scenario import Scenario, SelectiveOp, apply_interventions
 
 BRANCH_CAP = 10**6
 
@@ -136,8 +135,7 @@ def _inside_past_union(s: Scenario, subset, taus):
     """The sorted subset and the ids of the interventions inside the union
     of its members' causal pasts."""
     subset = tuple(sorted(set(subset)))
-    region = Region.union_of_pasts([position(s.worldlines[i], taus[i]) for i in subset])
-    return subset, frozenset(selected_ids(s, region))
+    return subset, frozenset(past_union_ids(s, taus, subset))
 
 
 def _applied_for_subset(s: Scenario, subset, inside) -> list:

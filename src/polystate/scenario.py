@@ -1,6 +1,6 @@
-"""Scenario data model, the .scn file format, and the region-restricted
-intervention map that pushes a joint state through every intervention whose
-event lies inside a spacetime region.
+"""Scenario data model, the .scn file format, the selection of the
+interventions whose events lie inside a spacetime region, and the map that
+pushes a joint state through a chosen set of interventions.
 
 A .scn file is a UTF-8 JSON document:
 
@@ -473,10 +473,6 @@ def _intervention_to_json(s: Scenario, iv: Intervention):
     return out
 
 
-def intervention_event(s: Scenario, k: int) -> np.ndarray:
-    return s.events[k]
-
-
 def selected_ids(s: Scenario, region: Region) -> tuple:
     """Indices of the interventions whose event lies inside the region, as
     Python ints in ascending order: one membership test over `s.events`."""
@@ -517,13 +513,6 @@ def apply_interventions(s: Scenario, ids, rho, subsystem_order=None, outcomes=No
     for subsystem in range(s.n) if subsystem_order is None else subsystem_order:
         out = linalg.apply_channels(seqs.get(subsystem, ()), subsystem, s.dims, out)
     return out
-
-
-def apply_in_region(s: Scenario, region: Region, rho) -> np.ndarray:
-    """The transformation attached to a spacetime region: every intervention
-    located inside it, nothing else. Depends on the region only through the
-    selected intervention set."""
-    return apply_interventions(s, selected_ids(s, region), rho)
 
 
 def boosted_scenario(s: Scenario, rapidity: float, axis=None) -> Scenario:

@@ -16,15 +16,15 @@ def test_applied_sets_per_prescription():
     x_probe_a = np.array([2.0, 0.0])
     x_probe_b = np.array([1.5, 2.0])
     event = np.array([1.0, 0.0])
-    assert audit._applied(audit.FutureLightcone(), event, x_probe_a)
-    assert not audit._applied(audit.FutureLightcone(), event, x_probe_b)
+    assert audit.FutureLightcone().applied(event, x_probe_a)
+    assert not audit.FutureLightcone().applied(event, x_probe_b)
     # the past-lightcone rule updates everywhere outside the strict past
-    assert audit._applied(audit.PastLightcone(), event, x_probe_b)
-    assert not audit._applied(audit.PastLightcone(), event, np.array([0.0, 0.0]))
-    assert audit._applied(audit.PastLightcone(), event, np.array([0.0, 1.0]))  # spacelike
+    assert audit.PastLightcone().applied(event, x_probe_b)
+    assert not audit.PastLightcone().applied(event, np.array([0.0, 0.0]))
+    assert audit.PastLightcone().applied(event, np.array([0.0, 1.0]))  # spacelike
     rest = audit.FixedFoliation(Foliation(np.zeros(1)))
-    assert audit._applied(rest, event, x_probe_b)
-    assert not audit._applied(rest, event, np.array([0.5, 2.0]))
+    assert rest.applied(event, x_probe_b)
+    assert not rest.applied(event, np.array([0.5, 2.0]))
 
 
 def test_single_state_agreeing_events():

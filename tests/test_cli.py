@@ -59,7 +59,13 @@ def test_eval_output_is_deterministic():
     assert a.stdout == b.stdout
 
 
-def test_usage_errors_exit_one():
+def test_usage_errors_exit_one(tmp_path):
+    bad_json = tmp_path / "bad_json.json"
+    bad_json.write_text('{"rows": ')
+    non_numeric = tmp_path / "non_numeric.json"
+    non_numeric.write_text('[[1, "x"], [0, 1]]')
+    non_finite = tmp_path / "non_finite.json"
+    non_finite.write_text("[[NaN, 0], [0, 1]]")
     for args in (
         ("eval", BELL),  # missing --tau
         ("eval", BELL, "--tau", "A=1.0"),  # missing B
@@ -67,9 +73,22 @@ def test_usage_errors_exit_one():
         ("eval", "/nonexistent.scn", "--tau", "A=1.0,B=2.0"),
         ("nonsense",),
         (),
+        ("eval", BELL, "--tau", "A=nan,B=1.0"),
+        ("eval", BELL, "--tau", "A=inf,B=1.0"),
+        ("sweep", BELL, "--t-range=0:nan:3"),
+        ("audit", BELL, "--tau", "A=1.0,B=1.0", "--grid=-inf:1:3"),
+        ("sweep", BELL, "--t-range=0:1:3", "--foliation", "v=nan"),
+        ("diagram", BELL, "--tau-range", "0:1:2"),
+        ("diagram", BELL, "--tau-range", "early:late"),
+        ("diagram", BELL, "--tau-range", "0:nan"),
+        ("diagram", BELL, "--leaf", "0.5:inf"),
+        ("eval", BELL, "--tau", "A=1.0,B=1.0", "--sector", "A", "--observable", "pauli_n(nan,0)"),
+        *(("eval", BELL, "--tau", "A=1.0,B=1.0", "--sector", "A", "--observable", str(path))
+          for path in (bad_json, non_numeric, non_finite)),
     ):
         res = run_cli(*args)
         assert res.returncode == 1, (args, res.returncode, res.stderr)
+        assert "Traceback" not in res.stderr, (args, res.stderr)
         assert res.stdout == "" or "schema_version" not in res.stdout
 
 

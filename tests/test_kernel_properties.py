@@ -1,6 +1,7 @@
 """Property suites for the state-update kernel: the axis-local update
-against the lifted operator it replaces, and the engine's effect-contracted
-sectors against pushing the whole joint state and tracing afterwards.
+against the lifted operator it replaces, and the effect-contracted states of
+the engine's sectors and of every audit rule against pushing the whole joint
+state and tracing afterwards.
 
 Scenario structure (subsystem count, local dimensions, kinds, order and
 proper times of the interventions, worldlines, evaluation times) is drawn by
@@ -8,18 +9,20 @@ hypothesis; the matrix entries come from a numpy generator seeded by a drawn
 integer, since a 3^4-dimensional density operator is too many floats to draw
 one by one."""
 
+from dataclasses import replace
+
 import numpy as np
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as hs
 
-from polystate import engine, linalg
+from polystate import audit, engine, linalg
 from polystate.errors import ImpossibleOutcomeError
 from polystate.scenario import (Intervention, Scenario, SelectiveOp, UnitaryOp,
                                 apply_interventions, selected_ids)
-from polystate.spacetime import Region, position
+from polystate.spacetime import Foliation, Region, position
 
 from helpers import random_density, random_unitary
-from test_properties import tau_values, worldlines
+from test_properties import tau_values, velocities, worldlines
 
 SUITE = settings(max_examples=200, deadline=None, derandomize=True,
                  suppress_health_check=[HealthCheck.filter_too_much,
@@ -91,6 +94,24 @@ def pushed_sector_or_none(s, taus, subset):
         return None
 
 
+def pushed_or_none(s, ids, keep):
+    """An audit rule's reduced state by pushing the full joint state,
+    normalizing, then tracing; None when the recorded branches cannot
+    occur."""
+    try:
+        full = linalg.normalize(apply_interventions(s, ids, s.initial_state))
+    except ImpossibleOutcomeError:
+        return None
+    return linalg.ptrace(full, s.dims, keep)
+
+
+def assert_close_or_both_none(got, want):
+    if got is None or want is None:
+        assert got is None and want is None
+    else:
+        assert np.max(np.abs(got - want)) < TOL
+
+
 @SUITE
 @given(s=scenarios(), taus=hs.lists(tau_values, min_size=4, max_size=4))
 def test_effect_contracted_sector_equals_pushed_sector(s, taus):
@@ -100,7 +121,68 @@ def test_effect_contracted_sector_equals_pushed_sector(s, taus):
             got = engine.sector(s, taus, subset)
         except ImpossibleOutcomeError:
             got = None
-        if want is None or got is None:
-            assert want is None and got is None
+        assert_close_or_both_none(got, want)
+
+
+def reference_states(p, s, taus):
+    """Per-subsystem and single states of an audit rule, deciding each
+    intervention on its own and pushing the full joint state."""
+    id_sets = [tuple(k for k in range(len(s.interventions))
+                     if p.applied(s.events[k], position(s.worldlines[i], taus[i])))
+               for i in range(s.n)]
+    reduced = [pushed_or_none(s, ids, (i,)) for i, ids in enumerate(id_sets)]
+    union = tuple(sorted(set().union(*id_sets)))
+    if isinstance(p, audit.PolystateRule) or all(ids == union for ids in id_sets):
+        single = pushed_or_none(s, union, range(s.n))
+    elif any(r is None for r in reduced):
+        single = None
+    else:
+        single = linalg.kron_all(*reduced)
+    return reduced, single
+
+
+def states_or_none(p, s, taus):
+    out = []
+    for f in (audit.reduced_states, audit.single_state):
+        try:
+            out.append(f(p, s, taus))
+        except ImpossibleOutcomeError:
+            out.append(None)
+    return out
+
+
+@hs.composite
+def scenarios_with_blocked_branch(draw):
+    """A scenario that, when a drawn flag is set, starts from |0...0> and
+    gets a z measurement on one subsystem recording outcome 1, so selections
+    that include it (and no earlier rotation of that subsystem) have zero
+    Born weight."""
+    s = draw(scenarios())
+    if not draw(hs.booleans()):
+        return s
+    i = draw(hs.integers(min_value=0, max_value=s.n - 1))
+    tau = draw(tau_values)
+    assume(all(iv.subsystem != i or abs(iv.tau - tau) > 1e-3 for iv in s.interventions))
+    total = int(np.prod(s.dims))
+    zero = np.zeros((total, total), dtype=complex)
+    zero[0, 0] = 1.0
+    p0 = np.zeros((s.dims[i], s.dims[i]), dtype=complex)
+    p0[0, 0] = 1.0
+    blocked = SelectiveOp(kraus=(p0, np.eye(s.dims[i]) - p0), chosen=1, labels=("0", "1"))
+    return replace(s, initial_state=zero,
+                   interventions=s.interventions + (Intervention(i, tau, blocked),))
+
+
+@SUITE
+@given(s=scenarios_with_blocked_branch(), taus=hs.lists(tau_values, min_size=4, max_size=4),
+       v=velocities())
+def test_audit_rule_states_equal_pushed_states(s, taus, v):
+    for p in audit.default_prescriptions(Foliation(v)):
+        want_reduced, want_single = reference_states(p, s, taus)
+        got_reduced, got_single = states_or_none(p, s, taus)
+        if got_reduced is None:
+            assert any(r is None for r in want_reduced), p.name
         else:
-            assert np.max(np.abs(got - want)) < TOL
+            for got, want in zip(got_reduced, want_reduced):
+                assert_close_or_both_none(got, want)
+        assert_close_or_both_none(got_single, want_single)

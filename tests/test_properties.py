@@ -12,7 +12,7 @@ from hypothesis import strategies as hs
 from polystate import engine, linalg
 from polystate.errors import ImpossibleOutcomeError
 from polystate.scenario import (Intervention, Scenario, SelectiveOp, UnitaryOp,
-                                apply_interventions, boosted_scenario, intervention_event,
+                                apply_interventions, boosted_scenario,
                                 parse_scenario, serialize_scenario)
 from polystate.spacetime import Segment, Worldline, position
 
@@ -95,8 +95,7 @@ def cone_margin(s: Scenario, probe_events) -> float:
     """Smallest |dt - |dx|| between an intervention event and a probe; a
     positive margin means no containment decision sits on a boundary."""
     margin = math.inf
-    for k in range(len(s.interventions)):
-        e = intervention_event(s, k)
+    for e in s.events:
         for x in probe_events:
             dx = x - e
             margin = min(margin, abs(abs(dx[0]) - float(np.linalg.norm(dx[1:]))))

@@ -5,9 +5,9 @@ import pytest
 
 from polystate import linalg
 from polystate.errors import ParseError, ScenarioValidationError
-from polystate.scenario import (SelectiveOp, UnitaryOp, apply_in_region, apply_interventions,
-                                boosted_scenario, diagnose_document, intervention_event,
-                                parse_scenario, selected_ids, serialize_scenario)
+from polystate.scenario import (SelectiveOp, apply_interventions, boosted_scenario,
+                                diagnose_document, parse_scenario, selected_ids,
+                                serialize_scenario)
 from polystate.spacetime import Region
 
 from helpers import fixture_text, load_fixture, random_two_qubit_scenario
@@ -128,7 +128,7 @@ def test_roundtrip_fixture():
 
 def test_intervention_event_position():
     s = load_fixture("bell_sigma_z.scn")
-    assert np.allclose(intervention_event(s, 0), [1.0, 0.0])
+    assert np.allclose(s.events[0], [1.0, 0.0])
 
 
 def test_selected_ids_by_region():
@@ -137,20 +137,14 @@ def test_selected_ids_by_region():
     assert selected_ids(s, Region.nothing()) == ()
     past_of_a_late = Region.union_of_pasts([np.array([2.0, 0.0])])
     assert selected_ids(s, past_of_a_late) == (0,)
+    two_apexes = Region.union_of_pasts([np.array([2.0, 0.0]), np.array([2.0, 2.0])])
+    assert selected_ids(s, two_apexes) == (0, 1)
 
 
 def test_apply_interventions_trace_is_branch_weight():
     s = load_fixture("bell_sigma_z.scn")
     out = apply_interventions(s, (0,), s.initial_state)
     assert abs(np.trace(out).real - 0.5) < 1e-12
-
-
-def test_apply_in_region_depends_only_on_selection():
-    s = load_fixture("foliation_demo.scn")
-    r1 = Region.union_of_pasts([np.array([2.0, 0.0]), np.array([2.0, 2.0])])
-    out1 = apply_in_region(s, r1, s.initial_state)
-    out2 = apply_interventions(s, (0, 1), s.initial_state)
-    assert np.allclose(out1, out2, atol=1e-14)
 
 
 def test_apply_order_between_subsystems_is_immaterial():

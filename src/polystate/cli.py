@@ -106,7 +106,10 @@ def _parse_range(spec: str):
         raise UsageError(f"bad range {spec!r}; expected LO:HI:COUNT, LO and HI finite") from None
     if num < 1:
         raise UsageError("range needs at least one point")
-    return np.linspace(lo, hi, num)
+    try:
+        return np.linspace(lo, hi, num)
+    except (ValueError, MemoryError):
+        raise UsageError(f"range {spec!r} has more points than can be allocated") from None
 
 
 def _parse_velocity(spec: str, d: int) -> np.ndarray:
@@ -326,8 +329,13 @@ def cmd_ensemble(args) -> int:
     taus = _parse_taus(args.tau, s)
     if args.n < 1:
         raise UsageError("--n must be at least 1")
+    if not 0 <= args.seed < 2**64:
+        raise UsageError("--seed must be in [0, 2**64)")
     branches = ensemble.enumerate_branches(s)
-    log = ensemble.sample_runs(s, args.n, args.seed)
+    try:
+        log = ensemble.sample_runs(s, args.n, args.seed)
+    except (ValueError, MemoryError):
+        raise UsageError(f"--n {args.n} runs need more memory than can be allocated") from None
     freq = ensemble.branch_frequencies(log, s)
     report = ensemble.compare_to_polystate(log, s, taus)
 

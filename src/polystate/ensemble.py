@@ -2,11 +2,13 @@
 
 A scenario's recorded outcomes single out a sub-ensemble of repeated runs.
 `enumerate_branches` lists every outcome assignment exactly; `sample_runs`
-draws seeded Monte Carlo runs; `empirical_sector` rebuilds the ensemble a
-subsystem subset holds at given proper times, discarding runs only on the
-outcomes whose events lie inside the subset's union of causal pasts, since
-nothing else can have reached it. `analytic_sector` is the exact version of
-the same conditioning and must agree with the engine's sector.
+draws seeded Monte Carlo runs, generating the uniforms of all runs in bulk,
+block by block, with run r's row depending only on (seed, r);
+`empirical_sector` rebuilds the ensemble a subsystem subset holds at given
+proper times, discarding runs only on the outcomes whose events lie inside
+the subset's union of causal pasts, since nothing else can have reached it.
+`analytic_sector` is the exact version of the same conditioning and must
+agree with the engine's sector.
 """
 
 from __future__ import annotations
@@ -32,6 +34,10 @@ def selective_order(s: Scenario) -> tuple:
     return tuple(sorted(ids, key=lambda k: (s.interventions[k].tau, s.interventions[k].subsystem)))
 
 
+def _outcome_counts(s: Scenario, order) -> list:
+    return [len(s.interventions[k].op.kraus) for k in order]
+
+
 @dataclass
 class Branch:
     outcomes: tuple
@@ -47,7 +53,7 @@ def enumerate_branches(s: Scenario, cap: int = BRANCH_CAP) -> list:
     has zero weight.
     """
     order = selective_order(s)
-    counts = [len(s.interventions[k].op.kraus) for k in order]
+    counts = _outcome_counts(s, order)
     total = math.prod(counts) if counts else 1
     if total > cap:
         raise BranchExplosionError(f"{total} branches exceed the cap {cap}")
@@ -72,63 +78,124 @@ class RunLog:
     outcomes: np.ndarray  # shape (n_runs, len(order))
 
 
+# runs drawn per block: bounds the working arrays of one call while the
+# outcome log itself is allocated once, up front
+_BLOCK = 1 << 16
+
+# Philox4x64-10 round multipliers and key increments (Random123)
+_PHILOX_M = (np.uint64(0xD2E7470EE14C6C93), np.uint64(0xCA5A826395121157))
+_PHILOX_W = (np.uint64(0x9E3779B97F4A7C15), np.uint64(0xBB67AE8584CAA73B))
+_LO32 = np.uint64(0xFFFFFFFF)
+_S32 = np.uint64(32)
+
+
+def _mulhilo(a, b):
+    """High and low words of the 128-bit product of uint64 a and b, built
+    from 32-bit halves so that no partial product overflows."""
+    a_lo, a_hi = a & _LO32, a >> _S32
+    b_lo, b_hi = b & _LO32, b >> _S32
+    ll, lh, hl = a_lo * b_lo, a_lo * b_hi, a_hi * b_lo
+    mid = (ll >> _S32) + (lh & _LO32) + (hl & _LO32)
+    return a_hi * b_hi + (lh >> _S32) + (hl >> _S32) + (mid >> _S32), a * b
+
+
+def _philox_uniforms(seed: int, runs: np.ndarray, k: int) -> np.ndarray:
+    """Row r holds the first k doubles of
+    `np.random.Generator(np.random.Philox(key=[seed, runs[r]])).random(k)`,
+    bit for bit: Philox4x64-10 on counters (b, 0, 0, 0), b = 1, 2, ..., one
+    block of four words each, and each word's top 53 bits scaled by 2**-53."""
+    blocks = -(-k // 4)
+    shape = (runs.shape[0], blocks)
+    c0 = np.broadcast_to(np.arange(1, blocks + 1, dtype=np.uint64), shape)
+    c1 = c2 = c3 = np.zeros(shape, dtype=np.uint64)
+    k0 = np.full(shape, seed, dtype=np.uint64)
+    k1 = np.broadcast_to(runs[:, None], shape)
+    for rnd in range(10):
+        if rnd:
+            k0, k1 = k0 + _PHILOX_W[0], k1 + _PHILOX_W[1]
+        hi0, lo0 = _mulhilo(_PHILOX_M[0], c0)
+        hi1, lo1 = _mulhilo(_PHILOX_M[1], c2)
+        c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
+    words = np.stack((c0, c1, c2, c3), axis=-1).reshape(shape[0], 4 * blocks)[:, :k]
+    return (words >> np.uint64(11)) * 2.0**-53
+
+
+def _prefix_cumulants(branches, counts) -> list:
+    """Per depth j, the prefix sums at depth j (one per outcome prefix, in
+    mixed-radix code order) and the running sums over their children,
+    shape (prefixes, counts[j]). Each prefix sum adds its branches' weights
+    one by one in enumeration order, and each running sum adds the children
+    left to right, so the tables hold the floats a walk over the branch list
+    accumulating from 0.0 would (up to the sign of a zero, which no
+    comparison sees)."""
+    probs = np.array([b.probability for b in branches], dtype=float)
+    sums = [np.ones(1)]
+    for depth in range(1, len(counts) + 1):
+        sums.append(np.cumsum(probs.reshape(math.prod(counts[:depth]), -1), axis=1)[:, -1])
+    return [(sums[j], np.cumsum(sums[j + 1].reshape(-1, c), axis=1))
+            for j, c in enumerate(counts)]
+
+
 def sample_runs(s: Scenario, n_runs: int, seed: int) -> RunLog:
     """N independent runs; outcome k of each selective intervention is drawn
     with its conditional Born probability given the earlier outcomes of the
-    same run. Each run has its own counter-based stream keyed by
-    (seed, run index), so results are independent of evaluation order.
+    same run. Run r uses the Philox4x64 stream keyed by (seed, r) from
+    counter zero, so row r depends only on (seed, r): results are independent
+    of evaluation order and of n_runs. The uniforms of all runs are generated
+    in bulk, block by block of runs, into an outcome log allocated up front.
+
+    Run r's j-th uniform u picks the first outcome whose running sum of
+    branch weights under the run's outcome prefix reaches u times the
+    prefix's weight (the last outcome if none does).
     """
     if n_runs < 1:
         raise ValueError("need at least one run")
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed {seed} is outside [0, 2**64)")
     order = selective_order(s)
     branches = enumerate_branches(s)
-    counts = [len(s.interventions[k].op.kraus) for k in order]
+    counts = _outcome_counts(s, order)
     k = len(order)
-    outcomes = np.zeros((n_runs, k), dtype=np.int8)
+    # int8 unless some selective has more outcomes than int8 can index
+    dtype = np.int8 if max(counts, default=0) <= 128 else np.int32
+    outcomes = np.zeros((n_runs, k), dtype=dtype)
     if k == 0:
         return RunLog(seed=seed, n_runs=n_runs, order=order, outcomes=outcomes)
 
-    # conditional tables from the exact branch probabilities
-    prefix_prob: dict = {(): 1.0}
-    for depth in range(1, k + 1):
-        for b in branches:
-            key = b.outcomes[:depth]
-            prefix_prob[key] = prefix_prob.get(key, 0.0) + b.probability
-
-    # one Philox stream per run, keyed by (seed, run) from counter zero;
-    # resetting the key is much cheaper than building a generator per run
-    bitgen = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
-    gen = np.random.Generator(bitgen)
-    state = bitgen.state
-    for run in range(n_runs):
-        state["state"]["key"] = np.array([seed, run], dtype=np.uint64)
-        bitgen.state = state
-        us = gen.random(k)
-        prefix = ()
-        for j in range(k):
-            total = prefix_prob.get(prefix, 0.0)
-            u = us[j] * total
-            acc = 0.0
-            choice = counts[j] - 1
-            for o in range(counts[j]):
-                acc += prefix_prob.get(prefix + (o,), 0.0)
-                if u <= acc:
-                    choice = o
-                    break
-            outcomes[run, j] = choice
-            prefix = prefix + (choice,)
+    tables = _prefix_cumulants(branches, counts)
+    for start in range(0, n_runs, _BLOCK):
+        stop = min(start + _BLOCK, n_runs)
+        us = _philox_uniforms(seed, np.arange(start, stop, dtype=np.uint64), k)
+        # the outcome prefix so far as one mixed-radix code, first selective
+        # most significant; the running sums never decrease, so the count
+        # of those below u is the index of the first one that reaches it
+        prefix = np.zeros(stop - start, dtype=np.intp)
+        for j, (total, cum) in enumerate(tables):
+            u = us[:, j] * total[prefix]
+            choice = np.minimum(np.count_nonzero(cum[prefix] < u[:, None], axis=1),
+                                counts[j] - 1)
+            outcomes[start:stop, j] = choice
+            prefix = prefix * counts[j] + choice
     return RunLog(seed=seed, n_runs=n_runs, order=order, outcomes=outcomes)
+
+
+def _branch_codes(outcomes: np.ndarray, counts) -> np.ndarray:
+    """Each row's outcome tuple as one mixed-radix integer, first column
+    most significant, so that code order is lexicographic row order;
+    `np.unravel_index(code, counts)` gives the tuple back."""
+    codes = np.zeros(outcomes.shape[0], dtype=np.intp)
+    for j, c in enumerate(counts):
+        codes = codes * c + outcomes[:, j]
+    return codes
 
 
 def branch_frequencies(log: RunLog, s: Scenario) -> dict:
     """Observed count per outcome tuple."""
-    freq: dict = {}
     if log.outcomes.shape[1] == 0:
         return {(): log.n_runs}
-    codes, counts = np.unique(log.outcomes, axis=0, return_counts=True)
-    for row, c in zip(codes, counts):
-        freq[tuple(int(v) for v in row)] = int(c)
-    return freq
+    counts = _outcome_counts(s, log.order)
+    codes, freq = np.unique(_branch_codes(log.outcomes, counts), return_counts=True)
+    return {tuple(map(int, np.unravel_index(c, counts))): int(f) for c, f in zip(codes, freq)}
 
 
 def _inside_past_union(s: Scenario, subset, taus):
@@ -159,22 +226,20 @@ def empirical_sector(log: RunLog, s: Scenario, subset, taus) -> np.ndarray:
     applied = _applied_for_subset(s, subset, inside)
     order = log.order
     keep_cols = [j for j, k in enumerate(order) if k in inside]
-    recorded = np.array([s.interventions[order[j]].op.chosen for j in keep_cols], dtype=np.int8)
-    mask = np.ones(log.n_runs, dtype=bool)
+    recorded = np.array([s.interventions[order[j]].op.chosen for j in keep_cols])
+    counts = _outcome_counts(s, order)
+    retained = _branch_codes(log.outcomes, counts)
     if keep_cols:
-        mask = np.all(log.outcomes[:, keep_cols] == recorded, axis=1)
-    retained = log.outcomes[mask]
+        retained = retained[np.all(log.outcomes[:, keep_cols] == recorded, axis=1)]
     if retained.shape[0] == 0:
         raise EmptyEnsembleError("no run matches the recorded outcomes inside the causal past")
 
     dim = math.prod(s.dims[i] for i in subset)
     acc = np.zeros((dim, dim), dtype=complex)
-    if retained.shape[1] == 0:
-        rows, counts = np.zeros((1, 0), dtype=np.int8), np.array([retained.shape[0]])
-    else:
-        rows, counts = np.unique(retained, axis=0, return_counts=True)
-    for row, count in zip(rows, counts):
-        assignment = {k: int(row[j]) for j, k in enumerate(order)}
+    # code order is lexicographic row order, so branches add up in the
+    # order of their outcome tuples
+    for code, count in zip(*np.unique(retained, return_counts=True)):
+        assignment = dict(zip(order, map(int, np.unravel_index(code, counts))))
         raw = apply_interventions(s, applied, s.initial_state, outcomes=assignment)
         state = linalg.normalize(linalg.ptrace(raw, s.dims, subset))
         acc += count * state

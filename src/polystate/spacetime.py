@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -66,26 +67,29 @@ class Worldline:
     def spatial_dim(self) -> int:
         return self.anchor.shape[0] - 1
 
-
-def _pieces(w: Worldline):
-    """Inertial pieces as (tau_lo, tau_hi, tau_ref, x_ref, velocity)."""
-    first_v = w.segments[0].velocity if w.segments else w.final_velocity
-    pieces = [(-math.inf, 0.0, 0.0, w.anchor, first_v)]
-    x = w.anchor
-    tau = 0.0
-    for seg in w.segments:
-        pieces.append((tau, tau + seg.dtau, tau, x, seg.velocity))
-        x = x + seg.dtau * four_velocity(seg.velocity)
-        tau += seg.dtau
-    pieces.append((tau, math.inf, tau, x, w.final_velocity))
-    return pieces
+    @cached_property
+    def pieces(self) -> tuple:
+        """Inertial pieces as (tau_lo, tau_hi, tau_ref, x_ref, velocity,
+        gamma, four_velocity), computed on first use. Nothing changes a
+        worldline after construction (a boost builds a new one), so the
+        pieces never go stale."""
+        first_v = self.segments[0].velocity if self.segments else self.final_velocity
+        spans = [(-math.inf, 0.0, 0.0, self.anchor, first_v)]
+        x = self.anchor
+        tau = 0.0
+        for seg in self.segments:
+            spans.append((tau, tau + seg.dtau, tau, x, seg.velocity))
+            x = x + seg.dtau * four_velocity(seg.velocity)
+            tau += seg.dtau
+        spans.append((tau, math.inf, tau, x, self.final_velocity))
+        return tuple(span + (gamma(span[4]), four_velocity(span[4])) for span in spans)
 
 
 def position(w: Worldline, tau: float) -> np.ndarray:
     """Event on the worldline at proper time tau."""
-    for tau_lo, tau_hi, tau_ref, x_ref, v in _pieces(w):
+    for tau_lo, tau_hi, tau_ref, x_ref, _, _, u in w.pieces:
         if tau_lo <= tau <= tau_hi:
-            return x_ref + (tau - tau_ref) * four_velocity(v)
+            return x_ref + (tau - tau_ref) * u
     raise ValueError(f"proper time {tau} not covered; worldline pieces are broken")
 
 
@@ -149,10 +153,9 @@ def _bisect_crossing(w: Worldline, apex, past: bool) -> float:
 
 def _quadratic_crossing(w: Worldline, apex, past: bool) -> float | None:
     apex = np.asarray(apex, dtype=float)
-    for tau_lo, tau_hi, tau_ref, x_ref, v in _pieces(w):
-        g = gamma(v)
+    for tau_lo, tau_hi, tau_ref, x_ref, v, g, u in w.pieces:
         # re-reference the piece to tau = 0 so the root is an absolute tau
-        b = apex - x_ref + tau_ref * four_velocity(v)
+        b = apex - x_ref + tau_ref * u
         m = g * (b[0] - float(np.dot(b[1:], v)))
         c = b[0] * b[0] - float(np.dot(b[1:], b[1:]))
         disc = m * m - c
@@ -162,7 +165,7 @@ def _quadratic_crossing(w: Worldline, apex, past: bool) -> float | None:
             # on the line and inside the piece, the apex is the worldline
             # point at tau = m and both crossings are there; otherwise try
             # the other pieces, else the caller falls back to bisection
-            off = b - m * four_velocity(v)
+            off = b - m * u
             near = 1e-12 * max(1.0, abs(m), float(np.max(np.abs(apex))))
             if np.max(np.abs(off)) <= near and tau_lo - near <= m <= tau_hi + near:
                 return m
@@ -270,8 +273,8 @@ def proper_time_at_leaf(w: Worldline, f: Foliation, t: float) -> float:
     """
     vf = f.frame_velocity
     gf = gamma(vf)
-    for tau_lo, tau_hi, tau_ref, x_ref, v in _pieces(w):
-        slope = gf * gamma(v) * (1.0 - float(np.dot(vf, v)))
+    for tau_lo, tau_hi, tau_ref, x_ref, v, g, _ in w.pieces:
+        slope = gf * g * (1.0 - float(np.dot(vf, v)))
         t_ref = f.time(x_ref)
         tau = tau_ref + (t - t_ref) / slope
         pad = 1e-9 * max(1.0, abs(tau))

@@ -85,6 +85,11 @@ def test_usage_errors_exit_one(tmp_path):
         ("eval", BELL, "--tau", "A=1.0,B=1.0", "--sector", "A", "--observable", "pauli_n(nan,0)"),
         *(("eval", BELL, "--tau", "A=1.0,B=1.0", "--sector", "A", "--observable", str(path))
           for path in (bad_json, non_numeric, non_finite)),
+        ("ensemble", BELL, "--tau", "A=1.0,B=1.0", "--n", "10", "--seed", "-1"),
+        ("ensemble", BELL, "--tau", "A=1.0,B=1.0", "--n", "10", "--seed", str(2**64)),
+        # too large to allocate; refused before anything is allocated
+        ("sweep", BELL, "--t-range=0:1:100000000000000000000"),
+        ("ensemble", BELL, "--tau", "A=1.0,B=1.0", "--n", "1000000000000000"),
     ):
         res = run_cli(*args)
         assert res.returncode == 1, (args, res.returncode, res.stderr)

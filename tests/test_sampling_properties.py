@@ -1,0 +1,158 @@
+"""Property suites for bulk Monte Carlo sampling: the vectorised Philox
+doubles against numpy's own `Philox` generator, `sample_runs` against the
+per-run scalar loop it replaced, and the code-based run counting against
+counting outcome rows with `np.unique(..., axis=0)`."""
+
+from dataclasses import replace
+
+import numpy as np
+from hypothesis import given
+from hypothesis import strategies as hs
+
+from polystate import ensemble, linalg
+from polystate.errors import EmptyEnsembleError, ImpossibleOutcomeError
+from polystate.scenario import apply_interventions
+
+from helpers import load_fixture
+from test_kernel_properties import SUITE, scenarios_with_blocked_branch
+from test_properties import tau_values
+
+seeds64 = hs.one_of(hs.sampled_from([0, 1, 2**64 - 1]),
+                    hs.integers(min_value=0, max_value=2**64 - 1))
+
+
+def scalar_sample_runs(s, n_runs, seed):
+    """The per-run loop: one Philox stream keyed by (seed, run), and a walk
+    over a dict of prefix weights per selective."""
+    order = ensemble.selective_order(s)
+    branches = ensemble.enumerate_branches(s)
+    counts = [len(s.interventions[k].op.kraus) for k in order]
+    k = len(order)
+    outcomes = np.zeros((n_runs, k), dtype=int)
+    if k == 0:
+        return outcomes
+    prefix_prob = {(): 1.0}
+    for depth in range(1, k + 1):
+        for b in branches:
+            key = b.outcomes[:depth]
+            prefix_prob[key] = prefix_prob.get(key, 0.0) + b.probability
+    bitgen = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
+    gen = np.random.Generator(bitgen)
+    state = bitgen.state
+    for run in range(n_runs):
+        state["state"]["key"] = np.array([seed, run], dtype=np.uint64)
+        bitgen.state = state
+        us = gen.random(k)
+        prefix = ()
+        for j in range(k):
+            u = us[j] * prefix_prob.get(prefix, 0.0)
+            acc = 0.0
+            choice = counts[j] - 1
+            for o in range(counts[j]):
+                acc += prefix_prob.get(prefix + (o,), 0.0)
+                if u <= acc:
+                    choice = o
+                    break
+            outcomes[run, j] = choice
+            prefix = prefix + (choice,)
+    return outcomes
+
+
+def rows_frequencies(outcomes):
+    """Outcome-tuple counts by unique rows."""
+    if outcomes.shape[1] == 0:
+        return {(): outcomes.shape[0]}
+    rows, counts = np.unique(outcomes, axis=0, return_counts=True)
+    return {tuple(int(v) for v in row): int(c) for row, c in zip(rows, counts)}
+
+
+def rows_empirical_sector(log, s, subset, taus):
+    """`empirical_sector` with retained runs grouped by unique rows."""
+    subset, inside = ensemble._inside_past_union(s, subset, taus)
+    applied = ensemble._applied_for_subset(s, subset, inside)
+    order = log.order
+    keep_cols = [j for j, k in enumerate(order) if k in inside]
+    recorded = np.array([s.interventions[order[j]].op.chosen for j in keep_cols])
+    mask = np.ones(log.n_runs, dtype=bool)
+    if keep_cols:
+        mask = np.all(log.outcomes[:, keep_cols] == recorded, axis=1)
+    retained = log.outcomes[mask]
+    if retained.shape[0] == 0:
+        raise EmptyEnsembleError("no retained run")
+    dim = int(np.prod([s.dims[i] for i in subset]))
+    acc = np.zeros((dim, dim), dtype=complex)
+    if retained.shape[1] == 0:
+        rows, counts = np.zeros((1, 0), dtype=np.int8), np.array([retained.shape[0]])
+    else:
+        rows, counts = np.unique(retained, axis=0, return_counts=True)
+    for row, count in zip(rows, counts):
+        assignment = {k: int(row[j]) for j, k in enumerate(order)}
+        raw = apply_interventions(s, applied, s.initial_state, outcomes=assignment)
+        acc += count * linalg.normalize(linalg.ptrace(raw, s.dims, subset))
+    return linalg.check_density(acc / retained.shape[0])
+
+
+def sector_or_error(f, *args):
+    """The sector, or the type of the error it raised."""
+    try:
+        return f(*args)
+    except (EmptyEnsembleError, ImpossibleOutcomeError) as exc:
+        return type(exc)
+
+
+@SUITE
+@given(seed=seeds64, first=hs.integers(min_value=0, max_value=2**64 - 8),
+       k=hs.integers(min_value=1, max_value=12))
+def test_bulk_philox_doubles_equal_numpy_philox(seed, first, k):
+    runs = np.arange(first, first + 5, dtype=np.uint64)
+    got = ensemble._philox_uniforms(seed, runs, k)
+    for row, r in zip(got, runs):
+        want = np.random.Philox(key=np.array([seed, r], dtype=np.uint64))
+        assert np.array_equal(row, np.random.Generator(want).random(k))
+
+
+@SUITE
+@given(s=scenarios_with_blocked_branch(), n_runs=hs.integers(min_value=1, max_value=300),
+       seed=seeds64, taus=hs.lists(tau_values, min_size=4, max_size=4))
+def test_sample_runs_and_counting_equal_scalar_references(s, n_runs, seed, taus):
+    log = ensemble.sample_runs(s, n_runs, seed)
+    assert log.outcomes.dtype == np.int8
+    assert np.array_equal(log.outcomes, scalar_sample_runs(s, n_runs, seed))
+    assert ensemble.branch_frequencies(log, s) == rows_frequencies(log.outcomes)
+    for subset in ((0,), tuple(range(s.n))):
+        got = sector_or_error(ensemble.empirical_sector, log, s, subset, taus)
+        want = sector_or_error(rows_empirical_sector, log, s, subset, taus)
+        if isinstance(want, np.ndarray):
+            assert np.array_equal(got, want)
+        else:
+            assert got == want
+
+
+def test_sample_runs_across_the_block_boundary():
+    # the first run of the second block, and logs that end on either side
+    # of the boundary are prefixes of the longer one
+    s = load_fixture("foliation_demo.scn")  # four equally likely branches
+    n = ensemble._BLOCK + 3
+    log = ensemble.sample_runs(s, n, seed=29)
+    assert np.array_equal(log.outcomes, scalar_sample_runs(s, n, 29))
+    for shorter in (ensemble._BLOCK - 2, ensemble._BLOCK, ensemble._BLOCK + 1):
+        assert np.array_equal(log.outcomes[:shorter],
+                              ensemble.sample_runs(s, shorter, seed=29).outcomes)
+
+
+def test_sample_runs_with_more_outcomes_than_int8_holds():
+    # 130 equally likely outcomes: indices 128 and 129 must neither wrap
+    # nor overflow the outcome log
+    s = load_fixture("bell_sigma_z.scn")
+    count = 130
+    kraus = (np.eye(2) / np.sqrt(count),) * count
+    op = replace(s.interventions[0].op, kraus=kraus, chosen=129,
+                 labels=tuple(str(o) for o in range(count)))
+    s = replace(s, interventions=(replace(s.interventions[0], op=op),))
+    log = ensemble.sample_runs(s, 3000, seed=5)
+    assert np.array_equal(log.outcomes, scalar_sample_runs(s, 3000, 5))
+    assert log.outcomes.max() == count - 1
+    assert ensemble.branch_frequencies(log, s) == rows_frequencies(log.outcomes)
+    taus = (5.0, 5.0)
+    assert np.array_equal(ensemble.empirical_sector(log, s, (0, 1), taus),
+                          rows_empirical_sector(log, s, (0, 1), taus))

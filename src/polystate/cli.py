@@ -331,7 +331,6 @@ def cmd_ensemble(args) -> int:
         raise UsageError("--n must be at least 1")
     if not 0 <= args.seed < 2**64:
         raise UsageError("--seed must be in [0, 2**64)")
-    branches = ensemble.enumerate_branches(s)
     try:
         log = ensemble.sample_runs(s, args.n, args.seed)
     except (ValueError, MemoryError):
@@ -354,7 +353,7 @@ def cmd_ensemble(args) -> int:
                 "probability": float(b.probability),
                 "frequency": freq.get(b.outcomes, 0),
             }
-            for b in branches
+            for b in log.branches
         ],
         "sectors": {
             _subset_name(r.subset, s): {

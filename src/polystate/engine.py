@@ -8,17 +8,23 @@ nonempty subsets. Singleton sectors depend only on their own proper time by
 construction, so the evaluation never signals across spacelike separation.
 
 A sector is two steps: `past_union_ids` selects the interventions and
-`state_after` computes the state they leave. Every other state the package
-assigns (observer and foliation states, each audit rule's states) is
-`state_after` on its own selection.
+`state_after` computes the state they leave, the unnormalized `pushed`
+state divided by its trace. Every other state the package assigns
+(observer and foliation states, each audit rule's states) is `state_after`
+on its own selection, and the ensemble's branch weights and branch states
+are `pushed` on their outcome assignments.
 
-Cost model: a sector never forms the d^n x d^n pushed state. Each
-subsystem outside the subset folds its selected interventions into one
-effect E_j = (K_m...K_1)^dagger (K_m...K_1) and is traced out of the initial
-state first, Tr_j[K rho K^dagger] = Tr_j[E_j rho], one factor at a time; the
-subset's own interventions then act on axis-local tensor factors at the
-subset's dimension d^|S|. A local operator costs O(d D^2) on a D x D state
-(`linalg.apply_local`), never a Kronecker lift and two D^3 products.
+Cost model: every intervention the engine applies is a single operator, a
+unitary or a recorded branch, so subsystem j's selected sequence
+multiplies into one d_j x d_j matrix M_j. The scenario factors its initial
+state once, rho = Psi Psi^dagger with Psi of shape D x r
+(`Scenario.initial_factor`; r = 1 for a pure state), and a sector applies
+each M_j on its own tensor axis of Psi, O(D r d) per subsystem, then moves
+the subset's axes to the front and reshapes the pushed factor to Phi, of
+shape d_S x (D r / d_S). The unnormalized sector is the Gram matrix Phi
+Phi^dagger, O(d_S D r): no D x D operator is formed or traced unless the
+subset is everything. For a full-rank mixed initial state (r = D) that is
+O(d_S D^2), dearer than a pure one, most for large subsets.
 
 Selecting the interventions is one vectorised test per evaluation event:
 the scenario computes its intervention events once (`Scenario.events`, a
@@ -35,6 +41,7 @@ computation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import chain, combinations
 
@@ -67,33 +74,34 @@ def past_union_ids(s: Scenario, taus, subset) -> tuple:
     return selected_ids(s, Region.union_of_pasts(events))
 
 
-def _effect(sequence):
-    """E = M^dagger M for M = K_m ... K_1, the recorded branch operators one
-    subsystem goes through; None when it goes through none."""
-    if not sequence:
-        return None
-    (m,) = sequence[0]
-    for (k,) in sequence[1:]:
-        m = k @ m
-    return m.conj().T @ m
+def pushed(s: Scenario, ids, subset, outcomes=None) -> np.ndarray:
+    """Tr_complement[K rho K^dagger] on the given subsystems, in the order
+    given, for the chosen interventions, not normalized: its trace is the
+    Born weight of their recorded branches (or of the branches `outcomes`
+    assigns, as in `local_sequences`). Each subsystem's operators multiply
+    into one M_j, applied on that subsystem's axis of the initial factor
+    Psi; with the subset's axes moved to the front the pushed factor is
+    Phi, d_S x rest, and the result is Phi Phi^dagger."""
+    subset = list(subset)
+    dims = s.dims
+    psi = s.initial_factor
+    for j, sequence in local_sequences(s, ids, outcomes).items():
+        (m,) = sequence[0]
+        for (k,) in sequence[1:]:
+            m = k @ m
+        psi = m @ psi.reshape(math.prod(dims[:j]), dims[j], -1)
+    # axis n indexes the factor's columns and is summed over with the rest
+    rest = [j for j in range(s.n + 1) if j not in subset]
+    phi = psi.reshape(*dims, -1).transpose(subset + rest)
+    phi = phi.reshape(math.prod(dims[i] for i in subset), -1)
+    return phi @ phi.conj().T
 
 
 def state_after(s: Scenario, ids, subset) -> np.ndarray:
-    """Tr_complement[K rho K^dagger] for the given interventions and sorted
-    subset, normalized by its trace, the recorded branches' Born weight; by
-    effect contraction at the subset's own dimension (see the module
-    docstring). Factors are traced out from the last, so the indices still
-    to visit stay put."""
-    seqs = local_sequences(s, ids)
-    rho, dims = s.initial_state, list(s.dims)
-    for j in reversed(range(s.n)):
-        if j not in subset:
-            rho = linalg.trace_factor(rho, dims, j, _effect(seqs.get(j, ())))
-            del dims[j]
-    for pos, i in enumerate(subset):
-        rho = linalg.apply_channels(seqs.get(i, ()), pos, dims, rho)
+    """The subset's state after the given interventions: `pushed`,
+    normalized by the recorded branches' Born weight."""
     try:
-        return linalg.normalize(rho)
+        return linalg.normalize(pushed(s, ids, subset))
     except ImpossibleOutcomeError as exc:
         names = ",".join(s.names[i] for i in subset)
         raise ImpossibleOutcomeError(f"sector {{{names}}}: {exc}") from None

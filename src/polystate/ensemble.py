@@ -9,6 +9,14 @@ proper times, discarding runs only on the outcomes whose events lie inside
 the subset's union of causal pasts, since nothing else can have reached it.
 `analytic_sector` is the exact version of the same conditioning and must
 agree with the engine's sector.
+
+A branch goes through one Kraus operator per intervention, so its weight
+and its states come from the engine's pushed factor (`engine.pushed`), as
+every sector does: a branch weight is the squared norm of the pushed
+factor, and a retained run's state is the pushed factor's Gram matrix on
+the subset. `analytic_sector` alone pushes the full density operator
+through every channel and traces afterwards, so that it stays an
+independent check of that kernel.
 """
 
 from __future__ import annotations
@@ -20,7 +28,7 @@ from itertools import product
 import numpy as np
 
 from . import linalg
-from .engine import all_subsets, past_union_ids, sector
+from .engine import all_subsets, past_union_ids, pushed, sector
 from .errors import BranchExplosionError, EmptyEnsembleError
 from .scenario import Scenario, SelectiveOp, apply_interventions
 
@@ -42,32 +50,24 @@ def _outcome_counts(s: Scenario, order) -> list:
 class Branch:
     outcomes: tuple
     probability: float
-    final_state: np.ndarray | None
 
 
 def enumerate_branches(s: Scenario, cap: int = BRANCH_CAP) -> list:
     """One Branch per outcome assignment to every selective intervention.
 
-    Probabilities are the traces of the unnormalized chains and sum to one;
-    the final state is the normalized chain result, omitted when the branch
-    has zero weight.
+    A probability is the Born weight of pushing the initial state through
+    every intervention on that assignment's branches, the squared norm of
+    the pushed factor (the empty subset's 1 x 1 `pushed`); they sum to one.
     """
     order = selective_order(s)
     counts = _outcome_counts(s, order)
     total = math.prod(counts) if counts else 1
     if total > cap:
         raise BranchExplosionError(f"{total} branches exceed the cap {cap}")
-    branches = []
-    for combo in product(*[range(c) for c in counts]):
-        assignment = dict(zip(order, combo))
-        raw = apply_interventions(s, range(len(s.interventions)), s.initial_state,
-                                  outcomes=assignment)
-        prob = float(np.trace(raw).real)
-        state = None
-        if prob > linalg.ZERO_TRACE:
-            state = linalg.normalize(raw)
-        branches.append(Branch(outcomes=combo, probability=max(prob, 0.0), final_state=state))
-    return branches
+    every = range(len(s.interventions))
+    return [Branch(outcomes=combo,
+                   probability=float(pushed(s, every, (), dict(zip(order, combo)))[0, 0].real))
+            for combo in product(*[range(c) for c in counts])]
 
 
 @dataclass
@@ -76,6 +76,11 @@ class RunLog:
     n_runs: int
     order: tuple  # scenario indices of the selectives, sampling order
     outcomes: np.ndarray  # shape (n_runs, len(order))
+    # each run's outcome tuple as one mixed-radix integer, first selective
+    # most significant, so that code order is lexicographic row order and
+    # `np.unravel_index(code, counts)` gives the tuple back
+    codes: np.ndarray  # shape (n_runs,)
+    branches: list  # the enumerated branches the runs were drawn from
 
 
 # runs drawn per block: bounds the working arrays of one call while the
@@ -142,7 +147,9 @@ def sample_runs(s: Scenario, n_runs: int, seed: int) -> RunLog:
     same run. Run r uses the Philox4x64 stream keyed by (seed, r) from
     counter zero, so row r depends only on (seed, r): results are independent
     of evaluation order and of n_runs. The uniforms of all runs are generated
-    in bulk, block by block of runs, into an outcome log allocated up front.
+    in bulk, block by block of runs, into an outcome log allocated up front,
+    each run's outcome tuple and its code, so a run count too large to
+    allocate is refused here even when there is no selective.
 
     Run r's j-th uniform u picks the first outcome whose running sum of
     branch weights under the run's outcome prefix reaches u times the
@@ -159,16 +166,19 @@ def sample_runs(s: Scenario, n_runs: int, seed: int) -> RunLog:
     # int8 unless some selective has more outcomes than int8 can index
     dtype = np.int8 if max(counts, default=0) <= 128 else np.int32
     outcomes = np.zeros((n_runs, k), dtype=dtype)
+    codes = np.zeros(n_runs, dtype=np.intp)
+    log = RunLog(seed=seed, n_runs=n_runs, order=order, outcomes=outcomes, codes=codes,
+                 branches=branches)
     if k == 0:
-        return RunLog(seed=seed, n_runs=n_runs, order=order, outcomes=outcomes)
+        return log
 
     tables = _prefix_cumulants(branches, counts)
     for start in range(0, n_runs, _BLOCK):
         stop = min(start + _BLOCK, n_runs)
         us = _philox_uniforms(seed, np.arange(start, stop, dtype=np.uint64), k)
-        # the outcome prefix so far as one mixed-radix code, first selective
-        # most significant; the running sums never decrease, so the count
-        # of those below u is the index of the first one that reaches it
+        # the outcome prefix so far, coded as in `RunLog.codes`; the running
+        # sums never decrease, so the count of those below u is the index
+        # of the first one that reaches it
         prefix = np.zeros(stop - start, dtype=np.intp)
         for j, (total, cum) in enumerate(tables):
             u = us[:, j] * total[prefix]
@@ -176,25 +186,14 @@ def sample_runs(s: Scenario, n_runs: int, seed: int) -> RunLog:
                                 counts[j] - 1)
             outcomes[start:stop, j] = choice
             prefix = prefix * counts[j] + choice
-    return RunLog(seed=seed, n_runs=n_runs, order=order, outcomes=outcomes)
-
-
-def _branch_codes(outcomes: np.ndarray, counts) -> np.ndarray:
-    """Each row's outcome tuple as one mixed-radix integer, first column
-    most significant, so that code order is lexicographic row order;
-    `np.unravel_index(code, counts)` gives the tuple back."""
-    codes = np.zeros(outcomes.shape[0], dtype=np.intp)
-    for j, c in enumerate(counts):
-        codes = codes * c + outcomes[:, j]
-    return codes
+        codes[start:stop] = prefix
+    return log
 
 
 def branch_frequencies(log: RunLog, s: Scenario) -> dict:
     """Observed count per outcome tuple."""
-    if log.outcomes.shape[1] == 0:
-        return {(): log.n_runs}
     counts = _outcome_counts(s, log.order)
-    codes, freq = np.unique(_branch_codes(log.outcomes, counts), return_counts=True)
+    codes, freq = np.unique(log.codes, return_counts=True)
     return {tuple(map(int, np.unravel_index(c, counts))): int(f) for c, f in zip(codes, freq)}
 
 
@@ -228,7 +227,7 @@ def empirical_sector(log: RunLog, s: Scenario, subset, taus) -> np.ndarray:
     keep_cols = [j for j, k in enumerate(order) if k in inside]
     recorded = np.array([s.interventions[order[j]].op.chosen for j in keep_cols])
     counts = _outcome_counts(s, order)
-    retained = _branch_codes(log.outcomes, counts)
+    retained = log.codes
     if keep_cols:
         retained = retained[np.all(log.outcomes[:, keep_cols] == recorded, axis=1)]
     if retained.shape[0] == 0:
@@ -240,9 +239,7 @@ def empirical_sector(log: RunLog, s: Scenario, subset, taus) -> np.ndarray:
     # order of their outcome tuples
     for code, count in zip(*np.unique(retained, return_counts=True)):
         assignment = dict(zip(order, map(int, np.unravel_index(code, counts))))
-        raw = apply_interventions(s, applied, s.initial_state, outcomes=assignment)
-        state = linalg.normalize(linalg.ptrace(raw, s.dims, subset))
-        acc += count * state
+        acc += count * linalg.normalize(pushed(s, applied, subset, assignment))
     return linalg.check_density(acc / retained.shape[0])
 
 

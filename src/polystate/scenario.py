@@ -97,6 +97,18 @@ class Scenario:
         out.flags.writeable = False
         return out
 
+    @cached_property
+    def initial_factor(self) -> np.ndarray:
+        """A read-only D x r matrix Psi with Psi Psi^dagger = initial_state,
+        from one `eigh`. Eigenvalues at or below numpy's `matrix_rank`
+        tolerance, largest * D * eps, are dropped as rounding dust, so a
+        pure state gives r = 1 and a full-rank one r = D."""
+        w, v = np.linalg.eigh(self.initial_state)
+        keep = w > w.max() * w.shape[0] * np.finfo(float).eps
+        out = v[:, keep] * np.sqrt(w[keep])
+        out.flags.writeable = False
+        return out
+
 
 NAMED_STATES = {
     "bell_psi_plus": linalg.BELL_PSI_PLUS,

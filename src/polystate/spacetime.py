@@ -334,16 +334,3 @@ def boost_leaf(f: Foliation, t: float, rapidity: float, axis=None) -> tuple[Foli
     sample = np.concatenate(([t / gamma(f.frame_velocity)], np.zeros(d)))
     fb = boost_foliation(f, rapidity, axis)
     return fb, fb.time(boost_event(sample, rapidity, axis))
-
-
-def boost_all(obj, rapidity: float, axis=None):
-    """Apply one boost to a geometric value or a container of them."""
-    if isinstance(obj, Worldline):
-        return boost_worldline(obj, rapidity, axis)
-    if isinstance(obj, Foliation):
-        return boost_foliation(obj, rapidity, axis)
-    if isinstance(obj, np.ndarray):
-        return boost_event(obj, rapidity, axis)
-    if isinstance(obj, (list, tuple)):
-        return type(obj)(boost_all(o, rapidity, axis) for o in obj)
-    raise TypeError(f"cannot boost {type(obj).__name__}")

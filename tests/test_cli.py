@@ -66,6 +66,9 @@ def test_usage_errors_exit_one(tmp_path):
     non_numeric.write_text('[[1, "x"], [0, 1]]')
     non_finite = tmp_path / "non_finite.json"
     non_finite.write_text("[[NaN, 0], [0, 1]]")
+    no_selectives = tmp_path / "no_selectives.scn"
+    no_selectives.write_text(json.dumps({**json.loads(fixture_text("bell_sigma_z.scn")),
+                                         "interventions": []}))
     for args in (
         ("eval", BELL),  # missing --tau
         ("eval", BELL, "--tau", "A=1.0"),  # missing B
@@ -90,6 +93,7 @@ def test_usage_errors_exit_one(tmp_path):
         # too large to allocate; refused before anything is allocated
         ("sweep", BELL, "--t-range=0:1:100000000000000000000"),
         ("ensemble", BELL, "--tau", "A=1.0,B=1.0", "--n", "1000000000000000"),
+        ("ensemble", str(no_selectives), "--tau", "A=1.0,B=1.0", "--n", "1000000000000000"),
     ):
         res = run_cli(*args)
         assert res.returncode == 1, (args, res.returncode, res.stderr)

@@ -1,7 +1,8 @@
 """Property suites for the state-update kernel: the axis-local update
-against the lifted operator it replaces, and the effect-contracted states of
-the engine's sectors and of every audit rule against pushing the whole joint
-state and tracing afterwards.
+against the lifted operator it replaces, the initial state's factor, and
+the pushed-factor states of the engine's sectors, of every audit rule and of
+every ensemble branch against pushing the whole joint state and tracing
+afterwards.
 
 Scenario structure (subsystem count, local dimensions, kinds, order and
 proper times of the interventions, worldlines, evaluation times) is drawn by
@@ -15,13 +16,13 @@ import numpy as np
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as hs
 
-from polystate import audit, engine, linalg
+from polystate import audit, engine, ensemble, linalg
 from polystate.errors import ImpossibleOutcomeError
 from polystate.scenario import (Intervention, Scenario, SelectiveOp, UnitaryOp,
                                 apply_interventions, selected_ids)
 from polystate.spacetime import Foliation, Region, position
 
-from helpers import random_density, random_unitary
+from helpers import load_fixture, random_density, random_ket, random_unitary
 from test_properties import tau_values, velocities, worldlines
 
 SUITE = settings(max_examples=200, deadline=None, derandomize=True,
@@ -114,7 +115,7 @@ def assert_close_or_both_none(got, want):
 
 @SUITE
 @given(s=scenarios(), taus=hs.lists(tau_values, min_size=4, max_size=4))
-def test_effect_contracted_sector_equals_pushed_sector(s, taus):
+def test_factor_kernel_sector_equals_pushed_sector(s, taus):
     for subset in engine.all_subsets(s.n):
         want = pushed_sector_or_none(s, taus, subset)
         try:
@@ -186,3 +187,62 @@ def test_audit_rule_states_equal_pushed_states(s, taus, v):
             for got, want in zip(got_reduced, want_reduced):
                 assert_close_or_both_none(got, want)
         assert_close_or_both_none(got_single, want_single)
+
+
+@SUITE
+@given(s=scenarios_with_blocked_branch(), taus=hs.lists(tau_values, min_size=4, max_size=4))
+def test_branch_weights_and_states_equal_pushed_states(s, taus):
+    """Each branch's weight against the trace of the full push through every
+    intervention, and the state it adds to `empirical_sector` against the
+    full push through the subset's applied interventions, traced; a branch
+    the full push gives weight 0 weighs exactly 0."""
+    order = ensemble.selective_order(s)
+    every = range(len(s.interventions))
+    applied = {}
+    for members in ((0,), tuple(range(s.n))):
+        subset, inside = ensemble._inside_past_union(s, members, taus)
+        applied[subset] = ensemble._applied_for_subset(s, subset, inside)
+    for b in ensemble.enumerate_branches(s):
+        assignment = dict(zip(order, b.outcomes))
+        want = float(np.trace(apply_interventions(s, every, s.initial_state,
+                                                  outcomes=assignment)).real)
+        assert abs(b.probability - want) < TOL
+        assert want != 0.0 or b.probability == 0.0
+        for subset, ids in applied.items():
+            try:
+                got = linalg.normalize(engine.pushed(s, ids, subset, assignment))
+            except ImpossibleOutcomeError:
+                got = None
+            try:
+                ref = linalg.normalize(linalg.ptrace(
+                    apply_interventions(s, ids, s.initial_state, outcomes=assignment),
+                    s.dims, subset))
+            except ImpossibleOutcomeError:
+                ref = None
+            assert_close_or_both_none(got, ref)
+
+
+def factor_of(rho):
+    return Scenario(spatial_dim=1, names=(), dims=(), worldlines=(),
+                    initial_state=rho, interventions=()).initial_factor
+
+
+def ghz_density(n):
+    ket = np.zeros(2**n, dtype=complex)
+    ket[0] = ket[-1] = 1 / np.sqrt(2)
+    return np.outer(ket, ket.conj())
+
+
+def test_initial_factor_has_the_rank_of_the_state():
+    """Rounding dust in the spectrum is dropped: pure states give one column,
+    full-rank states all of them, and the product gives the state back."""
+    rng = np.random.default_rng(1024)
+    fixtures = ("bell_sigma_z.scn", "bell_sigma_x.scn", "epr_test.scn", "foliation_demo.scn")
+    pure = ([load_fixture(name).initial_state for name in fixtures]
+            + [ghz_density(n) for n in range(1, 11)]
+            + [np.outer(k, k.conj()) for k in (random_ket(rng, d) for d in (2, 3, 16, 100, 1024))])
+    mixed = [random_density(rng, d) for d in (2, 3, 16, 100)]
+    for rho, rank in [(rho, 1) for rho in pure] + [(rho, rho.shape[0]) for rho in mixed]:
+        psi = factor_of(rho)
+        assert psi.shape == (rho.shape[0], rank)
+        assert np.max(np.abs(psi @ psi.conj().T - rho)) < TOL

@@ -157,4 +157,4 @@ def test_local_kernels_reject_mismatched_shapes():
     with pytest.raises(DimensionMismatchError):
         linalg.apply_local(np.eye(2), 2, (2, 2), np.eye(4))
     with pytest.raises(DimensionMismatchError):
-        linalg.trace_factor(np.eye(4), (2, 3), 0)
+        linalg.apply_local(np.eye(2), 0, (2, 3), np.eye(4))

@@ -9,9 +9,8 @@ import numpy as np
 from hypothesis import given
 from hypothesis import strategies as hs
 
-from polystate import ensemble, linalg
+from polystate import engine, ensemble, linalg
 from polystate.errors import EmptyEnsembleError, ImpossibleOutcomeError
-from polystate.scenario import apply_interventions
 
 from helpers import load_fixture
 from test_kernel_properties import SUITE, scenarios_with_blocked_branch
@@ -67,7 +66,10 @@ def rows_frequencies(outcomes):
 
 
 def rows_empirical_sector(log, s, subset, taus):
-    """`empirical_sector` with retained runs grouped by unique rows."""
+    """`empirical_sector` with retained runs grouped by unique rows; each
+    branch state comes from the same kernel, `engine.pushed`, so the two
+    agree bit for bit (the kernel itself is checked against the full push
+    in `test_kernel_properties`)."""
     subset, inside = ensemble._inside_past_union(s, subset, taus)
     applied = ensemble._applied_for_subset(s, subset, inside)
     order = log.order
@@ -87,8 +89,7 @@ def rows_empirical_sector(log, s, subset, taus):
         rows, counts = np.unique(retained, axis=0, return_counts=True)
     for row, count in zip(rows, counts):
         assignment = {k: int(row[j]) for j, k in enumerate(order)}
-        raw = apply_interventions(s, applied, s.initial_state, outcomes=assignment)
-        acc += count * linalg.normalize(linalg.ptrace(raw, s.dims, subset))
+        acc += count * linalg.normalize(engine.pushed(s, applied, subset, assignment))
     return linalg.check_density(acc / retained.shape[0])
 
 

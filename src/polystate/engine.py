@@ -18,13 +18,18 @@ Cost model: every intervention the engine applies is a single operator, a
 unitary or a recorded branch, so subsystem j's selected sequence
 multiplies into one d_j x d_j matrix M_j. The scenario factors its initial
 state once, rho = Psi Psi^dagger with Psi of shape D x r
-(`Scenario.initial_factor`; r = 1 for a pure state), and a sector applies
-each M_j on its own tensor axis of Psi, O(D r d) per subsystem, then moves
-the subset's axes to the front and reshapes the pushed factor to Phi, of
-shape d_S x (D r / d_S). The unnormalized sector is the Gram matrix Phi
-Phi^dagger, O(d_S D r): no D x D operator is formed or traced unless the
-subset is everything. For a full-rank mixed initial state (r = D) that is
-O(d_S D^2), dearer than a pure one, most for large subsets.
+(`Scenario.initial_factor`: the parsed ket itself for a `named` or `ket`
+input, r = 1; otherwise one `eigh`, r = 1 for a pure state). `push`
+applies each M_j on its own tensor axis of Psi, O(D r d) per subsystem; the
+pushed factor depends only on the selected interventions, not on the
+subset. A sector moves the subset's axes to the front and reshapes the
+pushed factor to Phi, of shape d_S x rest with rest = D r / d_S. The
+unnormalized sector is the Gram matrix Phi Phi^dagger, O(d_S D r): no
+D x D operator is formed or traced unless the subset is everything. Its
+validation reads the spectrum on Phi's small side: when d_S > rest, from
+the rest x rest matrix Phi^dagger Phi (see `linalg.normalize`). For a
+full-rank mixed initial state (r = D) the Gram product is O(d_S D^2),
+dearer than a pure one, most for large subsets.
 
 Selecting the interventions is one vectorised test per evaluation event:
 the scenario computes its intervention events once (`Scenario.events`, a
@@ -34,9 +39,12 @@ events are located on their worldlines per call.
 
 Sectors are piecewise constant in the proper times: they change only when an
 intervention event enters or leaves the union of causal pasts. The optional
-cache passed to `sector` and `polystate_at` is keyed by the subset and the
-selected intervention set, so sweeps over tau grids reuse each distinct
-computation.
+cache passed to `sector` and `polystate_at` is keyed by the selected
+intervention ids; each entry holds the pushed factor and the sectors
+already read from it, so a new subset on a selection already pushed costs
+only its Gram product and validation, and sweeps over tau grids reuse each distinct
+computation. `polystate_at` keeps a cache of its own when given none, so one
+call pushes once per distinct selection.
 """
 
 from __future__ import annotations
@@ -74,15 +82,11 @@ def past_union_ids(s: Scenario, taus, subset) -> tuple:
     return selected_ids(s, Region.union_of_pasts(events))
 
 
-def pushed(s: Scenario, ids, subset, outcomes=None) -> np.ndarray:
-    """Tr_complement[K rho K^dagger] on the given subsystems, in the order
-    given, for the chosen interventions, not normalized: its trace is the
-    Born weight of their recorded branches (or of the branches `outcomes`
-    assigns, as in `local_sequences`). Each subsystem's operators multiply
-    into one M_j, applied on that subsystem's axis of the initial factor
-    Psi; with the subset's axes moved to the front the pushed factor is
-    Phi, d_S x rest, and the result is Phi Phi^dagger."""
-    subset = list(subset)
+def push(s: Scenario, ids, outcomes=None) -> np.ndarray:
+    """The initial factor Psi pushed through the chosen interventions, D x r:
+    each subsystem's operators (the recorded branches, or the ones
+    `outcomes` assigns, as in `local_sequences`) multiply into one M_j,
+    applied on that subsystem's axis of Psi."""
     dims = s.dims
     psi = s.initial_factor
     for j, sequence in local_sequences(s, ids, outcomes).items():
@@ -90,18 +94,36 @@ def pushed(s: Scenario, ids, subset, outcomes=None) -> np.ndarray:
         for (k,) in sequence[1:]:
             m = k @ m
         psi = m @ psi.reshape(math.prod(dims[:j]), dims[j], -1)
+    return psi.reshape(math.prod(dims), -1)
+
+
+def _subset_factor(s: Scenario, psi, subset) -> np.ndarray:
+    """Phi: a pushed factor with the subset's axes moved to the front, in
+    the order given, reshaped to d_S x rest."""
+    subset = list(subset)
     # axis n indexes the factor's columns and is summed over with the rest
     rest = [j for j in range(s.n + 1) if j not in subset]
-    phi = psi.reshape(*dims, -1).transpose(subset + rest)
-    phi = phi.reshape(math.prod(dims[i] for i in subset), -1)
+    phi = psi.reshape(*s.dims, -1).transpose(subset + rest)
+    return phi.reshape(math.prod(s.dims[i] for i in subset), -1)
+
+
+def pushed(s: Scenario, ids, subset, outcomes=None) -> np.ndarray:
+    """Tr_complement[K rho K^dagger] on the given subsystems, in the order
+    given, for the chosen interventions, not normalized: its trace is the
+    Born weight of their recorded branches (or of the branches `outcomes`
+    assigns). It is the Gram matrix Phi Phi^dagger of the `push`ed factor."""
+    phi = _subset_factor(s, push(s, ids, outcomes), subset)
     return phi @ phi.conj().T
 
 
-def state_after(s: Scenario, ids, subset) -> np.ndarray:
+def state_after(s: Scenario, ids, subset, psi=None) -> np.ndarray:
     """The subset's state after the given interventions: `pushed`,
-    normalized by the recorded branches' Born weight."""
+    normalized by the recorded branches' Born weight and validated on the
+    small side of its factor. Pass `psi`, the factor `push` returns for
+    these ids, to reuse it."""
+    phi = _subset_factor(s, push(s, ids) if psi is None else psi, subset)
     try:
-        return linalg.normalize(pushed(s, ids, subset))
+        return linalg.normalize(phi @ phi.conj().T, phi)
     except ImpossibleOutcomeError as exc:
         names = ",".join(s.names[i] for i in subset)
         raise ImpossibleOutcomeError(f"sector {{{names}}}: {exc}") from None
@@ -112,19 +134,22 @@ def sector(s: Scenario, taus, subset, cache=None) -> np.ndarray:
 
     :param taus: proper-time tuple, one entry per subsystem; entries outside
         the subset are ignored (singleton sectors depend only on their own).
-    :param cache: optional dict shared across calls for the same scenario.
+    :param cache: optional dict shared across calls for the same scenario,
+        keyed by the selected intervention ids; each entry holds the pushed
+        factor and the sectors already read from it.
     """
     subset = tuple(sorted(set(subset)))
     if not subset:
         raise ValueError("subset must be nonempty")
     ids = past_union_ids(s, taus, subset)
-    key = (subset, ids)
-    if cache is not None and key in cache:
-        return cache[key]
-    result = state_after(s, ids, subset)
-    if cache is not None:
-        cache[key] = result
-    return result
+    if cache is None:
+        return state_after(s, ids, subset)
+    if ids not in cache:
+        cache[ids] = (push(s, ids), {})
+    psi, sectors = cache[ids]
+    if subset not in sectors:
+        sectors[subset] = state_after(s, ids, subset, psi)
+    return sectors[subset]
 
 
 def all_subsets(n: int):
@@ -136,6 +161,7 @@ def polystate_at(s: Scenario, taus, cache=None) -> Polystate:
     """Every sector at one proper-time tuple."""
     if s.n > MAX_SUBSYSTEMS:
         raise ValueError(f"{s.n} subsystems would need {2**s.n - 1} sectors; cap is {MAX_SUBSYSTEMS}")
+    cache = {} if cache is None else cache
     sectors = {subset: sector(s, taus, subset, cache) for subset in all_subsets(s.n)}
     return Polystate(n=s.n, sectors=sectors, eval_taus=tuple(taus))
 

@@ -5,6 +5,10 @@ class PolystateError(Exception):
     """Base class for all package errors."""
 
 
+class ConfigurationError(PolystateError, ValueError):
+    """An environment setting the package reads is malformed."""
+
+
 class DimensionMismatchError(PolystateError):
     """Operator or state dimensions are incompatible."""
 

@@ -13,7 +13,8 @@ from functools import reduce
 
 import numpy as np
 
-from .errors import DimensionMismatchError, ImpossibleOutcomeError, StateValidationError
+from .errors import (ConfigurationError, DimensionMismatchError, ImpossibleOutcomeError,
+                     StateValidationError)
 
 HERMITICITY_TOL = 1e-10
 EIGENVALUE_TOL = 1e-10
@@ -26,8 +27,18 @@ DEFAULT_MAX_DIM = 2**10
 
 
 def max_dim() -> int:
-    """Hilbert dimension cap; override with the POLYSTATE_MAX_DIM env var."""
-    return int(os.environ.get("POLYSTATE_MAX_DIM", DEFAULT_MAX_DIM))
+    """Hilbert dimension cap; override with the POLYSTATE_MAX_DIM env var,
+    a positive integer."""
+    raw = os.environ.get("POLYSTATE_MAX_DIM")
+    if raw is None:
+        return DEFAULT_MAX_DIM
+    try:
+        cap = int(raw)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise ConfigurationError(f"POLYSTATE_MAX_DIM must be a positive integer, got {raw!r}")
+    return cap
 
 
 def _as_matrix(a) -> np.ndarray:
@@ -161,13 +172,17 @@ def fidelity_to_ket(rho, ket) -> float:
     return float(val.real)
 
 
-def check_density(rho) -> np.ndarray:
+def check_density(rho, spectrum=None) -> np.ndarray:
     """Validate the density-operator invariants and return a cleaned copy.
 
     Hermiticity and unit trace are required within 1e-10. Eigenvalues in
     (-1e-10, 0), the typical float dust from partial traces of projectors,
     are clamped to zero and the operator is renormalized; anything more
     negative is an error.
+
+    :param spectrum: rho's eigenvalues apart from exact zeros, when the
+        caller has them more cheaply than `eigvalsh` of rho (see
+        `normalize`); the clamp, if one is needed, still diagonalizes rho.
     """
     rho = _as_matrix(rho)
     if rho.shape[0] != rho.shape[1]:
@@ -178,7 +193,7 @@ def check_density(rho) -> np.ndarray:
     tr = float(np.trace(rho).real)
     if abs(tr - 1.0) > TRACE_TOL:
         raise StateValidationError(f"trace {tr} is not 1 within 1e-10")
-    w = np.linalg.eigvalsh(rho)
+    w = np.linalg.eigvalsh(rho) if spectrum is None else spectrum
     if w.min() < -EIGENVALUE_TOL:
         raise StateValidationError(f"negative eigenvalue {w.min():.3e} beyond tolerance")
     if w.min() < CLAMP_TRIGGER:
@@ -191,14 +206,22 @@ def check_density(rho) -> np.ndarray:
     return rho
 
 
-def normalize(rho) -> np.ndarray:
-    """Divide by the trace and validate; the trace is the branch weight."""
+def normalize(rho, factor=None) -> np.ndarray:
+    """Divide by the trace and validate; the trace is the branch weight.
+
+    :param factor: Phi with rho = Phi Phi^dagger, if known. When Phi has
+        more rows than columns, rho's nonzero spectrum is read from the
+        smaller Gram matrix Phi^dagger Phi / trace instead of rho itself.
+    """
     rho = _as_matrix(rho)
     tr = float(np.trace(rho).real)
     if tr < ZERO_TRACE:
         raise ImpossibleOutcomeError(
             f"branch weight {tr:.3e} is zero; the recorded outcome cannot occur")
-    return check_density(rho / tr)
+    spectrum = None
+    if factor is not None and factor.shape[0] > factor.shape[1]:
+        spectrum = np.linalg.eigvalsh(factor.conj().T @ factor / tr)
+    return check_density(rho / tr, spectrum)
 
 
 # Standard single-qubit and Bell-pair catalog. All kets are unit column vectors.

@@ -34,7 +34,7 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -81,6 +81,10 @@ class Scenario:
     worldlines: tuple
     initial_state: np.ndarray
     interventions: tuple
+    # (state, ket) for a state parsed from a `named` or `ket` input, the
+    # projector on the unit ket; `replace` keeps the pair, and the ket is the
+    # factor for as long as `initial_state` is that same array
+    pure_input: tuple | None = field(default=None, repr=False, compare=False)
 
     @property
     def n(self) -> int:
@@ -99,13 +103,17 @@ class Scenario:
 
     @cached_property
     def initial_factor(self) -> np.ndarray:
-        """A read-only D x r matrix Psi with Psi Psi^dagger = initial_state,
-        from one `eigh`. Eigenvalues at or below numpy's `matrix_rank`
+        """A read-only D x r matrix Psi with Psi Psi^dagger = initial_state.
+        A state parsed from a ket is its own factor, r = 1. Any other comes
+        from one `eigh`; eigenvalues at or below numpy's `matrix_rank`
         tolerance, largest * D * eps, are dropped as rounding dust, so a
         pure state gives r = 1 and a full-rank one r = D."""
-        w, v = np.linalg.eigh(self.initial_state)
-        keep = w > w.max() * w.shape[0] * np.finfo(float).eps
-        out = v[:, keep] * np.sqrt(w[keep])
+        if self.pure_input is not None and self.pure_input[0] is self.initial_state:
+            out = np.array(self.pure_input[1]).reshape(-1, 1)
+        else:
+            w, v = np.linalg.eigh(self.initial_state)
+            keep = w > w.max() * w.shape[0] * np.finfo(float).eps
+            out = v[:, keep] * np.sqrt(w[keep])
         out.flags.writeable = False
         return out
 
@@ -209,11 +217,11 @@ class _Builder:
             worldlines.append(self._worldline(field + ".worldline", sub.get("worldline"), d))
 
         total = math.prod(dims) if dims else 0
-        if total > linalg.max_dim():
-            self.fail("subsystems", "dimension-cap",
-                      f"joint dimension {total} exceeds the cap {linalg.max_dim()}")
+        cap = linalg.max_dim()
+        if total > cap:
+            self.fail("subsystems", "dimension-cap", f"joint dimension {total} exceeds the cap {cap}")
 
-        state = self._initial_state(data.get("initial_state"), total)
+        state, ket = self._initial_state(data.get("initial_state"), total)
 
         interventions = []
         for idx, item in enumerate(data.get("interventions", [])):
@@ -238,6 +246,7 @@ class _Builder:
             worldlines=tuple(worldlines),
             initial_state=state,
             interventions=tuple(interventions),
+            pure_input=None if ket is None else (state, ket),
         )
 
     def _worldline(self, field, raw, d):
@@ -282,44 +291,51 @@ class _Builder:
         return True
 
     def _initial_state(self, raw, total):
+        """(state, ket): a unit ket is validated by its norm and gives its
+        projector, a matrix goes through `check_density`; (None, None) on
+        failure."""
         if not isinstance(raw, dict):
             self.fail("initial_state", "object-required",
                       "initial_state must name a state or give a ket or matrix")
-            return None
+            return None, None
+        ket = None
         try:
             if "named" in raw:
                 name = raw["named"]
                 if name not in NAMED_STATES:
                     self.fail("initial_state.named", "known-name",
                               f"unknown state {name!r}; known: {sorted(NAMED_STATES)}")
-                    return None
+                    return None, None
                 ket = NAMED_STATES[name]
-                state = linalg.projector(ket)
             elif "ket" in raw:
                 ket = _vector_from_json(raw["ket"])
                 norm = float(np.linalg.norm(ket))
-                if abs(norm - 1.0) > 1e-12:
+                # written so that a NaN norm fails too
+                if not abs(norm - 1.0) <= 1e-12:
                     self.fail("initial_state.ket", "unit-norm",
                               f"ket norm {norm} must be 1 within 1e-12")
-                    return None
-                state = linalg.projector(ket)
+                    return None, None
             elif "matrix" in raw:
                 state = _matrix_from_json(raw["matrix"])
             else:
                 self.fail("initial_state", "known-form", "need one of named, ket, matrix")
-                return None
+                return None, None
         except ValueError as exc:
             self.fail("initial_state", "well-formed-entries", str(exc))
-            return None
+            return None, None
+        if ket is not None:
+            state = linalg.projector(ket)
         if total and state.shape != (total, total):
             self.fail("initial_state", "dimension-mismatch",
                       f"state dim {state.shape[0]} vs joint dim {total}")
-            return None
+            return None, None
+        if ket is not None:
+            return state, ket
         try:
-            return linalg.check_density(state)
+            return linalg.check_density(state), None
         except Exception as exc:
             self.fail("initial_state", "density-invariants", str(exc))
-            return None
+            return None, None
 
     def _intervention(self, field, item, names, dims):
         if not isinstance(item, dict):

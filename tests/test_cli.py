@@ -236,9 +236,44 @@ def test_dimension_cap_env(tmp_path):
     res = run_cli("eval", BELL, "--tau", "A=0.0,B=0.0", env=env)
     assert res.returncode == 1
     assert "dimension" in (res.stderr + res.stdout).lower()
+    # a cap that is not a positive integer is an error line, not a traceback
+    for value in ("abc", "1.5", "", "0", "-4"):
+        env = dict(os.environ, POLYSTATE_MAX_DIM=value)
+        for args in (("eval", BELL, "--tau", "A=0.0,B=0.0"), ("validate", BELL)):
+            res = run_cli(*args, env=env)
+            assert res.returncode == 1, (value, args, res.stderr)
+            assert res.stderr.startswith("error: POLYSTATE_MAX_DIM"), (value, res.stderr)
 
 
 def test_stdout_carries_only_results():
     res = run_cli("eval", BELL, "--tau", "A=0.0,B=0.0")
     json.loads(res.stdout)  # a clean JSON document, nothing else
     assert res.stderr == ""
+
+
+def test_main_calls_in_one_process_match_lone_runs(capsys):
+    """One parser serves every `main` call of a process: repeated flags and
+    defaults must not carry from one call to the next."""
+    from polystate import cli
+
+    calls = [
+        ("diagram", BELL, "--leaf", "0.5:1.2", "--leaf", "0.0:2.0"),
+        ("diagram", BELL),
+        ("sweep", BELL, "--t-range=0:2:3", "--ref", "01", "--source", "polystate"),
+        ("sweep", BELL, "--t-range=0:2:3"),
+        ("eval", EPR, "--tau", "A=2.0,B=2.0", "--sector", "AB"),
+        ("eval", EPR, "--tau", "A=2.0,B=2.0"),
+        ("ensemble", DEMO, "--n", "50", "--seed", "3", "--tau", "A=0.5,B=1.5"),
+        ("ensemble", DEMO, "--n", "50", "--tau", "A=0.5,B=1.5"),
+        ("audit", BELL, "--tau", "A=2.0,B=3.5", "--grid", "0:3:4"),
+        ("audit", BELL, "--tau", "A=2.0,B=3.5"),
+        ("eval", BELL),
+        ("nonsense",),
+        ("validate", BELL),
+    ]
+    for args in calls:
+        code = cli.main(list(args))
+        out = capsys.readouterr().out
+        # bytes, so that the CSV's \r\n line ends are compared as written
+        alone = subprocess.run([sys.executable, "-m", "polystate", *args], capture_output=True)
+        assert (code, out) == (alone.returncode, alone.stdout.decode()), args

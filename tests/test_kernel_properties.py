@@ -2,7 +2,8 @@
 against the lifted operator it replaces, the initial state's factor, and
 the pushed-factor states of the engine's sectors, of every audit rule and of
 every ensemble branch against pushing the whole joint state and tracing
-afterwards.
+afterwards; the sector states validated on the small side of their factor
+against the full-spectrum validation, and one push per distinct selection.
 
 Scenario structure (subsystem count, local dimensions, kinds, order and
 proper times of the interventions, worldlines, evaluation times) is drawn by
@@ -17,7 +18,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as hs
 
 from polystate import audit, engine, ensemble, linalg
-from polystate.errors import ImpossibleOutcomeError
+from polystate.errors import ImpossibleOutcomeError, StateValidationError
 from polystate.scenario import (Intervention, Scenario, SelectiveOp, UnitaryOp,
                                 apply_interventions, selected_ids)
 from polystate.spacetime import Foliation, Region, position
@@ -153,12 +154,12 @@ def states_or_none(p, s, taus):
 
 
 @hs.composite
-def scenarios_with_blocked_branch(draw):
-    """A scenario that, when a drawn flag is set, starts from |0...0> and
-    gets a z measurement on one subsystem recording outcome 1, so selections
-    that include it (and no earlier rotation of that subsystem) have zero
-    Born weight."""
-    s = draw(scenarios())
+def scenarios_with_blocked_branch(draw, base=scenarios()):
+    """A scenario drawn from `base` that, when a drawn flag is set, starts
+    from |0...0> and gets a z measurement on one subsystem recording outcome
+    1, so selections that include it (and no earlier rotation of that
+    subsystem) have zero Born weight."""
+    s = draw(base)
     if not draw(hs.booleans()):
         return s
     i = draw(hs.integers(min_value=0, max_value=s.n - 1))
@@ -246,3 +247,82 @@ def test_initial_factor_has_the_rank_of_the_state():
         psi = factor_of(rho)
         assert psi.shape == (rho.shape[0], rank)
         assert np.max(np.abs(psi @ psi.conj().T - rho)) < TOL
+
+
+@hs.composite
+def scenarios_of_rank(draw):
+    """`scenarios()` with an initial state of drawn rank: 1 (as a parsed ket
+    would give), 2, or full. A low rank makes the sector's factor taller
+    than wide for large subsets."""
+    s = draw(scenarios())
+    total = int(np.prod(s.dims))
+    rank = draw(hs.sampled_from([1, 2, total]))
+    if rank == total:
+        return s
+    rng = np.random.default_rng(draw(seeds))
+    psi = rng.normal(size=(total, rank)) + 1j * rng.normal(size=(total, rank))
+    psi /= np.linalg.norm(psi)
+    state = psi @ psi.conj().T
+    pure = (state, psi[:, 0]) if rank == 1 and draw(hs.booleans()) else None
+    return replace(s, initial_state=state, pure_input=pure)
+
+
+def outcome_of(f, *args):
+    try:
+        return f(*args)
+    except (ImpossibleOutcomeError, StateValidationError) as exc:
+        return type(exc)
+
+
+def reference_state_after(s, ids, subset):
+    """The reference for `state_after`: `pushed`, normalized and validated
+    on its full spectrum."""
+    return linalg.normalize(engine.pushed(s, ids, subset))
+
+
+@SUITE
+@given(s=scenarios_with_blocked_branch(scenarios_of_rank()),
+       picks=hs.lists(hs.booleans(), min_size=7, max_size=7))
+def test_state_after_equals_normalized_pushed_state(s, picks):
+    """Bit for bit wherever the reference returns the Hermitised input
+    unchanged; where it clamps, within the clamp's own size. Both raise
+    together."""
+    ids = tuple(k for k, pick in enumerate(picks[:len(s.interventions)]) if pick)
+    tall = 0
+    for subset in engine.all_subsets(s.n):
+        d_s = int(np.prod([s.dims[i] for i in subset]))
+        tall += d_s * d_s > int(np.prod(s.dims)) * s.initial_factor.shape[1]
+        got = outcome_of(engine.state_after, s, ids, subset)
+        want = outcome_of(reference_state_after, s, ids, subset)
+        if isinstance(want, type) or isinstance(got, type):
+            assert got is want, subset
+            continue
+        rho = engine.pushed(s, ids, subset)
+        rho = rho / float(np.trace(rho).real)
+        if np.array_equal(want, (rho + rho.conj().T) / 2):
+            assert np.array_equal(got, want), subset
+        else:
+            assert np.max(np.abs(got - want)) < 1e-9, subset
+    if s.initial_factor.shape[1] == 1:
+        assert tall  # the full subset's factor is d_S x 1
+
+
+@SUITE
+@given(s=scenarios_of_rank(), taus=hs.lists(tau_values, min_size=4, max_size=4))
+def test_polystate_pushes_once_per_selection(s, taus):
+    selections = {engine.past_union_ids(s, taus, subset) for subset in engine.all_subsets(s.n)}
+    pushes = []
+    original = engine.push
+
+    def counting(s, ids, outcomes=None):
+        pushes.append(ids)
+        return original(s, ids, outcomes)
+
+    engine.push = counting
+    try:
+        engine.polystate_at(s, taus)
+        assert sorted(pushes) == sorted(selections)
+    except ImpossibleOutcomeError:
+        assert len(pushes) == len(set(pushes)) and set(pushes) <= selections
+    finally:
+        engine.push = original

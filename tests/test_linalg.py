@@ -95,6 +95,37 @@ def test_check_density_rejects_bad_states():
         linalg.check_density(np.diag([1.5, -0.5]))
 
 
+def test_check_density_decides_on_a_given_spectrum():
+    rho = np.diag([0.75, 0.25, 0.0]).astype(complex)
+    assert np.array_equal(linalg.check_density(rho, np.array([0.25, 0.75])), rho)
+    with pytest.raises(StateValidationError):
+        linalg.check_density(rho, np.array([-1e-9, 1.0]))
+    # a clamp still diagonalizes rho itself, which needs none here
+    clamped = linalg.check_density(rho, np.array([-1e-12, 1.0]))
+    assert np.max(np.abs(clamped - rho)) < 1e-15
+
+
+def test_normalize_reads_a_tall_factor_on_its_small_side(monkeypatch):
+    phi = RNG.normal(size=(8, 2)) + 1j * RNG.normal(size=(8, 2))
+    rho = phi @ phi.conj().T
+    spectra = []
+    check = linalg.check_density
+
+    def recording(m, spectrum=None):
+        spectra.append(spectrum)
+        return check(m, spectrum)
+
+    monkeypatch.setattr(linalg, "check_density", recording)
+    got = linalg.normalize(rho, phi)
+    assert np.array_equal(got, linalg.normalize(rho))
+    assert spectra[0].shape == (2,) and spectra[1] is None
+    w = np.linalg.eigvalsh(rho / np.trace(rho).real)
+    assert np.max(np.abs(spectra[0] - w[-2:])) < 1e-12
+    wide = phi.T.copy()
+    linalg.normalize(wide @ wide.conj().T, wide)
+    assert spectra[2] is None
+
+
 def test_normalize_raises_on_zero_branch():
     with pytest.raises(ImpossibleOutcomeError):
         linalg.normalize(np.zeros((2, 2), dtype=complex))

@@ -1,9 +1,10 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from polystate import linalg
+from polystate import engine, linalg
 from polystate.errors import ParseError, ScenarioValidationError
 from polystate.scenario import (SelectiveOp, apply_interventions, boosted_scenario,
                                 diagnose_document, parse_scenario, selected_ids,
@@ -177,3 +178,56 @@ def test_boosted_scenario_keeps_proper_times():
     assert [iv.tau for iv in b.interventions] == [iv.tau for iv in s.interventions]
     assert np.allclose(b.initial_state, s.initial_state)
     assert not np.allclose(b.worldlines[1].anchor, s.worldlines[1].anchor)
+
+
+def ghz_ket_document(n: int) -> tuple:
+    ket = np.zeros(2**n)
+    ket[0] = ket[-1] = 1 / np.sqrt(2)
+    doc = {
+        "spacetime": {"d": 1},
+        "subsystems": [{"name": f"Q{i}", "dim": 2,
+                        "worldline": {"anchor": [0.0, float(i)], "segments": [], "final_v": [0.0]}}
+                       for i in range(n)],
+        "initial_state": {"ket": ket.tolist()},
+        "interventions": [{"on": f"Q{i}", "tau": 1.0,
+                           "measure": {"projective_basis": "pauli_x", "outcome": 0}}
+                          for i in range(n)],
+    }
+    return json.dumps(doc), ket.astype(complex)
+
+
+def test_ket_inputs_are_their_own_factor(monkeypatch):
+    """Named and ket inputs parse without `check_density` and, boosted or
+    otherwise replaced, factor and evaluate without `eigh`."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("called for a ket input")
+
+    inputs = [(fixture_text("bell_sigma_z.scn"), linalg.BELL_PSI_PLUS),
+              (fixture_text("epr_test.scn"), linalg.BELL_PSI_MINUS),
+              ghz_ket_document(4)]
+    monkeypatch.setattr(np.linalg, "eigh", forbidden)
+    check_density = linalg.check_density
+    for text, ket in inputs:
+        monkeypatch.setattr(linalg, "check_density", forbidden)
+        s = parse_scenario(text)
+        monkeypatch.setattr(linalg, "check_density", check_density)
+        assert np.array_equal(s.initial_state, linalg.projector(ket))
+        for v in (s, boosted_scenario(s, 0.7), replace(s, interventions=s.interventions[:1])):
+            assert np.array_equal(v.initial_factor, ket.reshape(-1, 1))
+            assert not v.initial_factor.flags.writeable
+            engine.polystate_at(v, (0.5,) * v.n, {})  # no sector of these needs a clamp
+    # a scenario whose initial state is replaced factors the new one
+    monkeypatch.undo()
+    mixed = replace(s, initial_state=np.eye(16, dtype=complex) / 16)
+    assert mixed.initial_factor.shape == (16, 16)
+
+
+def test_non_finite_ket_rejected():
+    for entries in ([float("nan"), 0.0], [0.6, [0.8, float("nan")]], [float("inf"), 0.0]):
+        doc = json.loads(fixture_text("bell_sigma_z.scn"))
+        doc["subsystems"] = doc["subsystems"][:1]
+        doc["interventions"] = []
+        doc["initial_state"] = {"ket": entries}
+        with pytest.raises(ScenarioValidationError) as err:
+            parse_scenario(json.dumps(doc))
+        assert [d.invariant for d in err.value.diagnostics] == ["unit-norm"]

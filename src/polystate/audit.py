@@ -84,21 +84,42 @@ def _reduced(s: Scenario, id_sets) -> list:
     return [engine.state_after(s, ids, (i,)) for i, ids in enumerate(id_sets)]
 
 
+def _union_state(p, s: Scenario, id_sets):
+    """The joint state when the applied sets define one, for the sector rule
+    or when every evaluation event applied all of their union; else None."""
+    union = tuple(sorted(set().union(*id_sets)))
+    if isinstance(p, PolystateRule) or all(ids == union for ids in id_sets):
+        return engine.state_after(s, union, range(s.n))
+    return None
+
+
+def _patchwork(locals_) -> np.ndarray:
+    return linalg.check_density(linalg.kron_all(*locals_))
+
+
 def single_state(p, s: Scenario, taus) -> np.ndarray:
     """The prescription's one density operator for the whole system at the
     given proper times. The sector rule and any rule whose evaluation events
     agree on the applied interventions give one well-defined state; otherwise
     it degrades to the tensor product of the per-event reduced states."""
     id_sets = _event_id_sets(p, s, taus)
-    union = tuple(sorted(set().union(*id_sets)))
-    if isinstance(p, PolystateRule) or all(ids == union for ids in id_sets):
-        return engine.state_after(s, union, range(s.n))
-    return linalg.check_density(linalg.kron_all(*_reduced(s, id_sets)))
+    joint = _union_state(p, s, id_sets)
+    return _patchwork(_reduced(s, id_sets)) if joint is None else joint
 
 
 def reduced_states(p, s: Scenario, taus) -> list:
     """Per-subsystem local descriptions under the prescription."""
     return _reduced(s, _event_id_sets(p, s, taus))
+
+
+def leaf_states(p, s: Scenario, taus) -> tuple:
+    """(`single_state`, `reduced_states`) at one proper-time tuple, computed
+    in that order from one evaluation of the rule's applied sets; a
+    patchwork joint state is built from the reduced states it returns."""
+    id_sets = _event_id_sets(p, s, taus)
+    joint = _union_state(p, s, id_sets)
+    locals_ = _reduced(s, id_sets)
+    return (_patchwork(locals_) if joint is None else joint), locals_
 
 
 def _flip_outcomes(s: Scenario, subsystem: int) -> Scenario:
@@ -169,8 +190,7 @@ def criteria_report(s: Scenario, taus, foliation: Foliation | None = None) -> Cr
     flipped = _flip_outcomes(s, 0)
     rows = []
     for p in default_prescriptions(foliation):
-        locals_ = reduced_states(p, s, taus)
-        joint = single_state(p, s, taus)
+        joint, locals_ = leaf_states(p, s, taus)
         ma = linalg.expect(locals_[0], sz)
         mb = linalg.expect(locals_[1], sz)
         corr = linalg.expect(joint, szz)
@@ -212,8 +232,9 @@ def charge_ledger(s: Scenario, f: Foliation, t_grid, source) -> ChargeLedger:
     q_joint, q_sum = [], []
     for t in t_grid:
         taus = [proper_time_at_leaf(s.worldlines[i], f, t) for i in range(s.n)]
-        q_joint.append(linalg.expect(single_state(source, s, taus), q_total))
-        q_sum.append(sum(linalg.expect(r, q_local) for r in reduced_states(source, s, taus)))
+        joint, locals_ = leaf_states(source, s, taus)
+        q_joint.append(linalg.expect(joint, q_total))
+        q_sum.append(sum(linalg.expect(r, q_local) for r in locals_))
     return ChargeLedger(t_grid=list(t_grid), q_joint=q_joint, q_sum=q_sum, initial=initial)
 
 

@@ -259,11 +259,13 @@ def cmd_sweep(args) -> int:
     q_total = linalg.total_charge(s.n) if qubits else None
     for t in grid:
         taus = [proper_time_at_leaf(s.worldlines[i], f, t) for i in range(s.n)]
-        joint = audit.single_state(source, s, taus)
+        if qubits:
+            joint, locals_ = audit.leaf_states(source, s, taus)
+        else:
+            joint = audit.single_state(source, s, taus)
         row = [repr(float(t))] + [repr(float(tau)) for tau in taus]
         row += [repr(float(linalg.fidelity_to_ket(joint, ref_kets[name]))) for name in refs]
         if qubits:
-            locals_ = audit.reduced_states(source, s, taus)
             row.append(repr(float(linalg.expect(joint, q_total))))
             row.append(repr(float(sum(linalg.expect(r, linalg.CHARGE) for r in locals_))))
         writer.writerow(row)

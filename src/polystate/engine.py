@@ -31,11 +31,16 @@ the rest x rest matrix Phi^dagger Phi (see `linalg.normalize`). For a
 full-rank mixed initial state (r = D) the Gram product is O(d_S D^2),
 dearer than a pure one, most for large subsets.
 
-Selecting the interventions is one vectorised test per evaluation event:
-the scenario computes its intervention events once (`Scenario.events`, a
-K x (1+d) array), and each member's closed past is checked against all K
-rows at once (`past_union_ids`), so only the subset's own evaluation
-events are located on their worldlines per call.
+Selecting the interventions is the OR of the members' past rows. The
+scenario computes its intervention events once (`Scenario.events`, a
+K x (1+d) array). Member i's row at proper time tau is one vectorised test
+of its evaluation event's closed past against all K rows, kept as a bitmask
+in `Scenario.past_rows` until i is asked for at another tau. So a subset's
+selection (`past_union_ids`) locates and tests only members whose proper
+time changed, and a `polystate_at` call costs at most n tests, not one per
+member of each of its 2^n - 1 subsets. The rows live on the scenario, not in
+the sector cache, and a `replace`d or boosted copy starts without them.
+Observer and foliation states select through a `Region` (`selected_ids`).
 
 Sectors are piecewise constant in the proper times: they change only when an
 intervention event enters or leaves the union of causal pasts. The optional
@@ -58,7 +63,8 @@ import numpy as np
 from . import linalg
 from .errors import ImpossibleOutcomeError
 from .scenario import Scenario, local_sequences, selected_ids
-from .spacetime import Foliation, PastOfEvent, PastOfLeaf, Region, Worldline, position
+from .spacetime import (Foliation, PastOfEvent, PastOfLeaf, Region, Worldline,
+                        causally_precedes, position)
 
 MAX_SUBSYSTEMS = 10
 
@@ -77,9 +83,19 @@ class Polystate:
 
 def past_union_ids(s: Scenario, taus, subset) -> tuple:
     """Ids of the interventions inside the union of the subset's closed
-    causal pasts at the given proper times."""
-    events = [position(s.worldlines[i], taus[i]) for i in subset]
-    return selected_ids(s, Region.union_of_pasts(events))
+    causal pasts at the given proper times, in ascending order: the OR of
+    its members' past rows, each computed once per member and proper time
+    (`Scenario.past_rows`)."""
+    rows = s.past_rows
+    mask = 0
+    for i in subset:
+        tau = float(taus[i])
+        if rows[i] is None or rows[i][0] != tau:
+            inside = causally_precedes(s.events, position(s.worldlines[i], tau))
+            rows[i] = (tau, sum(1 << k for k in np.flatnonzero(inside).tolist()))
+        mask |= rows[i][1]
+    # bit k of the mask is character k of bin(mask) read from the right
+    return tuple(k for k, bit in enumerate(reversed(bin(mask))) if bit == "1")
 
 
 def push(s: Scenario, ids, outcomes=None) -> np.ndarray:

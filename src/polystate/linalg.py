@@ -187,11 +187,12 @@ def check_density(rho, spectrum=None) -> np.ndarray:
     rho = _as_matrix(rho)
     if rho.shape[0] != rho.shape[1]:
         raise DimensionMismatchError(f"density operator must be square, got {rho.shape}")
-    if np.max(np.abs(rho - rho.conj().T)) > HERMITICITY_TOL:
+    # the tolerance tests are written so that a NaN or infinite entry fails
+    if not np.max(np.abs(rho - rho.conj().T)) <= HERMITICITY_TOL:
         raise StateValidationError("matrix is not Hermitian within 1e-10")
     rho = (rho + rho.conj().T) / 2
     tr = float(np.trace(rho).real)
-    if abs(tr - 1.0) > TRACE_TOL:
+    if not abs(tr - 1.0) <= TRACE_TOL:
         raise StateValidationError(f"trace {tr} is not 1 within 1e-10")
     w = np.linalg.eigvalsh(rho) if spectrum is None else spectrum
     if w.min() < -EIGENVALUE_TOL:

@@ -102,6 +102,16 @@ class Scenario:
         return out
 
     @cached_property
+    def past_rows(self) -> list:
+        """Per subsystem, None or (tau, mask): the interventions in the
+        closed causal past of its event at proper time tau, as a bitmask
+        over `events`, bit k for intervention k. It is
+        `engine.past_union_ids`'s memo of each member's last proper time,
+        created empty on first use; `dataclasses.replace` builds a new
+        Scenario, so a variant never sees another's rows."""
+        return [None] * self.n
+
+    @cached_property
     def initial_factor(self) -> np.ndarray:
         """A read-only D x r matrix Psi with Psi Psi^dagger = initial_state.
         A state parsed from a ket is its own factor, r = 1. Any other comes
@@ -324,13 +334,16 @@ class _Builder:
             self.fail("initial_state", "well-formed-entries", str(exc))
             return None, None
         if ket is not None:
-            state = linalg.projector(ket)
+            # the length is checked before the D' x D' projector is formed
+            if total and len(ket) != total:
+                self.fail("initial_state", "dimension-mismatch",
+                          f"state dim {len(ket)} vs joint dim {total}")
+                return None, None
+            return linalg.projector(ket), ket
         if total and state.shape != (total, total):
             self.fail("initial_state", "dimension-mismatch",
                       f"state dim {state.shape[0]} vs joint dim {total}")
             return None, None
-        if ket is not None:
-            return state, ket
         try:
             return linalg.check_density(state), None
         except Exception as exc:
@@ -378,7 +391,8 @@ class _Builder:
         if mat.shape != (dim, dim):
             self.fail(field, "operator-dimension", f"unitary shape {mat.shape} vs subsystem dim {dim}")
             return None
-        if np.max(np.abs(mat.conj().T @ mat - np.eye(dim))) > UNITARY_TOL:
+        # written so that a NaN or infinite entry fails too
+        if not np.max(np.abs(mat.conj().T @ mat - np.eye(dim))) <= UNITARY_TOL:
             self.fail(field, "unitary-invariant", "matrix is not unitary within 1e-10")
             return None
         return UnitaryOp(matrix=mat)
@@ -414,7 +428,8 @@ class _Builder:
                           f"kraus shape {mat.shape} vs subsystem dim {dim}")
                 return None
         total = sum(m.conj().T @ m for m in kraus)
-        if np.max(np.abs(total - np.eye(dim))) > KRAUS_TOL:
+        # written so that a NaN or infinite Kraus entry or basis ket fails too
+        if not np.max(np.abs(total - np.eye(dim))) <= KRAUS_TOL:
             self.fail(field, "kraus-incomplete",
                       "kraus operators do not sum to the identity within 1e-10")
             return None

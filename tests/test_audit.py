@@ -58,6 +58,35 @@ def test_reduced_states_polystate_delegates_to_engine():
     assert np.allclose(locals_[1], engine.sector(s, PROBE, (1,)), atol=1e-14)
 
 
+def test_leaf_states_select_once_and_match_separate_calls(monkeypatch):
+    """`leaf_states` equals `single_state` and `reduced_states` bit for bit,
+    evaluates the rule once per evaluation event and builds each reduced
+    state once, a patchwork joint state included."""
+    s = load_fixture("epr_test.scn")
+    rules = audit.default_prescriptions(Foliation(np.array([0.4])))
+    states = []
+    state_after = engine.state_after
+    monkeypatch.setattr(engine, "state_after",
+                        lambda *args, **kw: states.append(args[2]) or state_after(*args, **kw))
+    patchworks = 0
+    for p in rules:
+        applied = []
+        monkeypatch.setattr(p, "applied", lambda events, x, f=p.applied: applied.append(x) or f(events, x),
+                            raising=False)
+        for taus in ((0.0, 0.0), PROBE, (1.5, 2.0), (4.0, 4.0)):
+            joint, locals_ = audit.single_state(p, s, taus), audit.reduced_states(p, s, taus)
+            applied.clear()
+            states.clear()
+            got_joint, got_locals = audit.leaf_states(p, s, taus)
+            assert len(applied) == s.n
+            assert np.array_equal(got_joint, joint)
+            assert all(np.array_equal(a, b) for a, b in zip(got_locals, locals_))
+            patchwork = all(len(sub) == 1 for sub in states)
+            patchworks += patchwork
+            assert len(states) == s.n + (not patchwork)
+    assert patchworks
+
+
 def test_criteria_report_bell_probe():
     s = load_fixture("bell_sigma_z.scn")
     report = audit.criteria_report(s, PROBE)

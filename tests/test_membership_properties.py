@@ -8,16 +8,18 @@ nudged by one ulp either way), at the apex itself and at random, since the
 boundary is where a differently rounded sum would flip a decision."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as hs
 
 from polystate import engine, linalg
-from polystate.scenario import Intervention, Scenario, SelectiveOp, UnitaryOp, selected_ids
+from polystate.scenario import (Intervention, Scenario, SelectiveOp, UnitaryOp,
+                                boosted_scenario, selected_ids)
 from polystate.spacetime import (Foliation, PastOfEvent, PastOfLeaf, Region, Worldline,
-                                 causally_precedes, chronologically_precedes, position,
-                                 region_contains)
+                                 causally_precedes, chronologically_precedes,
+                                 lightcone_crossings, position, region_contains)
 
 from helpers import load_fixture
 from test_properties import velocities, worldlines
@@ -201,3 +203,94 @@ def test_events_are_cached_per_scenario_and_read_only():
         empty = _scenario(d, [Worldline(np.zeros(1 + d))], [])
         assert empty.events.shape == (0, 1 + d)
         assert selected_ids(empty, Region.everything()) == ()
+
+
+def _region_selection(s: Scenario, taus, subset) -> tuple:
+    """Reference for `engine.past_union_ids`: the region of the members'
+    pasts, each member located afresh."""
+    return selected_ids(s, Region.union_of_pasts([position(s.worldlines[i], taus[i])
+                                                  for i in subset]))
+
+
+@hs.composite
+def memo_calls(draw):
+    """A scenario from `selections`, a boosted copy and copies with the
+    interventions reordered or cut, and interleaved past-union calls on
+    them. Each member's proper times come from a small pool, so they repeat
+    and change; the pool holds free values, the member's own intervention
+    times and its crossings of each intervention's future null cone, exact
+    and one ulp either way."""
+    s, _ = draw(selections())
+    variants = [s, boosted_scenario(s, draw(hs.floats(min_value=-1.5, max_value=1.5))),
+                replace(s, interventions=s.interventions[::-1]),
+                replace(s, interventions=s.interventions[:len(s.interventions) // 2])]
+    pools = []
+    for i, w in enumerate(s.worldlines):
+        pool = [draw(hs.floats(min_value=-3.0, max_value=5.0)) for _ in range(2)]
+        pool += [iv.tau for iv in s.interventions if iv.subsystem == i]
+        for event in s.events:
+            tau = lightcone_crossings(w, event)[1]
+            pool += [tau, np.nextafter(tau, -math.inf), np.nextafter(tau, math.inf)]
+        pools.append(pool)
+    calls = []
+    for _ in range(draw(hs.integers(min_value=1, max_value=12))):
+        v = draw(hs.sampled_from(variants))
+        taus = tuple(draw(hs.sampled_from(pool)) for pool in pools)
+        if draw(hs.booleans()):
+            taus = tuple(np.float64(tau) for tau in taus)
+        subset = sorted(draw(hs.sets(hs.integers(min_value=0, max_value=s.n - 1), min_size=1)))
+        calls.append((v, taus, tuple(subset)))
+    return calls
+
+
+@SUITE
+@given(calls=memo_calls())
+def test_past_union_ids_equal_region_selection(calls):
+    for v, taus, subset in calls:
+        got = engine.past_union_ids(v, taus, subset)
+        assert got == _region_selection(v, taus, subset)
+        assert all(type(k) is int for k in got)
+
+
+def test_past_union_ids_on_the_null_cone():
+    # B sits on the future null cone of A's measurement at tau_B = 3
+    s = load_fixture("bell_sigma_z.scn")
+    early = np.nextafter(3.0, -math.inf)
+    for taus, subset, want in (((0.0, 3.0), (1,), (0,)), ((0.0, early), (1,), ()),
+                               ((0.0, 3.0), (0, 1), (0,)), ((1.0, early), (0, 1), (0,)),
+                               ((1.0, early), (1,), ()), ((0.0, early), (0, 1), ())):
+        assert engine.past_union_ids(s, taus, subset) == _region_selection(s, taus, subset) == want
+
+
+def test_polystate_locates_each_member_once_per_proper_time(monkeypatch):
+    """A fresh `polystate_at` locates and tests each member once; a repeat
+    at the same proper times locates none, and a changed proper time
+    locates only its member. Copies start with no rows."""
+    located, tested = [], []
+
+    def counting_position(w, tau):
+        located.append(tau)
+        return position(w, tau)
+
+    def counting_precedes(x, y):
+        tested.append(1)
+        return causally_precedes(x, y)
+
+    monkeypatch.setattr(engine, "position", counting_position)
+    monkeypatch.setattr(engine, "causally_precedes", counting_precedes)
+    s = load_fixture("foliation_demo.scn")
+    taus = (0.5, 1.5)
+    engine.polystate_at(s, taus)
+    assert sorted(located) == sorted(taus) and len(tested) == s.n
+    for again in (taus, tuple(np.float64(tau) for tau in taus)):
+        located.clear()
+        tested.clear()
+        engine.polystate_at(s, again)
+        assert located == [] and tested == []
+    engine.polystate_at(s, (0.5, 2.5))
+    assert located == [2.5] and len(tested) == 1
+    for copy in (replace(s), boosted_scenario(s, 0.3)):
+        assert copy.past_rows == [None] * s.n
+        located.clear()
+        engine.polystate_at(copy, taus)
+        assert sorted(located) == sorted(taus)

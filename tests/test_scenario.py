@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -231,3 +232,59 @@ def test_non_finite_ket_rejected():
         with pytest.raises(ScenarioValidationError) as err:
             parse_scenario(json.dumps(doc))
         assert [d.invariant for d in err.value.diagnostics] == ["unit-norm"]
+
+
+NON_FINITE = (float("nan"), [0.0, float("nan")], float("inf"))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_non_finite_matrix_rejected():
+    for bad in NON_FINITE:
+        for cell in ((0, 0), (0, 1)):
+            doc = _doc()
+            rows = (np.eye(4) / 4).tolist()
+            rows[cell[0]][cell[1]] = bad
+            doc["initial_state"] = {"matrix": rows}
+            _expect_invariant(doc, "density-invariants")
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_non_finite_unitary_rejected():
+    for bad in NON_FINITE:
+        doc = _doc()
+        doc["interventions"][0] = {"on": "A", "tau": 1.0, "unitary": [[bad, 0.0], [0.0, 1.0]]}
+        _expect_invariant(doc, "unitary-invariant")
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_non_finite_kraus_rejected():
+    for bad in NON_FINITE:
+        doc = _doc()
+        doc["interventions"][0]["measure"] = {
+            "kraus": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, bad]]], "outcome": 0}
+        _expect_invariant(doc, "kraus-incomplete")
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_non_finite_basis_ket_rejected():
+    for bad in NON_FINITE:
+        doc = _doc()
+        doc["interventions"][0]["measure"]["projective_basis"] = [[1.0, 0.0], [0.0, bad]]
+        _expect_invariant(doc, "kraus-incomplete")
+
+
+def test_long_ket_rejected_before_its_projector():
+    """A 3000-entry ket for a two-qubit scenario is a dimension mismatch;
+    its 3000 x 3000 projector (144 MB) is never formed."""
+    doc = _doc()
+    doc["initial_state"] = {"ket": [1.0] + [0.0] * 2999}
+    text = json.dumps(doc)
+    tracemalloc.start()
+    try:
+        diags = diagnose_document(text)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert [d.invariant for d in diags] == ["dimension-mismatch"]
+    assert diags[0].message == "state dim 3000 vs joint dim 4"
+    assert peak < 4 * 2**20

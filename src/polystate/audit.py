@@ -80,16 +80,23 @@ def _event_id_sets(p, s: Scenario, taus) -> list:
     return [tuple(np.flatnonzero(p.applied(s.events, x)).tolist()) for x in xs]
 
 
-def _reduced(s: Scenario, id_sets) -> list:
-    return [engine.state_after(s, ids, (i,)) for i, ids in enumerate(id_sets)]
+def _state(s: Scenario, ids, subset, psis: dict) -> np.ndarray:
+    """`engine.state_after`, pushing each distinct id set once per `psis`."""
+    if ids not in psis:
+        psis[ids] = engine.push(s, ids)
+    return engine.state_after(s, ids, subset, psis[ids])
 
 
-def _union_state(p, s: Scenario, id_sets):
+def _reduced(s: Scenario, id_sets, psis: dict) -> list:
+    return [_state(s, ids, (i,), psis) for i, ids in enumerate(id_sets)]
+
+
+def _union_state(p, s: Scenario, id_sets, psis: dict):
     """The joint state when the applied sets define one, for the sector rule
     or when every evaluation event applied all of their union; else None."""
     union = tuple(sorted(set().union(*id_sets)))
     if isinstance(p, PolystateRule) or all(ids == union for ids in id_sets):
-        return engine.state_after(s, union, range(s.n))
+        return _state(s, union, range(s.n), psis)
     return None
 
 
@@ -103,22 +110,25 @@ def single_state(p, s: Scenario, taus) -> np.ndarray:
     agree on the applied interventions give one well-defined state; otherwise
     it degrades to the tensor product of the per-event reduced states."""
     id_sets = _event_id_sets(p, s, taus)
-    joint = _union_state(p, s, id_sets)
-    return _patchwork(_reduced(s, id_sets)) if joint is None else joint
+    psis: dict = {}
+    joint = _union_state(p, s, id_sets, psis)
+    return _patchwork(_reduced(s, id_sets, psis)) if joint is None else joint
 
 
 def reduced_states(p, s: Scenario, taus) -> list:
     """Per-subsystem local descriptions under the prescription."""
-    return _reduced(s, _event_id_sets(p, s, taus))
+    return _reduced(s, _event_id_sets(p, s, taus), {})
 
 
 def leaf_states(p, s: Scenario, taus) -> tuple:
     """(`single_state`, `reduced_states`) at one proper-time tuple, computed
-    in that order from one evaluation of the rule's applied sets; a
-    patchwork joint state is built from the reduced states it returns."""
+    in that order from one evaluation of the rule's applied sets, each
+    distinct set pushed once; a patchwork joint state is built from the
+    reduced states it returns."""
     id_sets = _event_id_sets(p, s, taus)
-    joint = _union_state(p, s, id_sets)
-    locals_ = _reduced(s, id_sets)
+    psis: dict = {}
+    joint = _union_state(p, s, id_sets, psis)
+    locals_ = _reduced(s, id_sets, psis)
     return (_patchwork(locals_) if joint is None else joint), locals_
 
 

@@ -16,8 +16,16 @@ are `pushed` on their outcome assignments.
 
 Cost model: every intervention the engine applies is a single operator, a
 unitary or a recorded branch, so subsystem j's selected sequence
-multiplies into one d_j x d_j matrix M_j. The scenario factors its initial
-state once, rho = Psi Psi^dagger with Psi of shape D x r
+multiplies into one d_j x d_j matrix M_j. The selections the engine and
+the audit rules make (a causal past, the complement of a chronological
+future, a foliation half-space) each cut a timelike worldline in a
+proper-time prefix, so M_j is a prefix product of j's recorded operators
+in (tau, id) order. The scenario multiplies those up once, on first use
+(`Scenario.chains`), and a prefix selection costs `push` one pass over its
+ids and n small products, not one product per intervention. Outcome
+overrides (the ensemble's branches) and hand-built selections that are not
+prefixes multiply their operators as they go. The scenario factors its
+initial state once, rho = Psi Psi^dagger with Psi of shape D x r
 (`Scenario.initial_factor`: the parsed ket itself for a `named` or `ket`
 input, r = 1; otherwise one `eigh`, r = 1 for a pure state). `push`
 applies each M_j on its own tensor axis of Psi, O(D r d) per subsystem; the
@@ -98,17 +106,45 @@ def past_union_ids(s: Scenario, taus, subset) -> tuple:
     return tuple(k for k, bit in enumerate(reversed(bin(mask))) if bit == "1")
 
 
+def _prefix_products(s: Scenario, ids):
+    """[(j, M_j)] read from `Scenario.chains` when every subsystem's chosen
+    interventions are the first L_j of its (tau, id) order, else None."""
+    places, heads, products = s.chains
+    count = [0] * s.n
+    total = [0] * s.n
+    for k in set(ids):
+        j, rank = places[k]
+        count[j] += 1
+        total[j] += rank
+    operators = []
+    for j in heads:
+        c = count[j]
+        # c distinct ranks are 0..c-1 exactly when they add up to c(c-1)/2
+        if 2 * total[j] != c * (c - 1):
+            return None
+        if c:
+            operators.append((j, products[j][c - 1]))
+    return operators
+
+
 def push(s: Scenario, ids, outcomes=None) -> np.ndarray:
     """The initial factor Psi pushed through the chosen interventions, D x r:
     each subsystem's operators (the recorded branches, or the ones
-    `outcomes` assigns, as in `local_sequences`) multiply into one M_j,
-    applied on that subsystem's axis of Psi."""
+    `outcomes` assigns, as in `local_sequences`) multiply into one M_j in
+    (tau, id) order, applied on that subsystem's axis of Psi. Recorded
+    branches that are a prefix of every subsystem's order are read from
+    `Scenario.chains`; other selections multiply as they go."""
     dims = s.dims
     psi = s.initial_factor
-    for j, sequence in local_sequences(s, ids, outcomes).items():
-        (m,) = sequence[0]
-        for (k,) in sequence[1:]:
-            m = k @ m
+    operators = None if outcomes else _prefix_products(s, ids)
+    if operators is None:
+        operators = []
+        for j, sequence in local_sequences(s, ids, outcomes).items():
+            (m,) = sequence[0]
+            for (k,) in sequence[1:]:
+                m = k @ m
+            operators.append((j, m))
+    for j, m in operators:
         psi = m @ psi.reshape(math.prod(dims[:j]), dims[j], -1)
     return psi.reshape(math.prod(dims), -1)
 

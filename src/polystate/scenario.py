@@ -112,6 +112,32 @@ class Scenario:
         return [None] * self.n
 
     @cached_property
+    def chains(self) -> tuple:
+        """(places, heads, products), the recorded operators of each
+        subsystem multiplied up in (tau, id) order, computed on first use.
+        places[k] is (j, L): intervention k is number L in subsystem j's
+        order. heads lists the subsystems that have interventions, by the
+        (tau, id) of their first. products[j][L] = op_L @ products[j][L - 1],
+        with products[j][0] the first operator itself: the association
+        `engine.push` multiplies a selection in. `dataclasses.replace` builds
+        a new Scenario, so a variant with other recorded outcomes never sees
+        another's products."""
+        ivs = self.interventions
+        places = [None] * len(ivs)
+        products = [[] for _ in range(self.n)]
+        heads = []
+        for k in sorted(range(len(ivs)), key=lambda k: (ivs[k].tau, k)):
+            j = ivs[k].subsystem
+            chain = products[j]
+            if not chain:
+                heads.append(j)
+            places[k] = (j, len(chain))
+            op = ivs[k].op
+            op = op.matrix if isinstance(op, UnitaryOp) else op.kraus[op.chosen]
+            chain.append(op @ chain[-1] if chain else op)
+        return tuple(places), tuple(heads), tuple(tuple(chain) for chain in products)
+
+    @cached_property
     def initial_factor(self) -> np.ndarray:
         """A read-only D x r matrix Psi with Psi Psi^dagger = initial_state.
         A state parsed from a ket is its own factor, r = 1. Any other comes
@@ -166,12 +192,20 @@ def _complex_from_json(v):
     raise ValueError(f"not a complex number: {v!r}")
 
 
+def _list_from_json(v, what: str) -> list:
+    if not isinstance(v, list):
+        raise ValueError(f"not {what}: {v!r}")
+    return v
+
+
 def _matrix_from_json(rows) -> np.ndarray:
-    return np.array([[_complex_from_json(v) for v in row] for row in rows], dtype=complex)
+    return np.array([[_complex_from_json(v) for v in _list_from_json(row, "a matrix row")]
+                     for row in _list_from_json(rows, "a matrix")], dtype=complex)
 
 
 def _vector_from_json(entries) -> np.ndarray:
-    return np.array([_complex_from_json(v) for v in entries], dtype=complex)
+    return np.array([_complex_from_json(v) for v in _list_from_json(entries, "a vector")],
+                    dtype=complex)
 
 
 def _complex_to_json(z: complex):
@@ -195,6 +229,12 @@ class _Builder:
         self.diags.append(Diagnostic(field, invariant, message))
 
     def build(self):
+        # the tolerance tests are written so that a NaN or infinite entry
+        # fails them, with a diagnostic; numpy's warnings on the way are noise
+        with np.errstate(invalid="ignore", over="ignore"):
+            return self._build()
+
+    def _build(self):
         data = self.data
         if not isinstance(data, dict):
             self.fail("document", "object-root", "top level must be a JSON object")
@@ -403,7 +443,8 @@ class _Builder:
             return None
         try:
             if "kraus" in raw:
-                kraus = tuple(_matrix_from_json(k) for k in raw["kraus"])
+                kraus = tuple(_matrix_from_json(k)
+                              for k in _list_from_json(raw["kraus"], "a list of matrices"))
             elif "projective_basis" in raw:
                 basis = raw["projective_basis"]
                 if isinstance(basis, str):
@@ -414,7 +455,8 @@ class _Builder:
                                   f"unknown basis {basis!r}")
                         return None
                 else:
-                    kets = [_vector_from_json(k) for k in basis]
+                    kets = [_vector_from_json(k)
+                            for k in _list_from_json(basis, "a list of kets")]
                 kraus = tuple(linalg.projector(k) for k in kets)
             else:
                 self.fail(field, "known-form", "need kraus or projective_basis")
@@ -523,8 +565,9 @@ def selected_ids(s: Scenario, region: Region) -> tuple:
 
 
 def local_sequences(s: Scenario, ids, outcomes=None) -> dict:
-    """Per subsystem, the chosen interventions as channels in ascending
-    proper time; each channel is a tuple of Kraus operators.
+    """Per subsystem, the chosen interventions as channels in (tau, id)
+    order; each channel is a tuple of Kraus operators. The subsystems come
+    in the order of their first chosen intervention.
 
     A unitary is its own matrix. A selective intervention takes the branch
     `outcomes` gives for its scenario index, else its recorded outcome; an
@@ -532,7 +575,7 @@ def local_sequences(s: Scenario, ids, outcomes=None) -> dict:
     """
     outcomes = outcomes or {}
     seqs: dict = {}
-    for k in sorted(set(ids), key=lambda k: s.interventions[k].tau):
+    for k in sorted(set(ids), key=lambda k: (s.interventions[k].tau, k)):
         iv = s.interventions[k]
         if isinstance(iv.op, UnitaryOp):
             kraus = (iv.op.matrix,)

@@ -84,6 +84,13 @@ class Worldline:
         spans.append((tau, math.inf, tau, x, self.final_velocity))
         return tuple(span + (gamma(span[4]), four_velocity(span[4])) for span in spans)
 
+    @cached_property
+    def leaf_tables(self) -> dict:
+        """`proper_time_at_leaf`'s per-piece crossing data, one table per
+        foliation, keyed by the bytes of its frame velocity; empty until a
+        foliation is first crossed."""
+        return {}
+
 
 def position(w: Worldline, tau: float) -> np.ndarray:
     """Event on the worldline at proper time tau."""
@@ -264,18 +271,31 @@ def region_contains(r: Region, x):
     return inside[()]
 
 
+def _leaf_table(w: Worldline, f: Foliation) -> tuple:
+    """Per piece of w, (tau_lo, tau_hi, tau_ref, t_ref, slope): its leaf
+    parameter is t_ref at tau_ref and grows at the given slope."""
+    vf = f.frame_velocity
+    gf = gamma(vf)
+    return tuple((tau_lo, tau_hi, tau_ref, f.time(x_ref), gf * g * (1.0 - float(np.dot(vf, v))))
+                 for tau_lo, tau_hi, tau_ref, x_ref, v, g, _ in w.pieces)
+
+
 def proper_time_at_leaf(w: Worldline, f: Foliation, t: float) -> float:
     """The unique proper time where the worldline crosses leaf t.
 
     The leaf parameter along the worldline is piecewise linear in tau with
     strictly positive slope gamma_f * gamma_v * (1 - v_f . v), so the
-    crossing is solved in closed form on the piece that brackets it.
+    crossing is solved in closed form on the first piece that brackets it,
+    within a pad of 1e-9 relative. Each piece's reference leaf parameter
+    and slope are computed once per worldline and frame velocity, on first
+    use (`Worldline.leaf_tables`), so a call is a few float operations per
+    piece.
     """
-    vf = f.frame_velocity
-    gf = gamma(vf)
-    for tau_lo, tau_hi, tau_ref, x_ref, v, g, _ in w.pieces:
-        slope = gf * g * (1.0 - float(np.dot(vf, v)))
-        t_ref = f.time(x_ref)
+    key = f.frame_velocity.tobytes()
+    table = w.leaf_tables.get(key)
+    if table is None:
+        table = w.leaf_tables[key] = _leaf_table(w, f)
+    for tau_lo, tau_hi, tau_ref, t_ref, slope in table:
         tau = tau_ref + (t - t_ref) / slope
         pad = 1e-9 * max(1.0, abs(tau))
         if tau_lo - pad <= tau <= tau_hi + pad:

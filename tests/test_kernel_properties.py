@@ -3,7 +3,8 @@ against the lifted operator it replaces, the initial state's factor, and
 the pushed-factor states of the engine's sectors, of every audit rule and of
 every ensemble branch against pushing the whole joint state and tracing
 afterwards; the sector states validated on the small side of their factor
-against the full-spectrum validation, and one push per distinct selection.
+against the full-spectrum validation, one push per distinct selection, and
+the push itself against multiplying the operators in (tau, id) order.
 
 Scenario structure (subsystem count, local dimensions, kinds, order and
 proper times of the interventions, worldlines, evaluation times) is drawn by
@@ -20,7 +21,7 @@ from hypothesis import strategies as hs
 from polystate import audit, engine, ensemble, linalg
 from polystate.errors import ImpossibleOutcomeError, StateValidationError
 from polystate.scenario import (Intervention, Scenario, SelectiveOp, UnitaryOp,
-                                apply_interventions, selected_ids)
+                                apply_interventions, boosted_scenario, selected_ids)
 from polystate.spacetime import Foliation, Region, position
 
 from helpers import load_fixture, random_density, random_ket, random_unitary
@@ -326,3 +327,59 @@ def test_polystate_pushes_once_per_selection(s, taus):
         assert len(pushes) == len(set(pushes)) and set(pushes) <= selections
     finally:
         engine.push = original
+
+
+def reference_push(s, ids, outcomes=None):
+    """`engine.push` as a plain loop: each subsystem's operators (recorded
+    branches, or the ones `outcomes` assigns) multiplied in (tau, id) order,
+    and applied in the order of each subsystem's first."""
+    outcomes = outcomes or {}
+    products = {}
+    for k in sorted(set(ids), key=lambda k: (s.interventions[k].tau, k)):
+        iv = s.interventions[k]
+        if isinstance(iv.op, UnitaryOp):
+            op = iv.op.matrix
+        else:
+            op = iv.op.kraus[outcomes.get(k, iv.op.chosen)]
+        j = iv.subsystem
+        products[j] = op @ products[j] if j in products else op
+    psi = s.initial_factor
+    for j, m in products.items():
+        psi = m @ psi.reshape(int(np.prod(s.dims[:j])), s.dims[j], -1)
+    return psi.reshape(int(np.prod(s.dims)), -1)
+
+
+def prefix_ids(s, lengths):
+    """The first lengths[j] interventions of each subsystem j in (tau, id)
+    order, listed backwards with the first one repeated."""
+    order = sorted(range(len(s.interventions)), key=lambda k: (s.interventions[k].tau, k))
+    ids = [k for j in range(s.n)
+           for k in [k for k in order if s.interventions[k].subsystem == j][:lengths[j]]]
+    return tuple(ids[::-1] + ids[:1])
+
+
+def variants(s):
+    """s itself first, so that its products exist before any variant asks
+    for its own: a copy with the interventions in reverse order, a boosted
+    copy, and every subsystem's outcomes flipped in turn."""
+    return ([s, replace(s, interventions=s.interventions[::-1]), boosted_scenario(s, 0.7)]
+            + [audit._flip_outcomes(s, j) for j in range(s.n)])
+
+
+@SUITE
+@given(s=scenarios_of_rank(), lengths=hs.lists(hs.integers(0, 6), min_size=4, max_size=4),
+       picks=hs.lists(hs.integers(0, 5), max_size=8))
+def test_push_equals_multiplication_in_proper_time_order(s, lengths, picks):
+    """Bit for bit on prefixes (read from `Scenario.chains`), on arbitrary,
+    empty and repeated ids, with and without outcome overrides, for the
+    scenario and variants that each record their own branches."""
+    for v in variants(s):
+        prefix = prefix_ids(v, lengths)
+        assert engine._prefix_products(v, prefix) is not None
+        arbitrary = tuple(k for k in picks if k < len(v.interventions))
+        others = {k: (v.interventions[k].op.chosen + 1) % len(v.interventions[k].op.kraus)
+                  for k in arbitrary if isinstance(v.interventions[k].op, SelectiveOp)}
+        for ids in (prefix, arbitrary, ()):
+            for outcomes in (None, {}, others):
+                assert np.array_equal(engine.push(v, ids, outcomes),
+                                      reference_push(v, ids, outcomes))

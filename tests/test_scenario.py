@@ -1,11 +1,12 @@
 import json
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from polystate import engine, linalg
+from polystate import cli, engine, linalg
 from polystate.errors import ParseError, ScenarioValidationError
 from polystate.scenario import (SelectiveOp, apply_interventions, boosted_scenario,
                                 diagnose_document, parse_scenario, selected_ids,
@@ -237,7 +238,14 @@ def test_non_finite_ket_rejected():
 NON_FINITE = (float("nan"), [0.0, float("nan")], float("inf"))
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def _expect_invariant_quietly(doc, invariant):
+    """`_expect_invariant`, and numpy prints no warning on the way."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        _expect_invariant(doc, invariant)
+    assert [str(w.message) for w in caught] == []
+
+
 def test_non_finite_matrix_rejected():
     for bad in NON_FINITE:
         for cell in ((0, 0), (0, 1)):
@@ -245,32 +253,66 @@ def test_non_finite_matrix_rejected():
             rows = (np.eye(4) / 4).tolist()
             rows[cell[0]][cell[1]] = bad
             doc["initial_state"] = {"matrix": rows}
-            _expect_invariant(doc, "density-invariants")
+            _expect_invariant_quietly(doc, "density-invariants")
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_non_finite_unitary_rejected():
     for bad in NON_FINITE:
         doc = _doc()
         doc["interventions"][0] = {"on": "A", "tau": 1.0, "unitary": [[bad, 0.0], [0.0, 1.0]]}
-        _expect_invariant(doc, "unitary-invariant")
+        _expect_invariant_quietly(doc, "unitary-invariant")
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_non_finite_kraus_rejected():
     for bad in NON_FINITE:
         doc = _doc()
         doc["interventions"][0]["measure"] = {
             "kraus": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, bad]]], "outcome": 0}
-        _expect_invariant(doc, "kraus-incomplete")
+        _expect_invariant_quietly(doc, "kraus-incomplete")
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_non_finite_basis_ket_rejected():
     for bad in NON_FINITE:
         doc = _doc()
         doc["interventions"][0]["measure"]["projective_basis"] = [[1.0, 0.0], [0.0, bad]]
-        _expect_invariant(doc, "kraus-incomplete")
+        _expect_invariant_quietly(doc, "kraus-incomplete")
+
+
+# (where, value): a matrix, ket, Kraus list or basis that is a flat list or
+# a scalar where nested lists belong
+MALFORMED = (
+    ("initial_state", {"matrix": [0.5, 0.5]}),
+    ("initial_state", {"matrix": 1.0}),
+    ("initial_state", {"ket": 1.0}),
+    ("measure", {"kraus": [1.0, 0.0], "outcome": 0}),
+    ("measure", {"kraus": 1.0, "outcome": 0}),
+    ("measure", {"projective_basis": [1.0, 0.0], "outcome": 0}),
+    ("unitary", [1.0, 0.0]),
+)
+
+
+def _malformed_doc(where, value):
+    doc = _doc()
+    if where == "initial_state":
+        doc["initial_state"] = value
+    elif where == "measure":
+        doc["interventions"][0]["measure"] = value
+    else:
+        doc["interventions"][0] = {"on": "A", "tau": 1.0, "unitary": value}
+    return doc
+
+
+@pytest.mark.parametrize("where,value", MALFORMED)
+def test_malformed_matrix_gets_a_diagnostic(where, value, tmp_path, capsys):
+    doc = _malformed_doc(where, value)
+    with pytest.raises(ScenarioValidationError) as err:
+        parse_scenario(json.dumps(doc))
+    assert [d.invariant for d in err.value.diagnostics] == ["well-formed-entries"]
+    path = tmp_path / "malformed.scn"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert cli.main(["validate", str(path)]) == 1
+    out = json.loads(capsys.readouterr().out)
+    assert [d["invariant"] for d in out["diagnostics"]] == ["well-formed-entries"]
 
 
 def test_long_ket_rejected_before_its_projector():

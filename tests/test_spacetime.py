@@ -109,6 +109,56 @@ def test_proper_time_at_leaf_piecewise_matches_scan():
         assert abs(f.time(st.position(w, tau)) - t) < 1e-8
 
 
+def reference_leaf_crossing(w, f, t):
+    """`proper_time_at_leaf` as it read before its table: every piece's
+    slope and reference leaf parameter derived afresh on each call."""
+    vf = f.frame_velocity
+    gf = st.gamma(vf)
+    for tau_lo, tau_hi, tau_ref, x_ref, v, g, _ in w.pieces:
+        slope = gf * g * (1.0 - float(np.dot(vf, v)))
+        t_ref = f.time(x_ref)
+        tau = tau_ref + (t - t_ref) / slope
+        pad = 1e-9 * max(1.0, abs(tau))
+        if tau_lo - pad <= tau <= tau_hi + pad:
+            return tau
+    raise AssertionError("no piece brackets the leaf")
+
+
+def _leaves_at_piece_boundaries(w, f):
+    """Leaf parameters through each piece boundary of w, one ulp either
+    side, and a few in between and beyond."""
+    taus = np.cumsum([0.0] + [seg.dtau for seg in w.segments])
+    out = [-7.5, 0.25, 9.0]
+    for tau in taus:
+        t = float(f.time(st.position(w, tau)))
+        out += [np.nextafter(t, -np.inf), t, np.nextafter(t, np.inf)]
+    return out
+
+
+def test_leaf_crossing_table_matches_the_per_piece_formula_bit_for_bit():
+    """d = 1, 2, 3, plain and boosted worldlines, two foliations alternating
+    on each, and a frame velocity one ulp from the first, which gets a
+    table of its own."""
+    rng = np.random.default_rng(7)
+    for d in (1, 2, 3):
+        for _ in range(12):
+            w = random_worldline(rng, d, max_segments=3)
+            for line in (w, st.boost_worldline(w, float(rng.uniform(-1, 1)), rng.normal(size=d))):
+                v = rng.uniform(-0.5, 0.5, size=d)
+                ulp = v.copy()
+                ulp[0] = np.nextafter(v[0], 1.0)
+                foliations = [st.Foliation(v), st.Foliation(rng.uniform(-0.5, 0.5, size=d)),
+                              st.Foliation(ulp)]
+                leaves = [_leaves_at_piece_boundaries(line, f) for f in foliations]
+                for k in range(len(leaves[0])):
+                    for f, ts in zip(foliations, leaves):
+                        got = st.proper_time_at_leaf(line, f, ts[k])
+                        want = reference_leaf_crossing(line, f, ts[k])
+                        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+                        assert type(got) is type(want)
+                assert len(line.leaf_tables) == 3
+
+
 def test_past_region_predicates():
     past = st.PastOfEvent(np.array([1.0, 0.0]))
     assert past.contains(np.array([0.0, 0.5]))

@@ -9,7 +9,7 @@ except strictly inside the intervention's own causal past, boundary
 included. A fixed foliation folds it once the intervention's leaf lies at
 or below the leaf through x. Each rule's test is its `applied(events, x)`
 method, which the sector rule shares with the future lightcone rule, and
-every state below is `engine.state_after` on the id sets a test picks.
+every state below is `engine.state_after` on the cut of the set a test picks.
 
 When the two parties' evaluation events disagree about what has been folded
 in, no single joint operator exists; `single_state` then returns the
@@ -73,30 +73,22 @@ class PolystateRule(FutureLightcone):
     name = "polystate"
 
 
-def _event_id_sets(p, s: Scenario, taus) -> list:
-    """Per subsystem, the interventions the rule has applied at its
-    evaluation event (`p.applied` on one event or a stack of them)."""
-    xs = [position(s.worldlines[i], taus[i]) for i in range(s.n)]
-    return [tuple(np.flatnonzero(p.applied(s.events, x)).tolist()) for x in xs]
+def _event_cuts(p, s: Scenario, taus) -> list:
+    """Per subsystem, the cut of the interventions the rule has applied at
+    its evaluation event (`p.applied` on one event or a stack of them)."""
+    return [s.cut_of(p.applied(s.events, position(w, tau))) for w, tau in zip(s.worldlines, taus)]
 
 
-def _state(s: Scenario, ids, subset, psis: dict) -> np.ndarray:
-    """`engine.state_after`, pushing each distinct id set once per `psis`."""
-    if ids not in psis:
-        psis[ids] = engine.push(s, ids)
-    return engine.state_after(s, ids, subset, psis[ids])
+def _reduced(s: Scenario, cuts, cache: dict) -> list:
+    return [engine.state_after(s, cut, (i,), cache) for i, cut in enumerate(cuts)]
 
 
-def _reduced(s: Scenario, id_sets, psis: dict) -> list:
-    return [_state(s, ids, (i,), psis) for i, ids in enumerate(id_sets)]
-
-
-def _union_state(p, s: Scenario, id_sets, psis: dict):
-    """The joint state when the applied sets define one, for the sector rule
+def _union_state(p, s: Scenario, cuts, cache: dict):
+    """The joint state when the applied cuts define one, for the sector rule
     or when every evaluation event applied all of their union; else None."""
-    union = tuple(sorted(set().union(*id_sets)))
-    if isinstance(p, PolystateRule) or all(ids == union for ids in id_sets):
-        return _state(s, union, range(s.n), psis)
+    union = tuple(max(lengths) for lengths in zip(*cuts))
+    if isinstance(p, PolystateRule) or all(cut == union for cut in cuts):
+        return engine.state_after(s, union, range(s.n), cache)
     return None
 
 
@@ -109,26 +101,26 @@ def single_state(p, s: Scenario, taus) -> np.ndarray:
     given proper times. The sector rule and any rule whose evaluation events
     agree on the applied interventions give one well-defined state; otherwise
     it degrades to the tensor product of the per-event reduced states."""
-    id_sets = _event_id_sets(p, s, taus)
-    psis: dict = {}
-    joint = _union_state(p, s, id_sets, psis)
-    return _patchwork(_reduced(s, id_sets, psis)) if joint is None else joint
+    cuts = _event_cuts(p, s, taus)
+    cache: dict = {}
+    joint = _union_state(p, s, cuts, cache)
+    return _patchwork(_reduced(s, cuts, cache)) if joint is None else joint
 
 
 def reduced_states(p, s: Scenario, taus) -> list:
     """Per-subsystem local descriptions under the prescription."""
-    return _reduced(s, _event_id_sets(p, s, taus), {})
+    return _reduced(s, _event_cuts(p, s, taus), {})
 
 
 def leaf_states(p, s: Scenario, taus) -> tuple:
     """(`single_state`, `reduced_states`) at one proper-time tuple, computed
-    in that order from one evaluation of the rule's applied sets, each
-    distinct set pushed once; a patchwork joint state is built from the
+    in that order from one evaluation of the rule's applied cuts, each
+    distinct cut pushed once; a patchwork joint state is built from the
     reduced states it returns."""
-    id_sets = _event_id_sets(p, s, taus)
-    psis: dict = {}
-    joint = _union_state(p, s, id_sets, psis)
-    locals_ = _reduced(s, id_sets, psis)
+    cuts = _event_cuts(p, s, taus)
+    cache: dict = {}
+    joint = _union_state(p, s, cuts, cache)
+    locals_ = _reduced(s, cuts, cache)
     return (_patchwork(locals_) if joint is None else joint), locals_
 
 

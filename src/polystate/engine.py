@@ -7,7 +7,7 @@ the complement, normalize. The polystate collects the sectors of all
 nonempty subsets. Singleton sectors depend only on their own proper time by
 construction, so the evaluation never signals across spacelike separation.
 
-A sector is two steps: `past_union_ids` selects the interventions and
+A sector is two steps: `past_cut` selects the interventions and
 `state_after` computes the state they leave, the unnormalized `pushed`
 state divided by its trace. Every other state the package assigns
 (observer and foliation states, each audit rule's states) is `state_after`
@@ -19,19 +19,19 @@ unitary or a recorded branch, so subsystem j's selected sequence
 multiplies into one d_j x d_j matrix M_j. The selections the engine and
 the audit rules make (a causal past, the complement of a chronological
 future, a foliation half-space) each cut a timelike worldline in a
-proper-time prefix, so M_j is a prefix product of j's recorded operators
-in (tau, id) order. The scenario multiplies those up once, on first use
-(`Scenario.chains`), and a prefix selection costs `push` one pass over its
-ids and n small products, not one product per intervention. Outcome
-overrides (the ensemble's branches) and hand-built selections that are not
-prefixes multiply their operators as they go. The scenario factors its
+proper-time prefix, so a selection is a cut: per subsystem j, the number
+L_j of its interventions applied in (tau, id) order (`Scenario.cut_of`).
+The scenario multiplies each subsystem's recorded operators up once, on
+first use (`Scenario.chains`), and `push` reads M_j as the L_j-th product:
+n small products per cut, not one per intervention. Only outcome overrides
+(the ensemble's branches) multiply as they go. The scenario factors its
 initial state once, rho = Psi Psi^dagger with Psi of shape D x r
 (`Scenario.initial_factor`: the parsed ket itself for a `named` or `ket`
 input, r = 1; otherwise one `eigh`, r = 1 for a pure state). `push`
 applies each M_j on its own tensor axis of Psi, O(D r d) per subsystem; the
-pushed factor depends only on the selected interventions, not on the
-subset. A sector moves the subset's axes to the front and reshapes the
-pushed factor to Phi, of shape d_S x rest with rest = D r / d_S. The
+pushed factor depends only on the cut, not on the subset. A sector moves
+the subset's axes to the front and reshapes the pushed factor to Phi, of
+shape d_S x rest with rest = D r / d_S. The
 unnormalized sector is the Gram matrix Phi Phi^dagger, O(d_S D r): no
 D x D operator is formed or traced unless the subset is everything. Its
 validation reads the spectrum on Phi's small side: when d_S > rest, from
@@ -39,25 +39,21 @@ the rest x rest matrix Phi^dagger Phi (see `linalg.normalize`). For a
 full-rank mixed initial state (r = D) the Gram product is O(d_S D^2),
 dearer than a pure one, most for large subsets.
 
-Selecting the interventions is the OR of the members' past rows. The
-scenario computes its intervention events once (`Scenario.events`, a
-K x (1+d) array). Member i's row at proper time tau is one vectorised test
-of its evaluation event's closed past against all K rows, kept as a bitmask
-in `Scenario.past_rows` until i is asked for at another tau. So a subset's
-selection (`past_union_ids`) locates and tests only members whose proper
-time changed, and a `polystate_at` call costs at most n tests, not one per
-member of each of its 2^n - 1 subsets. The rows live on the scenario, not in
-the sector cache, and a `replace`d or boosted copy starts without them.
-Observer and foliation states select through a `Region` (`selected_ids`).
+A subset's cut is the elementwise max of its members' past rows. Member
+i's row at proper time tau is one vectorised test of its evaluation event's
+closed past against the K intervention events (`Scenario.events`), kept as
+a cut in `Scenario.past_rows` until i is asked for at another tau, so a
+`polystate_at` call costs at most n tests, not one per member of each of its
+2^n - 1 subsets. A `replace`d or boosted copy starts without rows. Observer
+and foliation states take the cut of their region's mask.
 
 Sectors are piecewise constant in the proper times: they change only when an
 intervention event enters or leaves the union of causal pasts. The optional
-cache passed to `sector` and `polystate_at` is keyed by the selected
-intervention ids; each entry holds the pushed factor and the sectors
-already read from it, so a new subset on a selection already pushed costs
-only its Gram product and validation, and sweeps over tau grids reuse each distinct
-computation. `polystate_at` keeps a cache of its own when given none, so one
-call pushes once per distinct selection.
+cache passed to `sector` and `polystate_at` is keyed by the cut; each entry
+holds the pushed factor and the sectors already read from it, so a new
+subset on a cut already pushed costs only its Gram product and validation.
+`polystate_at` keeps a cache of its own when given none, so one call pushes
+once per distinct cut.
 """
 
 from __future__ import annotations
@@ -70,8 +66,8 @@ import numpy as np
 
 from . import linalg
 from .errors import ImpossibleOutcomeError
-from .scenario import Scenario, local_sequences, selected_ids
-from .spacetime import (Foliation, PastOfEvent, PastOfLeaf, Region, Worldline,
+from .scenario import Scenario, local_sequences
+from .spacetime import (Foliation, PastOfEvent, PastOfLeaf, Worldline,
                         causally_precedes, position)
 
 MAX_SUBSYSTEMS = 10
@@ -89,61 +85,38 @@ class Polystate:
         return self.sectors[tuple(sorted(subset))]
 
 
-def past_union_ids(s: Scenario, taus, subset) -> tuple:
-    """Ids of the interventions inside the union of the subset's closed
-    causal pasts at the given proper times, in ascending order: the OR of
-    its members' past rows, each computed once per member and proper time
-    (`Scenario.past_rows`)."""
+def past_cut(s: Scenario, taus, subset) -> tuple:
+    """The cut of the union of the subset's closed causal pasts at the given
+    proper times: the elementwise max of its members' past rows, each
+    computed once per member and proper time (`Scenario.past_rows`)."""
     rows = s.past_rows
-    mask = 0
     for i in subset:
         tau = float(taus[i])
         if rows[i] is None or rows[i][0] != tau:
             inside = causally_precedes(s.events, position(s.worldlines[i], tau))
-            rows[i] = (tau, sum(1 << k for k in np.flatnonzero(inside).tolist()))
-        mask |= rows[i][1]
-    # bit k of the mask is character k of bin(mask) read from the right
-    return tuple(k for k, bit in enumerate(reversed(bin(mask))) if bit == "1")
+            rows[i] = (tau, s.cut_of(inside))
+    if len(subset) == 1:
+        return rows[subset[0]][1]
+    return tuple(map(max, *(rows[i][1] for i in subset)))
 
 
-def _prefix_products(s: Scenario, ids):
-    """[(j, M_j)] read from `Scenario.chains` when every subsystem's chosen
-    interventions are the first L_j of its (tau, id) order, else None."""
-    places, heads, products = s.chains
-    count = [0] * s.n
-    total = [0] * s.n
-    for k in set(ids):
-        j, rank = places[k]
-        count[j] += 1
-        total[j] += rank
-    operators = []
-    for j in heads:
-        c = count[j]
-        # c distinct ranks are 0..c-1 exactly when they add up to c(c-1)/2
-        if 2 * total[j] != c * (c - 1):
-            return None
-        if c:
-            operators.append((j, products[j][c - 1]))
-    return operators
-
-
-def push(s: Scenario, ids, outcomes=None) -> np.ndarray:
-    """The initial factor Psi pushed through the chosen interventions, D x r:
-    each subsystem's operators (the recorded branches, or the ones
-    `outcomes` assigns, as in `local_sequences`) multiply into one M_j in
-    (tau, id) order, applied on that subsystem's axis of Psi. Recorded
-    branches that are a prefix of every subsystem's order are read from
-    `Scenario.chains`; other selections multiply as they go."""
+def push(s: Scenario, cut, outcomes=None) -> np.ndarray:
+    """The initial factor Psi pushed through a cut's interventions, D x r:
+    subsystem j's first L_j operators in (tau, id) order make one M_j,
+    applied on its axis of Psi, read from `Scenario.chains` for the recorded
+    branches and multiplied as they go for the ones `outcomes` assigns."""
     dims = s.dims
     psi = s.initial_factor
-    operators = None if outcomes else _prefix_products(s, ids)
-    if operators is None:
+    if outcomes:
         operators = []
-        for j, sequence in local_sequences(s, ids, outcomes).items():
+        for j, sequence in local_sequences(s, s.cut_ids(cut), outcomes).items():
             (m,) = sequence[0]
             for (k,) in sequence[1:]:
                 m = k @ m
             operators.append((j, m))
+    else:
+        products = s.chains.products
+        operators = [(j, products[j][cut[j] - 1]) for j in s.chains.heads if cut[j]]
     for j, m in operators:
         psi = m @ psi.reshape(math.prod(dims[:j]), dims[j], -1)
     return psi.reshape(math.prod(dims), -1)
@@ -159,26 +132,33 @@ def _subset_factor(s: Scenario, psi, subset) -> np.ndarray:
     return phi.reshape(math.prod(s.dims[i] for i in subset), -1)
 
 
-def pushed(s: Scenario, ids, subset, outcomes=None) -> np.ndarray:
+def pushed(s: Scenario, cut, subset, outcomes=None) -> np.ndarray:
     """Tr_complement[K rho K^dagger] on the given subsystems, in the order
-    given, for the chosen interventions, not normalized: its trace is the
+    given, for the cut's interventions, not normalized: its trace is the
     Born weight of their recorded branches (or of the branches `outcomes`
     assigns). It is the Gram matrix Phi Phi^dagger of the `push`ed factor."""
-    phi = _subset_factor(s, push(s, ids, outcomes), subset)
+    phi = _subset_factor(s, push(s, cut, outcomes), subset)
     return phi @ phi.conj().T
 
 
-def state_after(s: Scenario, ids, subset, psi=None) -> np.ndarray:
-    """The subset's state after the given interventions: `pushed`,
+def state_after(s: Scenario, cut, subset, cache=None) -> np.ndarray:
+    """The subset's state after the cut's interventions: `pushed`,
     normalized by the recorded branches' Born weight and validated on the
-    small side of its factor. Pass `psi`, the factor `push` returns for
-    these ids, to reuse it."""
-    phi = _subset_factor(s, push(s, ids) if psi is None else psi, subset)
-    try:
-        return linalg.normalize(phi @ phi.conj().T, phi)
-    except ImpossibleOutcomeError as exc:
-        names = ",".join(s.names[i] for i in subset)
-        raise ImpossibleOutcomeError(f"sector {{{names}}}: {exc}") from None
+    small side of its factor. A cache, a dict shared across calls for the
+    same scenario, keeps per cut the pushed factor and the states already
+    read from it, so each cut is pushed once."""
+    cache = {} if cache is None else cache
+    if cut not in cache:
+        cache[cut] = (push(s, cut), {})
+    psi, states = cache[cut]
+    if subset not in states:
+        phi = _subset_factor(s, psi, subset)
+        try:
+            states[subset] = linalg.normalize(phi @ phi.conj().T, phi)
+        except ImpossibleOutcomeError as exc:
+            names = ",".join(s.names[i] for i in subset)
+            raise ImpossibleOutcomeError(f"sector {{{names}}}: {exc}") from None
+    return states[subset]
 
 
 def sector(s: Scenario, taus, subset, cache=None) -> np.ndarray:
@@ -187,21 +167,12 @@ def sector(s: Scenario, taus, subset, cache=None) -> np.ndarray:
     :param taus: proper-time tuple, one entry per subsystem; entries outside
         the subset are ignored (singleton sectors depend only on their own).
     :param cache: optional dict shared across calls for the same scenario,
-        keyed by the selected intervention ids; each entry holds the pushed
-        factor and the sectors already read from it.
+        as in `state_after`.
     """
     subset = tuple(sorted(set(subset)))
     if not subset:
         raise ValueError("subset must be nonempty")
-    ids = past_union_ids(s, taus, subset)
-    if cache is None:
-        return state_after(s, ids, subset)
-    if ids not in cache:
-        cache[ids] = (push(s, ids), {})
-    psi, sectors = cache[ids]
-    if subset not in sectors:
-        sectors[subset] = state_after(s, ids, subset, psi)
-    return sectors[subset]
+    return state_after(s, past_cut(s, taus, subset), subset, cache)
 
 
 def all_subsets(n: int):
@@ -256,8 +227,7 @@ def conditional_prob(s: Scenario, i: int, proj, conditioning_taus) -> float:
 def observer_state(s: Scenario, x) -> np.ndarray:
     """What a maximally informed observer at event x assigns the whole
     system: the initial state pushed through the causal past of x."""
-    ids = selected_ids(s, Region((PastOfEvent(np.asarray(x, dtype=float)),)))
-    return state_after(s, ids, range(s.n))
+    return state_after(s, s.cut_of(PastOfEvent(x).contains(s.events)), range(s.n))
 
 
 def recollection(s: Scenario, z: Worldline, tau: float) -> np.ndarray:
@@ -267,5 +237,4 @@ def recollection(s: Scenario, z: Worldline, tau: float) -> np.ndarray:
 
 def foliation_state(s: Scenario, f: Foliation, t: float) -> np.ndarray:
     """State conditioned on everything at or below leaf t of the foliation."""
-    ids = selected_ids(s, Region((PastOfLeaf(f, t),)))
-    return state_after(s, ids, range(s.n))
+    return state_after(s, s.cut_of(PastOfLeaf(f, t).contains(s.events)), range(s.n))

@@ -28,7 +28,7 @@ from itertools import product
 import numpy as np
 
 from . import linalg
-from .engine import all_subsets, past_union_ids, pushed, sector
+from .engine import all_subsets, past_cut, pushed, sector
 from .errors import BranchExplosionError, EmptyEnsembleError
 from .scenario import Scenario, SelectiveOp, apply_interventions
 
@@ -64,7 +64,7 @@ def enumerate_branches(s: Scenario, cap: int = BRANCH_CAP) -> list:
     total = math.prod(counts) if counts else 1
     if total > cap:
         raise BranchExplosionError(f"{total} branches exceed the cap {cap}")
-    every = range(len(s.interventions))
+    every = tuple(map(len, s.chains.products))
     return [Branch(outcomes=combo,
                    probability=float(pushed(s, every, (), dict(zip(order, combo)))[0, 0].real))
             for combo in product(*[range(c) for c in counts])]
@@ -197,19 +197,16 @@ def branch_frequencies(log: RunLog, s: Scenario) -> dict:
     return {tuple(map(int, np.unravel_index(c, counts))): int(f) for c, f in zip(codes, freq)}
 
 
-def _inside_past_union(s: Scenario, subset, taus):
-    """The sorted subset and the ids of the interventions inside the union
-    of its members' causal pasts."""
+def _selection(s: Scenario, subset, taus) -> tuple:
+    """The sorted subset, the ids inside the union of its members' causal
+    pasts, and the cut of the interventions that reach its ensemble: those
+    inside the past union, and every one on a subsystem outside the subset,
+    which happens regardless, just to someone else's qubit."""
     subset = tuple(sorted(set(subset)))
-    return subset, frozenset(past_union_ids(s, taus, subset))
-
-
-def _applied_for_subset(s: Scenario, subset, inside) -> list:
-    # an intervention reaches the subset's ensemble when its event is inside
-    # the past union; interventions on subsystems outside the subset happen
-    # regardless, they just happen to someone else's qubit
-    return [k for k in range(len(s.interventions))
-            if k in inside or s.interventions[k].subsystem not in subset]
+    inside = past_cut(s, taus, subset)
+    applied = tuple(inside[j] if j in subset else len(chain)
+                    for j, chain in enumerate(s.chains.products))
+    return subset, set(s.cut_ids(inside)), applied
 
 
 def empirical_sector(log: RunLog, s: Scenario, subset, taus) -> np.ndarray:
@@ -221,8 +218,7 @@ def empirical_sector(log: RunLog, s: Scenario, subset, taus) -> np.ndarray:
     reduced to the subset; runs that differ only in outcomes that never
     reached the subset stay in the ensemble and contribute their own branch.
     """
-    subset, inside = _inside_past_union(s, subset, taus)
-    applied = _applied_for_subset(s, subset, inside)
+    subset, inside, applied = _selection(s, subset, taus)
     order = log.order
     keep_cols = [j for j, k in enumerate(order) if k in inside]
     recorded = np.array([s.interventions[order[j]].op.chosen for j in keep_cols])
@@ -250,8 +246,8 @@ def analytic_sector(s: Scenario, subset, taus) -> np.ndarray:
     result is reduced and normalized. Equals the engine's sector because
     channels on traced-out subsystems drop out of the partial trace.
     """
-    subset, inside = _inside_past_union(s, subset, taus)
-    applied = _applied_for_subset(s, subset, inside)
+    subset, inside, applied = _selection(s, subset, taus)
+    applied = s.cut_ids(applied)
     # outside the past union, only interventions off the subset happen, and
     # with no outcome recorded they act as their full channel
     channels = {k: None for k in applied if k not in inside}

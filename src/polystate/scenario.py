@@ -34,8 +34,10 @@ from __future__ import annotations
 import json
 import math
 import re
+import sys
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -73,6 +75,21 @@ class Intervention:
     op: object  # UnitaryOp or SelectiveOp
 
 
+class Chains(NamedTuple):
+    """Each subsystem's recorded operators multiplied up in (tau, id) order
+    (`Scenario.chains`). Intervention k is number rank[k] in subsystem
+    owner[k]'s order (read-only int arrays over `Scenario.events`). heads
+    lists the subsystems that have interventions, by the (tau, id) of their
+    first. products[j][L] = op_L @ products[j][L - 1], with products[j][0]
+    the first recorded operator itself, so a cut applies
+    products[j][L_j - 1], in the association `engine.push` multiplies
+    outcome overrides in."""
+    owner: np.ndarray
+    rank: np.ndarray
+    heads: tuple
+    products: tuple
+
+
 @dataclass
 class Scenario:
     spatial_dim: int
@@ -103,27 +120,19 @@ class Scenario:
 
     @cached_property
     def past_rows(self) -> list:
-        """Per subsystem, None or (tau, mask): the interventions in the
-        closed causal past of its event at proper time tau, as a bitmask
-        over `events`, bit k for intervention k. It is
-        `engine.past_union_ids`'s memo of each member's last proper time,
+        """Per subsystem, None or (tau, cut): the interventions in the
+        closed causal past of its event at proper time tau, as a cut. It is
+        `engine.past_cut`'s memo of each member's last proper time,
         created empty on first use; `dataclasses.replace` builds a new
         Scenario, so a variant never sees another's rows."""
         return [None] * self.n
 
     @cached_property
-    def chains(self) -> tuple:
-        """(places, heads, products), the recorded operators of each
-        subsystem multiplied up in (tau, id) order, computed on first use.
-        places[k] is (j, L): intervention k is number L in subsystem j's
-        order. heads lists the subsystems that have interventions, by the
-        (tau, id) of their first. products[j][L] = op_L @ products[j][L - 1],
-        with products[j][0] the first operator itself: the association
-        `engine.push` multiplies a selection in. `dataclasses.replace` builds
-        a new Scenario, so a variant with other recorded outcomes never sees
-        another's products."""
+    def chains(self) -> Chains:
+        """Computed on first use; a `replace`d variant, with its own recorded
+        outcomes, builds its own."""
         ivs = self.interventions
-        places = [None] * len(ivs)
+        rank = np.empty(len(ivs), dtype=np.intp)
         products = [[] for _ in range(self.n)]
         heads = []
         for k in sorted(range(len(ivs)), key=lambda k: (ivs[k].tau, k)):
@@ -131,11 +140,29 @@ class Scenario:
             chain = products[j]
             if not chain:
                 heads.append(j)
-            places[k] = (j, len(chain))
+            rank[k] = len(chain)
             op = ivs[k].op
             op = op.matrix if isinstance(op, UnitaryOp) else op.kraus[op.chosen]
             chain.append(op @ chain[-1] if chain else op)
-        return tuple(places), tuple(heads), tuple(tuple(chain) for chain in products)
+        owner = np.array([iv.subsystem for iv in ivs], dtype=np.intp)
+        owner.flags.writeable = rank.flags.writeable = False
+        return Chains(owner, rank, tuple(heads), tuple(map(tuple, products)))
+
+    def cut_of(self, mask) -> tuple:
+        """The cut of a boolean mask over `events`: per subsystem j, how many
+        of its interventions are applied in (tau, id) order, 1 + the largest
+        rank the mask selects on j (0 if none). It closes a gap that
+        rounding leaves in a causal past, which meets a worldline in a
+        prefix."""
+        owner, rank = self.chains.owner, self.chains.rank
+        cut = np.zeros(self.n, dtype=np.intp)
+        np.maximum.at(cut, owner[mask], rank[mask] + 1)
+        return tuple(cut.tolist())
+
+    def cut_ids(self, cut) -> tuple:
+        """Ids of the interventions a cut applies, in ascending order."""
+        owner, rank = self.chains.owner.tolist(), self.chains.rank.tolist()
+        return tuple(k for k, (j, r) in enumerate(zip(owner, rank)) if r < cut[j])
 
     @cached_property
     def initial_factor(self) -> np.ndarray:
@@ -192,6 +219,11 @@ def _complex_from_json(v):
     raise ValueError(f"not a complex number: {v!r}")
 
 
+def _finite(x) -> bool:
+    """Whether a parsed JSON value is a number with a finite float value."""
+    return isinstance(x, (int, float)) and abs(x) <= sys.float_info.max
+
+
 def _list_from_json(v, what: str) -> list:
     if not isinstance(v, list):
         raise ValueError(f"not {what}: {v!r}")
@@ -228,6 +260,13 @@ class _Builder:
     def fail(self, field, invariant, message):
         self.diags.append(Diagnostic(field, invariant, message))
 
+    def _list(self, field, raw) -> list:
+        """raw if it is a list, else no entries and a diagnostic."""
+        if isinstance(raw, list):
+            return raw
+        self.fail(field, "well-formed-entries", f"not a list: {raw!r}")
+        return []
+
     def build(self):
         # the tolerance tests are written so that a NaN or infinite entry
         # fails them, with a diagnostic; numpy's warnings on the way are noise
@@ -252,6 +291,9 @@ class _Builder:
             subsystems = []
         for idx, sub in enumerate(subsystems):
             field = f"subsystems[{idx}]"
+            if not isinstance(sub, dict):
+                self.fail(field, "object-required", "subsystem must be an object")
+                continue
             name = sub.get("name")
             if not isinstance(name, str) or not name:
                 self.fail(field + ".name", "nonempty-name", "subsystem name required")
@@ -274,7 +316,7 @@ class _Builder:
         state, ket = self._initial_state(data.get("initial_state"), total)
 
         interventions = []
-        for idx, item in enumerate(data.get("interventions", [])):
+        for idx, item in enumerate(self._list("interventions", data.get("interventions", []))):
             iv = self._intervention(f"interventions[{idx}]", item, names, dims)
             if iv is not None:
                 interventions.append(iv)
@@ -308,31 +350,31 @@ class _Builder:
             self.fail(field + ".anchor", "anchor-dimension",
                       f"anchor must have {1 + d} coordinates")
             return None
-        ok = True
+        if not all(_finite(c) for c in anchor):
+            self.fail(field + ".anchor", "well-formed-entries",
+                      f"anchor coordinates must be finite numbers, got {anchor!r}")
+            return None
+        before = len(self.diags)
         segments = []
-        for k, seg in enumerate(raw.get("segments", [])):
-            dtau = seg.get("dtau")
-            v = seg.get("v")
-            if not isinstance(dtau, (int, float)) or dtau <= 0:
-                self.fail(f"{field}.segments[{k}].dtau", "positive-duration",
-                          f"duration must be > 0, got {dtau!r}")
-                ok = False
-                continue
-            if not self._subluminal(f"{field}.segments[{k}].v", v, d):
-                ok = False
-                continue
-            segments.append(Segment(float(dtau), np.asarray(v, dtype=float)))
+        for k, seg in enumerate(self._list(field + ".segments", raw.get("segments", []))):
+            at = f"{field}.segments[{k}]"
+            if not isinstance(seg, dict):
+                self.fail(at, "object-required", "segment must be an object")
+            elif not _finite(seg.get("dtau")) or not seg["dtau"] > 0:
+                self.fail(at + ".dtau", "positive-duration",
+                          f"duration must be a finite number > 0, got {seg.get('dtau')!r}")
+            elif self._subluminal(at + ".v", seg.get("v"), d):
+                segments.append(Segment(float(seg["dtau"]), np.asarray(seg["v"], dtype=float)))
         final_v = raw.get("final_v", [0.0] * d)
-        if not self._subluminal(field + ".final_v", final_v, d):
-            ok = False
-        if not ok:
+        self._subluminal(field + ".final_v", final_v, d)
+        if len(self.diags) > before:
             return None
         return Worldline(np.asarray(anchor, dtype=float), tuple(segments),
                          np.asarray(final_v, dtype=float))
 
     def _subluminal(self, field, v, d) -> bool:
-        if not isinstance(v, list) or len(v) != d or not all(isinstance(c, (int, float)) for c in v):
-            self.fail(field, "velocity-dimension", f"velocity must have {d} components")
+        if not isinstance(v, list) or len(v) != d or not all(_finite(c) for c in v):
+            self.fail(field, "velocity-dimension", f"velocity must have {d} finite components")
             return False
         if float(np.linalg.norm(v)) >= 1.0:
             self.fail(field, "non-timelike-worldline",
@@ -401,8 +443,8 @@ class _Builder:
         subsystem = names.index(on)
         dim = dims[subsystem]
         tau = item.get("tau")
-        if not isinstance(tau, (int, float)):
-            self.fail(field + ".tau", "real-proper-time", f"tau must be a number, got {tau!r}")
+        if not _finite(tau):
+            self.fail(field + ".tau", "real-proper-time", f"tau must be a finite number, got {tau!r}")
             return None
 
         if "unitary" in item:

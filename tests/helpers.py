@@ -123,3 +123,26 @@ def crossing_oracle(w: Worldline, apex, past: bool, lo=-300.0, hi=300.0) -> floa
         else:
             out_tau = mid
     return 0.5 * (in_tau + out_tau)
+
+
+def proper_time_lines(s: Scenario) -> list:
+    """Per subsystem, its intervention ids in (tau, id) order."""
+    return [sorted((k for k, iv in enumerate(s.interventions) if iv.subsystem == j),
+                   key=lambda k: (s.interventions[k].tau, k))
+            for j in range(s.n)]
+
+
+def reference_cut(s: Scenario, ids) -> tuple:
+    """The cut of a set of ids, by a plain walk: per subsystem, one past the
+    last chosen place in its (tau, id) order, 0 if none is chosen."""
+    ids = set(ids)
+    return tuple(max((r + 1 for r, k in enumerate(line) if k in ids), default=0)
+                 for line in proper_time_lines(s))
+
+
+def prefix_closure(s: Scenario, ids) -> tuple:
+    """The ids together with every intervention earlier in its subsystem's
+    (tau, id) order than a chosen one, in ascending order."""
+    cut = reference_cut(s, ids)
+    return tuple(sorted(k for line, length in zip(proper_time_lines(s), cut)
+                        for k in line[:length]))

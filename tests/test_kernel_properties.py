@@ -4,7 +4,7 @@ the pushed-factor states of the engine's sectors, of every audit rule and of
 every ensemble branch against pushing the whole joint state and tracing
 afterwards; the sector states validated on the small side of their factor
 against the full-spectrum validation, one push per distinct selection, and
-the push itself against multiplying the operators in (tau, id) order.
+the push of a cut against multiplying its operators in (tau, id) order.
 
 Scenario structure (subsystem count, local dimensions, kinds, order and
 proper times of the interventions, worldlines, evaluation times) is drawn by
@@ -24,7 +24,8 @@ from polystate.scenario import (Intervention, Scenario, SelectiveOp, UnitaryOp,
                                 apply_interventions, boosted_scenario, selected_ids)
 from polystate.spacetime import Foliation, Region, position
 
-from helpers import load_fixture, random_density, random_ket, random_unitary
+from helpers import (load_fixture, prefix_closure, proper_time_lines, random_density,
+                     random_ket, random_unitary)
 from test_properties import tau_values, velocities, worldlines
 
 SUITE = settings(max_examples=200, deadline=None, derandomize=True,
@@ -197,22 +198,28 @@ def test_branch_weights_and_states_equal_pushed_states(s, taus):
     """Each branch's weight against the trace of the full push through every
     intervention, and the state it adds to `empirical_sector` against the
     full push through the subset's applied interventions, traced; a branch
-    the full push gives weight 0 weighs exactly 0."""
+    the full push gives weight 0 weighs exactly 0. The applied interventions
+    are the region selection of the subset's pasts, closed on each
+    worldline, and every intervention off the subset."""
     order = ensemble.selective_order(s)
     every = range(len(s.interventions))
     applied = {}
     for members in ((0,), tuple(range(s.n))):
-        subset, inside = ensemble._inside_past_union(s, members, taus)
-        applied[subset] = ensemble._applied_for_subset(s, subset, inside)
+        subset, _, cut = ensemble._selection(s, members, taus)
+        region = Region.union_of_pasts([position(s.worldlines[i], taus[i]) for i in subset])
+        ids = prefix_closure(s, set(selected_ids(s, region)).union(
+            k for k in every if s.interventions[k].subsystem not in subset))
+        assert s.cut_ids(cut) == ids
+        applied[subset] = (cut, ids)
     for b in ensemble.enumerate_branches(s):
         assignment = dict(zip(order, b.outcomes))
         want = float(np.trace(apply_interventions(s, every, s.initial_state,
                                                   outcomes=assignment)).real)
         assert abs(b.probability - want) < TOL
         assert want != 0.0 or b.probability == 0.0
-        for subset, ids in applied.items():
+        for subset, (cut, ids) in applied.items():
             try:
-                got = linalg.normalize(engine.pushed(s, ids, subset, assignment))
+                got = linalg.normalize(engine.pushed(s, cut, subset, assignment))
             except ImpossibleOutcomeError:
                 got = None
             try:
@@ -275,30 +282,36 @@ def outcome_of(f, *args):
         return type(exc)
 
 
-def reference_state_after(s, ids, subset):
+def reference_state_after(s, cut, subset):
     """The reference for `state_after`: `pushed`, normalized and validated
     on its full spectrum."""
-    return linalg.normalize(engine.pushed(s, ids, subset))
+    return linalg.normalize(engine.pushed(s, cut, subset))
+
+
+def cut_of_lengths(s, lengths):
+    """The cut that applies the first lengths[j] interventions of each
+    subsystem j, or all of them where it has fewer."""
+    return tuple(min(length, len(line)) for length, line in zip(lengths, proper_time_lines(s)))
 
 
 @SUITE
 @given(s=scenarios_with_blocked_branch(scenarios_of_rank()),
-       picks=hs.lists(hs.booleans(), min_size=7, max_size=7))
-def test_state_after_equals_normalized_pushed_state(s, picks):
+       lengths=hs.lists(hs.integers(0, 7), min_size=4, max_size=4))
+def test_state_after_equals_normalized_pushed_state(s, lengths):
     """Bit for bit wherever the reference returns the Hermitised input
     unchanged; where it clamps, within the clamp's own size. Both raise
     together."""
-    ids = tuple(k for k, pick in enumerate(picks[:len(s.interventions)]) if pick)
+    cut = cut_of_lengths(s, lengths)
     tall = 0
     for subset in engine.all_subsets(s.n):
         d_s = int(np.prod([s.dims[i] for i in subset]))
         tall += d_s * d_s > int(np.prod(s.dims)) * s.initial_factor.shape[1]
-        got = outcome_of(engine.state_after, s, ids, subset)
-        want = outcome_of(reference_state_after, s, ids, subset)
+        got = outcome_of(engine.state_after, s, cut, subset)
+        want = outcome_of(reference_state_after, s, cut, subset)
         if isinstance(want, type) or isinstance(got, type):
             assert got is want, subset
             continue
-        rho = engine.pushed(s, ids, subset)
+        rho = engine.pushed(s, cut, subset)
         rho = rho / float(np.trace(rho).real)
         if np.array_equal(want, (rho + rho.conj().T) / 2):
             assert np.array_equal(got, want), subset
@@ -311,13 +324,13 @@ def test_state_after_equals_normalized_pushed_state(s, picks):
 @SUITE
 @given(s=scenarios_of_rank(), taus=hs.lists(tau_values, min_size=4, max_size=4))
 def test_polystate_pushes_once_per_selection(s, taus):
-    selections = {engine.past_union_ids(s, taus, subset) for subset in engine.all_subsets(s.n)}
+    selections = {engine.past_cut(s, taus, subset) for subset in engine.all_subsets(s.n)}
     pushes = []
     original = engine.push
 
-    def counting(s, ids, outcomes=None):
-        pushes.append(ids)
-        return original(s, ids, outcomes)
+    def counting(s, cut, outcomes=None):
+        pushes.append(cut)
+        return original(s, cut, outcomes)
 
     engine.push = counting
     try:
@@ -352,9 +365,7 @@ def reference_push(s, ids, outcomes=None):
 def prefix_ids(s, lengths):
     """The first lengths[j] interventions of each subsystem j in (tau, id)
     order, listed backwards with the first one repeated."""
-    order = sorted(range(len(s.interventions)), key=lambda k: (s.interventions[k].tau, k))
-    ids = [k for j in range(s.n)
-           for k in [k for k in order if s.interventions[k].subsystem == j][:lengths[j]]]
+    ids = [k for line, length in zip(proper_time_lines(s), lengths) for k in line[:length]]
     return tuple(ids[::-1] + ids[:1])
 
 
@@ -370,16 +381,18 @@ def variants(s):
 @given(s=scenarios_of_rank(), lengths=hs.lists(hs.integers(0, 6), min_size=4, max_size=4),
        picks=hs.lists(hs.integers(0, 5), max_size=8))
 def test_push_equals_multiplication_in_proper_time_order(s, lengths, picks):
-    """Bit for bit on prefixes (read from `Scenario.chains`), on arbitrary,
-    empty and repeated ids, with and without outcome overrides, for the
-    scenario and variants that each record their own branches."""
+    """Bit for bit on drawn, empty and full cuts (read from
+    `Scenario.chains`), with and without outcome overrides, for the scenario
+    and variants that each record their own branches; the reference
+    multiplies the cut's ids, listed out of order and repeated."""
     for v in variants(s):
-        prefix = prefix_ids(v, lengths)
-        assert engine._prefix_products(v, prefix) is not None
-        arbitrary = tuple(k for k in picks if k < len(v.interventions))
+        counts = [len(line) for line in proper_time_lines(v)]
         others = {k: (v.interventions[k].op.chosen + 1) % len(v.interventions[k].op.kraus)
-                  for k in arbitrary if isinstance(v.interventions[k].op, SelectiveOp)}
-        for ids in (prefix, arbitrary, ()):
+                  for k in picks
+                  if k < len(v.interventions) and isinstance(v.interventions[k].op, SelectiveOp)}
+        for cut in (cut_of_lengths(v, lengths), (0,) * v.n, tuple(counts)):
+            ids = prefix_ids(v, cut)
+            assert v.cut_ids(cut) == tuple(sorted(set(ids)))
             for outcomes in (None, {}, others):
-                assert np.array_equal(engine.push(v, ids, outcomes),
+                assert np.array_equal(engine.push(v, cut, outcomes),
                                       reference_push(v, ids, outcomes))

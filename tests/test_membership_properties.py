@@ -14,14 +14,14 @@ import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as hs
 
-from polystate import engine, linalg
+from polystate import audit, engine, ensemble, linalg
 from polystate.scenario import (Intervention, Scenario, SelectiveOp, UnitaryOp,
                                 boosted_scenario, selected_ids)
 from polystate.spacetime import (Foliation, PastOfEvent, PastOfLeaf, Region, Worldline,
                                  causally_precedes, chronologically_precedes,
                                  lightcone_crossings, position, region_contains)
 
-from helpers import load_fixture
+from helpers import load_fixture, prefix_closure, proper_time_lines, reference_cut
 from test_properties import velocities, worldlines
 
 SUITE = settings(max_examples=200, deadline=None, derandomize=True,
@@ -206,7 +206,7 @@ def test_events_are_cached_per_scenario_and_read_only():
 
 
 def _region_selection(s: Scenario, taus, subset) -> tuple:
-    """Reference for `engine.past_union_ids`: the region of the members'
+    """Reference for `engine.past_cut`: the ids in the region of the members'
     pasts, each member located afresh."""
     return selected_ids(s, Region.union_of_pasts([position(s.worldlines[i], taus[i])
                                                   for i in subset]))
@@ -246,10 +246,13 @@ def memo_calls(draw):
 @SUITE
 @given(calls=memo_calls())
 def test_past_union_ids_equal_region_selection(calls):
+    """Each call's cut is the region selection closed on each worldline."""
     for v, taus, subset in calls:
-        got = engine.past_union_ids(v, taus, subset)
-        assert got == _region_selection(v, taus, subset)
-        assert all(type(k) is int for k in got)
+        got = engine.past_cut(v, taus, subset)
+        want = _region_selection(v, taus, subset)
+        assert got == reference_cut(v, want)
+        assert v.cut_ids(got) == prefix_closure(v, want)
+        assert all(type(length) is int for length in got)
 
 
 def test_past_union_ids_on_the_null_cone():
@@ -259,7 +262,65 @@ def test_past_union_ids_on_the_null_cone():
     for taus, subset, want in (((0.0, 3.0), (1,), (0,)), ((0.0, early), (1,), ()),
                                ((0.0, 3.0), (0, 1), (0,)), ((1.0, early), (0, 1), (0,)),
                                ((1.0, early), (1,), ()), ((0.0, early), (0, 1), ())):
-        assert engine.past_union_ids(s, taus, subset) == _region_selection(s, taus, subset) == want
+        cut = engine.past_cut(s, taus, subset)
+        assert s.cut_ids(cut) == _region_selection(s, taus, subset) == want
+        assert cut == ((1,) if want else (0,)) + (0,)
+
+
+def test_cut_closes_a_rounding_gap_on_one_worldline():
+    """Two interventions on a v = 0.75 worldline one ulp apart in proper time
+    round to one time coordinate and a spatial gap of one ulp, so the earlier
+    event is outside the later one's computed causal past. Exact geometry
+    puts it inside, and so does the cut: the sector and every audit rule
+    apply both, the Hadamard and then the measurement recording 1 (which
+    |0> alone could not give)."""
+    later = np.nextafter(-3.0, math.inf)
+    assert later == -2.9999999999999996
+    w = Worldline(np.zeros(2), (), np.array([0.75]))
+    measure = SelectiveOp(kraus=(linalg.projector(linalg.KET0), linalg.projector(linalg.KET1)),
+                          chosen=1, labels=("0", "1"))
+    s = Scenario(spatial_dim=1, names=("A",), dims=(2,), worldlines=(w,),
+                 initial_state=linalg.projector(linalg.KET0),
+                 interventions=(Intervention(0, -3.0, UnitaryOp(linalg.HADAMARD)),
+                                Intervention(0, later, measure)))
+    x = position(w, later)
+    assert np.array_equal(causally_precedes(s.events, x), [False, True])
+    assert _region_selection(s, (later,), (0,)) == (1,)
+    assert engine.past_cut(s, (later,), (0,)) == (2,)
+    assert np.array_equal(engine.sector(s, (later,), (0,)), linalg.projector(linalg.KET1))
+    for p in audit.default_prescriptions(Foliation(np.array([0.3]))):
+        assert s.cut_of(p.applied(s.events, x)) == (2,), p.name
+        assert audit._event_cuts(p, s, (later,)) == [(2,)], p.name
+    assert s.cut_ids((2,)) == (0, 1)
+
+
+def _assert_covers_and_is_prefix(s: Scenario, cut, ids):
+    """cut_ids(cut) contains ids and is a prefix of every worldline's
+    (tau, id) order."""
+    got = s.cut_ids(cut)
+    assert set(ids) <= set(got)
+    for line, length in zip(proper_time_lines(s), cut):
+        assert [k for k in line if k in got] == line[:length]
+
+
+@SUITE
+@given(calls=memo_calls(), data=hs.data())
+def test_every_cut_contains_its_mask_and_is_a_prefix(calls, data):
+    """For the cuts that `engine.past_cut`, every audit rule and
+    `ensemble._selection` make."""
+    rules = audit.default_prescriptions(Foliation(data.draw(velocities(calls[0][0].spatial_dim))))
+    for s, taus, subset in calls:
+        cut = engine.past_cut(s, taus, subset)
+        inside = _region_selection(s, taus, subset)
+        _assert_covers_and_is_prefix(s, cut, inside)
+        off = [k for k, iv in enumerate(s.interventions) if iv.subsystem not in subset]
+        _, ids, applied = ensemble._selection(s, subset, taus)
+        assert ids == set(s.cut_ids(cut))
+        _assert_covers_and_is_prefix(s, applied, set(inside).union(off))
+        for p in rules:
+            for i, rule_cut in enumerate(audit._event_cuts(p, s, taus)):
+                mask = p.applied(s.events, position(s.worldlines[i], taus[i]))
+                _assert_covers_and_is_prefix(s, rule_cut, np.flatnonzero(mask).tolist())
 
 
 def test_polystate_locates_each_member_once_per_proper_time(monkeypatch):

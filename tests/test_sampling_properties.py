@@ -70,8 +70,7 @@ def rows_empirical_sector(log, s, subset, taus):
     branch state comes from the same kernel, `engine.pushed`, so the two
     agree bit for bit (the kernel itself is checked against the full push
     in `test_kernel_properties`)."""
-    subset, inside = ensemble._inside_past_union(s, subset, taus)
-    applied = ensemble._applied_for_subset(s, subset, inside)
+    subset, inside, applied = ensemble._selection(s, subset, taus)
     order = log.order
     keep_cols = [j for j, k in enumerate(order) if k in inside]
     recorded = np.array([s.interventions[order[j]].op.chosen for j in keep_cols])

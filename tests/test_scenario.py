@@ -278,16 +278,38 @@ def test_non_finite_basis_ket_rejected():
         _expect_invariant_quietly(doc, "kraus-incomplete")
 
 
-# (where, value): a matrix, ket, Kraus list or basis that is a flat list or
-# a scalar where nested lists belong
+NAN, INF = float("nan"), float("inf")
+WELL_FORMED = ["well-formed-entries"]
+
+# (where, value, invariants): a matrix, ket, Kraus list or basis that is a
+# flat list or a scalar where nested lists belong; an entry that is not an
+# object or a list where one belongs; a coordinate, velocity, duration or
+# proper time that is not a finite number. A subsystem list without an
+# object also leaves the intervention on A without its subsystem.
 MALFORMED = (
-    ("initial_state", {"matrix": [0.5, 0.5]}),
-    ("initial_state", {"matrix": 1.0}),
-    ("initial_state", {"ket": 1.0}),
-    ("measure", {"kraus": [1.0, 0.0], "outcome": 0}),
-    ("measure", {"kraus": 1.0, "outcome": 0}),
-    ("measure", {"projective_basis": [1.0, 0.0], "outcome": 0}),
-    ("unitary", [1.0, 0.0]),
+    ("initial_state", {"matrix": [0.5, 0.5]}, WELL_FORMED),
+    ("initial_state", {"matrix": 1.0}, WELL_FORMED),
+    ("initial_state", {"ket": 1.0}, WELL_FORMED),
+    ("measure", {"kraus": [1.0, 0.0], "outcome": 0}, WELL_FORMED),
+    ("measure", {"kraus": 1.0, "outcome": 0}, WELL_FORMED),
+    ("measure", {"projective_basis": [1.0, 0.0], "outcome": 0}, WELL_FORMED),
+    ("unitary", [1.0, 0.0], WELL_FORMED),
+    ("subsystems", [5], ["object-required", "unknown-subsystem"]),
+    ("worldline", {"segments": [5]}, ["object-required"]),
+    ("worldline", {"segments": 5}, WELL_FORMED),
+    ("interventions", 5, WELL_FORMED),
+    ("worldline", {"anchor": ["a", 0]}, WELL_FORMED),
+    ("worldline", {"anchor": [NAN, 0.0]}, WELL_FORMED),
+    ("worldline", {"anchor": [0.0, -INF]}, WELL_FORMED),
+    ("worldline", {"anchor": [10**400, 0.0]}, WELL_FORMED),
+    ("worldline", {"final_v": [NAN]}, ["velocity-dimension"]),
+    ("worldline", {"final_v": [INF]}, ["velocity-dimension"]),
+    ("worldline", {"segments": [{"dtau": 1.0, "v": [NAN]}]}, ["velocity-dimension"]),
+    ("worldline", {"segments": [{"dtau": NAN, "v": [0.0]}]}, ["positive-duration"]),
+    ("worldline", {"segments": [{"dtau": INF, "v": [0.0]}]}, ["positive-duration"]),
+    ("tau", NAN, ["real-proper-time"]),
+    ("tau", INF, ["real-proper-time"]),
+    ("tau", 10**400, ["real-proper-time"]),
 )
 
 
@@ -297,22 +319,29 @@ def _malformed_doc(where, value):
         doc["initial_state"] = value
     elif where == "measure":
         doc["interventions"][0]["measure"] = value
-    else:
+    elif where == "unitary":
         doc["interventions"][0] = {"on": "A", "tau": 1.0, "unitary": value}
+    elif where == "worldline":
+        doc["subsystems"][0]["worldline"].update(value)
+    elif where == "tau":
+        doc["interventions"][0]["tau"] = value
+    else:
+        doc[where] = value
     return doc
 
 
-@pytest.mark.parametrize("where,value", MALFORMED)
-def test_malformed_matrix_gets_a_diagnostic(where, value, tmp_path, capsys):
+@pytest.mark.parametrize("where,value,invariants", MALFORMED,
+                         ids=[f"{case[0]}-value{i}" for i, case in enumerate(MALFORMED)])
+def test_malformed_matrix_gets_a_diagnostic(where, value, invariants, tmp_path, capsys):
     doc = _malformed_doc(where, value)
     with pytest.raises(ScenarioValidationError) as err:
         parse_scenario(json.dumps(doc))
-    assert [d.invariant for d in err.value.diagnostics] == ["well-formed-entries"]
+    assert [d.invariant for d in err.value.diagnostics] == invariants
     path = tmp_path / "malformed.scn"
     path.write_text(json.dumps(doc), encoding="utf-8")
     assert cli.main(["validate", str(path)]) == 1
     out = json.loads(capsys.readouterr().out)
-    assert [d["invariant"] for d in out["diagnostics"]] == ["well-formed-entries"]
+    assert [d["invariant"] for d in out["diagnostics"]] == invariants
 
 
 def test_long_ket_rejected_before_its_projector():

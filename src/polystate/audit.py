@@ -9,10 +9,11 @@ except strictly inside the intervention's own causal past, boundary
 included. A fixed foliation folds it once the intervention's leaf lies at
 or below the leaf through x. Each rule's test is its `applied(events, x)`
 method, which the sector rule shares with the future lightcone rule, and
-every state below is `engine.state_after` on the cut of the set a test picks.
+every state below is `engine.state_after` on the cut of the set a test picks,
+evaluated once per leaf by `leaf_states`.
 
 When the two parties' evaluation events disagree about what has been folded
-in, no single joint operator exists; `single_state` then returns the
+in, no single joint operator exists; `leaf_states` then returns the
 patchwork product of the per-event reduced states, which is exactly the
 object a single-state bookkeeper would be forced to write down. The sector
 rule takes the sector of the union of their causal pasts instead.
@@ -83,45 +84,35 @@ def _reduced(s: Scenario, cuts, cache: dict) -> list:
     return [engine.state_after(s, cut, (i,), cache) for i, cut in enumerate(cuts)]
 
 
-def _union_state(p, s: Scenario, cuts, cache: dict):
-    """The joint state when the applied cuts define one, for the sector rule
-    or when every evaluation event applied all of their union; else None."""
+def leaf_states(p, s: Scenario, taus) -> tuple:
+    """(joint, reduced states) of the prescription at one proper-time tuple,
+    from one evaluation of its applied cuts, each distinct cut pushed once.
+    The joint state is the state after the union of the cuts for the sector
+    rule and when every evaluation event applied all of it; otherwise it is
+    the patchwork, the tensor product of the reduced states."""
+    cuts = _event_cuts(p, s, taus)
+    cache: dict = {}
     union = tuple(max(lengths) for lengths in zip(*cuts))
+    joint = None
     if isinstance(p, PolystateRule) or all(cut == union for cut in cuts):
-        return engine.state_after(s, union, range(s.n), cache)
-    return None
-
-
-def _patchwork(locals_) -> np.ndarray:
-    return linalg.check_density(linalg.kron_all(*locals_))
+        joint = engine.state_after(s, union, range(s.n), cache)
+    locals_ = _reduced(s, cuts, cache)
+    if joint is None:
+        joint = linalg.check_density(linalg.kron_all(*locals_))
+    return joint, locals_
 
 
 def single_state(p, s: Scenario, taus) -> np.ndarray:
-    """The prescription's one density operator for the whole system at the
-    given proper times. The sector rule and any rule whose evaluation events
-    agree on the applied interventions give one well-defined state; otherwise
-    it degrades to the tensor product of the per-event reduced states."""
-    cuts = _event_cuts(p, s, taus)
-    cache: dict = {}
-    joint = _union_state(p, s, cuts, cache)
-    return _patchwork(_reduced(s, cuts, cache)) if joint is None else joint
+    """The joint state of `leaf_states`."""
+    return leaf_states(p, s, taus)[0]
 
 
 def reduced_states(p, s: Scenario, taus) -> list:
-    """Per-subsystem local descriptions under the prescription."""
+    """The reduced states of `leaf_states`, computed alone. No union cut is
+    formed, so this returns where `leaf_states` raises because the union's
+    recorded branches cannot occur together while each local cut can, as
+    on `criteria_report`'s scenario with flipped outcomes."""
     return _reduced(s, _event_cuts(p, s, taus), {})
-
-
-def leaf_states(p, s: Scenario, taus) -> tuple:
-    """(`single_state`, `reduced_states`) at one proper-time tuple, computed
-    in that order from one evaluation of the rule's applied cuts, each
-    distinct cut pushed once; a patchwork joint state is built from the
-    reduced states it returns."""
-    cuts = _event_cuts(p, s, taus)
-    cache: dict = {}
-    joint = _union_state(p, s, cuts, cache)
-    locals_ = _reduced(s, cuts, cache)
-    return (_patchwork(locals_) if joint is None else joint), locals_
 
 
 def _flip_outcomes(s: Scenario, subsystem: int) -> Scenario:
@@ -223,20 +214,24 @@ class ChargeLedger:
     initial: float
 
 
+def _charges(s: Scenario) -> tuple:
+    """(total charge operator, its initial expectation) of a qubit scenario."""
+    if any(d != 2 for d in s.dims):
+        raise ValueError("charge audits are defined for qubit scenarios")
+    q_total = linalg.total_charge(s.n)
+    return q_total, linalg.expect(s.initial_state, q_total)
+
+
 def charge_ledger(s: Scenario, f: Foliation, t_grid, source) -> ChargeLedger:
     """Total-charge bookkeeping along a foliation under one prescription:
     the joint expectation versus the sum of per-subsystem local charges."""
-    if any(d != 2 for d in s.dims):
-        raise ValueError("charge ledger is defined for qubit scenarios")
-    q_total = linalg.total_charge(s.n)
-    q_local = linalg.CHARGE
-    initial = linalg.expect(s.initial_state, q_total)
+    q_total, initial = _charges(s)
     q_joint, q_sum = [], []
     for t in t_grid:
         taus = [proper_time_at_leaf(s.worldlines[i], f, t) for i in range(s.n)]
         joint, locals_ = leaf_states(source, s, taus)
         q_joint.append(linalg.expect(joint, q_total))
-        q_sum.append(sum(linalg.expect(r, q_local) for r in locals_))
+        q_sum.append(sum(linalg.expect(r, linalg.CHARGE) for r in locals_))
     return ChargeLedger(t_grid=list(t_grid), q_joint=q_joint, q_sum=q_sum, initial=initial)
 
 
@@ -251,10 +246,7 @@ def recollection_conservation(s: Scenario, z: Worldline, t_grid, f: Foliation) -
     """Total charge in the recollection along a worldline, sampled where the
     worldline crosses each leaf; reports the largest deviation from the
     initial value. Deviations are findings, not errors."""
-    if any(d != 2 for d in s.dims):
-        raise ValueError("charge audits are defined for qubit scenarios")
-    q_total = linalg.total_charge(s.n)
-    initial = linalg.expect(s.initial_state, q_total)
+    q_total, initial = _charges(s)
     values = []
     for t in t_grid:
         tau = proper_time_at_leaf(z, f, t)

@@ -176,11 +176,19 @@ def _parse_observable(spec: str, subset, s) -> np.ndarray:
 
 
 def _reference_ket(name: str, s) -> np.ndarray:
+    """A named state or a 0/1/+/- product string; its dimension is checked
+    against the joint dimension before a product ket is formed."""
     if name in NAMED_STATES:
-        return NAMED_STATES[name]
-    if len(name) == s.n and all(ch in "01+-" for ch in name):
-        return linalg.product_ket(name)
-    raise UsageError(f"unknown reference state {name!r}")
+        dim = len(NAMED_STATES[name])
+    elif name and all(ch in "01+-" for ch in name):
+        dim = 2 ** len(name)
+    else:
+        raise UsageError(f"unknown reference state {name!r}")
+    total = math.prod(s.dims)
+    if dim != total:
+        raise UsageError(f"reference state {name!r} has dimension {dim}, "
+                         f"the joint dimension is {total}")
+    return NAMED_STATES[name] if name in NAMED_STATES else linalg.product_ket(name)
 
 
 def _emit(doc) -> None:
@@ -234,40 +242,27 @@ def cmd_eval(args) -> int:
     return 0
 
 
-_SOURCES = {
-    "polystate": lambda f: audit.PolystateRule(),
-    "foliation": lambda f: audit.FixedFoliation(f),
-    "future_lightcone": lambda f: audit.FutureLightcone(),
-    "past_lightcone": lambda f: audit.PastLightcone(),
-}
-
-
 def cmd_sweep(args) -> int:
     s = _load(args.scenario)
+    if any(d != 2 for d in s.dims):
+        raise UsageError("sweep needs qubit subsystems")
     f = Foliation(_parse_velocity(args.foliation, s.spatial_dim))
     grid = _parse_range(args.t_range)
-    source = _SOURCES[args.source](f)
+    source = next(p for p in audit.default_prescriptions(f) if p.name == args.source)
     refs = args.ref or ["bell_psi_plus", "bell_psi_minus"]
     ref_kets = {name: _reference_ket(name, s) for name in refs}
-    qubits = all(d == 2 for d in s.dims)
 
     writer = csv.writer(sys.stdout)
-    header = ["t"] + [f"tau_{n}" for n in s.names] + [f"fid_{name}" for name in refs]
-    if qubits:
-        header += ["charge_joint", "charge_sum"]
-    writer.writerow(header)
-    q_total = linalg.total_charge(s.n) if qubits else None
+    writer.writerow(["t"] + [f"tau_{n}" for n in s.names] + [f"fid_{name}" for name in refs]
+                    + ["charge_joint", "charge_sum"])
+    q_total = linalg.total_charge(s.n)
     for t in grid:
         taus = [proper_time_at_leaf(s.worldlines[i], f, t) for i in range(s.n)]
-        if qubits:
-            joint, locals_ = audit.leaf_states(source, s, taus)
-        else:
-            joint = audit.single_state(source, s, taus)
+        joint, locals_ = audit.leaf_states(source, s, taus)
         row = [repr(float(t))] + [repr(float(tau)) for tau in taus]
         row += [repr(float(linalg.fidelity_to_ket(joint, ref_kets[name]))) for name in refs]
-        if qubits:
-            row.append(repr(float(linalg.expect(joint, q_total))))
-            row.append(repr(float(sum(linalg.expect(r, linalg.CHARGE) for r in locals_))))
+        row.append(repr(float(linalg.expect(joint, q_total))))
+        row.append(repr(float(sum(linalg.expect(r, linalg.CHARGE) for r in locals_))))
         writer.writerow(row)
     return 0
 
@@ -280,12 +275,11 @@ def cmd_audit(args) -> int:
     grid = _parse_range(args.grid)
     doc = {"schema_version": SCHEMA_VERSION, "command": "audit"}
 
-    bipartite = s.n == 2 and all(d == 2 for d in s.dims)
-    sources = _SOURCES if bipartite else {"polystate": _SOURCES["polystate"]}
+    bipartite = s.n == 2
     ledgers = {}
-    for name, make in sources.items():
-        ledger = audit.charge_ledger(s, f, grid, make(f))
-        ledgers[name] = {
+    for rule in audit.default_prescriptions(f) if bipartite else [audit.PolystateRule()]:
+        ledger = audit.charge_ledger(s, f, grid, rule)
+        ledgers[rule.name] = {
             "t": [float(t) for t in ledger.t_grid],
             "q_joint": [float(v) for v in ledger.q_joint],
             "q_sum": [float(v) for v in ledger.q_sum],
@@ -341,8 +335,7 @@ def cmd_ensemble(args) -> int:
     freq = ensemble.branch_frequencies(log, s)
     report = ensemble.compare_to_polystate(log, s, taus)
 
-    order = ensemble.selective_order(s)
-    labels = [list(s.interventions[k].op.labels) for k in order]
+    labels = [list(s.interventions[k].op.labels) for k in log.order]
     doc = {
         "schema_version": SCHEMA_VERSION,
         "command": "ensemble",
@@ -386,13 +379,19 @@ def cmd_diagram(args) -> int:
             t_lo, t_hi = (_finite(v) for v in args.tau_range.split(":"))
         except ValueError:
             raise UsageError(f"bad --tau-range {args.tau_range!r}; expected LO:HI") from None
+        if t_lo > t_hi:
+            raise UsageError(f"bad --tau-range {args.tau_range!r}; LO is above HI")
+
+    rest = Foliation(np.zeros(1))
 
     def polyline(w):
-        taus = sorted({t_lo, 0.0, t_hi}
-                      | {sum(seg.dtau for seg in w.segments[:k + 1]) for k in range(len(w.segments))})
-        return [[float(c) for c in position(w, tau)] for tau in taus if t_lo <= tau <= t_hi]
+        # from the crossing of t_lo to that of t_hi, through the piece boundaries between
+        lo, hi = (proper_time_at_leaf(w, rest, t) for t in (t_lo, t_hi))
+        taus = sorted({lo, hi} | {piece[0] for piece in w.pieces[1:]})
+        return [[float(c) for c in position(w, tau)] for tau in taus if lo <= tau <= hi]
 
-    xs = [e[1] for e in events] + [float(position(w, t)[1]) for w in s.worldlines for t in (t_lo, t_hi)]
+    polylines = [polyline(w) for w in s.worldlines]
+    xs = [e[1] for e in events] + [vertex[1] for line in polylines for vertex in line]
     x_lo, x_hi = (min(xs, default=-1.0) - 2.0, max(xs, default=1.0) + 2.0)
     span = max(t_hi - t_lo, x_hi - x_lo)
 
@@ -436,8 +435,7 @@ def cmd_diagram(args) -> int:
         "command": "diagram",
         "t_range": [float(t_lo), float(t_hi)],
         "x_range": [float(x_lo), float(x_hi)],
-        "worldlines": [{"name": s.names[i], "vertices": polyline(s.worldlines[i])}
-                       for i in range(s.n)],
+        "worldlines": [{"name": name, "vertices": line} for name, line in zip(s.names, polylines)],
         "interventions": [
             {
                 "on": s.names[iv.subsystem],
@@ -473,7 +471,8 @@ def build_parser() -> _Parser:
     p.add_argument("scenario")
     p.add_argument("--foliation", default="v=0", help="frame velocity, e.g. v=0.5")
     p.add_argument("--t-range", required=True, help="LO:HI:COUNT leaf parameters")
-    p.add_argument("--source", choices=sorted(_SOURCES), default="foliation")
+    p.add_argument("--source", default="foliation",
+                   choices=sorted(rule.name for rule in audit.default_prescriptions()))
     p.add_argument("--ref", action="append", help="reference state name or 0/1/+/- string")
     p.set_defaults(func=cmd_sweep)
 

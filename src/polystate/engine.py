@@ -220,8 +220,7 @@ def conditional_prob(s: Scenario, i: int, proj, conditioning_taus) -> float:
     the past union (its tau at or after the measurement) and keep subsystem
     i's tau before its own measurement; the recorded outcomes of the
     interventions inside the union do the conditioning."""
-    full = sector(s, conditioning_taus, range(s.n))
-    return linalg.expect(full, linalg.lift_local(proj, i, s.dims))
+    return joint_outcome_prob(s, conditioning_taus, [proj if j == i else None for j in range(s.n)])
 
 
 def observer_state(s: Scenario, x) -> np.ndarray:

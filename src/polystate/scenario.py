@@ -211,17 +211,19 @@ def named_basis(name: str):
     raise KeyError(name)
 
 
+# a parsed JSON number is an int or a float by type: `true` and `false`
+# parse as bools, which isinstance counts as ints
 def _complex_from_json(v):
-    if isinstance(v, (int, float)):
+    if type(v) in (int, float):
         return complex(v)
-    if isinstance(v, list) and len(v) == 2 and all(isinstance(c, (int, float)) for c in v):
+    if isinstance(v, list) and len(v) == 2 and all(type(c) in (int, float) for c in v):
         return complex(v[0], v[1])
     raise ValueError(f"not a complex number: {v!r}")
 
 
 def _finite(x) -> bool:
     """Whether a parsed JSON value is a number with a finite float value."""
-    return isinstance(x, (int, float)) and abs(x) <= sys.float_info.max
+    return type(x) in (int, float) and abs(x) <= sys.float_info.max
 
 
 def _list_from_json(v, what: str) -> list:
@@ -280,7 +282,7 @@ class _Builder:
             return None
 
         d = data.get("spacetime", {}).get("d") if isinstance(data.get("spacetime"), dict) else None
-        if not isinstance(d, int) or not 1 <= d <= 3:
+        if type(d) is not int or not 1 <= d <= 3:
             self.fail("spacetime.d", "dimension-range", f"d must be 1, 2 or 3, got {d!r}")
             d = 1
 
@@ -302,7 +304,7 @@ class _Builder:
                 self.fail(field + ".name", "unique-name", f"duplicate subsystem name {name!r}")
             names.append(name)
             dim = sub.get("dim")
-            if not isinstance(dim, int) or dim < 2:
+            if type(dim) is not int or dim < 2:
                 self.fail(field + ".dim", "dimension-range", f"dim must be an integer >= 2, got {dim!r}")
                 dim = 2
             dims.append(dim)
@@ -518,7 +520,7 @@ class _Builder:
                       "kraus operators do not sum to the identity within 1e-10")
             return None
         chosen = raw.get("outcome")
-        if not isinstance(chosen, int) or not 0 <= chosen < len(kraus):
+        if type(chosen) is not int or not 0 <= chosen < len(kraus):
             self.fail(field + ".outcome", "outcome-range",
                       f"outcome must be an index into {len(kraus)} branches, got {chosen!r}")
             return None

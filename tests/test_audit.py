@@ -59,9 +59,10 @@ def test_reduced_states_polystate_delegates_to_engine():
 
 
 def test_leaf_states_select_once_and_match_separate_calls(monkeypatch):
-    """`leaf_states` equals `single_state` and `reduced_states` bit for bit,
-    evaluates the rule once per evaluation event and builds each reduced
-    state once, a patchwork joint state included."""
+    """`leaf_states` evaluates the rule once per evaluation event and builds
+    each reduced state once, a patchwork joint state included. Its joint
+    state is `single_state` by definition, and its reduced states equal
+    `reduced_states`, computed alone, bit for bit."""
     s = load_fixture("epr_test.scn")
     rules = audit.default_prescriptions(Foliation(np.array([0.4])))
     states = []

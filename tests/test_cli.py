@@ -84,6 +84,7 @@ def test_usage_errors_exit_one(tmp_path):
         ("diagram", BELL, "--tau-range", "0:1:2"),
         ("diagram", BELL, "--tau-range", "early:late"),
         ("diagram", BELL, "--tau-range", "0:nan"),
+        ("diagram", BELL, "--tau-range=3:1"),
         ("diagram", BELL, "--leaf", "0.5:inf"),
         ("eval", BELL, "--tau", "A=1.0,B=1.0", "--sector", "A", "--observable", "pauli_n(nan,0)"),
         *(("eval", BELL, "--tau", "A=1.0,B=1.0", "--sector", "A", "--observable", str(path))
@@ -161,6 +162,43 @@ def test_sweep_sources_differ_between_crossings():
     assert abs(float(row_pol["charge_joint"]) + 1.0) < 1e-9
 
 
+def _extended_bell(tmp_path, name, dim_b=2, third=False):
+    """bell_sigma_z.scn with B made a qudit or a third qubit C added, in a
+    pure state of the new joint dimension."""
+    doc = json.loads(fixture_text("bell_sigma_z.scn"))
+    doc["subsystems"][1]["dim"] = dim_b
+    if third:
+        doc["subsystems"].append({
+            "name": "C", "dim": 2,
+            "worldline": {"anchor": [0.0, 5.0], "segments": [], "final_v": [0.0]}})
+    total = 2 * dim_b * (2 if third else 1)
+    doc["initial_state"] = {"ket": [1.0] + [0.0] * (total - 1)}
+    path = tmp_path / name
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def test_sweep_refuses_before_the_header(tmp_path):
+    """A sweep needs qubits and reference kets of the joint dimension; it
+    says so before it writes anything."""
+    qutrit = _extended_bell(tmp_path, "qutrit.scn", dim_b=3)
+    three = _extended_bell(tmp_path, "three.scn", third=True)
+    for args, message in (
+        ((qutrit, "--t-range=0:2:3"), "sweep needs qubit subsystems"),
+        ((qutrit, "--t-range=0:2:3", "--ref", "01"), "sweep needs qubit subsystems"),
+        ((three, "--t-range=0:2:3"), "'bell_psi_plus' has dimension 4, the joint dimension is 8"),
+        ((BELL, "--t-range=0:2:3", "--ref", "010"), "'010' has dimension 8, the joint dimension is 4"),
+        ((BELL, "--t-range=0:2:3", "--ref", ""), "unknown reference state ''"),
+    ):
+        res = run_cli("sweep", *args)
+        assert res.returncode == 1, (args, res.stderr)
+        assert res.stdout == "", args
+        assert message in res.stderr, (args, res.stderr)
+    res = run_cli("sweep", three, "--t-range=0:2:3", "--ref", "010")
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.splitlines()[0] == ("t,tau_A,tau_B,tau_C,fid_010,charge_joint,charge_sum")
+
+
 def test_audit_bipartite_json():
     res = run_cli("audit", BELL, "--tau", "A=2.0,B=1.5", "--grid=-2:4:7")
     assert res.returncode == 0, res.stderr
@@ -168,8 +206,10 @@ def test_audit_bipartite_json():
     rows = {r["prescription"]: r for r in doc["criteria"]["rows"]}
     assert rows["polystate"]["all_ok"] is True
     assert all(not rows[k]["all_ok"] for k in rows if k != "polystate")
-    assert set(doc["charge_ledgers"]) == {"polystate", "future_lightcone",
-                                          "past_lightcone", "foliation"}
+    # in `audit.default_prescriptions` order, the order of the criteria rows
+    assert list(doc["charge_ledgers"]) == ["polystate", "future_lightcone",
+                                           "past_lightcone", "foliation"]
+    assert [r["prescription"] for r in doc["criteria"]["rows"]] == list(doc["charge_ledgers"])
     assert all(abs(q + 1.0) < 1e-9 for q in doc["charge_ledgers"]["polystate"]["q_joint"])
 
 
@@ -215,6 +255,31 @@ def test_diagram_geometry():
     assert doc["interventions"][0]["event"] == [1.0, 0.0]
     assert len(doc["lightcones"][0]["rays"]) == 4
     assert doc["leaves"][0]["v"] == 0.5
+
+
+def test_diagram_cuts_worldlines_at_the_time_window(tmp_path):
+    """A moving worldline anchored off t = 0 is drawn between its crossings
+    of the window's bounds, not between those proper times."""
+    doc = json.loads(fixture_text("bell_sigma_z.scn"))
+    doc["subsystems"][1]["worldline"] = {
+        "anchor": [3.0, 2.0], "segments": [{"dtau": 1.0, "v": [-0.5]}], "final_v": [0.6]}
+    path = tmp_path / "moving.scn"
+    path.write_text(json.dumps(doc))
+    for args in ((), ("--tau-range=-1:4.5",)):
+        res = run_cli("diagram", str(path), *args)
+        assert res.returncode == 0, res.stderr
+        out = json.loads(res.stdout)
+        t_lo, t_hi = out["t_range"]
+        x_lo, x_hi = out["x_range"]
+        for line in out["worldlines"]:
+            ts = [v[0] for v in line["vertices"]]
+            assert ts == sorted(ts)
+            assert all(t_lo <= t <= t_hi for t in ts), (line, out["t_range"])
+            assert abs(ts[0] - t_lo) < 1e-9 and abs(ts[-1] - t_hi) < 1e-9
+            assert all(x_lo <= v[1] <= x_hi for v in line["vertices"])
+        # B's anchor and the end of its one segment are vertices
+        b = out["worldlines"][1]["vertices"]
+        assert [3.0, 2.0] in b and len(b) == 4
 
 
 def test_diagram_rejects_higher_dimensions(tmp_path):

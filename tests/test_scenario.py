@@ -6,11 +6,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from polystate import cli, engine, linalg
+from polystate import cli, engine, linalg, validate
 from polystate.errors import ParseError, ScenarioValidationError
-from polystate.scenario import (SelectiveOp, apply_interventions, boosted_scenario,
-                                diagnose_document, parse_scenario, selected_ids,
-                                serialize_scenario)
+from polystate.scenario import (Intervention, SelectiveOp, UnitaryOp, apply_interventions,
+                                boosted_scenario, diagnose_document, parse_scenario,
+                                selected_ids, serialize_scenario)
 from polystate.spacetime import Region
 
 from helpers import fixture_text, load_fixture, random_two_qubit_scenario
@@ -33,9 +33,32 @@ def test_parse_bell_fixture():
     assert iv.op.labels == ("+1", "-1")
 
 
+FIXTURE_NAMES = ("bell_sigma_z.scn", "bell_sigma_x.scn", "epr_test.scn", "foliation_demo.scn")
+
+
 def test_all_bundled_fixtures_are_clean():
-    for name in ("bell_sigma_z.scn", "bell_sigma_x.scn", "epr_test.scn", "foliation_demo.scn"):
+    for name in FIXTURE_NAMES:
         assert diagnose_document(fixture_text(name)) == []
+
+
+def test_validate_diagnoses_scenario_values():
+    """`validate` checks a Scenario value: the fixtures are clean, and each
+    `replace`d variant of foliation_demo.scn gets the diagnostic of the
+    field it broke."""
+    for name in FIXTURE_NAMES:
+        assert validate(load_fixture(name)) == []
+    s = load_fixture("foliation_demo.scn")
+    a, b = s.interventions
+    not_unitary = Intervention(0, 2.0, UnitaryOp(np.diag([1.0, 2.0]).astype(complex)))
+    for variant, want in (
+        (replace(s, interventions=(a, b, not_unitary)),
+         ("interventions[2].unitary", "unitary-invariant")),
+        (replace(s, interventions=(replace(a, op=replace(a.op, chosen=5)), b)),
+         ("interventions[0].measure.outcome", "outcome-range")),
+        (replace(s, interventions=(a, replace(b, tau=float("nan")))),
+         ("interventions[1].tau", "real-proper-time")),
+    ):
+        assert [(d.field, d.invariant) for d in validate(variant)] == [want]
 
 
 def test_json_syntax_error_has_location():
@@ -284,7 +307,8 @@ WELL_FORMED = ["well-formed-entries"]
 # (where, value, invariants): a matrix, ket, Kraus list or basis that is a
 # flat list or a scalar where nested lists belong; an entry that is not an
 # object or a list where one belongs; a coordinate, velocity, duration or
-# proper time that is not a finite number. A subsystem list without an
+# proper time that is not a finite number; a JSON boolean where a number
+# belongs (Python counts bools as ints). A subsystem list without an
 # object also leaves the intervention on A without its subsystem.
 MALFORMED = (
     ("initial_state", {"matrix": [0.5, 0.5]}, WELL_FORMED),
@@ -310,6 +334,19 @@ MALFORMED = (
     ("tau", NAN, ["real-proper-time"]),
     ("tau", INF, ["real-proper-time"]),
     ("tau", 10**400, ["real-proper-time"]),
+    ("tau", True, ["real-proper-time"]),
+    ("spacetime", {"d": True}, ["dimension-range"]),
+    ("subsystem", {"dim": True}, ["dimension-range"]),
+    ("measure", {"projective_basis": "pauli_z", "outcome": True}, ["outcome-range"]),
+    ("initial_state", {"ket": [0, True, [False, 0], 0]}, WELL_FORMED),
+    ("initial_state", {"matrix": [[1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, False]]},
+     WELL_FORMED),
+    ("unitary", [[True, 0], [0, True]], WELL_FORMED),
+    ("measure", {"kraus": [[[True, 0], [0, 0]], [[0, 0], [0, 1]]], "outcome": 0}, WELL_FORMED),
+    ("worldline", {"anchor": [False, True]}, WELL_FORMED),
+    ("worldline", {"segments": [{"dtau": True, "v": [0.0]}]}, ["positive-duration"]),
+    ("worldline", {"segments": [{"dtau": 1.0, "v": [False]}]}, ["velocity-dimension"]),
+    ("worldline", {"final_v": [False]}, ["velocity-dimension"]),
 )
 
 
@@ -323,6 +360,8 @@ def _malformed_doc(where, value):
         doc["interventions"][0] = {"on": "A", "tau": 1.0, "unitary": value}
     elif where == "worldline":
         doc["subsystems"][0]["worldline"].update(value)
+    elif where == "subsystem":
+        doc["subsystems"][0].update(value)
     elif where == "tau":
         doc["interventions"][0]["tau"] = value
     else:

@@ -9,7 +9,7 @@ construction, so the evaluation never signals across spacelike separation.
 
 A sector is two steps: `past_cut` selects the interventions and
 `state_after` computes the state they leave, the unnormalized `pushed`
-state divided by its trace. Every other state the package assigns
+state divided by its branch weight. Every other state the package assigns
 (observer and foliation states, each audit rule's states) is `state_after`
 on its own selection, and the ensemble's branch weights and branch states
 are `pushed` on their outcome assignments.
@@ -33,11 +33,27 @@ pushed factor depends only on the cut, not on the subset. A sector moves
 the subset's axes to the front and reshapes the pushed factor to Phi, of
 shape d_S x rest with rest = D r / d_S. The
 unnormalized sector is the Gram matrix Phi Phi^dagger, O(d_S D r): no
-D x D operator is formed or traced unless the subset is everything. Its
-validation reads the spectrum on Phi's small side: when d_S > rest, from
-the rest x rest matrix Phi^dagger Phi (see `linalg.normalize`). For a
+D x D operator is formed or traced unless the subset is everything. Every
+subset of a cut has the same trace, the cut's branch weight ||Psi||_F^2,
+computed once per cut, O(D r). `linalg.gram_density` symmetrizes the Gram
+matrix and divides it by the weight together, so the sector is exactly
+Hermitian with unit trace by construction, and reads only its spectrum, on
+Phi's small side: when d_S > rest, from the rest x rest matrix
+Phi^dagger Phi. No Hermiticity or trace pass runs over a sector. For a
 full-rank mixed initial state (r = D) the Gram product is O(d_S D^2),
 dearer than a pure one, most for large subsets.
+
+A cut whose recorded outcomes cannot occur raises `ImpossibleOutcomeError`,
+judged relative to its operators rather than by an absolute weight floor,
+so long chains of likely outcomes with a tiny joint weight still evaluate.
+Either a subsystem's operator chain collapses within the cut
+(a product below `linalg.ZERO_TRACE` times the one before it, in squared
+spectral norm), whatever the state, or the weight is below `ZERO_TRACE`
+times prod_j ||M_j||_2^2, the most the cut's operators can keep of a
+unit-norm factor. The operators are contractions, so a weight of at least
+`ZERO_TRACE` passes both tests and is accepted as it is: only smaller
+weights are judged, from norms the scenario tables once beside its
+products (`Scenario.chain_norms`), in O(n) scalars per cut.
 
 A subset's cut is the elementwise max of its members' past rows. Member
 i's row at proper time tau is one vectorised test of its evaluation event's
@@ -50,8 +66,9 @@ and foliation states take the cut of their region's mask.
 Sectors are piecewise constant in the proper times: they change only when an
 intervention event enters or leaves the union of causal pasts. The optional
 cache passed to `sector` and `polystate_at` is keyed by the cut; each entry
-holds the pushed factor and the sectors already read from it, so a new
-subset on a cut already pushed costs only its Gram product and validation.
+(`PushedCut`) holds the pushed factor, its weight, the verdict on whether its
+outcomes can occur and the sectors already read from it, so a new subset on
+a cut already pushed costs only its Gram product and spectrum.
 `polystate_at` keeps a cache of its own when given none, so one call pushes
 once per distinct cut.
 """
@@ -61,6 +78,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import chain, combinations
+from typing import NamedTuple
 
 import numpy as np
 
@@ -141,24 +159,64 @@ def pushed(s: Scenario, cut, subset, outcomes=None) -> np.ndarray:
     return phi @ phi.conj().T
 
 
+class PushedCut(NamedTuple):
+    """A `state_after` cache entry for one cut: the pushed factor Psi, the
+    branch weight ||Psi||_F^2 of its recorded outcomes, why those cannot
+    occur (None when they can), and the states already read from it, by
+    subset."""
+    factor: np.ndarray
+    weight: float
+    impossible: str | None
+    states: dict
+
+
+def _impossibility(s: Scenario, cut, weight: float) -> str | None:
+    """Why a cut's recorded branches cannot occur, judged relative to its
+    operators rather than by an absolute floor: a subsystem's chain of
+    recorded operators vanishes within the cut (`Scenario.chain_norms`), or
+    the weight is below `linalg.ZERO_TRACE` times prod_j ||M_j||_2^2, the
+    most the cut's operators can keep of a unit-norm factor. O(n) scalars.
+    A weight of at least `ZERO_TRACE` passes at once: the operators are
+    contractions, so neither test can fail on it."""
+    if weight >= linalg.ZERO_TRACE:
+        return None
+    norms, vanishes = s.chain_norms
+    bound = 1.0
+    for j, length in enumerate(cut):
+        if length:
+            if vanishes[j] is not None and length > vanishes[j]:
+                chains = s.chains
+                k = int(np.flatnonzero((chains.owner == j) & (chains.rank == vanishes[j]))[0])
+                return (f"intervention {k} on {s.names[j]} at tau {s.interventions[k].tau:g} "
+                        "annihilates every state the earlier ones leave; "
+                        "the recorded outcome cannot occur")
+            bound *= norms[j][length - 1]
+    if weight < linalg.ZERO_TRACE * bound:
+        return f"branch weight {weight:.3e} is zero; the recorded outcome cannot occur"
+    return None
+
+
 def state_after(s: Scenario, cut, subset, cache=None) -> np.ndarray:
     """The subset's state after the cut's interventions: `pushed`,
     normalized by the recorded branches' Born weight and validated on the
-    small side of its factor. A cache, a dict shared across calls for the
-    same scenario, keeps per cut the pushed factor and the states already
-    read from it, so each cut is pushed once."""
+    small side of its factor (`linalg.gram_density`). A cache, a dict
+    shared across calls for the same scenario, keeps a `PushedCut` entry per
+    cut, so each cut is pushed, weighed and judged once."""
     cache = {} if cache is None else cache
-    if cut not in cache:
-        cache[cut] = (push(s, cut), {})
-    psi, states = cache[cut]
-    if subset not in states:
-        phi = _subset_factor(s, psi, subset)
-        try:
-            states[subset] = linalg.normalize(phi @ phi.conj().T, phi)
-        except ImpossibleOutcomeError as exc:
+    entry = cache.get(cut)
+    if entry is None:
+        psi = push(s, cut)
+        # numpy's pairwise sum, not a BLAS dot: on the fixtures it gives the
+        # bits of the Gram trace it stands for, so printed digits stay put
+        weight = float(np.square(psi.reshape(-1).view(float)).sum())
+        entry = cache[cut] = PushedCut(psi, weight, _impossibility(s, cut, weight), {})
+    if subset not in entry.states:
+        if entry.impossible:
             names = ",".join(s.names[i] for i in subset)
-            raise ImpossibleOutcomeError(f"sector {{{names}}}: {exc}") from None
-    return states[subset]
+            raise ImpossibleOutcomeError(f"sector {{{names}}}: {entry.impossible}")
+        phi = _subset_factor(s, entry.factor, subset)
+        entry.states[subset] = linalg.gram_density(phi, entry.weight)
+    return entry.states[subset]
 
 
 def sector(s: Scenario, taus, subset, cache=None) -> np.ndarray:

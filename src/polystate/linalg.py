@@ -20,7 +20,12 @@ HERMITICITY_TOL = 1e-10
 EIGENVALUE_TOL = 1e-10
 TRACE_TOL = 1e-10
 CLAMP_TRIGGER = -1e-13
-# below this, a branch weight counts as conditioning on probability zero
+# A branch weight below this counts as conditioning on probability zero.
+# `normalize` applies it as an absolute floor. The engine judges a weight
+# below it relative to the cut: one below ZERO_TRACE times the product of
+# the squared spectral norms of the applied operators, or one operator
+# product that falls below ZERO_TRACE times the one before it
+# (`Scenario.chain_norms`), cannot occur.
 ZERO_TRACE = 1e-12
 
 DEFAULT_MAX_DIM = 2**10
@@ -172,17 +177,30 @@ def fidelity_to_ket(rho, ket) -> float:
     return float(val.real)
 
 
-def check_density(rho, spectrum=None) -> np.ndarray:
+def _settle(rho, w) -> np.ndarray:
+    """Decide a Hermitian, unit-trace rho on its spectrum w (apart from
+    exact zeros): an eigenvalue below -1e-10 is an error, one in (-1e-10,
+    -1e-13) is clamped to zero by diagonalizing rho, and the result is
+    renormalized. eigvalsh dust above the trigger is left alone, so that a
+    clean operator comes back bit for bit."""
+    if w.min() < -EIGENVALUE_TOL:
+        raise StateValidationError(f"negative eigenvalue {w.min():.3e} beyond tolerance")
+    if w.min() < CLAMP_TRIGGER:
+        w_full, v = np.linalg.eigh(rho)
+        rho = (v * np.clip(w_full, 0, None)) @ v.conj().T
+        rho = rho / float(np.trace(rho).real)
+    return rho
+
+
+def check_density(rho) -> np.ndarray:
     """Validate the density-operator invariants and return a cleaned copy.
 
     Hermiticity and unit trace are required within 1e-10. Eigenvalues in
     (-1e-10, 0), the typical float dust from partial traces of projectors,
     are clamped to zero and the operator is renormalized; anything more
-    negative is an error.
-
-    :param spectrum: rho's eigenvalues apart from exact zeros, when the
-        caller has them more cheaply than `eigvalsh` of rho (see
-        `normalize`); the clamp, if one is needed, still diagonalizes rho.
+    negative is an error. This is the full check for matrices from outside
+    the engine's kernel: parsed inputs, patchworks, ensemble averages and
+    `normalize`; the kernel's Gram sectors go through `gram_density`.
     """
     rho = _as_matrix(rho)
     if rho.shape[0] != rho.shape[1]:
@@ -194,35 +212,45 @@ def check_density(rho, spectrum=None) -> np.ndarray:
     tr = float(np.trace(rho).real)
     if not abs(tr - 1.0) <= TRACE_TOL:
         raise StateValidationError(f"trace {tr} is not 1 within 1e-10")
-    w = np.linalg.eigvalsh(rho) if spectrum is None else spectrum
-    if w.min() < -EIGENVALUE_TOL:
-        raise StateValidationError(f"negative eigenvalue {w.min():.3e} beyond tolerance")
-    if w.min() < CLAMP_TRIGGER:
-        # leave eigvalsh dust above the trigger alone so that validating a
-        # clean operator returns it bit for bit
-        w_full, v = np.linalg.eigh(rho)
-        w_full = np.clip(w_full, 0, None)
-        rho = (v * w_full) @ v.conj().T
-        rho = rho / float(np.trace(rho).real)
-    return rho
+    return _settle(rho, np.linalg.eigvalsh(rho))
 
 
-def normalize(rho, factor=None) -> np.ndarray:
-    """Divide by the trace and validate; the trace is the branch weight.
-
-    :param factor: Phi with rho = Phi Phi^dagger, if known. When Phi has
-        more rows than columns, rho's nonzero spectrum is read from the
-        smaller Gram matrix Phi^dagger Phi / trace instead of rho itself.
-    """
+def normalize(rho) -> np.ndarray:
+    """Divide by the trace and validate with `check_density`; the trace is
+    the branch weight, and one below the absolute floor `ZERO_TRACE` raises.
+    The dense path, for the ensemble's branch states and the oracle; the
+    engine's sectors take `gram_density`."""
     rho = _as_matrix(rho)
     tr = float(np.trace(rho).real)
     if tr < ZERO_TRACE:
         raise ImpossibleOutcomeError(
             f"branch weight {tr:.3e} is zero; the recorded outcome cannot occur")
-    spectrum = None
-    if factor is not None and factor.shape[0] > factor.shape[1]:
-        spectrum = np.linalg.eigvalsh(factor.conj().T @ factor / tr)
-    return check_density(rho / tr, spectrum)
+    return check_density(rho / tr)
+
+
+def gram_density(phi, weight: float) -> np.ndarray:
+    """The density operator Phi Phi^dagger / weight, where weight is
+    ||Phi||_F^2 computed by the caller (the branch weight of a pushed
+    factor, the same for every subset of a cut).
+
+    Symmetrized and divided by the weight together, the result is exactly
+    Hermitian by construction and its trace is 1 to rounding, so neither is
+    tested again. Only the spectrum is read, on Phi's small side: eigvalsh
+    of the result when Phi has no more rows than columns, else of the
+    smaller Gram matrix Phi^dagger Phi / weight, which has the same nonzero
+    eigenvalues. It is decided, and a clamp made, as in `check_density`.
+    """
+    scale = 0.5 / weight if weight > 0 else math.inf
+    # NaN, infinite and zero weights fail here, and ones whose inverse overflows
+    if not (math.isfinite(weight) and math.isfinite(scale)):
+        raise StateValidationError(f"branch weight {weight:.3e} has no finite inverse")
+    rho = phi @ phi.conj().T
+    rho += rho.conj().T
+    rho *= scale
+    small = rho if phi.shape[0] <= phi.shape[1] else phi.conj().T @ phi / weight
+    out = _settle(rho, np.linalg.eigvalsh(small))
+    # a clamp's eigh reconstruction is Hermitian only to rounding
+    return out if out is rho else (out + out.conj().T) / 2
 
 
 # Standard single-qubit and Bell-pair catalog. All kets are unit column vectors.

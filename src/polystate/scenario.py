@@ -148,6 +148,26 @@ class Scenario:
         owner.flags.writeable = rank.flags.writeable = False
         return Chains(owner, rank, tuple(heads), tuple(map(tuple, products)))
 
+    @cached_property
+    def chain_norms(self) -> tuple:
+        """(norms, vanishes) of the `chains` products, computed on first use.
+        norms[j][L] is the squared spectral norm of products[j][L].
+        vanishes[j] is the first L at which it falls below
+        `linalg.ZERO_TRACE` times the one before (1 before the first): the
+        recorded outcome there annihilates every state the chain so far
+        leaves, so a cut with L_j > vanishes[j] cannot occur; None if no L
+        does."""
+        norms, vanishes = [], []
+        for chain in self.chains.products:
+            norm = []
+            if chain:
+                # the largest singular value of every product, in one batched call
+                norm = (np.linalg.svd(np.array(chain), compute_uv=False)[:, 0] ** 2).tolist()
+            norms.append(tuple(norm))
+            vanishes.append(next((L for L, (before, now) in enumerate(zip([1.0] + norm, norm))
+                                  if now < linalg.ZERO_TRACE * before), None))
+        return tuple(norms), tuple(vanishes)
+
     def cut_of(self, mask) -> tuple:
         """The cut of a boolean mask over `events`: per subsystem j, how many
         of its interventions are applied in (tau, id) order, 1 + the largest

@@ -94,7 +94,7 @@ def test_polystate_collects_all_subsets():
 
 
 def cached_sectors(cache) -> int:
-    return sum(len(sectors) for _, sectors in cache.values())
+    return sum(len(entry.states) for entry in cache.values())
 
 
 def test_cache_reuses_piecewise_constant_sectors():
@@ -205,3 +205,108 @@ def test_probe_sweep_is_fast_with_cache():
             engine.sector(s, (ta, tb), (0, 1), cache)
     assert time.perf_counter() - start < 2.0
     assert len(cache) == 2  # only two distinct selection sets exist
+
+
+def two_qubit_document(interventions, initial=None) -> dict:
+    """psi+ (or the given initial state) on A at x = 0 and B at x = 1000,
+    both at rest, with the given interventions."""
+    return {
+        "spacetime": {"d": 1},
+        "subsystems": [{"name": name, "dim": 2,
+                        "worldline": {"anchor": [0.0, x], "segments": [], "final_v": [0.0]}}
+                       for name, x in (("A", 0.0), ("B", 1000.0))],
+        "initial_state": initial or {"named": "bell_psi_plus"},
+        "interventions": interventions,
+    }
+
+
+def measure(on, tau, basis, outcome=0) -> dict:
+    return {"on": on, "tau": tau, "measure": {"projective_basis": basis, "outcome": outcome}}
+
+
+def test_long_zx_chain_matches_its_closed_form():
+    """45 alternating z/x readouts of 0 on A: each has probability 1/2, so
+    after k of them the branch weight is 2^-k, 2.8e-14 at k = 45, below an
+    absolute 1e-12 floor. A holds the last basis's 0 eigenstate, B the |1>
+    the first z readout left it in, and B's own sector stays mixed."""
+    m = 45
+    s = parse_scenario(json.dumps(two_qubit_document(
+        [measure("A", k + 1.0, "pauli_z" if k % 2 == 0 else "pauli_x") for k in range(m)])))
+    plus = linalg.projector(linalg.KET_PLUS)
+    cache = {}
+    for k in range(1, m + 1):
+        a = P00 if k % 2 else plus
+        taus = (k + 0.5, 0.0)
+        _assert_close(engine.sector(s, taus, (0,), cache), a)
+        _assert_close(engine.sector(s, taus, (0, 1), cache), linalg.kron(a, P11))
+        _assert_close(engine.sector(s, taus, (1,), cache), HALF)
+    assert cache[(m, 0)].weight < linalg.ZERO_TRACE
+
+
+def impossible_message(s, taus, subset) -> str:
+    with pytest.raises(ImpossibleOutcomeError) as err:
+        engine.sector(s, taus, subset)
+    return str(err.value)
+
+
+def test_recorded_impossible_branches_still_raise():
+    """z = 0 then z = 1 on A vanishes in A's own operator chain, whatever
+    the state; B's z = 0 after A's z = 0 on psi+ has weight 0 for this state
+    only, so each party's sector is fine and the pair's is not."""
+    local = parse_scenario(json.dumps(two_qubit_document(
+        [measure("A", 1.0, "pauli_z"), measure("A", 2.0, "pauli_z", 1)])))
+    _assert_close(engine.sector(local, (1.5, 0.0), (0,)), P00)
+    message = impossible_message(local, (2.5, 0.0), (0,))
+    assert message.startswith("sector {A}: intervention 1 on A at tau 2 ")
+    assert "cannot occur" in message
+    assert "sector {A,B}: intervention 1 on A" in impossible_message(local, (2.5, 0.0), (0, 1))
+
+    pair = parse_scenario(json.dumps(two_qubit_document(
+        [measure("A", 1.0, "pauli_z"), measure("B", 1.0, "pauli_z")])))
+    _assert_close(engine.sector(pair, (2.0, 2.0), (0,)), P00)
+    _assert_close(engine.sector(pair, (2.0, 2.0), (1,)), P00)
+    assert impossible_message(pair, (2.0, 2.0), (0, 1)).startswith(
+        "sector {A,B}: branch weight 0.000e+00 is zero")
+
+
+def test_orthogonal_readouts_that_round_to_dust_raise():
+    """The two outcomes of one rotated basis, read in turn, multiply to a
+    nonzero matrix of rounding dust. Divided by its own tiny weight, the
+    state it leaves would look valid; the step's collapse relative to the
+    one before marks it impossible."""
+    basis = "pauli_n(1.0, 0.3)"
+    up, down = (linalg.projector(k) for k in linalg.spin_basis(1.0, 0.3))
+    dust = np.max(np.abs(down @ up))
+    assert 0 < dust < 1e-15
+    s = parse_scenario(json.dumps(two_qubit_document(
+        [measure("A", 1.0, basis), measure("A", 2.0, basis, 1)])))
+    assert s.chain_norms[1] == (1, None)
+    for subset in ((0,), (0, 1)):
+        assert "intervention 1 on A at tau 2 " in impossible_message(s, (2.5, 0.0), subset)
+
+
+def test_sectors_run_no_dense_validation(monkeypatch):
+    """Every sector of pure and white-noise GHZ-4 comes from its Gram
+    factor; `check_density`, the dense validation, is never called."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("dense validation of a Gram sector")
+
+    ket = np.zeros(16, dtype=complex)
+    ket[0] = ket[-1] = 1 / np.sqrt(2)
+    noisy = 0.8 * np.outer(ket, ket.conj()) + 0.2 * np.eye(16) / 16
+    doc = {
+        "spacetime": {"d": 1},
+        "subsystems": [{"name": f"Q{i}", "dim": 2,
+                        "worldline": {"anchor": [0.0, float(i)], "segments": [],
+                                      "final_v": [0.0]}}
+                       for i in range(4)],
+        "interventions": [measure(f"Q{i}", 1.0, ("pauli_z", "pauli_x")[i % 2])
+                          for i in range(4)],
+    }
+    scenarios = [parse_scenario(json.dumps({**doc, "initial_state": state}))
+                 for state in ({"ket": ket.real.tolist()}, {"matrix": noisy.real.tolist()})]
+    monkeypatch.setattr(linalg, "check_density", forbidden)
+    for s in scenarios:
+        for taus in ((0.5,) * 4, (1.5,) * 4, (2.5, 1.5, 0.5, 4.5)):
+            p = engine.polystate_at(s, taus)
+            assert len(p.sectors) == 15

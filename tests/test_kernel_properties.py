@@ -2,9 +2,10 @@
 against the lifted operator it replaces, the initial state's factor, and
 the pushed-factor states of the engine's sectors, of every audit rule and of
 every ensemble branch against pushing the whole joint state and tracing
-afterwards; the sector states validated on the small side of their factor
-against the full-spectrum validation, one push per distinct selection, and
-the push of a cut against multiplying its operators in (tau, id) order.
+afterwards; the Gram states of `state_after`, weighed once per cut and
+validated on the small side of their factor, against the dense push, trace
+and full validation; one push per distinct selection; and the push of a cut
+against multiplying its operators in (tau, id) order.
 
 Scenario structure (subsystem count, local dimensions, kinds, order and
 proper times of the interventions, worldlines, evaluation times) is drawn by
@@ -283,9 +284,11 @@ def outcome_of(f, *args):
 
 
 def reference_state_after(s, cut, subset):
-    """The reference for `state_after`: `pushed`, normalized and validated
-    on its full spectrum."""
-    return linalg.normalize(engine.pushed(s, cut, subset))
+    """The dense reference for `state_after`: the full joint state pushed
+    through the cut's interventions, traced, normalized and validated on its
+    full spectrum, with `normalize`'s absolute weight floor."""
+    return linalg.normalize(linalg.ptrace(
+        apply_interventions(s, s.cut_ids(cut), s.initial_state), s.dims, subset))
 
 
 def cut_of_lengths(s, lengths):
@@ -298,9 +301,10 @@ def cut_of_lengths(s, lengths):
 @given(s=scenarios_with_blocked_branch(scenarios_of_rank()),
        lengths=hs.lists(hs.integers(0, 7), min_size=4, max_size=4))
 def test_state_after_equals_normalized_pushed_state(s, lengths):
-    """Bit for bit wherever the reference returns the Hermitised input
-    unchanged; where it clamps, within the clamp's own size. Both raise
-    together."""
+    """Within 1e-12 of the dense reference, exactly Hermitian and of unit
+    trace within 1e-12. Both raise together, except where the reference's
+    absolute weight floor rejects a cut that the engine, judging the weight
+    relative to the cut's operators, accepts."""
     cut = cut_of_lengths(s, lengths)
     tall = 0
     for subset in engine.all_subsets(s.n):
@@ -308,17 +312,36 @@ def test_state_after_equals_normalized_pushed_state(s, lengths):
         tall += d_s * d_s > int(np.prod(s.dims)) * s.initial_factor.shape[1]
         got = outcome_of(engine.state_after, s, cut, subset)
         want = outcome_of(reference_state_after, s, cut, subset)
-        if isinstance(want, type) or isinstance(got, type):
+        if isinstance(got, type):
             assert got is want, subset
             continue
-        rho = engine.pushed(s, cut, subset)
-        rho = rho / float(np.trace(rho).real)
-        if np.array_equal(want, (rho + rho.conj().T) / 2):
-            assert np.array_equal(got, want), subset
+        assert np.array_equal(got, got.conj().T), subset
+        assert abs(np.trace(got).real - 1.0) < TOL, subset
+        if isinstance(want, type):
+            assert want is ImpossibleOutcomeError, subset
         else:
-            assert np.max(np.abs(got - want)) < 1e-9, subset
+            assert np.max(np.abs(got - want)) < TOL, subset
     if s.initial_factor.shape[1] == 1:
         assert tall  # the full subset's factor is d_S x 1
+
+
+@SUITE
+@given(s=scenarios_with_blocked_branch(scenarios_of_rank()),
+       lengths=hs.lists(hs.integers(0, 7), min_size=4, max_size=4))
+def test_blocked_branches_still_raise(s, lengths):
+    """When `scenarios_with_blocked_branch` adds its z readout of 1 on
+    |0...0> as the first intervention of its subsystem, every cut that
+    applies it has weight exactly 0 and raises for every subset, however
+    small the cut's other operators make the bound it is judged against."""
+    blocked = len(s.interventions) - 1
+    # a drawn density never has the entry 1.0 exactly; |0...0> does
+    if s.initial_state[0, 0] != 1.0 or s.chains.rank[blocked] != 0:
+        return
+    i = s.interventions[blocked].subsystem
+    cut = list(cut_of_lengths(s, lengths))
+    cut[i] = max(cut[i], 1)
+    for subset in engine.all_subsets(s.n):
+        assert outcome_of(engine.state_after, s, tuple(cut), subset) is ImpossibleOutcomeError
 
 
 @SUITE

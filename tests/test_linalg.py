@@ -95,35 +95,71 @@ def test_check_density_rejects_bad_states():
         linalg.check_density(np.diag([1.5, -0.5]))
 
 
-def test_check_density_decides_on_a_given_spectrum():
-    rho = np.diag([0.75, 0.25, 0.0]).astype(complex)
-    assert np.array_equal(linalg.check_density(rho, np.array([0.25, 0.75])), rho)
-    with pytest.raises(StateValidationError):
-        linalg.check_density(rho, np.array([-1e-9, 1.0]))
-    # a clamp still diagonalizes rho itself, which needs none here
-    clamped = linalg.check_density(rho, np.array([-1e-12, 1.0]))
-    assert np.max(np.abs(clamped - rho)) < 1e-15
+def gram_spectra(monkeypatch, spectrum=None):
+    """Record the shape of every matrix `eigvalsh` is given; return the
+    given spectrum in place of its own, when one is set."""
+    shapes = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def recording(m):
+        shapes.append(m.shape)
+        return eigvalsh(m) if spectrum is None else np.asarray(spectrum)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+    return shapes
 
 
-def test_normalize_reads_a_tall_factor_on_its_small_side(monkeypatch):
-    phi = RNG.normal(size=(8, 2)) + 1j * RNG.normal(size=(8, 2))
+def test_gram_density_decides_on_its_small_side_spectrum(monkeypatch):
+    """Given a spectrum on the 2 x 2 small side of a 3 x 2 factor, the
+    Gram state is accepted as built, rejected beyond the tolerance, and
+    clamped for dust below the trigger, which diagonalizes the state
+    itself (here clean) and renormalizes it."""
+    phi = np.array([[np.sqrt(0.75), 0], [0, 0.5], [0, 0]], dtype=complex)
     rho = phi @ phi.conj().T
-    spectra = []
-    check = linalg.check_density
+    shapes = gram_spectra(monkeypatch, [0.25, 0.75])
+    assert np.array_equal(linalg.gram_density(phi, 1.0), rho)
+    assert shapes == [(2, 2)]
+    gram_spectra(monkeypatch, [-1e-9, 1.0])
+    with pytest.raises(StateValidationError):
+        linalg.gram_density(phi, 1.0)
+    gram_spectra(monkeypatch, [-1e-12, 1.0])
+    eighs = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda m: eighs.append(m.shape) or eigh(m))
+    clamped = linalg.gram_density(phi, 1.0)
+    assert eighs == [(3, 3)]
+    assert np.max(np.abs(clamped - rho)) < 1e-15
+    assert np.array_equal(clamped, clamped.conj().T)
+    assert abs(np.trace(clamped) - 1.0) < 1e-15
 
-    def recording(m, spectrum=None):
-        spectra.append(spectrum)
-        return check(m, spectrum)
 
-    monkeypatch.setattr(linalg, "check_density", recording)
-    got = linalg.normalize(rho, phi)
-    assert np.array_equal(got, linalg.normalize(rho))
-    assert spectra[0].shape == (2,) and spectra[1] is None
-    w = np.linalg.eigvalsh(rho / np.trace(rho).real)
-    assert np.max(np.abs(spectra[0] - w[-2:])) < 1e-12
-    wide = phi.T.copy()
-    linalg.normalize(wide @ wide.conj().T, wide)
-    assert spectra[2] is None
+def test_gram_density_reads_a_tall_factor_on_its_small_side(monkeypatch):
+    """A tall factor's spectrum comes from the 2 x 2 Phi^dagger Phi, never
+    from the 8 x 8 state, and a wide one's from the 2 x 2 state itself;
+    either way the state is exactly Hermitian, of unit trace, within 1e-12
+    of the dense `normalize`, and `check_density` is never called."""
+    phi = RNG.normal(size=(8, 2)) + 1j * RNG.normal(size=(8, 2))
+    wide = phi.conj().T.copy()
+    wants = [linalg.normalize(f @ f.conj().T) for f in (phi, wide)]
+    shapes = gram_spectra(monkeypatch)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a Gram state needs no dense validation")
+
+    monkeypatch.setattr(linalg, "check_density", forbidden)
+    for factor, want in zip((phi, wide), wants):
+        got = linalg.gram_density(factor, float(np.vdot(factor, factor).real))
+        assert shapes.pop() == (2, 2)
+        assert np.array_equal(got, got.conj().T)
+        assert abs(np.trace(got).real - 1.0) < 1e-12
+        assert np.max(np.abs(got - want)) < 1e-12
+
+
+def test_gram_density_rejects_a_weight_without_finite_inverse():
+    phi = np.array([[1.0], [0.0]], dtype=complex)
+    for weight in (np.nan, np.inf, 0.0, 5e-324):
+        with pytest.raises(StateValidationError):
+            linalg.gram_density(phi, weight)
 
 
 def test_normalize_raises_on_zero_branch():

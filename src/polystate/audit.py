@@ -98,7 +98,8 @@ def leaf_states(p, s: Scenario, taus) -> tuple:
         joint = engine.state_after(s, union, range(s.n), cache)
     locals_ = _reduced(s, cuts, cache)
     if joint is None:
-        joint = linalg.check_density(linalg.kron_all(*locals_))
+        # exactly Hermitian, as its validated factors are
+        joint = linalg.kron_all(*locals_)
     return joint, locals_
 
 

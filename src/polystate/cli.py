@@ -64,6 +64,8 @@ def _parse_taus(spec: str, s) -> tuple:
         name, _, raw = part.partition("=")
         if name not in s.names:
             raise UsageError(f"unknown subsystem {name!r} in --tau")
+        if name in values:
+            raise UsageError(f"--tau gives {name} twice")
         try:
             values[name] = _finite(raw)
         except ValueError:
@@ -216,26 +218,27 @@ def cmd_eval(args) -> int:
     s = _load(args.scenario)
     taus = _parse_taus(args.tau, s)
     if args.sector:
-        subsets = [_parse_subset(args.sector, s)]
+        sub = _parse_subset(args.sector, s)
+        sectors = {sub: engine.sector(s, taus, sub)}
     else:
-        subsets = list(engine.all_subsets(s.n))
-    cache: dict = {}
-    sectors = {_subset_name(sub, s): engine.sector(s, taus, sub, cache) for sub in subsets}
+        try:
+            sectors = engine.polystate_at(s, taus).sectors
+        except ValueError as exc:
+            raise UsageError(f"{exc}; pass --sector to evaluate one") from None
     doc = {
         "schema_version": SCHEMA_VERSION,
         "command": "eval",
         "taus": {n: float(t) for n, t in zip(s.names, taus)},
-        "sectors": {name: _matrix_json(mat) for name, mat in sectors.items()},
+        "sectors": {_subset_name(sub, s): _matrix_json(mat) for sub, mat in sectors.items()},
     }
     if args.observable:
         if not args.sector:
             raise UsageError("--observable needs --sector")
-        sub = subsets[0]
         obs = _parse_observable(args.observable, sub, s)
         doc["expectations"] = {
             _subset_name(sub, s): {
                 "observable": args.observable,
-                "value": float(linalg.expect(sectors[_subset_name(sub, s)], obs)),
+                "value": float(linalg.expect(sectors[sub], obs)),
             }
         }
     _emit(doc)

@@ -8,11 +8,11 @@ nonempty subsets. Singleton sectors depend only on their own proper time by
 construction, so the evaluation never signals across spacelike separation.
 
 A sector is two steps: `past_cut` selects the interventions and
-`state_after` computes the state they leave, the unnormalized `pushed`
-state divided by its branch weight. Every other state the package assigns
-(observer and foliation states, each audit rule's states) is `state_after`
-on its own selection, and the ensemble's branch weights and branch states
-are `pushed` on their outcome assignments.
+`state_after` computes the state they leave, the `push`ed factor's Gram
+matrix on the subset over its `branch_weight`. Every other state the package
+assigns is read the same way: observer, foliation and audit-rule states by
+`state_after` on their own selections, and the ensemble's branch states by
+`ensemble.branch_state` on their outcome assignments.
 
 Cost model: every intervention the engine applies is a single operator, a
 unitary or a recorded branch, so subsystem j's selected sequence
@@ -140,9 +140,10 @@ def push(s: Scenario, cut, outcomes=None) -> np.ndarray:
     return psi.reshape(math.prod(dims), -1)
 
 
-def _subset_factor(s: Scenario, psi, subset) -> np.ndarray:
+def subset_factor(s: Scenario, psi, subset) -> np.ndarray:
     """Phi: a pushed factor with the subset's axes moved to the front, in
-    the order given, reshaped to d_S x rest."""
+    the order given, reshaped to d_S x rest: Phi Phi^dagger is the
+    subset's unnormalized state Tr_complement[K rho K^dagger]."""
     subset = list(subset)
     # axis n indexes the factor's columns and is summed over with the rest
     rest = [j for j in range(s.n + 1) if j not in subset]
@@ -150,13 +151,12 @@ def _subset_factor(s: Scenario, psi, subset) -> np.ndarray:
     return phi.reshape(math.prod(s.dims[i] for i in subset), -1)
 
 
-def pushed(s: Scenario, cut, subset, outcomes=None) -> np.ndarray:
-    """Tr_complement[K rho K^dagger] on the given subsystems, in the order
-    given, for the cut's interventions, not normalized: its trace is the
-    Born weight of their recorded branches (or of the branches `outcomes`
-    assigns). It is the Gram matrix Phi Phi^dagger of the `push`ed factor."""
-    phi = _subset_factor(s, push(s, cut, outcomes), subset)
-    return phi @ phi.conj().T
+def branch_weight(psi) -> float:
+    """||Psi||_F^2 of a pushed factor: the Born weight of the branches it
+    was pushed through, and the trace of every Gram matrix read from it."""
+    # numpy's pairwise sum, not a BLAS dot: on the fixtures it gives the
+    # bits of the Gram trace it stands for, so printed digits stay put
+    return float(np.square(psi.reshape(-1).view(float)).sum())
 
 
 class PushedCut(NamedTuple):
@@ -197,24 +197,22 @@ def _impossibility(s: Scenario, cut, weight: float) -> str | None:
 
 
 def state_after(s: Scenario, cut, subset, cache=None) -> np.ndarray:
-    """The subset's state after the cut's interventions: `pushed`,
-    normalized by the recorded branches' Born weight and validated on the
-    small side of its factor (`linalg.gram_density`). A cache, a dict
-    shared across calls for the same scenario, keeps a `PushedCut` entry per
-    cut, so each cut is pushed, weighed and judged once."""
+    """The subset's state after the cut's interventions: the `push`ed
+    factor's Gram matrix on the subset, normalized by the recorded branches'
+    Born weight and validated on its small side (`linalg.gram_density`). A
+    cache, a dict shared across calls for the same scenario, keeps a
+    `PushedCut` entry per cut, so each cut is pushed, weighed and judged once."""
     cache = {} if cache is None else cache
     entry = cache.get(cut)
     if entry is None:
         psi = push(s, cut)
-        # numpy's pairwise sum, not a BLAS dot: on the fixtures it gives the
-        # bits of the Gram trace it stands for, so printed digits stay put
-        weight = float(np.square(psi.reshape(-1).view(float)).sum())
+        weight = branch_weight(psi)
         entry = cache[cut] = PushedCut(psi, weight, _impossibility(s, cut, weight), {})
     if subset not in entry.states:
         if entry.impossible:
             names = ",".join(s.names[i] for i in subset)
             raise ImpossibleOutcomeError(f"sector {{{names}}}: {entry.impossible}")
-        phi = _subset_factor(s, entry.factor, subset)
+        phi = subset_factor(s, entry.factor, subset)
         entry.states[subset] = linalg.gram_density(phi, entry.weight)
     return entry.states[subset]
 

@@ -11,12 +11,12 @@ the subset's union of causal pasts, since nothing else can have reached it.
 agree with the engine's sector.
 
 A branch goes through one Kraus operator per intervention, so its weight
-and its states come from the engine's pushed factor (`engine.pushed`), as
-every sector does: a branch weight is the squared norm of the pushed
-factor, and a retained run's state is the pushed factor's Gram matrix on
-the subset. `analytic_sector` alone pushes the full density operator
-through every channel and traces afterwards, so that it stays an
-independent check of that kernel.
+and its states come from the engine's pushed factor (`engine.push`), as
+every sector does: a branch weight is its squared norm
+(`engine.branch_weight`), and a retained run's state its Gram matrix on the
+subset over that weight (`linalg.gram_density`). `analytic_sector` alone
+pushes the full density operator through every channel and traces
+afterwards, so that it stays an independent check of that kernel.
 """
 
 from __future__ import annotations
@@ -28,8 +28,8 @@ from itertools import product
 import numpy as np
 
 from . import linalg
-from .engine import all_subsets, past_cut, pushed, sector
-from .errors import BranchExplosionError, EmptyEnsembleError
+from .engine import all_subsets, branch_weight, past_cut, push, sector, subset_factor
+from .errors import BranchExplosionError, EmptyEnsembleError, ImpossibleOutcomeError
 from .scenario import Scenario, SelectiveOp, apply_interventions
 
 BRANCH_CAP = 10**6
@@ -57,7 +57,7 @@ def enumerate_branches(s: Scenario, cap: int = BRANCH_CAP) -> list:
 
     A probability is the Born weight of pushing the initial state through
     every intervention on that assignment's branches, the squared norm of
-    the pushed factor (the empty subset's 1 x 1 `pushed`); they sum to one.
+    the pushed factor; they sum to one.
     """
     order = selective_order(s)
     counts = _outcome_counts(s, order)
@@ -66,7 +66,7 @@ def enumerate_branches(s: Scenario, cap: int = BRANCH_CAP) -> list:
         raise BranchExplosionError(f"{total} branches exceed the cap {cap}")
     every = tuple(map(len, s.chains.products))
     return [Branch(outcomes=combo,
-                   probability=float(pushed(s, every, (), dict(zip(order, combo)))[0, 0].real))
+                   probability=branch_weight(push(s, every, dict(zip(order, combo)))))
             for combo in product(*[range(c) for c in counts])]
 
 
@@ -209,6 +209,20 @@ def _selection(s: Scenario, subset, taus) -> tuple:
     return subset, set(s.cut_ids(inside)), applied
 
 
+def branch_state(s: Scenario, cut, subset, outcomes) -> np.ndarray:
+    """The subset's state after the cut's interventions on the branches
+    `outcomes` assigns: the pushed factor's Gram matrix on the subset over
+    its weight. A branch of weight 0, which a drawn run never takes but a
+    hand-made log can hold, raises `ImpossibleOutcomeError`."""
+    psi = push(s, cut, outcomes)
+    weight = branch_weight(psi)
+    if weight == 0:
+        names = ",".join(s.names[i] for i in subset)
+        raise ImpossibleOutcomeError(f"sector {{{names}}}: branch {tuple(outcomes.values())} "
+                                     "has weight 0 and cannot occur")
+    return linalg.gram_density(subset_factor(s, psi, subset), weight)
+
+
 def empirical_sector(log: RunLog, s: Scenario, subset, taus) -> np.ndarray:
     """The subset's ensemble average over retained runs.
 
@@ -235,8 +249,8 @@ def empirical_sector(log: RunLog, s: Scenario, subset, taus) -> np.ndarray:
     # order of their outcome tuples
     for code, count in zip(*np.unique(retained, return_counts=True)):
         assignment = dict(zip(order, map(int, np.unravel_index(code, counts))))
-        acc += count * linalg.normalize(pushed(s, applied, subset, assignment))
-    return linalg.check_density(acc / retained.shape[0])
+        acc += count * branch_state(s, applied, subset, assignment)
+    return acc / retained.shape[0]
 
 
 def analytic_sector(s: Scenario, subset, taus) -> np.ndarray:

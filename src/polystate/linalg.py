@@ -21,11 +21,11 @@ EIGENVALUE_TOL = 1e-10
 TRACE_TOL = 1e-10
 CLAMP_TRIGGER = -1e-13
 # A branch weight below this counts as conditioning on probability zero.
-# `normalize` applies it as an absolute floor. The engine judges a weight
-# below it relative to the cut: one below ZERO_TRACE times the product of
-# the squared spectral norms of the applied operators, or one operator
-# product that falls below ZERO_TRACE times the one before it
-# (`Scenario.chain_norms`), cannot occur.
+# `normalize` applies it as an absolute floor, for the oracle alone. The
+# engine judges a weight below it relative to the cut: one below ZERO_TRACE
+# times the product of the squared spectral norms of the applied operators,
+# or one operator product that falls below ZERO_TRACE times the one before
+# it (`Scenario.chain_norms`), cannot occur.
 ZERO_TRACE = 1e-12
 
 DEFAULT_MAX_DIM = 2**10
@@ -199,8 +199,8 @@ def check_density(rho) -> np.ndarray:
     (-1e-10, 0), the typical float dust from partial traces of projectors,
     are clamped to zero and the operator is renormalized; anything more
     negative is an error. This is the full check for matrices from outside
-    the engine's kernel: parsed inputs, patchworks, ensemble averages and
-    `normalize`; the kernel's Gram sectors go through `gram_density`.
+    the engine's kernel: parsed inputs and `normalize`; every state the
+    kernel assigns, a sector or a branch state, goes through `gram_density`.
     """
     rho = _as_matrix(rho)
     if rho.shape[0] != rho.shape[1]:
@@ -218,8 +218,8 @@ def check_density(rho) -> np.ndarray:
 def normalize(rho) -> np.ndarray:
     """Divide by the trace and validate with `check_density`; the trace is
     the branch weight, and one below the absolute floor `ZERO_TRACE` raises.
-    The dense path, for the ensemble's branch states and the oracle; the
-    engine's sectors take `gram_density`."""
+    The dense path of the oracle `ensemble.analytic_sector` alone; every
+    other state takes `gram_density`."""
     rho = _as_matrix(rho)
     tr = float(np.trace(rho).real)
     if tr < ZERO_TRACE:

@@ -72,6 +72,7 @@ def test_usage_errors_exit_one(tmp_path):
     for args in (
         ("eval", BELL),  # missing --tau
         ("eval", BELL, "--tau", "A=1.0"),  # missing B
+        ("eval", BELL, "--tau", "A=1,A=2,B=0"),  # A twice
         ("eval", BELL, "--tau", "A=1.0,B=2.0", "--sector", "AC"),
         ("eval", "/nonexistent.scn", "--tau", "A=1.0,B=2.0"),
         ("nonsense",),
@@ -308,6 +309,30 @@ def test_dimension_cap_env(tmp_path):
             res = run_cli(*args, env=env)
             assert res.returncode == 1, (value, args, res.stderr)
             assert res.stderr.startswith("error: POLYSTATE_MAX_DIM"), (value, res.stderr)
+
+
+def test_all_sector_eval_honours_the_subsystem_cap(tmp_path, monkeypatch, capsys):
+    """Without --sector, eval asks `engine.polystate_at` for every sector,
+    so a scenario over `MAX_SUBSYSTEMS` is refused with an error line that
+    names the cap and the way round it; one sector still evaluates."""
+    from polystate import cli, engine
+
+    doc = json.loads(fixture_text("bell_sigma_z.scn"))
+    doc["subsystems"].append({
+        "name": "C", "dim": 2,
+        "worldline": {"anchor": [0.0, 4.0], "segments": [], "final_v": [0.0]}})
+    doc["initial_state"] = {"ket": [1.0] + [0.0] * 7}
+    path = tmp_path / "three.scn"
+    path.write_text(json.dumps(doc))
+    monkeypatch.setattr(engine, "MAX_SUBSYSTEMS", 2)
+    taus = "A=2.0,B=1.5,C=0.5"
+    assert cli.main(["eval", str(path), "--tau", taus]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("error: 3 subsystems would need 7 sectors; cap is 2")
+    assert "--sector" in out.err
+    assert cli.main(["eval", str(path), "--tau", taus, "--sector", "AC"]) == 0
+    assert set(json.loads(capsys.readouterr().out)["sectors"]) == {"AC"}
 
 
 def test_stdout_carries_only_results():

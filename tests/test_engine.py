@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from polystate import engine, linalg
+from polystate import audit, engine, ensemble, linalg
 from polystate.errors import ImpossibleOutcomeError
 from polystate.scenario import parse_scenario
 from polystate.spacetime import Foliation, Worldline
@@ -287,9 +287,16 @@ def test_orthogonal_readouts_that_round_to_dust_raise():
 
 def test_sectors_run_no_dense_validation(monkeypatch):
     """Every sector of pure and white-noise GHZ-4 comes from its Gram
-    factor; `check_density`, the dense validation, is never called."""
+    factor, and so do every audit rule's states, patchworks included, and
+    the ensemble's averages of branch states; neither `check_density`, the
+    dense validation, nor `normalize` is called, and every state comes out
+    exactly Hermitian with unit trace."""
     def forbidden(*args, **kwargs):
-        raise AssertionError("dense validation of a Gram sector")
+        raise AssertionError("dense validation of a Gram state")
+
+    def assert_density(rho):
+        assert np.array_equal(rho, rho.conj().T)
+        assert abs(np.trace(rho) - 1) < 1e-12
 
     ket = np.zeros(16, dtype=complex)
     ket[0] = ket[-1] = 1 / np.sqrt(2)
@@ -305,8 +312,17 @@ def test_sectors_run_no_dense_validation(monkeypatch):
     }
     scenarios = [parse_scenario(json.dumps({**doc, "initial_state": state}))
                  for state in ({"ket": ket.real.tolist()}, {"matrix": noisy.real.tolist()})]
+    logs = [ensemble.sample_runs(s, 400, 3) for s in scenarios]
     monkeypatch.setattr(linalg, "check_density", forbidden)
-    for s in scenarios:
+    monkeypatch.setattr(linalg, "normalize", forbidden)
+    rules = audit.default_prescriptions(Foliation(np.array([0.5])))
+    for s, log in zip(scenarios, logs):
         for taus in ((0.5,) * 4, (1.5,) * 4, (2.5, 1.5, 0.5, 4.5)):
             p = engine.polystate_at(s, taus)
             assert len(p.sectors) == 15
+            for rule in rules:
+                joint, locals_ = audit.leaf_states(rule, s, taus)
+                for rho in (joint, *locals_):
+                    assert_density(rho)
+            for subset in ((0,), (1, 2), (0, 1, 2, 3)):
+                assert_density(ensemble.empirical_sector(log, s, subset, taus))

@@ -1,10 +1,12 @@
+import json
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from polystate import engine, ensemble, linalg
-from polystate.errors import BranchExplosionError, EmptyEnsembleError
+from polystate.errors import BranchExplosionError, EmptyEnsembleError, ImpossibleOutcomeError
+from polystate.scenario import parse_scenario
 
 from helpers import load_fixture, random_two_qubit_scenario, with_outcomes
 
@@ -98,6 +100,44 @@ def test_empty_ensemble_raises():
     starved = replace(log, outcomes=np.ones_like(log.outcomes))
     with pytest.raises(EmptyEnsembleError):
         ensemble.empirical_sector(starved, s, (0, 1), (2.0, 3.5))
+
+
+def faint_readout(basis: str):
+    """|00>, A read once at tau 1 in the given basis with outcome 1 recorded,
+    B a thousand units away, and a hand-made log of three runs that all took
+    that outcome."""
+    s = parse_scenario(json.dumps({
+        "spacetime": {"d": 1},
+        "subsystems": [{"name": name, "dim": 2,
+                        "worldline": {"anchor": [0.0, x], "segments": [], "final_v": [0.0]}}
+                       for name, x in (("A", 0.0), ("B", 1000.0))],
+        "initial_state": {"ket": [1.0, 0.0, 0.0, 0.0]},
+        "interventions": [{"on": "A", "tau": 1.0,
+                           "measure": {"projective_basis": basis, "outcome": 1}}],
+    }))
+    log = ensemble.RunLog(seed=0, n_runs=3, order=(0,), outcomes=np.ones((3, 1), dtype=np.int8),
+                          codes=np.ones(3, dtype=np.intp), branches=[])
+    return s, log
+
+
+def test_empirical_sector_keeps_a_retained_branch_of_tiny_weight():
+    """Outcome 1 of a readout tilted 1e-6 from z has weight
+    sin^2(5e-7) = 2.5e-13, below the dense `normalize`'s absolute floor. A
+    log whose runs all took it gets that branch's state, for subsets that
+    condition on the readout and for B, which only shares its runs; a
+    retained branch of weight exactly 0 still raises, naming the sector."""
+    s, log = faint_readout("pauli_n(1e-6, 0)")
+    assert abs(ensemble.enumerate_branches(s)[1].probability - 2.5e-13) < 1e-20
+    down = linalg.projector(linalg.spin_basis(1e-6, 0.0)[1])
+    p00 = linalg.projector(linalg.KET0)
+    for subset, want in (((0,), down), ((1,), p00), ((0, 1), linalg.kron(down, p00))):
+        got = ensemble.empirical_sector(log, s, subset, (2.0, 0.0))
+        assert np.max(np.abs(got - want)) < 1e-12
+
+    s, log = faint_readout("pauli_z")
+    for subset in ((0,), (1,)):
+        with pytest.raises(ImpossibleOutcomeError, match=r"^sector \{%s\}: " % "AB"[subset[0]]):
+            ensemble.empirical_sector(log, s, subset, (2.0, 0.0))
 
 
 def test_analytic_sector_equals_engine_on_fixtures():

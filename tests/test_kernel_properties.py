@@ -197,11 +197,15 @@ def test_audit_rule_states_equal_pushed_states(s, taus, v):
 @given(s=scenarios_with_blocked_branch(), taus=hs.lists(tau_values, min_size=4, max_size=4))
 def test_branch_weights_and_states_equal_pushed_states(s, taus):
     """Each branch's weight against the trace of the full push through every
-    intervention, and the state it adds to `empirical_sector` against the
-    full push through the subset's applied interventions, traced; a branch
-    the full push gives weight 0 weighs exactly 0. The applied interventions
-    are the region selection of the subset's pasts, closed on each
-    worldline, and every intervention off the subset."""
+    intervention, and the state it adds to `empirical_sector`
+    (`ensemble.branch_state`) against the full push through the subset's
+    applied interventions, traced and normalized; a branch the full push
+    gives weight 0 weighs exactly 0. Where `normalize`'s absolute floor
+    refuses the reference but the branch weight is positive, the state must
+    still be exactly Hermitian with unit trace; only a weight of 0 raises.
+    The applied interventions are the region selection of the subset's
+    pasts, closed on each worldline, and every intervention off the
+    subset."""
     order = ensemble.selective_order(s)
     every = range(len(s.interventions))
     applied = {}
@@ -219,9 +223,11 @@ def test_branch_weights_and_states_equal_pushed_states(s, taus):
         assert abs(b.probability - want) < TOL
         assert want != 0.0 or b.probability == 0.0
         for subset, (cut, ids) in applied.items():
+            weight = engine.branch_weight(engine.push(s, cut, assignment))
             try:
-                got = linalg.normalize(engine.pushed(s, cut, subset, assignment))
+                got = ensemble.branch_state(s, cut, subset, assignment)
             except ImpossibleOutcomeError:
+                assert weight == 0.0
                 got = None
             try:
                 ref = linalg.normalize(linalg.ptrace(
@@ -229,7 +235,11 @@ def test_branch_weights_and_states_equal_pushed_states(s, taus):
                     s.dims, subset))
             except ImpossibleOutcomeError:
                 ref = None
-            assert_close_or_both_none(got, ref)
+            if ref is not None or got is None:
+                assert_close_or_both_none(got, ref)
+            else:
+                assert np.array_equal(got, got.conj().T)
+                assert abs(np.trace(got) - 1) < TOL
 
 
 def factor_of(rho):

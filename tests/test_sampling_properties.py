@@ -9,7 +9,7 @@ import numpy as np
 from hypothesis import given
 from hypothesis import strategies as hs
 
-from polystate import engine, ensemble, linalg
+from polystate import ensemble
 from polystate.errors import EmptyEnsembleError, ImpossibleOutcomeError
 
 from helpers import load_fixture
@@ -67,9 +67,9 @@ def rows_frequencies(outcomes):
 
 def rows_empirical_sector(log, s, subset, taus):
     """`empirical_sector` with retained runs grouped by unique rows; each
-    branch state comes from the same kernel, `engine.pushed`, so the two
-    agree bit for bit (the kernel itself is checked against the full push
-    in `test_kernel_properties`)."""
+    branch state comes from the same kernel, `ensemble.branch_state`, so the
+    two agree bit for bit (the kernel itself is checked against the full
+    push in `test_kernel_properties`)."""
     subset, inside, applied = ensemble._selection(s, subset, taus)
     order = log.order
     keep_cols = [j for j, k in enumerate(order) if k in inside]
@@ -88,8 +88,8 @@ def rows_empirical_sector(log, s, subset, taus):
         rows, counts = np.unique(retained, axis=0, return_counts=True)
     for row, count in zip(rows, counts):
         assignment = {k: int(row[j]) for j, k in enumerate(order)}
-        acc += count * linalg.normalize(engine.pushed(s, applied, subset, assignment))
-    return linalg.check_density(acc / retained.shape[0])
+        acc += count * ensemble.branch_state(s, applied, subset, assignment)
+    return acc / retained.shape[0]
 
 
 def sector_or_error(f, *args):

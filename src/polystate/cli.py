@@ -1,6 +1,7 @@
 """Command-line front end. Results go to stdout as JSON or CSV, diagnostics
-to stderr. Exit codes: 0 success, 1 input or usage error, 2 conditioning on
-an impossible outcome."""
+to stderr. Exit codes: 0 success, 1 input or usage error, or stdout closed
+by its reader before the result was written (as by `| head`), 2
+conditioning on an impossible outcome."""
 
 from __future__ import annotations
 
@@ -514,7 +515,15 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        code = args.func(args)
+        # flushed here, so that a closed pipe is met inside this handler
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader is gone: what is left for stdout goes to devnull, so the
+        # flush at exit finds no pipe to break either
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (ImpossibleOutcomeError, EmptyEnsembleError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -23,8 +23,11 @@ proper-time prefix, so a selection is a cut: per subsystem j, the number
 L_j of its interventions applied in (tau, id) order (`Scenario.cut_of`).
 The scenario multiplies each subsystem's recorded operators up once, on
 first use (`Scenario.chains`), and `push` reads M_j as the L_j-th product:
-n small products per cut, not one per intervention. Only outcome overrides
-(the ensemble's branches) multiply as they go. The scenario factors its
+n small products per cut, not one per intervention. Only subsystems with
+outcome overrides (the ensemble's branches) multiply as they go, over a
+stack of operators: `push` can resolve selectives, keeping all of their
+outcomes on leading axes, so one call pushes every branch of a chunk and
+the ensemble makes no Python-level push per branch. The scenario factors its
 initial state once, rho = Psi Psi^dagger with Psi of shape D x r
 (`Scenario.initial_factor`: the parsed ket itself for a `named` or `ket`
 input, r = 1; otherwise one `eigh`, r = 1 for a pure state). `push`
@@ -84,7 +87,7 @@ import numpy as np
 
 from . import linalg
 from .errors import ImpossibleOutcomeError
-from .scenario import Scenario, local_sequences
+from .scenario import Scenario, SelectiveOp
 from .spacetime import (Foliation, PastOfEvent, PastOfLeaf, Worldline,
                         causally_precedes, position)
 
@@ -118,26 +121,57 @@ def past_cut(s: Scenario, taus, subset) -> tuple:
     return tuple(map(max, *(rows[i][1] for i in subset)))
 
 
-def push(s: Scenario, cut, outcomes=None) -> np.ndarray:
+def push(s: Scenario, cut, outcomes=None, resolve=()) -> np.ndarray:
     """The initial factor Psi pushed through a cut's interventions, D x r:
     subsystem j's first L_j operators in (tau, id) order make one M_j,
-    applied on its axis of Psi, read from `Scenario.chains` for the recorded
-    branches and multiplied as they go for the ones `outcomes` assigns."""
+    applied on its axis of Psi. A subsystem whose recorded branches all
+    stand reads M_j from `Scenario.chains`; one with a branch that
+    `outcomes` fixes or `resolve` keeps open multiplies as it goes,
+    K_o @ M over a stack of operators, a fixed branch being a stack of one.
+
+    The selectives in `resolve`, ids inside the cut, keep their outcomes on
+    leading axes in the order given: the result has shape
+    (c_1, ..., c_m, D, r), and its slice [o_1, ..., o_m] equals, bit for
+    bit, the push with those outcomes fixed."""
     dims = s.dims
-    psi = s.initial_factor
-    if outcomes:
-        operators = []
-        for j, sequence in local_sequences(s, s.cut_ids(cut), outcomes).items():
-            (m,) = sequence[0]
-            for (k,) in sequence[1:]:
-                m = k @ m
-            operators.append((j, m))
-    else:
-        products = s.chains.products
-        operators = [(j, products[j][cut[j] - 1]) for j in s.chains.heads if cut[j]]
-    for j, m in operators:
-        psi = m @ psi.reshape(math.prod(dims[:j]), dims[j], -1)
-    return psi.reshape(math.prod(dims), -1)
+    ivs = s.interventions
+    axes = {k: a for a, k in enumerate(resolve)}
+    overridden = {}
+    if outcomes or axes:
+        ids = s.cut_ids(cut)
+        if not set(axes) <= {k for k in ids if isinstance(ivs[k].op, SelectiveOp)}:
+            raise ValueError(f"resolve {tuple(resolve)} names an id that is not a selective "
+                             "intervention inside the cut")
+        outcomes = outcomes or {}
+        for k in sorted(ids, key=lambda k: (ivs[k].tau, k)):
+            overridden.setdefault(ivs[k].subsystem, []).append(k)
+        overridden = {j: line for j, line in overridden.items()
+                      if any(k in outcomes or k in axes for k in line)}
+    products = s.chains.products
+    psi = s.initial_factor.reshape(-1)
+    for j in s.chains.heads:
+        if not cut[j]:
+            continue
+        if j not in overridden:
+            m = products[j][cut[j] - 1]
+        else:
+            m = None
+            for k in overridden[j]:
+                op = ivs[k].op
+                if k in axes:
+                    shape = [1] * len(axes)
+                    shape[axes[k]] = len(op.kraus)
+                    op = np.reshape(op.kraus, (*shape, dims[j], dims[j]))
+                elif isinstance(op, SelectiveOp):
+                    op = op.kraus[outcomes.get(k, op.chosen)]
+                else:
+                    op = op.matrix
+                m = op if m is None else op @ m
+        # psi is (*stack, D r); M_j meets it as (*stack, prod dims[:j], d_j, rest)
+        lead = psi.shape[:-1]
+        psi = m[..., None, :, :] @ psi.reshape(*lead, math.prod(dims[:j]), dims[j], -1)
+        psi = psi.reshape(*psi.shape[:-3], -1)
+    return psi.reshape(*psi.shape[:-1], math.prod(dims), -1)
 
 
 def subset_factor(s: Scenario, psi, subset) -> np.ndarray:

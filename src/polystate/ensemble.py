@@ -2,21 +2,25 @@
 
 A scenario's recorded outcomes single out a sub-ensemble of repeated runs.
 `enumerate_branches` lists every outcome assignment exactly; `sample_runs`
-draws seeded Monte Carlo runs, generating the uniforms of all runs in bulk,
-block by block, with run r's row depending only on (seed, r);
-`empirical_sector` rebuilds the ensemble a subsystem subset holds at given
-proper times, discarding runs only on the outcomes whose events lie inside
-the subset's union of causal pasts, since nothing else can have reached it.
-`analytic_sector` is the exact version of the same conditioning and must
-agree with the engine's sector.
+draws seeded Monte Carlo runs from one counter-based stream per seed, the
+uniforms of all runs in bulk, block by block, with run r's row depending
+only on (seed, r); `empirical_sector` rebuilds the ensemble a subsystem
+subset holds at given proper times, discarding runs only on the outcomes
+whose events lie inside the subset's union of causal pasts, since nothing
+else can have reached it. `analytic_sector` is the exact version of the
+same conditioning and must agree with the engine's sector.
 
 A branch goes through one Kraus operator per intervention, so its weight
 and its states come from the engine's pushed factor (`engine.push`), as
 every sector does: a branch weight is its squared norm
 (`engine.branch_weight`), and a retained run's state its Gram matrix on the
-subset over that weight (`linalg.gram_density`). `analytic_sector` alone
-pushes the full density operator through every channel and traces
-afterwards, so that it stays an independent check of that kernel.
+subset over that weight (`linalg.gram_density`). Many branches are pushed
+at once: `engine.push` keeps the outcomes of the selectives it resolves on
+leading axes of one stack, so the branch weights and each empirical
+sector's distinct branches come from stacked pushes, chunk by chunk, not
+from one Python-level push per branch. `analytic_sector` alone pushes the
+full density operator through every channel and traces afterwards, so that
+it stays an independent check of that kernel.
 """
 
 from __future__ import annotations
@@ -57,7 +61,10 @@ def enumerate_branches(s: Scenario, cap: int = BRANCH_CAP) -> list:
 
     A probability is the Born weight of pushing the initial state through
     every intervention on that assignment's branches, the squared norm of
-    the pushed factor; they sum to one.
+    the pushed factor; they sum to one. The factors come from stacked
+    pushes of the full cut with every selective resolved (`_stacked_pushes`),
+    and each weight is its row's pairwise sum of squares, the bits
+    `engine.branch_weight` gives the single push.
     """
     order = selective_order(s)
     counts = _outcome_counts(s, order)
@@ -65,9 +72,9 @@ def enumerate_branches(s: Scenario, cap: int = BRANCH_CAP) -> list:
     if total > cap:
         raise BranchExplosionError(f"{total} branches exceed the cap {cap}")
     every = tuple(map(len, s.chains.products))
-    return [Branch(outcomes=combo,
-                   probability=branch_weight(push(s, every, dict(zip(order, combo)))))
-            for combo in product(*[range(c) for c in counts])]
+    weights = np.concatenate([np.square(stack.reshape(len(stack), -1).view(float)).sum(axis=1)
+                              for _, stack in _stacked_pushes(s, every, order)])
+    return list(map(Branch, product(*[range(c) for c in counts]), weights.tolist()))
 
 
 @dataclass
@@ -87,42 +94,52 @@ class RunLog:
 # outcome log itself is allocated once, up front
 _BLOCK = 1 << 16
 
-# Philox4x64-10 round multipliers and key increments (Random123)
-_PHILOX_M = (np.uint64(0xD2E7470EE14C6C93), np.uint64(0xCA5A826395121157))
-_PHILOX_W = (np.uint64(0x9E3779B97F4A7C15), np.uint64(0xBB67AE8584CAA73B))
-_LO32 = np.uint64(0xFFFFFFFF)
-_S32 = np.uint64(32)
+# bytes one stacked push may hold (`engine.push` with `resolve`); a larger
+# stack is pushed chunk by chunk
+_STACK_BYTES = 1 << 24
 
 
-def _mulhilo(a, b):
-    """High and low words of the 128-bit product of uint64 a and b, built
-    from 32-bit halves so that no partial product overflows."""
-    a_lo, a_hi = a & _LO32, a >> _S32
-    b_lo, b_hi = b & _LO32, b >> _S32
-    ll, lh, hl = a_lo * b_lo, a_lo * b_hi, a_hi * b_lo
-    mid = (ll >> _S32) + (lh & _LO32) + (hl & _LO32)
-    return a_hi * b_hi + (lh >> _S32) + (hl >> _S32) + (mid >> _S32), a * b
+def _stacked_pushes(s: Scenario, cut, sel, wanted=None):
+    """The factors of every outcome assignment to the selectives `sel` (ids
+    inside the cut), pushed through the cut and yielded chunk by chunk as
+    (first code, stack): the stack has shape (assignments, D, r), with
+    assignments in mixed-radix code order, first selective most significant.
+    Each chunk fixes the leading selectives and resolves the trailing ones,
+    as few fixed as keep it within `_STACK_BYTES`. Given `wanted`, an array
+    of codes, only the chunks that hold one are pushed."""
+    counts = _outcome_counts(s, sel)
+    row = 16 * math.prod(s.dims) * s.initial_factor.shape[1]  # complex factor
+    fixed = 0
+    while fixed < len(sel) and row * math.prod(counts[fixed:]) > _STACK_BYTES:
+        fixed += 1
+    size = math.prod(counts[fixed:])
+    chunks = (range(math.prod(counts[:fixed])) if wanted is None
+              else np.flatnonzero(np.bincount(wanted // size)))
+    for c in map(int, chunks):
+        prefix = map(int, np.unravel_index(c, counts[:fixed]))
+        stack = push(s, cut, dict(zip(sel, prefix)), resolve=sel[fixed:])
+        yield c * size, stack.reshape(size, *stack.shape[-2:])
 
 
-def _philox_uniforms(seed: int, runs: np.ndarray, k: int) -> np.ndarray:
-    """Row r holds the first k doubles of
-    `np.random.Generator(np.random.Philox(key=[seed, runs[r]])).random(k)`,
-    bit for bit: Philox4x64-10 on counters (b, 0, 0, 0), b = 1, 2, ..., one
-    block of four words each, and each word's top 53 bits scaled by 2**-53."""
-    blocks = -(-k // 4)
-    shape = (runs.shape[0], blocks)
-    c0 = np.broadcast_to(np.arange(1, blocks + 1, dtype=np.uint64), shape)
-    c1 = c2 = c3 = np.zeros(shape, dtype=np.uint64)
-    k0 = np.full(shape, seed, dtype=np.uint64)
-    k1 = np.broadcast_to(runs[:, None], shape)
-    for rnd in range(10):
-        if rnd:
-            k0, k1 = k0 + _PHILOX_W[0], k1 + _PHILOX_W[1]
-        hi0, lo0 = _mulhilo(_PHILOX_M[0], c0)
-        hi1, lo1 = _mulhilo(_PHILOX_M[1], c2)
-        c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
-    words = np.stack((c0, c1, c2, c3), axis=-1).reshape(shape[0], 4 * blocks)[:, :k]
-    return (words >> np.uint64(11)) * 2.0**-53
+# SplitMix64 (Steele, Lea & Flood 2014): output i of the stream seeded with
+# s mixes the counter s + (i + 1) gamma (mod 2**64) through a bijection, so
+# any stretch of the stream is computed at once, in numpy's core
+_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+_MIX = ((np.uint64(30), np.uint64(0xBF58476D1CE4E5B9)),
+        (np.uint64(27), np.uint64(0x94D049BB133111EB)))
+
+
+def _uniforms(seed: int, first: int, count: int) -> np.ndarray:
+    """Doubles first, ..., first + count - 1 of the SplitMix64 stream seeded
+    with `seed`, each the top 53 bits of an output over 2**53."""
+    z = np.arange(first + 1, first + count + 1, dtype=np.uint64)
+    z *= _GAMMA
+    z += np.uint64(seed)
+    for shift, factor in _MIX:
+        z ^= z >> shift
+        z *= factor
+    z ^= z >> np.uint64(31)
+    return (z >> np.uint64(11)) * 2.0**-53
 
 
 def _prefix_cumulants(branches, counts) -> list:
@@ -144,12 +161,13 @@ def _prefix_cumulants(branches, counts) -> list:
 def sample_runs(s: Scenario, n_runs: int, seed: int) -> RunLog:
     """N independent runs; outcome k of each selective intervention is drawn
     with its conditional Born probability given the earlier outcomes of the
-    same run. Run r uses the Philox4x64 stream keyed by (seed, r) from
-    counter zero, so row r depends only on (seed, r): results are independent
-    of evaluation order and of n_runs. The uniforms of all runs are generated
-    in bulk, block by block of runs, into an outcome log allocated up front,
-    each run's outcome tuple and its code, so a run count too large to
-    allocate is refused here even when there is no selective.
+    same run. Each seed has one stream of uniforms, SplitMix64 seeded with
+    it: with k selectives, run r takes doubles r k, ..., r k + k - 1 of it,
+    so row r depends only on (seed, r) and k, not on n_runs or on how the
+    runs are split into blocks. The uniforms are drawn in bulk, block by
+    block of runs, into an outcome log allocated up front, each run's
+    outcome tuple and its code, so a run count too large to allocate is
+    refused here even when there is no selective.
 
     Run r's j-th uniform u picks the first outcome whose running sum of
     branch weights under the run's outcome prefix reaches u times the
@@ -175,7 +193,7 @@ def sample_runs(s: Scenario, n_runs: int, seed: int) -> RunLog:
     tables = _prefix_cumulants(branches, counts)
     for start in range(0, n_runs, _BLOCK):
         stop = min(start + _BLOCK, n_runs)
-        us = _philox_uniforms(seed, np.arange(start, stop, dtype=np.uint64), k)
+        us = _uniforms(seed, start * k, (stop - start) * k).reshape(-1, k)
         # the outcome prefix so far, coded as in `RunLog.codes`; the running
         # sums never decrease, so the count of those below u is the index
         # of the first one that reaches it
@@ -193,8 +211,13 @@ def sample_runs(s: Scenario, n_runs: int, seed: int) -> RunLog:
 def branch_frequencies(log: RunLog, s: Scenario) -> dict:
     """Observed count per outcome tuple."""
     counts = _outcome_counts(s, log.order)
-    codes, freq = np.unique(log.codes, return_counts=True)
-    return {tuple(map(int, np.unravel_index(c, counts))): int(f) for c, f in zip(codes, freq)}
+    freq = np.bincount(log.codes)
+    return {_outcome_tuple(code, counts): int(freq[code]) for code in np.flatnonzero(freq)}
+
+
+def _outcome_tuple(code, counts) -> tuple:
+    """The outcome tuple a mixed-radix code stands for."""
+    return tuple(map(int, np.unravel_index(code, counts)))
 
 
 def _selection(s: Scenario, subset, taus) -> tuple:
@@ -209,18 +232,28 @@ def _selection(s: Scenario, subset, taus) -> tuple:
     return subset, set(s.cut_ids(inside)), applied
 
 
+def _read_branch(s: Scenario, psi, subset):
+    """The subset's state read from a branch's pushed factor, its Gram
+    matrix on the subset over the branch weight; None for weight 0."""
+    weight = branch_weight(psi)
+    return linalg.gram_density(subset_factor(s, psi, subset), weight) if weight else None
+
+
+def _impossible(s: Scenario, subset, branch) -> ImpossibleOutcomeError:
+    names = ",".join(s.names[i] for i in subset)
+    return ImpossibleOutcomeError(f"sector {{{names}}}: branch {branch} "
+                                  "has weight 0 and cannot occur")
+
+
 def branch_state(s: Scenario, cut, subset, outcomes) -> np.ndarray:
     """The subset's state after the cut's interventions on the branches
     `outcomes` assigns: the pushed factor's Gram matrix on the subset over
     its weight. A branch of weight 0, which a drawn run never takes but a
     hand-made log can hold, raises `ImpossibleOutcomeError`."""
-    psi = push(s, cut, outcomes)
-    weight = branch_weight(psi)
-    if weight == 0:
-        names = ",".join(s.names[i] for i in subset)
-        raise ImpossibleOutcomeError(f"sector {{{names}}}: branch {tuple(outcomes.values())} "
-                                     "has weight 0 and cannot occur")
-    return linalg.gram_density(subset_factor(s, psi, subset), weight)
+    state = _read_branch(s, push(s, cut, outcomes), subset)
+    if state is None:
+        raise _impossible(s, subset, tuple(outcomes.values()))
+    return state
 
 
 def empirical_sector(log: RunLog, s: Scenario, subset, taus) -> np.ndarray:
@@ -231,6 +264,13 @@ def empirical_sector(log: RunLog, s: Scenario, subset, taus) -> np.ndarray:
     pasts. Each retained run contributes its normalized branch state,
     reduced to the subset; runs that differ only in outcomes that never
     reached the subset stay in the ensemble and contribute their own branch.
+
+    A branch state depends only on the outcomes of the selectives in the
+    applied cut, so one stacked push over those (`_stacked_pushes`) gives
+    every retained branch's factor, and each distinct assignment to them is
+    read once, as `branch_state` reads its one branch. The retained runs
+    are counted per outcome code with `np.bincount` and added as count times
+    state in code order, the sum `branch_state` would make branch by branch.
     """
     subset, inside, applied = _selection(s, subset, taus)
     order = log.order
@@ -243,13 +283,28 @@ def empirical_sector(log: RunLog, s: Scenario, subset, taus) -> np.ndarray:
     if retained.shape[0] == 0:
         raise EmptyEnsembleError("no run matches the recorded outcomes inside the causal past")
 
+    freq = np.bincount(retained)
+    codes = np.flatnonzero(freq)
+    # each retained code's assignment to the selectives the applied cut holds
+    in_cut = set(s.cut_ids(applied))
+    cols = [j for j, k in enumerate(order) if k in in_cut]
+    keys = np.zeros(codes.shape[0], dtype=np.intp)
+    if cols:
+        digits = np.unravel_index(codes, counts)
+        keys = np.ravel_multi_index([digits[j] for j in cols], [counts[j] for j in cols])
+    # per key, its state, or None for a branch of weight 0
+    states = {}
+    distinct = np.flatnonzero(np.bincount(keys))
+    for first, stack in _stacked_pushes(s, applied, tuple(order[j] for j in cols), distinct):
+        for key in distinct[(distinct >= first) & (distinct < first + len(stack))].tolist():
+            states[key] = _read_branch(s, stack[key - first], subset)
+
     dim = math.prod(s.dims[i] for i in subset)
     acc = np.zeros((dim, dim), dtype=complex)
-    # code order is lexicographic row order, so branches add up in the
-    # order of their outcome tuples
-    for code, count in zip(*np.unique(retained, return_counts=True)):
-        assignment = dict(zip(order, map(int, np.unravel_index(code, counts))))
-        acc += count * branch_state(s, applied, subset, assignment)
+    for code, key in zip(codes.tolist(), keys.tolist()):
+        if states[key] is None:
+            raise _impossible(s, subset, _outcome_tuple(code, counts))
+        acc += freq[code] * states[key]
     return acc / retained.shape[0]
 
 

@@ -244,10 +244,12 @@ def gram_density(phi, weight: float) -> np.ndarray:
     # NaN, infinite and zero weights fail here, and ones whose inverse overflows
     if not (math.isfinite(weight) and math.isfinite(scale)):
         raise StateValidationError(f"branch weight {weight:.3e} has no finite inverse")
-    rho = phi @ phi.conj().T
+    # one conjugate copy serves both Gram products
+    phic = phi.conj()
+    rho = phi @ phic.T
     rho += rho.conj().T
     rho *= scale
-    small = rho if phi.shape[0] <= phi.shape[1] else phi.conj().T @ phi / weight
+    small = rho if phi.shape[0] <= phi.shape[1] else phic.T @ phi / weight
     out = _settle(rho, np.linalg.eigvalsh(small))
     # a clamp's eigh reconstruction is Hermitian only to rounding
     return out if out is rho else (out + out.conj().T) / 2

@@ -146,3 +146,16 @@ def prefix_closure(s: Scenario, ids) -> tuple:
     cut = reference_cut(s, ids)
     return tuple(sorted(k for line, length in zip(proper_time_lines(s), cut)
                         for k in line[:length]))
+
+
+def splitmix64_uniforms(seed: int):
+    """The SplitMix64 generator as published (Steele, Lea & Flood 2014), one
+    output at a time in Python integers: the state advances by the golden
+    gamma and each output is the mixed state. Yields each output's top 53
+    bits over 2**53, the uniforms `ensemble.sample_runs` draws."""
+    state = seed
+    while True:
+        state = (state + 0x9E3779B97F4A7C15) % 2**64
+        z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) % 2**64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) % 2**64
+        yield ((z ^ (z >> 31)) >> 11) * 2.0**-53

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import os
 import subprocess
 import sys
 
@@ -339,6 +340,23 @@ def test_stdout_carries_only_results():
     res = run_cli("eval", BELL, "--tau", "A=0.0,B=0.0")
     json.loads(res.stdout)  # a clean JSON document, nothing else
     assert res.stderr == ""
+
+
+@pytest.mark.parametrize("args", [
+    ("eval", EPR, "--tau", "A=2.0,B=1.5"),
+    ("ensemble", DEMO, "--n", "50", "--tau", "A=0.5,B=1.5"),
+], ids=["eval", "ensemble"])
+def test_closed_stdout_exits_one_without_a_traceback(args):
+    """A reader that has gone away, as `| head` does, is not an error worth
+    a traceback: the command exits 1 and prints nothing on stderr."""
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        res = subprocess.run([sys.executable, "-m", "polystate", *args],
+                             stdout=write, stderr=subprocess.PIPE, text=True)
+    finally:
+        os.close(write)
+    assert (res.returncode, res.stderr) == (1, "")
 
 
 def test_main_calls_in_one_process_match_lone_runs(capsys):

@@ -8,7 +8,8 @@ from polystate import engine, ensemble, linalg
 from polystate.errors import BranchExplosionError, EmptyEnsembleError, ImpossibleOutcomeError
 from polystate.scenario import parse_scenario
 
-from helpers import load_fixture, random_two_qubit_scenario, with_outcomes
+from helpers import (load_fixture, random_two_qubit_scenario, splitmix64_uniforms,
+                     with_outcomes)
 
 RNG = np.random.default_rng(314)
 
@@ -178,17 +179,18 @@ def test_compare_report_shape():
     assert report.max_empirical <= max(r.empirical_distance for r in report.rows) + 1e-15
 
 
-def test_sample_runs_draws_from_a_philox_stream_per_run():
-    # run r takes its uniforms from a fresh Philox keyed by (seed, r) and
-    # turns each into an outcome by its conditional Born probability
+def test_sample_runs_draws_from_one_stream_per_seed():
+    # one call draws from the seed's one SplitMix64 stream; run r takes its
+    # two uniforms at offset 2r and turns each into an outcome by its
+    # conditional Born probability
     s = load_fixture("epr_test.scn")
     seed = 17
     log = ensemble.sample_runs(s, 60, seed=seed)
     p = {b.outcomes: b.probability for b in ensemble.enumerate_branches(s)}
     marginal = {a: p[(a, 0)] + p[(a, 1)] for a in (0, 1)}
+    stream = splitmix64_uniforms(seed)
     for r in range(60):
-        gen = np.random.Generator(np.random.Philox(key=np.array([seed, r], dtype=np.uint64)))
-        u = gen.random(2)
+        u = [next(stream), next(stream)]
         first = 0 if u[0] <= marginal[0] else 1
         second = 0 if u[1] * marginal[first] <= p[(first, 0)] else 1
         assert tuple(log.outcomes[r]) == (first, second)

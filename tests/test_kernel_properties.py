@@ -4,8 +4,10 @@ the pushed-factor states of the engine's sectors, of every audit rule and of
 every ensemble branch against pushing the whole joint state and tracing
 afterwards; the Gram states of `state_after`, weighed once per cut and
 validated on the small side of their factor, against the dense push, trace
-and full validation; one push per distinct selection; and the push of a cut
-against multiplying its operators in (tau, id) order.
+and full validation; one push per distinct selection; the push of a cut
+against multiplying its operators in (tau, id) order; and the stacked push,
+which keeps resolved outcomes on leading axes, slice by slice against the
+push of each branch.
 
 Scenario structure (subsystem count, local dimensions, kinds, order and
 proper times of the interventions, worldlines, evaluation times) is drawn by
@@ -13,16 +15,20 @@ hypothesis; the matrix entries come from a numpy generator seeded by a drawn
 integer, since a 3^4-dimensional density operator is too many floats to draw
 one by one."""
 
+import json
 from dataclasses import replace
+from itertools import product
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as hs
 
 from polystate import audit, engine, ensemble, linalg
 from polystate.errors import ImpossibleOutcomeError, StateValidationError
 from polystate.scenario import (Intervention, Scenario, SelectiveOp, UnitaryOp,
-                                apply_interventions, boosted_scenario, selected_ids)
+                                apply_interventions, boosted_scenario, parse_scenario,
+                                selected_ids)
 from polystate.spacetime import Foliation, Region, position
 
 from helpers import (load_fixture, prefix_closure, proper_time_lines, random_density,
@@ -157,22 +163,26 @@ def states_or_none(p, s, taus):
 
 
 @hs.composite
-def scenarios_with_blocked_branch(draw, base=scenarios()):
+def scenarios_with_blocked_branch(draw, base=scenarios(), tilts=(0.0,)):
     """A scenario drawn from `base` that, when a drawn flag is set, starts
     from |0...0> and gets a z measurement on one subsystem recording outcome
     1, so selections that include it (and no earlier rotation of that
-    subsystem) have zero Born weight."""
+    subsystem) have zero Born weight. Given more than one tilt, the
+    readout's basis is turned by a drawn one of them, from |0> towards |1>,
+    and outcome 1 there has the weight sin^2(tilt / 2) instead."""
     s = draw(base)
     if not draw(hs.booleans()):
         return s
     i = draw(hs.integers(min_value=0, max_value=s.n - 1))
     tau = draw(tau_values)
     assume(all(iv.subsystem != i or abs(iv.tau - tau) > 1e-3 for iv in s.interventions))
+    tilt = draw(hs.sampled_from(tilts)) if len(tilts) > 1 else tilts[0]
     total = int(np.prod(s.dims))
     zero = np.zeros((total, total), dtype=complex)
     zero[0, 0] = 1.0
-    p0 = np.zeros((s.dims[i], s.dims[i]), dtype=complex)
-    p0[0, 0] = 1.0
+    up = np.zeros(s.dims[i], dtype=complex)
+    up[:2] = np.cos(tilt / 2), np.sin(tilt / 2)
+    p0 = np.outer(up, up)
     blocked = SelectiveOp(kraus=(p0, np.eye(s.dims[i]) - p0), chosen=1, labels=("0", "1"))
     return replace(s, initial_state=zero,
                    interventions=s.interventions + (Intervention(i, tau, blocked),))
@@ -193,9 +203,12 @@ def test_audit_rule_states_equal_pushed_states(s, taus, v):
         assert_close_or_both_none(got_single, want_single)
 
 
-@SUITE
-@given(s=scenarios_with_blocked_branch(), taus=hs.lists(tau_values, min_size=4, max_size=4))
-def test_branch_weights_and_states_equal_pushed_states(s, taus):
+# a readout this far off |0> keeps outcome 1 at weight 2.5e-15 on |0>: positive,
+# and below `normalize`'s absolute floor of 1e-12
+FAINT_TILT = 1e-7
+
+
+def test_branch_weights_and_states_equal_pushed_states():
     """Each branch's weight against the trace of the full push through every
     intervention, and the state it adds to `empirical_sector`
     (`ensemble.branch_state`) against the full push through the subset's
@@ -203,43 +216,55 @@ def test_branch_weights_and_states_equal_pushed_states(s, taus):
     gives weight 0 weighs exactly 0. Where `normalize`'s absolute floor
     refuses the reference but the branch weight is positive, the state must
     still be exactly Hermitian with unit trace; only a weight of 0 raises.
-    The applied interventions are the region selection of the subset's
-    pasts, closed on each worldline, and every intervention off the
-    subset."""
-    order = ensemble.selective_order(s)
-    every = range(len(s.interventions))
-    applied = {}
-    for members in ((0,), tuple(range(s.n))):
-        subset, _, cut = ensemble._selection(s, members, taus)
-        region = Region.union_of_pasts([position(s.worldlines[i], taus[i]) for i in subset])
-        ids = prefix_closure(s, set(selected_ids(s, region)).union(
-            k for k in every if s.interventions[k].subsystem not in subset))
-        assert s.cut_ids(cut) == ids
-        applied[subset] = (cut, ids)
-    for b in ensemble.enumerate_branches(s):
-        assignment = dict(zip(order, b.outcomes))
-        want = float(np.trace(apply_interventions(s, every, s.initial_state,
-                                                  outcomes=assignment)).real)
-        assert abs(b.probability - want) < TOL
-        assert want != 0.0 or b.probability == 0.0
-        for subset, (cut, ids) in applied.items():
-            weight = engine.branch_weight(engine.push(s, cut, assignment))
-            try:
-                got = ensemble.branch_state(s, cut, subset, assignment)
-            except ImpossibleOutcomeError:
-                assert weight == 0.0
-                got = None
-            try:
-                ref = linalg.normalize(linalg.ptrace(
-                    apply_interventions(s, ids, s.initial_state, outcomes=assignment),
-                    s.dims, subset))
-            except ImpossibleOutcomeError:
-                ref = None
-            if ref is not None or got is None:
-                assert_close_or_both_none(got, ref)
-            else:
-                assert np.array_equal(got, got.conj().T)
-                assert abs(np.trace(got) - 1) < TOL
+    The readout of `scenarios_with_blocked_branch` is drawn exactly on z or
+    `FAINT_TILT` off it, so that such faint branches occur, and the suite
+    checks that they did. The applied interventions are the region
+    selection of the subset's pasts, closed on each worldline, and every
+    intervention off the subset."""
+    faint = []
+
+    @SUITE
+    @given(s=scenarios_with_blocked_branch(tilts=(0.0, FAINT_TILT)),
+           taus=hs.lists(tau_values, min_size=4, max_size=4))
+    def check(s, taus):
+        order = ensemble.selective_order(s)
+        every = range(len(s.interventions))
+        applied = {}
+        for members in ((0,), tuple(range(s.n))):
+            subset, _, cut = ensemble._selection(s, members, taus)
+            region = Region.union_of_pasts([position(s.worldlines[i], taus[i]) for i in subset])
+            ids = prefix_closure(s, set(selected_ids(s, region)).union(
+                k for k in every if s.interventions[k].subsystem not in subset))
+            assert s.cut_ids(cut) == ids
+            applied[subset] = (cut, ids)
+        for b in ensemble.enumerate_branches(s):
+            assignment = dict(zip(order, b.outcomes))
+            want = float(np.trace(apply_interventions(s, every, s.initial_state,
+                                                      outcomes=assignment)).real)
+            assert abs(b.probability - want) < TOL
+            assert want != 0.0 or b.probability == 0.0
+            for subset, (cut, ids) in applied.items():
+                weight = engine.branch_weight(engine.push(s, cut, assignment))
+                try:
+                    got = ensemble.branch_state(s, cut, subset, assignment)
+                except ImpossibleOutcomeError:
+                    assert weight == 0.0
+                    got = None
+                try:
+                    ref = linalg.normalize(linalg.ptrace(
+                        apply_interventions(s, ids, s.initial_state, outcomes=assignment),
+                        s.dims, subset))
+                except ImpossibleOutcomeError:
+                    ref = None
+                if ref is not None or got is None:
+                    assert_close_or_both_none(got, ref)
+                else:
+                    faint.append(weight)
+                    assert np.array_equal(got, got.conj().T)
+                    assert abs(np.trace(got) - 1) < TOL
+
+    check()
+    assert faint, "no drawn branch had a positive weight below normalize's floor"
 
 
 def factor_of(rho):
@@ -429,3 +454,76 @@ def test_push_equals_multiplication_in_proper_time_order(s, lengths, picks):
             for outcomes in (None, {}, others):
                 assert np.array_equal(engine.push(v, cut, outcomes),
                                       reference_push(v, ids, outcomes))
+
+
+def ghz5_scenario():
+    """GHZ-5 on five static worldlines, a z readout on every qubit at tau 1
+    and an x readout on A, C and E at tau 2: 256 branches, of which every
+    one with disagreeing z outcomes has weight exactly 0."""
+    ket = [0.0] * 32
+    ket[0] = ket[31] = 2**-0.5
+    interventions = [{"on": name, "tau": 1.0, "measure": {"projective_basis": "pauli_z",
+                                                          "outcome": 0}}
+                     for name in "ABCDE"]
+    interventions += [{"on": name, "tau": 2.0, "measure": {"projective_basis": "pauli_x",
+                                                           "outcome": 1}}
+                      for name in "ACE"]
+    return parse_scenario(json.dumps({
+        "spacetime": {"d": 1},
+        "subsystems": [{"name": name, "dim": 2,
+                        "worldline": {"anchor": [0.0, 3.0 * x], "segments": [],
+                                      "final_v": [0.0]}}
+                       for x, name in enumerate("ABCDE")],
+        "initial_state": {"ket": ket},
+        "interventions": interventions,
+    }))
+
+
+def assert_stack_equals_single_pushes(s, cut, fixed: int, backwards: bool):
+    """Resolve the cut's selectives after the first `fixed` of them, in
+    `selective_order` or backwards, for every assignment to those fixed:
+    each slice equals the push with its outcomes fixed, bit for bit, and its
+    row-wise pairwise sum of squares is that push's `branch_weight`, exactly
+    0 where the dense push through the same branches has trace 0."""
+    inside = set(s.cut_ids(cut))
+    sel = tuple(k for k in ensemble.selective_order(s) if k in inside)
+    fixed = min(fixed, len(sel))
+    resolve = sel[fixed:][::-1] if backwards else sel[fixed:]
+    counts = [len(s.interventions[k].op.kraus) for k in resolve]
+    for prefix in product(*[range(len(s.interventions[k].op.kraus)) for k in sel[:fixed]]):
+        stack = engine.push(s, cut, dict(zip(sel, prefix)), resolve=resolve)
+        assert stack.shape == (*counts, int(np.prod(s.dims)), s.initial_factor.shape[1])
+        rows = stack.reshape(-1, *stack.shape[-2:])
+        weights = np.square(rows.reshape(len(rows), -1).view(float)).sum(axis=1)
+        for rest, row, weight in zip(product(*map(range, counts)), rows, weights):
+            outcomes = {**dict(zip(sel, prefix)), **dict(zip(resolve, rest))}
+            single = engine.push(s, cut, outcomes)
+            assert np.array_equal(row, single), outcomes
+            assert weight == engine.branch_weight(single)
+            dense = apply_interventions(s, s.cut_ids(cut), s.initial_state, outcomes=outcomes)
+            assert np.trace(dense) != 0 or weight == 0.0
+
+
+@SUITE
+@given(s=scenarios_with_blocked_branch(scenarios_of_rank()),
+       lengths=hs.lists(hs.integers(0, 7), min_size=4, max_size=4),
+       fixed=hs.integers(0, 3), backwards=hs.booleans())
+def test_stacked_push_slices_equal_single_pushes(s, lengths, fixed, backwards):
+    """On drawn cuts of scenarios with pure, rank-2 and full-rank mixed
+    initial states, with and without a blocked branch."""
+    assert_stack_equals_single_pushes(s, cut_of_lengths(s, lengths), fixed, backwards)
+
+
+def test_stacked_push_slices_equal_single_pushes_on_ghz5():
+    s = ghz5_scenario()
+    every = tuple(map(len, s.chains.products))
+    for fixed, backwards in ((0, False), (0, True), (3, False)):
+        assert_stack_equals_single_pushes(s, every, fixed, backwards)
+    weights = [b.probability for b in ensemble.enumerate_branches(s)]
+    assert weights.count(0.0) == 256 - 16
+
+
+def test_push_refuses_to_resolve_what_the_cut_does_not_hold():
+    s = ghz5_scenario()
+    with pytest.raises(ValueError):
+        engine.push(s, (1, 1, 1, 1, 0), resolve=(4,))

@@ -1,9 +1,11 @@
-"""Property suites for bulk Monte Carlo sampling: the vectorised Philox
-doubles against numpy's own `Philox` generator, `sample_runs` against the
-per-run scalar loop it replaced, and the code-based run counting against
-counting outcome rows with `np.unique(..., axis=0)`."""
+"""Property suites for bulk Monte Carlo sampling: the bulk SplitMix64
+doubles against the generator run one output at a time, `sample_runs`
+against a per-run scalar loop over the seed's one stream, the code-based run
+counting against counting outcome rows with `np.unique(..., axis=0)`, and
+`empirical_sector`'s stacked pushes against one `branch_state` per branch."""
 
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 from hypothesis import given
@@ -12,8 +14,8 @@ from hypothesis import strategies as hs
 from polystate import ensemble
 from polystate.errors import EmptyEnsembleError, ImpossibleOutcomeError
 
-from helpers import load_fixture
-from test_kernel_properties import SUITE, scenarios_with_blocked_branch
+from helpers import load_fixture, splitmix64_uniforms
+from test_kernel_properties import SUITE, scenarios_of_rank, scenarios_with_blocked_branch
 from test_properties import tau_values
 
 seeds64 = hs.one_of(hs.sampled_from([0, 1, 2**64 - 1]),
@@ -21,8 +23,9 @@ seeds64 = hs.one_of(hs.sampled_from([0, 1, 2**64 - 1]),
 
 
 def scalar_sample_runs(s, n_runs, seed):
-    """The per-run loop: one Philox stream keyed by (seed, run), and a walk
-    over a dict of prefix weights per selective."""
+    """The per-run loop: the seed's one SplitMix64 stream, drawn one double
+    at a time, k per run, one run after another, and a walk over a dict of
+    prefix weights per selective."""
     order = ensemble.selective_order(s)
     branches = ensemble.enumerate_branches(s)
     counts = [len(s.interventions[k].op.kraus) for k in order]
@@ -35,13 +38,9 @@ def scalar_sample_runs(s, n_runs, seed):
         for b in branches:
             key = b.outcomes[:depth]
             prefix_prob[key] = prefix_prob.get(key, 0.0) + b.probability
-    bitgen = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
-    gen = np.random.Generator(bitgen)
-    state = bitgen.state
+    stream = splitmix64_uniforms(seed)
     for run in range(n_runs):
-        state["state"]["key"] = np.array([seed, run], dtype=np.uint64)
-        bitgen.state = state
-        us = gen.random(k)
+        us = [next(stream) for _ in range(k)]
         prefix = ()
         for j in range(k):
             u = us[j] * prefix_prob.get(prefix, 0.0)
@@ -100,15 +99,20 @@ def sector_or_error(f, *args):
         return type(exc)
 
 
+def test_splitmix64_reference_gives_the_published_first_output():
+    # seed 0's first output is 0xE220A8397B1DCDAF
+    assert next(splitmix64_uniforms(0)) == (0xE220A8397B1DCDAF >> 11) * 2.0**-53
+
+
 @SUITE
-@given(seed=seeds64, first=hs.integers(min_value=0, max_value=2**64 - 8),
-       k=hs.integers(min_value=1, max_value=12))
-def test_bulk_philox_doubles_equal_numpy_philox(seed, first, k):
-    runs = np.arange(first, first + 5, dtype=np.uint64)
-    got = ensemble._philox_uniforms(seed, runs, k)
-    for row, r in zip(got, runs):
-        want = np.random.Philox(key=np.array([seed, r], dtype=np.uint64))
-        assert np.array_equal(row, np.random.Generator(want).random(k))
+@given(seed=seeds64, first=hs.integers(min_value=0, max_value=5000),
+       count=hs.integers(min_value=0, max_value=40))
+def test_bulk_uniforms_equal_the_sequential_generator(seed, first, count):
+    stream = splitmix64_uniforms(seed)
+    for _ in range(first):
+        next(stream)
+    want = [next(stream) for _ in range(count)]
+    assert ensemble._uniforms(seed, first, count).tolist() == want
 
 
 @SUITE
@@ -126,6 +130,41 @@ def test_sample_runs_and_counting_equal_scalar_references(s, n_runs, seed, taus)
             assert np.array_equal(got, want)
         else:
             assert got == want
+
+
+def test_chunked_stacks_equal_one_stack():
+    """With the byte cap cut to a few branches' factors, `enumerate_branches`
+    and `empirical_sector` push their stacks in several chunks and give the
+    bits of one stack; the suite checks that some empirical sector did span
+    several chunks."""
+    sector_pushes = []
+
+    @SUITE
+    @given(s=scenarios_with_blocked_branch(scenarios_of_rank()),
+           n_runs=hs.integers(min_value=1, max_value=200), seed=seeds64,
+           taus=hs.lists(tau_values, min_size=4, max_size=4), rows=hs.integers(1, 3))
+    def check(s, n_runs, seed, taus, rows):
+        whole = ensemble.enumerate_branches(s)
+        log = ensemble.sample_runs(s, n_runs, seed)
+        subsets = ((0,), tuple(range(s.n)))
+        sectors = [sector_or_error(ensemble.empirical_sector, log, s, subset, taus)
+                   for subset in subsets]
+        cap = rows * 16 * int(np.prod(s.dims)) * s.initial_factor.shape[1]
+        with mock.patch.object(ensemble, "_STACK_BYTES", cap), \
+                mock.patch.object(ensemble, "push", wraps=ensemble.push) as pushes:
+            assert ensemble.enumerate_branches(s) == whole
+            assert pushes.call_count > 1 or len(whole) <= rows
+            for subset, want in zip(subsets, sectors):
+                pushes.reset_mock()
+                got = sector_or_error(ensemble.empirical_sector, log, s, subset, taus)
+                sector_pushes.append(pushes.call_count)
+                if isinstance(want, np.ndarray):
+                    assert np.array_equal(got, want)
+                else:
+                    assert got == want
+
+    check()
+    assert max(sector_pushes) > 1
 
 
 def test_sample_runs_across_the_block_boundary():

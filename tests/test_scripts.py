@@ -21,6 +21,7 @@ RUNS = (
     ("chain_ladder.py", "--repeats", "1"),
     ("ghz_ladder.py", "--repeats", "1", "--max-n", "2", "--max-noisy-n", "2"),
     ("ensemble_convergence.py", "--max-runs", "1"),
+    ("selective_ladder.py", "--m", "13", "--repeats", "1"),
     ("cli_digest.py",),
 )
 

@@ -8,9 +8,13 @@ The past lightcone rule (the Hellwig-Kraus reading) folds it everywhere
 except strictly inside the intervention's own causal past, boundary
 included. A fixed foliation folds it once the intervention's leaf lies at
 or below the leaf through x. Each rule's test is its `applied(events, x)`
-method, which the sector rule shares with the future lightcone rule, and
-every state below is `engine.state_after` on the cut of the set a test picks,
-evaluated once per leaf by `leaf_states`.
+method, which the sector rule shares with the future lightcone rule. That
+shared test is the closed causal past of x, which the engine already keeps
+per member and proper time, so the two lightcone rules read their cuts from
+the engine's member rows (`engine.past_cut`) and the past lightcone and
+foliation rules run `applied`. Every state below is `engine.state_after` on
+the cut of the set a test picks, evaluated once per leaf by `leaf_states`,
+and every charge is read off a diagonal (`linalg.expect_diag`).
 
 When the two parties' evaluation events disagree about what has been folded
 in, no single joint operator exists; `leaf_states` then returns the
@@ -76,7 +80,11 @@ class PolystateRule(FutureLightcone):
 
 def _event_cuts(p, s: Scenario, taus) -> list:
     """Per subsystem, the cut of the interventions the rule has applied at
-    its evaluation event (`p.applied` on one event or a stack of them)."""
+    its evaluation event. A lightcone rule's test is the closed causal past,
+    so it reads the engine's member rows (`engine.past_cut`), tested once per
+    member and proper time; any other rule runs `p.applied` on the event."""
+    if isinstance(p, FutureLightcone):
+        return [engine.past_cut(s, taus, (i,)) for i in range(s.n)]
     return [s.cut_of(p.applied(s.events, position(w, tau))) for w, tau in zip(s.worldlines, taus)]
 
 
@@ -215,24 +223,31 @@ class ChargeLedger:
     initial: float
 
 
-def _charges(s: Scenario) -> tuple:
-    """(total charge operator, its initial expectation) of a qubit scenario."""
+def _initial_charge(s: Scenario) -> float:
+    """The total charge of a qubit scenario's initial state."""
     if any(d != 2 for d in s.dims):
         raise ValueError("charge audits are defined for qubit scenarios")
-    q_total = linalg.total_charge(s.n)
-    return q_total, linalg.expect(s.initial_state, q_total)
+    return linalg.expect_diag(s.initial_state, linalg.charges(s.n))
+
+
+def leaf_charges(joint, locals_) -> tuple:
+    """(joint total charge, sum of the local charges) of one leaf's qubit
+    `leaf_states`, each read off a diagonal (`linalg.expect_diag`)."""
+    return (linalg.expect_diag(joint, linalg.charges(len(locals_))),
+            sum(linalg.expect_diag(r, linalg.charges(1)) for r in locals_))
 
 
 def charge_ledger(s: Scenario, f: Foliation, t_grid, source) -> ChargeLedger:
     """Total-charge bookkeeping along a foliation under one prescription:
-    the joint expectation versus the sum of per-subsystem local charges."""
-    q_total, initial = _charges(s)
+    the joint total charge versus the sum of per-subsystem local charges,
+    each read off its state's diagonal by `linalg.expect_diag`."""
+    initial = _initial_charge(s)
     q_joint, q_sum = [], []
     for t in t_grid:
         taus = [proper_time_at_leaf(s.worldlines[i], f, t) for i in range(s.n)]
-        joint, locals_ = leaf_states(source, s, taus)
-        q_joint.append(linalg.expect(joint, q_total))
-        q_sum.append(sum(linalg.expect(r, linalg.CHARGE) for r in locals_))
+        q, local = leaf_charges(*leaf_states(source, s, taus))
+        q_joint.append(q)
+        q_sum.append(local)
     return ChargeLedger(t_grid=list(t_grid), q_joint=q_joint, q_sum=q_sum, initial=initial)
 
 
@@ -247,10 +262,10 @@ def recollection_conservation(s: Scenario, z: Worldline, t_grid, f: Foliation) -
     """Total charge in the recollection along a worldline, sampled where the
     worldline crosses each leaf; reports the largest deviation from the
     initial value. Deviations are findings, not errors."""
-    q_total, initial = _charges(s)
+    initial = _initial_charge(s)
     values = []
     for t in t_grid:
         tau = proper_time_at_leaf(z, f, t)
-        values.append(linalg.expect(engine.recollection(s, z, tau), q_total))
+        values.append(linalg.expect_diag(engine.recollection(s, z, tau), linalg.charges(s.n)))
     max_dev = max((abs(v - initial) for v in values), default=0.0)
     return ConservationReport(initial=initial, values=values, max_deviation=max_dev)

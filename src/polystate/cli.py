@@ -259,14 +259,12 @@ def cmd_sweep(args) -> int:
     writer = csv.writer(sys.stdout)
     writer.writerow(["t"] + [f"tau_{n}" for n in s.names] + [f"fid_{name}" for name in refs]
                     + ["charge_joint", "charge_sum"])
-    q_total = linalg.total_charge(s.n)
     for t in grid:
         taus = [proper_time_at_leaf(s.worldlines[i], f, t) for i in range(s.n)]
         joint, locals_ = audit.leaf_states(source, s, taus)
         row = [repr(float(t))] + [repr(float(tau)) for tau in taus]
         row += [repr(float(linalg.fidelity_to_ket(joint, ref_kets[name]))) for name in refs]
-        row.append(repr(float(linalg.expect(joint, q_total))))
-        row.append(repr(float(sum(linalg.expect(r, linalg.CHARGE) for r in locals_))))
+        row += [repr(float(q)) for q in audit.leaf_charges(joint, locals_)]
         writer.writerow(row)
     return 0
 

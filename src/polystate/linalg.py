@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import os
-from functools import reduce
+from functools import cache, reduce
 
 import numpy as np
 
@@ -53,13 +53,20 @@ def _as_matrix(a) -> np.ndarray:
     return m
 
 
+def _kron2(a, b) -> np.ndarray:
+    # np.kron's own broadcast product, without its generic n-d bookkeeping:
+    # each entry is the same single product, so the result is bit-identical
+    (m, n), (p, q) = a.shape, b.shape
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(m * p, n * q)
+
+
 def kron(a, b) -> np.ndarray:
     """Kronecker product; dimensions multiply."""
-    return np.kron(_as_matrix(a), _as_matrix(b))
+    return _kron2(_as_matrix(a), _as_matrix(b))
 
 
 def kron_all(*ops) -> np.ndarray:
-    return reduce(np.kron, (np.asarray(o, dtype=complex) for o in ops))
+    return reduce(_kron2, map(_as_matrix, ops))
 
 
 def ptrace(rho, dims, keep) -> np.ndarray:
@@ -156,6 +163,22 @@ def expect(rho, obs) -> float:
     return float(val.real)
 
 
+def expect_diag(rho, q) -> float:
+    """Tr(rho diag(q)) = sum_i rho_ii q_i for a real vector q, such as
+    `charges(n)`; the imaginary part must be negligible, as in `expect`.
+    Summed in the order np.trace sums, it equals `expect(rho, diag(q))`
+    bit for bit: every term of (rho diag(q))_ii but rho_ii q_i is an exact
+    zero, so no D x D product is needed."""
+    rho = _as_matrix(rho)
+    if rho.shape != (len(q), len(q)):
+        raise DimensionMismatchError(f"state {rho.shape} vs diagonal of length {len(q)}")
+    val = (rho.diagonal() * q).sum()
+    if abs(val.imag) > HERMITICITY_TOL:
+        raise StateValidationError(
+            f"expectation has imaginary part {val.imag:.3e}; non-Hermitian input")
+    return float(val.real)
+
+
 def trace_distance(a, b) -> float:
     """Half the trace norm of (a - b), via the Hermitian eigenvalues."""
     a = _as_matrix(a)
@@ -179,13 +202,14 @@ def fidelity_to_ket(rho, ket) -> float:
 
 def _settle(rho, w) -> np.ndarray:
     """Decide a Hermitian, unit-trace rho on its spectrum w (apart from
-    exact zeros): an eigenvalue below -1e-10 is an error, one in (-1e-10,
-    -1e-13) is clamped to zero by diagonalizing rho, and the result is
-    renormalized. eigvalsh dust above the trigger is left alone, so that a
-    clean operator comes back bit for bit."""
-    if w.min() < -EIGENVALUE_TOL:
-        raise StateValidationError(f"negative eigenvalue {w.min():.3e} beyond tolerance")
-    if w.min() < CLAMP_TRIGGER:
+    exact zeros), ascending as eigvalsh returns it, so w[0] is the least:
+    an eigenvalue below -1e-10 is an error, one in (-1e-10, -1e-13) is
+    clamped to zero by diagonalizing rho, and the result is renormalized.
+    eigvalsh dust above the trigger is left alone, so that a clean operator
+    comes back bit for bit."""
+    if w[0] < -EIGENVALUE_TOL:
+        raise StateValidationError(f"negative eigenvalue {w[0]:.3e} beyond tolerance")
+    if w[0] < CLAMP_TRIGGER:
         w_full, v = np.linalg.eigh(rho)
         rho = (v * np.clip(w_full, 0, None)) @ v.conj().T
         rho = rho / float(np.trace(rho).real)
@@ -307,11 +331,19 @@ def product_ket(symbols: str) -> np.ndarray:
     return reduce(np.kron, kets)
 
 
+@cache
+def charges(n: int) -> np.ndarray:
+    """Diagonal of the total charge on n qubits, a read-only real vector of
+    length 2^n, built once per n: each product basis state carries the sum
+    of its qubits' charges, built up one qubit at a time in Kronecker order."""
+    out = np.zeros(1)
+    for _ in range(n):
+        out = np.add.outer(out, np.diag(CHARGE).real).ravel()
+    out.flags.writeable = False
+    return out
+
+
 def total_charge(n: int) -> np.ndarray:
     """Sum of local charge operators on n qubits. CHARGE is diagonal, so the
-    sum is too: each product basis state carries the sum of its qubits'
-    charges, built up one qubit at a time in Kronecker order."""
-    charges = np.zeros(1)
-    for _ in range(n):
-        charges = np.add.outer(charges, np.diag(CHARGE).real).ravel()
-    return np.diag(charges).astype(complex)
+    sum is too: `charges(n)` on the diagonal."""
+    return np.diag(charges(n)).astype(complex)

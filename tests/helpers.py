@@ -140,6 +140,13 @@ def reference_cut(s: Scenario, ids) -> tuple:
                  for line in proper_time_lines(s))
 
 
+def reference_event_cuts(p, s: Scenario, taus) -> list:
+    """Per subsystem, the cut of the interventions an audit rule has applied
+    at its evaluation event, by the rule's own `applied` test on the event,
+    whatever the rule."""
+    return [s.cut_of(p.applied(s.events, position(w, tau))) for w, tau in zip(s.worldlines, taus)]
+
+
 def prefix_closure(s: Scenario, ids) -> tuple:
     """The ids together with every intervention earlier in its subsystem's
     (tau, id) order than a chosen one, in ascending order."""

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -59,32 +61,45 @@ def test_reduced_states_polystate_delegates_to_engine():
 
 
 def test_leaf_states_select_once_and_match_separate_calls(monkeypatch):
-    """`leaf_states` evaluates the rule once per evaluation event and builds
-    each reduced state once, a patchwork joint state included. Its joint
-    state is `single_state` by definition, and its reduced states equal
-    `reduced_states`, computed alone, bit for bit."""
+    """`leaf_states` makes one causal-past test per evaluation event and
+    builds each reduced state once, a patchwork joint state included. The
+    past-lightcone and foliation rules test with `applied`; the two
+    lightcone rules read the engine's member rows, so a scenario without
+    rows tests each member once, and a second evaluation at the same proper
+    times tests none. Its joint state is `single_state` by definition, and
+    its reduced states equal `reduced_states`, computed alone, bit for bit."""
     s = load_fixture("epr_test.scn")
     rules = audit.default_prescriptions(Foliation(np.array([0.4])))
-    states = []
+    states, tests = [], []
     state_after = engine.state_after
     monkeypatch.setattr(engine, "state_after",
                         lambda *args, **kw: states.append(args[2]) or state_after(*args, **kw))
+    row_test = engine.causally_precedes
+    monkeypatch.setattr(engine, "causally_precedes",
+                        lambda events, x: tests.append(x) or row_test(events, x))
     patchworks = 0
     for p in rules:
-        applied = []
-        monkeypatch.setattr(p, "applied", lambda events, x, f=p.applied: applied.append(x) or f(events, x),
-                            raising=False)
+        lightcone = isinstance(p, audit.FutureLightcone)
+        if not lightcone:
+            monkeypatch.setattr(p, "applied",
+                                lambda events, x, f=p.applied: tests.append(x) or f(events, x),
+                                raising=False)
         for taus in ((0.0, 0.0), PROBE, (1.5, 2.0), (4.0, 4.0)):
             joint, locals_ = audit.single_state(p, s, taus), audit.reduced_states(p, s, taus)
-            applied.clear()
+            # a copy starts without the rows the calls above kept
+            fresh = replace(s)
+            tests.clear()
             states.clear()
-            got_joint, got_locals = audit.leaf_states(p, s, taus)
-            assert len(applied) == s.n
+            got_joint, got_locals = audit.leaf_states(p, fresh, taus)
+            assert len(tests) == s.n
             assert np.array_equal(got_joint, joint)
             assert all(np.array_equal(a, b) for a, b in zip(got_locals, locals_))
             patchwork = all(len(sub) == 1 for sub in states)
             patchworks += patchwork
             assert len(states) == s.n + (not patchwork)
+            tests.clear()
+            audit.leaf_states(p, fresh, taus)
+            assert len(tests) == (0 if lightcone else s.n)
     assert patchworks
 
 

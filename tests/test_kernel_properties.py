@@ -32,7 +32,7 @@ from polystate.scenario import (Intervention, Scenario, SelectiveOp, UnitaryOp,
 from polystate.spacetime import Foliation, Region, position
 
 from helpers import (load_fixture, prefix_closure, proper_time_lines, random_density,
-                     random_ket, random_unitary)
+                     random_ket, random_unitary, reference_event_cuts)
 from test_properties import tau_values, velocities, worldlines
 
 SUITE = settings(max_examples=200, deadline=None, derandomize=True,
@@ -201,6 +201,58 @@ def test_audit_rule_states_equal_pushed_states(s, taus, v):
             for got, want in zip(got_reduced, want_reduced):
                 assert_close_or_both_none(got, want)
         assert_close_or_both_none(got_single, want_single)
+
+
+def reference_leaf_states(p, s, taus):
+    """`audit.leaf_states` from the cuts each rule's `applied` picks per
+    event (`helpers.reference_event_cuts`); None when a state it needs
+    cannot occur."""
+    cuts = reference_event_cuts(p, s, taus)
+    union = tuple(map(max, *cuts))
+    try:
+        locals_ = [engine.state_after(s, cut, (i,)) for i, cut in enumerate(cuts)]
+        if isinstance(p, audit.PolystateRule) or all(cut == union for cut in cuts):
+            return engine.state_after(s, union, tuple(range(s.n))), locals_
+    except ImpossibleOutcomeError:
+        return None
+    return linalg.kron_all(*locals_), locals_
+
+
+@SUITE
+@given(s=scenarios_with_blocked_branch(), v=velocities(), data=hs.data())
+def test_leaf_states_equal_per_event_reference(s, v, data):
+    """Every default rule's `leaf_states` equals, bit for bit, the states of
+    the cuts its `applied` picks per event, with `engine.sector` and
+    `polystate_at` called at other proper times in between on the same
+    scenario, so that a member row kept from another proper time would
+    show. Proper times come from a small pool per member, so they repeat."""
+    rules = audit.default_prescriptions(Foliation(v))
+    pools = [[data.draw(tau_values) for _ in range(3)] for _ in range(s.n)]
+
+    def some_taus():
+        return tuple(data.draw(hs.sampled_from(pool)) for pool in pools)
+
+    for _ in range(data.draw(hs.integers(min_value=1, max_value=4))):
+        other = some_taus()
+        try:
+            if data.draw(hs.booleans()):
+                engine.polystate_at(s, other)
+            else:
+                engine.sector(s, other, data.draw(hs.sampled_from(list(engine.all_subsets(s.n)))))
+        except ImpossibleOutcomeError:
+            pass
+        taus = some_taus()
+        for p in rules:
+            want = reference_leaf_states(p, s, taus)
+            try:
+                got = audit.leaf_states(p, s, taus)
+            except ImpossibleOutcomeError:
+                got = None
+            if got is None or want is None:
+                assert got is None and want is None, p.name
+                continue
+            assert np.array_equal(got[0], want[0]), p.name
+            assert all(np.array_equal(a, b) for a, b in zip(got[1], want[1])), p.name
 
 
 # a readout this far off |0> keeps outcome 1 at weight 2.5e-15 on |0>: positive,

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,23 @@ def test_kron_matches_numpy():
     assert np.allclose(linalg.kron(a, b), np.kron(a, b))
     c = random_density(RNG, 2)
     assert np.allclose(linalg.kron_all(a, b, c), np.kron(np.kron(a, b), c))
+
+
+@pytest.mark.parametrize("shapes", [((2, 2), (2, 2)), ((4, 4), (2, 2)), ((2, 2), (8, 8)),
+                                    ((3, 3), (2, 2)), ((2, 3), (3, 1))])
+def test_kron_equals_numpy_bit_for_bit(shapes):
+    a, b = (RNG.normal(size=s) + 1j * RNG.normal(size=s) for s in shapes)
+    a[0, 0] = -0.0
+    for got, want in ((linalg.kron(a, b), np.kron(a, b)),
+                      (linalg.kron_all(a, b, a), np.kron(np.kron(a, b), a)),
+                      (linalg.kron_all(b), b)):
+        assert got.shape == want.shape
+        # equal bits, signed zeros included
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    with pytest.raises(DimensionMismatchError):
+        linalg.kron(a, b[0])
+    with pytest.raises(DimensionMismatchError):
+        linalg.kron_all(a, b[0])
 
 
 def test_ptrace_product_state_factors():
@@ -201,6 +220,46 @@ def test_total_charge_equals_sum_of_lifted_charges(n):
     got = linalg.total_charge(n)
     assert got.dtype == lifted.dtype
     assert np.array_equal(got, lifted)
+
+
+def _gram_state(dim: int, rank: int) -> np.ndarray:
+    phi = RNG.normal(size=(dim, rank)) + 1j * RNG.normal(size=(dim, rank))
+    return linalg.gram_density(phi, float(np.square(phi.view(float)).sum()))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_diagonal_charge_reader_equals_dense_expectation_bit_for_bit(n):
+    """`expect_diag` on `charges(n)` gives the bits of `expect` on
+    `total_charge(n)`, the sign of a zero included, on Gram states,
+    product-basis projectors and patchworks of one-qubit states."""
+    dim = 2**n
+    q, dense = linalg.charges(n), linalg.total_charge(n)
+    assert np.array_equal(np.diag(q).astype(complex), dense)
+    # built once per n, and shared, so it cannot be written
+    assert linalg.charges(n) is q and not q.flags.writeable
+    states = [_gram_state(dim, rank) for rank in (1, 2, dim) for _ in range(5)]
+    basis = np.eye(dim, dtype=complex)
+    states += [linalg.projector(basis[0]), linalg.projector(basis[-1])]
+    states += [linalg.kron_all(*(_gram_state(2, 1 + (j + k) % 2) for j in range(n)))
+               for k in range(5)]
+    values = []
+    for rho in states:
+        got, want = linalg.expect_diag(rho, q), linalg.expect(rho, dense)
+        assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want)
+        values.append(got)
+    # the projectors on |0...0> and |1...1> carry charge 0 and -n
+    assert values[-7:-5] == [0.0, -n]
+
+
+def test_diagonal_charge_reader_rejects_an_imaginary_diagonal():
+    rho = np.eye(2, dtype=complex) / 2
+    rho[1, 1] += 2e-10j
+    with pytest.raises(StateValidationError):
+        linalg.expect_diag(rho, linalg.charges(1))
+    rho[1, 1] = 0.5 + 5e-11j
+    assert linalg.expect_diag(rho, linalg.charges(1)) == -0.5
+    with pytest.raises(DimensionMismatchError):
+        linalg.expect_diag(rho, linalg.charges(2))
 
 
 def test_max_dim_env_override(monkeypatch):

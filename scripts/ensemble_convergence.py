@@ -12,6 +12,8 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
+
 from polystate import ensemble
 from polystate.scenario import parse_scenario
 
@@ -31,10 +33,11 @@ def main():
     s = parse_scenario(Path(args.scenario).read_text())
     taus = (args.tau_a, args.tau_b)
 
-    branches = ensemble.enumerate_branches(s)
-    print(f"{len(branches)} branches:")
-    for b in branches:
-        print(f"  outcomes {b.outcomes}  p = {b.probability:.6f}")
+    counts = [len(s.interventions[k].op.kraus) for k in ensemble.selective_order(s)]
+    weights = ensemble.enumerate_branches(s).reshape(counts)
+    print(f"{weights.size} branches:")
+    for outcomes, p in np.ndenumerate(weights):
+        print(f"  outcomes {outcomes}  p = {p:.6f}")
     print()
 
     rows = []

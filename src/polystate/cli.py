@@ -334,7 +334,7 @@ def cmd_ensemble(args) -> int:
         log = ensemble.sample_runs(s, args.n, args.seed)
     except (ValueError, MemoryError):
         raise UsageError(f"--n {args.n} runs need more memory than can be allocated") from None
-    freq = ensemble.branch_frequencies(log, s)
+    freq = ensemble.branch_frequencies(log)
     report = ensemble.compare_to_polystate(log, s, taus)
 
     labels = [list(s.interventions[k].op.labels) for k in log.order]
@@ -346,12 +346,12 @@ def cmd_ensemble(args) -> int:
         "taus": {n: float(t) for n, t in zip(s.names, taus)},
         "branches": [
             {
-                "outcomes": list(b.outcomes),
-                "labels": [labels[j][o] for j, o in enumerate(b.outcomes)],
-                "probability": float(b.probability),
-                "frequency": freq.get(b.outcomes, 0),
+                "outcomes": list(b),
+                "labels": [labels[j][o] for j, o in enumerate(b)],
+                "probability": float(log.weights[b]),
+                "frequency": int(freq[b]),
             }
-            for b in log.branches
+            for b in np.ndindex(log.weights.shape)
         ],
         "sectors": {
             _subset_name(r.subset, s): {

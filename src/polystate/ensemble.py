@@ -1,10 +1,11 @@
 """Statistical oracles for the post-selection reading of selective updates.
 
 A scenario's recorded outcomes single out a sub-ensemble of repeated runs.
-`enumerate_branches` lists every outcome assignment exactly; `sample_runs`
-draws seeded Monte Carlo runs from one counter-based stream per seed, the
-uniforms of all runs in bulk, block by block, with run r's row depending
-only on (seed, r); `empirical_sector` rebuilds the ensemble a subsystem
+`enumerate_branches` weighs every outcome assignment exactly, as one array
+in mixed-radix code order; `sample_runs` draws seeded Monte Carlo runs from
+one counter-based stream per seed, the uniforms of all runs in bulk, block
+by block, with run r depending only on (seed, r), and logs each run as one
+code over that array; `empirical_sector` rebuilds the ensemble a subsystem
 subset holds at given proper times, discarding runs only on the outcomes
 whose events lie inside the subset's union of causal pasts, since nothing
 else can have reached it. `analytic_sector` is the exact version of the
@@ -27,7 +28,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
@@ -50,31 +50,31 @@ def _outcome_counts(s: Scenario, order) -> list:
     return [len(s.interventions[k].op.kraus) for k in order]
 
 
-@dataclass
-class Branch:
-    outcomes: tuple
-    probability: float
-
-
-def enumerate_branches(s: Scenario, cap: int = BRANCH_CAP) -> list:
-    """One Branch per outcome assignment to every selective intervention.
-
-    A probability is the Born weight of pushing the initial state through
-    every intervention on that assignment's branches, the squared norm of
-    the pushed factor; they sum to one. The factors come from stacked
-    pushes of the full cut with every selective resolved (`_stacked_pushes`),
-    and each weight is its row's pairwise sum of squares, the bits
-    `engine.branch_weight` gives the single push.
+def enumerate_branches(s: Scenario) -> np.ndarray:
+    """The Born weight of every outcome assignment to the selective
+    interventions, as one flat array in mixed-radix code order (see
+    `RunLog.codes`); its length is the branch count, and the weights sum to
+    one. A weight is the squared norm of the initial state pushed through
+    every intervention on that assignment's branches. The factors come from
+    stacked pushes of the full cut with every selective resolved
+    (`_stacked_pushes`), and each weight is its row's pairwise sum of
+    squares, the bits `engine.branch_weight` gives the single push. More
+    branches than `BRANCH_CAP` raise `BranchExplosionError`.
     """
     order = selective_order(s)
-    counts = _outcome_counts(s, order)
-    total = math.prod(counts) if counts else 1
-    if total > cap:
-        raise BranchExplosionError(f"{total} branches exceed the cap {cap}")
+    total = math.prod(_outcome_counts(s, order))
+    if total > BRANCH_CAP:
+        raise BranchExplosionError(f"{total} branches exceed the cap {BRANCH_CAP}")
     every = tuple(map(len, s.chains.products))
-    weights = np.concatenate([np.square(stack.reshape(len(stack), -1).view(float)).sum(axis=1)
-                              for _, stack in _stacked_pushes(s, every, order)])
-    return list(map(Branch, product(*[range(c) for c in counts]), weights.tolist()))
+    return np.concatenate([np.square(stack.reshape(len(stack), -1).view(float)).sum(axis=1)
+                           for _, stack in _stacked_pushes(s, every, order)])
+
+
+def _digits(codes, counts) -> np.ndarray:
+    """The outcome tuples that mixed-radix codes stand for, one row per
+    code, shape (len(codes), len(counts))."""
+    place = np.array([math.prod(counts[j + 1:]) for j in range(len(counts))], dtype=np.intp)
+    return codes[:, None] // place % np.array(counts, dtype=np.intp)
 
 
 @dataclass
@@ -82,12 +82,18 @@ class RunLog:
     seed: int
     n_runs: int
     order: tuple  # scenario indices of the selectives, sampling order
-    outcomes: np.ndarray  # shape (n_runs, len(order))
+    weights: np.ndarray  # branch weights, shape: the outcome counts of `order`
     # each run's outcome tuple as one mixed-radix integer, first selective
-    # most significant, so that code order is lexicographic row order and
-    # `np.unravel_index(code, counts)` gives the tuple back
+    # most significant, so that code order is lexicographic outcome order
+    # and `weights.flat[code]` is the run's branch weight
     codes: np.ndarray  # shape (n_runs,)
-    branches: list  # the enumerated branches the runs were drawn from
+
+    @property
+    def outcomes(self) -> np.ndarray:
+        """Each run's outcome tuple, shape (n_runs, len(order)), read off its
+        code. The log stores only the codes; this view stays because the
+        benchmark's `sample_runs` counter reads it."""
+        return _digits(self.codes, self.weights.shape)
 
 
 # runs drawn per block: bounds the working arrays of one call while the
@@ -142,18 +148,18 @@ def _uniforms(seed: int, first: int, count: int) -> np.ndarray:
     return (z >> np.uint64(11)) * 2.0**-53
 
 
-def _prefix_cumulants(branches, counts) -> list:
+def _prefix_cumulants(weights) -> list:
     """Per depth j, the prefix sums at depth j (one per outcome prefix, in
     mixed-radix code order) and the running sums over their children,
-    shape (prefixes, counts[j]). Each prefix sum adds its branches' weights
-    one by one in enumeration order, and each running sum adds the children
-    left to right, so the tables hold the floats a walk over the branch list
-    accumulating from 0.0 would (up to the sign of a zero, which no
-    comparison sees)."""
-    probs = np.array([b.probability for b in branches], dtype=float)
+    shape (prefixes, counts[j]), for branch weights shaped by the outcome
+    counts. Each prefix sum adds its branches' weights one by one in code
+    order, and each running sum adds the children left to right, so the
+    tables hold the floats a walk over the branches accumulating from 0.0
+    would (up to the sign of a zero, which no comparison sees)."""
+    counts = weights.shape
     sums = [np.ones(1)]
     for depth in range(1, len(counts) + 1):
-        sums.append(np.cumsum(probs.reshape(math.prod(counts[:depth]), -1), axis=1)[:, -1])
+        sums.append(np.cumsum(weights.reshape(math.prod(counts[:depth]), -1), axis=1)[:, -1])
     return [(sums[j], np.cumsum(sums[j + 1].reshape(-1, c), axis=1))
             for j, c in enumerate(counts)]
 
@@ -163,11 +169,11 @@ def sample_runs(s: Scenario, n_runs: int, seed: int) -> RunLog:
     with its conditional Born probability given the earlier outcomes of the
     same run. Each seed has one stream of uniforms, SplitMix64 seeded with
     it: with k selectives, run r takes doubles r k, ..., r k + k - 1 of it,
-    so row r depends only on (seed, r) and k, not on n_runs or on how the
-    runs are split into blocks. The uniforms are drawn in bulk, block by
-    block of runs, into an outcome log allocated up front, each run's
-    outcome tuple and its code, so a run count too large to allocate is
-    refused here even when there is no selective.
+    so run r's code depends only on (seed, r) and k, not on n_runs or on how
+    the runs are split into blocks. The uniforms are drawn in bulk, block by
+    block of runs, into the one per-run array of the log, its codes,
+    allocated up front, so a run count too large to allocate is refused here
+    even when there is no selective.
 
     Run r's j-th uniform u picks the first outcome whose running sum of
     branch weights under the run's outcome prefix reaches u times the
@@ -178,19 +184,14 @@ def sample_runs(s: Scenario, n_runs: int, seed: int) -> RunLog:
     if not 0 <= seed < 2**64:
         raise ValueError(f"seed {seed} is outside [0, 2**64)")
     order = selective_order(s)
-    branches = enumerate_branches(s)
-    counts = _outcome_counts(s, order)
-    k = len(order)
-    # int8 unless some selective has more outcomes than int8 can index
-    dtype = np.int8 if max(counts, default=0) <= 128 else np.int32
-    outcomes = np.zeros((n_runs, k), dtype=dtype)
+    weights = enumerate_branches(s).reshape(_outcome_counts(s, order))
     codes = np.zeros(n_runs, dtype=np.intp)
-    log = RunLog(seed=seed, n_runs=n_runs, order=order, outcomes=outcomes, codes=codes,
-                 branches=branches)
+    log = RunLog(seed=seed, n_runs=n_runs, order=order, weights=weights, codes=codes)
+    k = len(order)
     if k == 0:
         return log
 
-    tables = _prefix_cumulants(branches, counts)
+    tables = _prefix_cumulants(weights)
     for start in range(0, n_runs, _BLOCK):
         stop = min(start + _BLOCK, n_runs)
         us = _uniforms(seed, start * k, (stop - start) * k).reshape(-1, k)
@@ -201,23 +202,15 @@ def sample_runs(s: Scenario, n_runs: int, seed: int) -> RunLog:
         for j, (total, cum) in enumerate(tables):
             u = us[:, j] * total[prefix]
             choice = np.minimum(np.count_nonzero(cum[prefix] < u[:, None], axis=1),
-                                counts[j] - 1)
-            outcomes[start:stop, j] = choice
-            prefix = prefix * counts[j] + choice
+                                weights.shape[j] - 1)
+            prefix = prefix * weights.shape[j] + choice
         codes[start:stop] = prefix
     return log
 
 
-def branch_frequencies(log: RunLog, s: Scenario) -> dict:
-    """Observed count per outcome tuple."""
-    counts = _outcome_counts(s, log.order)
-    freq = np.bincount(log.codes)
-    return {_outcome_tuple(code, counts): int(freq[code]) for code in np.flatnonzero(freq)}
-
-
-def _outcome_tuple(code, counts) -> tuple:
-    """The outcome tuple a mixed-radix code stands for."""
-    return tuple(map(int, np.unravel_index(code, counts)))
+def branch_frequencies(log: RunLog) -> np.ndarray:
+    """Observed run count per branch, shaped like `log.weights`."""
+    return np.bincount(log.codes, minlength=log.weights.size).reshape(log.weights.shape)
 
 
 def _selection(s: Scenario, subset, taus) -> tuple:
@@ -274,24 +267,26 @@ def empirical_sector(log: RunLog, s: Scenario, subset, taus) -> np.ndarray:
     """
     subset, inside, applied = _selection(s, subset, taus)
     order = log.order
+    counts = log.weights.shape
+    freq = np.bincount(log.codes)
+    codes = np.flatnonzero(freq)
+    digits = _digits(codes, counts)
+    # a run is retained when the digits of its code match the recorded
+    # outcomes inside the past union
     keep_cols = [j for j, k in enumerate(order) if k in inside]
-    recorded = np.array([s.interventions[order[j]].op.chosen for j in keep_cols])
-    counts = _outcome_counts(s, order)
-    retained = log.codes
-    if keep_cols:
-        retained = retained[np.all(log.outcomes[:, keep_cols] == recorded, axis=1)]
-    if retained.shape[0] == 0:
+    recorded = [s.interventions[order[j]].op.chosen for j in keep_cols]
+    kept = np.all(digits[:, keep_cols] == recorded, axis=1)
+    codes, digits = codes[kept], digits[kept]
+    retained = int(freq[codes].sum())
+    if retained == 0:
         raise EmptyEnsembleError("no run matches the recorded outcomes inside the causal past")
 
-    freq = np.bincount(retained)
-    codes = np.flatnonzero(freq)
     # each retained code's assignment to the selectives the applied cut holds
     in_cut = set(s.cut_ids(applied))
     cols = [j for j, k in enumerate(order) if k in in_cut]
     keys = np.zeros(codes.shape[0], dtype=np.intp)
     if cols:
-        digits = np.unravel_index(codes, counts)
-        keys = np.ravel_multi_index([digits[j] for j in cols], [counts[j] for j in cols])
+        keys = np.ravel_multi_index(tuple(digits[:, cols].T), [counts[j] for j in cols])
     # per key, its state, or None for a branch of weight 0
     states = {}
     distinct = np.flatnonzero(np.bincount(keys))
@@ -301,11 +296,11 @@ def empirical_sector(log: RunLog, s: Scenario, subset, taus) -> np.ndarray:
 
     dim = math.prod(s.dims[i] for i in subset)
     acc = np.zeros((dim, dim), dtype=complex)
-    for code, key in zip(codes.tolist(), keys.tolist()):
+    for code, key, outcomes in zip(codes.tolist(), keys.tolist(), digits.tolist()):
         if states[key] is None:
-            raise _impossible(s, subset, _outcome_tuple(code, counts))
+            raise _impossible(s, subset, tuple(outcomes))
         acc += freq[code] * states[key]
-    return acc / retained.shape[0]
+    return acc / retained
 
 
 def analytic_sector(s: Scenario, subset, taus) -> np.ndarray:

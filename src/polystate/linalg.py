@@ -132,15 +132,6 @@ def apply_local(op, target: int, dims, rho) -> np.ndarray:
     return out.reshape(total, total)
 
 
-def apply_channels(channels, target: int, dims, rho) -> np.ndarray:
-    """Apply a sequence of channels, each a tuple of Kraus operators, to
-    factor ``target`` in order: rho -> sum_K K rho K^dagger per channel."""
-    for kraus in channels:
-        terms = [apply_local(k, target, dims, rho) for k in kraus]
-        rho = sum(terms[1:], terms[0])
-    return rho
-
-
 def conj_apply(k, rho) -> np.ndarray:
     """Return k @ rho @ k.conj().T, not normalized."""
     k = _as_matrix(k)

@@ -628,14 +628,16 @@ def selected_ids(s: Scenario, region: Region) -> tuple:
     return tuple(np.flatnonzero(region_contains(region, s.events)).tolist())
 
 
-def local_sequences(s: Scenario, ids, outcomes=None) -> dict:
-    """Per subsystem, the chosen interventions as channels in (tau, id)
-    order; each channel is a tuple of Kraus operators. The subsystems come
-    in the order of their first chosen intervention.
-
-    A unitary is its own matrix. A selective intervention takes the branch
-    `outcomes` gives for its scenario index, else its recorded outcome; an
-    outcome of None stands for every branch, the non-selective channel.
+def apply_interventions(s: Scenario, ids, rho, subsystem_order=None, outcomes=None) -> np.ndarray:
+    """Fold the chosen interventions into rho, per subsystem in (tau, id)
+    order, each as a channel rho -> sum_K K rho K^dagger on its factor. The
+    cross-subsystem order is immaterial because the local operators act on
+    disjoint tensor factors; `subsystem_order` exists so tests can check
+    exactly that. A unitary is its own Kraus operator. A selective
+    intervention takes the branch `outcomes` gives for its scenario index,
+    else its recorded outcome; an outcome of None stands for every branch,
+    the non-selective channel. The result is unnormalized: its trace is the
+    joint Born weight of the chosen selective branches.
     """
     outcomes = outcomes or {}
     seqs: dict = {}
@@ -647,21 +649,11 @@ def local_sequences(s: Scenario, ids, outcomes=None) -> dict:
             branch = outcomes.get(k, iv.op.chosen)
             kraus = iv.op.kraus if branch is None else (iv.op.kraus[branch],)
         seqs.setdefault(iv.subsystem, []).append(kraus)
-    return seqs
-
-
-def apply_interventions(s: Scenario, ids, rho, subsystem_order=None, outcomes=None) -> np.ndarray:
-    """Fold the chosen interventions into rho, per subsystem in ascending
-    proper time. The cross-subsystem order is immaterial because the local
-    operators act on disjoint tensor factors; `subsystem_order` exists so
-    tests can check exactly that. `outcomes` overrides branches as in
-    `local_sequences`. The result is unnormalized: its trace is the joint
-    Born weight of the chosen selective branches.
-    """
-    seqs = local_sequences(s, ids, outcomes)
     out = np.asarray(rho, dtype=complex)
     for subsystem in range(s.n) if subsystem_order is None else subsystem_order:
-        out = linalg.apply_channels(seqs.get(subsystem, ()), subsystem, s.dims, out)
+        for kraus in seqs.get(subsystem, ()):
+            terms = [linalg.apply_local(k, subsystem, s.dims, out) for k in kraus]
+            out = sum(terms[1:], terms[0])
     return out
 
 

@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 from dataclasses import replace
+from itertools import product
 from pathlib import Path
 
 import numpy as np
 
 import polystate
+from polystate import ensemble
 from polystate.scenario import Intervention, Scenario, SelectiveOp, UnitaryOp, parse_scenario
 from polystate.spacetime import Segment, Worldline, causally_precedes, position
 
@@ -86,6 +88,13 @@ def random_two_qubit_scenario(rng, d: int = 1, n_interventions: int | None = Non
         initial_state=np.outer(ket, ket.conj()),
         interventions=tuple(interventions),
     )
+
+
+def branch_table(s: Scenario) -> dict:
+    """Each outcome tuple's branch weight, read off `ensemble.enumerate_branches`'
+    flat array in code order (first selective most significant)."""
+    counts = [len(s.interventions[k].op.kraus) for k in ensemble.selective_order(s)]
+    return dict(zip(product(*map(range, counts)), ensemble.enumerate_branches(s).tolist()))
 
 
 def with_outcomes(s: Scenario, assignment) -> Scenario:

@@ -15,8 +15,8 @@ from polystate import audit, engine, ensemble, linalg
 from polystate.spacetime import Foliation
 from polystate.scenario import parse_scenario, serialize_scenario
 
-from helpers import (load_fixture, random_two_qubit_scenario, random_worldline,
-                     with_outcomes)
+from helpers import (branch_table, load_fixture, random_two_qubit_scenario,
+                     random_worldline, with_outcomes)
 
 TOL = 1e-12
 PROBE = (2.0, 1.5)
@@ -222,12 +222,12 @@ def test_criterion_7_analytic_oracle_equivalence(announce):
     scenarios_done = 0
     while scenarios_done < 25:
         s = random_two_qubit_scenario(rng)
-        branches = ensemble.enumerate_branches(s)
-        probs = np.array([b.probability for b in branches])
+        branches = branch_table(s)
+        probs = np.array(list(branches.values()))
         if probs.sum() < 1e-9:
             continue
         pick = rng.choice(len(branches), p=probs / probs.sum())
-        s = with_outcomes(s, branches[pick].outcomes)
+        s = with_outcomes(s, list(branches)[pick])
         taus = tuple(rng.uniform(-2.0, 4.0, size=2))
         for subset in ((0,), (1,), (0, 1)):
             worst = max(worst, linalg.trace_distance(
@@ -256,12 +256,11 @@ def test_criterion_8_monte_carlo_convergence(announce):
     report = ensemble.compare_to_polystate(log, s, taus)
     elapsed = time.perf_counter() - start
 
-    freq = ensemble.branch_frequencies(log, s)
-    branches = ensemble.enumerate_branches(s)
+    freq = ensemble.branch_frequencies(log)
     sigma_ok = True
-    for b in branches:
-        sigma = np.sqrt(n * b.probability * (1 - b.probability))
-        if abs(freq.get(b.outcomes, 0) - n * b.probability) > 6 * sigma:
+    for outcomes, probability in branch_table(s).items():
+        sigma = np.sqrt(n * probability * (1 - probability))
+        if abs(freq[outcomes] - n * probability) > 6 * sigma:
             sigma_ok = False
     ok = (0.0 < gap <= 0.02) and report.max_empirical <= 0.02 and sigma_ok and elapsed < 30.0
     announce(8, ok, f"{n} runs in {elapsed:.1f} s, empirical vs analytic "

@@ -246,6 +246,46 @@ def test_ensemble_json_is_seed_deterministic():
     assert c.stdout != a.stdout
 
 
+def test_ensemble_lists_the_one_branch_of_a_scenario_without_selectives(tmp_path):
+    path = tmp_path / "no_selectives.scn"
+    path.write_text(json.dumps({**json.loads(fixture_text("bell_sigma_z.scn")),
+                                "interventions": []}))
+    res = run_cli("ensemble", str(path), "--n", "37", "--tau", "A=1.0,B=1.0")
+    assert res.returncode == 0, res.stderr
+    [branch] = json.loads(res.stdout)["branches"]
+    assert branch["outcomes"] == branch["labels"] == []
+    assert branch["frequency"] == 37
+    assert abs(branch["probability"] - 1.0) < 1e-12
+
+
+def test_ensemble_lists_branches_in_code_order_with_their_labels(tmp_path):
+    """B, a qutrit, is read in three outcomes before A is read in two, so the
+    first selective is B's; a branch (b, a) has weight (1 + 3a + b) / 21
+    because the initial ket's amplitude on |a b> is sqrt((1 + 3a + b) / 21)."""
+    doc = json.loads(fixture_text("bell_sigma_z.scn"))
+    doc["subsystems"][1]["dim"] = 3
+    doc["initial_state"] = {"ket": [np.sqrt((1 + i) / 21) for i in range(6)]}
+    doc["interventions"] = [
+        {"on": "B", "tau": 1.0,
+         "measure": {"kraus": [np.diag(np.eye(3)[b]).tolist() for b in range(3)],
+                     "outcome": 2, "labels": ["u", "v", "w"]}},
+        {"on": "A", "tau": 2.0,
+         "measure": {"projective_basis": "pauli_z", "outcome": 1, "labels": ["up", "down"]}},
+    ]
+    path = tmp_path / "qutrit_readouts.scn"
+    path.write_text(json.dumps(doc))
+    res = run_cli("ensemble", str(path), "--n", "500", "--tau", "A=3.0,B=3.0")
+    assert res.returncode == 0, res.stderr
+    branches = json.loads(res.stdout)["branches"]
+    assert [br["outcomes"] for br in branches] == [[b, a] for b in range(3) for a in range(2)]
+    for br in branches:
+        b, a = br["outcomes"]
+        assert br["labels"] == [["u", "v", "w"][b], ["up", "down"][a]]
+        assert abs(br["probability"] - (1 + 3 * a + b) / 21) < 1e-12
+    assert abs(sum(br["probability"] for br in branches) - 1.0) < 1e-12
+    assert sum(br["frequency"] for br in branches) == 500
+
+
 def test_diagram_geometry():
     res = run_cli("diagram", BELL, "--leaf", "0.5:1.2")
     assert res.returncode == 0, res.stderr

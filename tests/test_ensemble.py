@@ -1,5 +1,6 @@
 import json
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,8 +9,8 @@ from polystate import engine, ensemble, linalg
 from polystate.errors import BranchExplosionError, EmptyEnsembleError, ImpossibleOutcomeError
 from polystate.scenario import parse_scenario
 
-from helpers import (load_fixture, random_two_qubit_scenario, splitmix64_uniforms,
-                     with_outcomes)
+from helpers import (branch_table, load_fixture, random_two_qubit_scenario,
+                     splitmix64_uniforms, with_outcomes)
 
 RNG = np.random.default_rng(314)
 
@@ -21,16 +22,15 @@ def test_selective_order_is_by_tau():
 
 def test_enumerate_branches_bell():
     s = load_fixture("bell_sigma_z.scn")
-    branches = ensemble.enumerate_branches(s)
-    assert len(branches) == 2
-    probs = {b.outcomes: b.probability for b in branches}
+    assert len(ensemble.enumerate_branches(s)) == 2
+    probs = branch_table(s)
     assert abs(probs[(0,)] - 0.5) < 1e-12
     assert abs(probs[(1,)] - 0.5) < 1e-12
 
 
 def test_enumerate_branches_epr_quarter_angle():
     s = load_fixture("epr_test.scn")
-    branches = {b.outcomes: b.probability for b in ensemble.enumerate_branches(s)}
+    branches = branch_table(s)
     theta = np.pi / 4
     same = 0.5 * np.sin(theta / 2) ** 2
     diff = 0.5 * np.cos(theta / 2) ** 2
@@ -43,8 +43,8 @@ def test_enumerate_branches_epr_quarter_angle():
 
 def test_branch_explosion_cap():
     s = load_fixture("epr_test.scn")
-    with pytest.raises(BranchExplosionError):
-        ensemble.enumerate_branches(s, cap=3)
+    with mock.patch.object(ensemble, "BRANCH_CAP", 3), pytest.raises(BranchExplosionError):
+        ensemble.enumerate_branches(s)
 
 
 def test_sample_runs_deterministic_and_unbiased():
@@ -55,12 +55,11 @@ def test_sample_runs_deterministic_and_unbiased():
     log3 = ensemble.sample_runs(s, 4000, seed=6)
     assert not np.array_equal(log1.outcomes, log3.outcomes)
 
-    freq = ensemble.branch_frequencies(log1, s)
-    branches = {b.outcomes: b.probability for b in ensemble.enumerate_branches(s)}
+    freq = ensemble.branch_frequencies(log1)
     n = log1.n_runs
-    for outcomes, p in branches.items():
+    for outcomes, p in branch_table(s).items():
         sigma = np.sqrt(n * p * (1 - p))
-        assert abs(freq.get(outcomes, 0) - n * p) <= 6 * sigma
+        assert abs(freq[outcomes] - n * p) <= 6 * sigma
 
 
 def test_sample_runs_prefix_extension():
@@ -70,6 +69,13 @@ def test_sample_runs_prefix_extension():
     short = ensemble.sample_runs(s, 100, seed=11)
     long = ensemble.sample_runs(s, 200, seed=11)
     assert np.array_equal(long.outcomes[:100], short.outcomes)
+
+
+def test_run_log_without_selectives_has_empty_outcome_rows():
+    s = replace(load_fixture("bell_sigma_z.scn"), interventions=())
+    log = ensemble.sample_runs(s, 7, seed=1)
+    assert log.weights.shape == ()
+    assert log.outcomes.shape == (7, 0)
 
 
 def test_empirical_sector_matches_engine_on_fixture():
@@ -96,9 +102,9 @@ def test_empirical_sector_exact_when_projective_and_inside():
 def test_empty_ensemble_raises():
     s = load_fixture("bell_sigma_z.scn")
     log = ensemble.sample_runs(s, 50, seed=8)
-    # no sampled run can match the recorded outcome once every entry is
+    # no sampled run can match the recorded outcome once every code is
     # forced to the other branch
-    starved = replace(log, outcomes=np.ones_like(log.outcomes))
+    starved = replace(log, codes=np.ones_like(log.codes))
     with pytest.raises(EmptyEnsembleError):
         ensemble.empirical_sector(starved, s, (0, 1), (2.0, 3.5))
 
@@ -116,8 +122,8 @@ def faint_readout(basis: str):
         "interventions": [{"on": "A", "tau": 1.0,
                            "measure": {"projective_basis": basis, "outcome": 1}}],
     }))
-    log = ensemble.RunLog(seed=0, n_runs=3, order=(0,), outcomes=np.ones((3, 1), dtype=np.int8),
-                          codes=np.ones(3, dtype=np.intp), branches=[])
+    log = ensemble.RunLog(seed=0, n_runs=3, order=(0,), weights=ensemble.enumerate_branches(s),
+                          codes=np.ones(3, dtype=np.intp))
     return s, log
 
 
@@ -128,7 +134,7 @@ def test_empirical_sector_keeps_a_retained_branch_of_tiny_weight():
     condition on the readout and for B, which only shares its runs; a
     retained branch of weight exactly 0 still raises, naming the sector."""
     s, log = faint_readout("pauli_n(1e-6, 0)")
-    assert abs(ensemble.enumerate_branches(s)[1].probability - 2.5e-13) < 1e-20
+    assert abs(ensemble.enumerate_branches(s)[1] - 2.5e-13) < 1e-20
     down = linalg.projector(linalg.spin_basis(1e-6, 0.0)[1])
     p00 = linalg.projector(linalg.KET0)
     for subset, want in (((0,), down), ((1,), p00), ((0, 1), linalg.kron(down, p00))):
@@ -155,12 +161,12 @@ def test_analytic_sector_equals_engine_on_random_scenarios():
     count = 0
     while count < 25:
         s = random_two_qubit_scenario(RNG)
-        branches = ensemble.enumerate_branches(s)
-        probs = np.array([b.probability for b in branches])
+        branches = branch_table(s)
+        probs = np.array(list(branches.values()))
         if probs.sum() < 1e-9:
             continue
         pick = RNG.choice(len(branches), p=probs / probs.sum())
-        s = with_outcomes(s, branches[pick].outcomes)
+        s = with_outcomes(s, list(branches)[pick])
         taus = tuple(RNG.uniform(-2.0, 4.0, size=2))
         ok = True
         for subset in ((0,), (1,), (0, 1)):
@@ -186,7 +192,7 @@ def test_sample_runs_draws_from_one_stream_per_seed():
     s = load_fixture("epr_test.scn")
     seed = 17
     log = ensemble.sample_runs(s, 60, seed=seed)
-    p = {b.outcomes: b.probability for b in ensemble.enumerate_branches(s)}
+    p = branch_table(s)
     marginal = {a: p[(a, 0)] + p[(a, 1)] for a in (0, 1)}
     stream = splitmix64_uniforms(seed)
     for r in range(60):

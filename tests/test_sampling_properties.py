@@ -4,7 +4,7 @@ against a per-run scalar loop over the seed's one stream, the code-based run
 counting against counting outcome rows with `np.unique(..., axis=0)`, and
 `empirical_sector`'s stacked pushes against one `branch_state` per branch."""
 
-from dataclasses import replace
+from dataclasses import fields, replace
 from unittest import mock
 
 import numpy as np
@@ -14,7 +14,7 @@ from hypothesis import strategies as hs
 from polystate import ensemble
 from polystate.errors import EmptyEnsembleError, ImpossibleOutcomeError
 
-from helpers import load_fixture, splitmix64_uniforms
+from helpers import branch_table, load_fixture, splitmix64_uniforms
 from test_kernel_properties import SUITE, scenarios_of_rank, scenarios_with_blocked_branch
 from test_properties import tau_values
 
@@ -27,7 +27,7 @@ def scalar_sample_runs(s, n_runs, seed):
     at a time, k per run, one run after another, and a walk over a dict of
     prefix weights per selective."""
     order = ensemble.selective_order(s)
-    branches = ensemble.enumerate_branches(s)
+    branches = branch_table(s)
     counts = [len(s.interventions[k].op.kraus) for k in order]
     k = len(order)
     outcomes = np.zeros((n_runs, k), dtype=int)
@@ -35,9 +35,9 @@ def scalar_sample_runs(s, n_runs, seed):
         return outcomes
     prefix_prob = {(): 1.0}
     for depth in range(1, k + 1):
-        for b in branches:
-            key = b.outcomes[:depth]
-            prefix_prob[key] = prefix_prob.get(key, 0.0) + b.probability
+        for branch, probability in branches.items():
+            key = branch[:depth]
+            prefix_prob[key] = prefix_prob.get(key, 0.0) + probability
     stream = splitmix64_uniforms(seed)
     for run in range(n_runs):
         us = [next(stream) for _ in range(k)]
@@ -54,6 +54,11 @@ def scalar_sample_runs(s, n_runs, seed):
             outcomes[run, j] = choice
             prefix = prefix + (choice,)
     return outcomes
+
+
+def observed_counts(freq):
+    """The nonzero counts of a `branch_frequencies` array, by outcome tuple."""
+    return {outcomes: int(c) for outcomes, c in np.ndenumerate(freq) if c}
 
 
 def rows_frequencies(outcomes):
@@ -120,9 +125,13 @@ def test_bulk_uniforms_equal_the_sequential_generator(seed, first, count):
        seed=seeds64, taus=hs.lists(tau_values, min_size=4, max_size=4))
 def test_sample_runs_and_counting_equal_scalar_references(s, n_runs, seed, taus):
     log = ensemble.sample_runs(s, n_runs, seed)
-    assert log.outcomes.dtype == np.int8
+    # the log's only per-run array is its codes; the weights are per branch
+    arrays = {f.name for f in fields(log) if isinstance(getattr(log, f.name), np.ndarray)}
+    assert arrays == {"weights", "codes"}
+    assert log.weights.shape == tuple(len(s.interventions[k].op.kraus) for k in log.order)
+    assert log.codes.dtype == np.intp and log.codes.shape == (n_runs,)
     assert np.array_equal(log.outcomes, scalar_sample_runs(s, n_runs, seed))
-    assert ensemble.branch_frequencies(log, s) == rows_frequencies(log.outcomes)
+    assert observed_counts(ensemble.branch_frequencies(log)) == rows_frequencies(log.outcomes)
     for subset in ((0,), tuple(range(s.n))):
         got = sector_or_error(ensemble.empirical_sector, log, s, subset, taus)
         want = sector_or_error(rows_empirical_sector, log, s, subset, taus)
@@ -152,7 +161,7 @@ def test_chunked_stacks_equal_one_stack():
         cap = rows * 16 * int(np.prod(s.dims)) * s.initial_factor.shape[1]
         with mock.patch.object(ensemble, "_STACK_BYTES", cap), \
                 mock.patch.object(ensemble, "push", wraps=ensemble.push) as pushes:
-            assert ensemble.enumerate_branches(s) == whole
+            assert np.array_equal(ensemble.enumerate_branches(s), whole)
             assert pushes.call_count > 1 or len(whole) <= rows
             for subset, want in zip(subsets, sectors):
                 pushes.reset_mock()
@@ -191,7 +200,7 @@ def test_sample_runs_with_more_outcomes_than_int8_holds():
     log = ensemble.sample_runs(s, 3000, seed=5)
     assert np.array_equal(log.outcomes, scalar_sample_runs(s, 3000, 5))
     assert log.outcomes.max() == count - 1
-    assert ensemble.branch_frequencies(log, s) == rows_frequencies(log.outcomes)
+    assert observed_counts(ensemble.branch_frequencies(log)) == rows_frequencies(log.outcomes)
     taus = (5.0, 5.0)
     assert np.array_equal(ensemble.empirical_sector(log, s, (0, 1), taus),
                           rows_empirical_sector(log, s, (0, 1), taus))

@@ -9,8 +9,9 @@ m = 13, 17, 19 give 8192 to 524288 branches.
 For each m the script prints the time of one `sample_runs` of 1000 runs
 (which enumerates every branch weight first) and of one `empirical_sector`
 of B at tau_B = 0 from that log. A's readouts lie outside B's past there,
-so every run is retained and the applied cut holds all m selectives: each
-retained run's branch is read from the stacked push. Each repeat parses a
+so every run is retained and the applied cut holds all m selectives: the
+distinct branches of the runs, at most 1000 of the 2^m, are pushed as one
+flat stack, so this time hardly grows with m. Each repeat parses a
 fresh `Scenario`, so the times include any per-scenario set-up done on
 first use; the table gives the fastest of the repeats. BLAS runs on one
 thread.

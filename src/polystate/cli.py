@@ -47,12 +47,16 @@ def _finite(raw: str) -> float:
     return value
 
 
-def _load(path: str):
+def _read(path: str) -> str:
     try:
         with open(path, encoding="utf-8") as fh:
-            return parse_scenario(fh.read())
-    except OSError as exc:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read {path}: {exc}") from None
+
+
+def _load(path: str):
+    return parse_scenario(_read(path))
 
 
 def _parse_taus(spec: str, s) -> tuple:
@@ -200,12 +204,7 @@ def _emit(doc) -> None:
 
 
 def cmd_validate(args) -> int:
-    try:
-        with open(args.scenario, encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise UsageError(f"cannot read {args.scenario}: {exc}") from None
-    diags = diagnose_document(text)
+    diags = diagnose_document(_read(args.scenario))
     _emit({
         "schema_version": SCHEMA_VERSION,
         "command": "validate",
@@ -216,6 +215,8 @@ def cmd_validate(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    if args.observable and not args.sector:
+        raise UsageError("--observable needs --sector")
     s = _load(args.scenario)
     taus = _parse_taus(args.tau, s)
     if args.sector:
@@ -233,8 +234,6 @@ def cmd_eval(args) -> int:
         "sectors": {_subset_name(sub, s): _matrix_json(mat) for sub, mat in sectors.items()},
     }
     if args.observable:
-        if not args.sector:
-            raise UsageError("--observable needs --sector")
         obs = _parse_observable(args.observable, sub, s)
         doc["expectations"] = {
             _subset_name(sub, s): {

@@ -24,10 +24,11 @@ L_j of its interventions applied in (tau, id) order (`Scenario.cut_of`).
 The scenario multiplies each subsystem's recorded operators up once, on
 first use (`Scenario.chains`), and `push` reads M_j as the L_j-th product:
 n small products per cut, not one per intervention. Only subsystems with
-outcome overrides (the ensemble's branches) multiply as they go, over a
-stack of operators: `push` can resolve selectives, keeping all of their
-outcomes on leading axes, so one call pushes every branch of a chunk and
-the ensemble makes no Python-level push per branch. The scenario factors its
+outcome overrides (the ensemble's branches) multiply as they go. An
+override is a branch index or an int array of them; the arrays broadcast
+together and lead the result, so one call pushes a stack of branches, a
+flat list of assignments or the open mesh of all of them, and the ensemble
+makes no Python-level push per branch. The scenario factors its
 initial state once, rho = Psi Psi^dagger with Psi of shape D x r
 (`Scenario.initial_factor`: the parsed ket itself for a `named` or `ket`
 input, r = 1; otherwise one `eigh`, r = 1 for a pure state). `push`
@@ -121,51 +122,32 @@ def past_cut(s: Scenario, taus, subset) -> tuple:
     return tuple(map(max, *(rows[i][1] for i in subset)))
 
 
-def push(s: Scenario, cut, outcomes=None, resolve=()) -> np.ndarray:
+def push(s: Scenario, cut, outcomes=None) -> np.ndarray:
     """The initial factor Psi pushed through a cut's interventions, D x r:
     subsystem j's first L_j operators in (tau, id) order make one M_j,
     applied on its axis of Psi. A subsystem whose recorded branches all
-    stand reads M_j from `Scenario.chains`; one with a branch that
-    `outcomes` fixes or `resolve` keeps open multiplies as it goes,
-    K_o @ M over a stack of operators, a fixed branch being a stack of one.
+    stand reads M_j from `Scenario.chains`; one with a selective that
+    `outcomes` overrides multiplies as it goes, K_o @ M.
 
-    The selectives in `resolve`, ids inside the cut, keep their outcomes on
-    leading axes in the order given: the result has shape
-    (c_1, ..., c_m, D, r), and its slice [o_1, ..., o_m] equals, bit for
-    bit, the push with those outcomes fixed."""
+    `outcomes` maps selective ids, those outside the cut ignored, to a
+    branch index or an int array of them. The arrays broadcast together,
+    and their shape leads the result, (*shape, D, r), each slice equal, bit
+    for bit, to the push with those outcomes fixed: flat arrays push a list
+    of assignments, and the open mesh of `np.ix_` every assignment."""
     dims = s.dims
     ivs = s.interventions
-    axes = {k: a for a, k in enumerate(resolve)}
-    overridden = {}
-    if outcomes or axes:
-        ids = s.cut_ids(cut)
-        if not set(axes) <= {k for k in ids if isinstance(ivs[k].op, SelectiveOp)}:
-            raise ValueError(f"resolve {tuple(resolve)} names an id that is not a selective "
-                             "intervention inside the cut")
-        outcomes = outcomes or {}
-        for k in sorted(ids, key=lambda k: (ivs[k].tau, k)):
-            overridden.setdefault(ivs[k].subsystem, []).append(k)
-        overridden = {j: line for j, line in overridden.items()
-                      if any(k in outcomes or k in axes for k in line)}
-    products = s.chains.products
+    products, lines = s.chains.products, s.chains.ids
     psi = s.initial_factor.reshape(-1)
     for j in s.chains.heads:
         if not cut[j]:
             continue
-        if j not in overridden:
-            m = products[j][cut[j] - 1]
-        else:
+        m = products[j][cut[j] - 1]
+        if outcomes and not outcomes.keys().isdisjoint(lines[j][:cut[j]]):
             m = None
-            for k in overridden[j]:
+            for k in lines[j][:cut[j]]:
                 op = ivs[k].op
-                if k in axes:
-                    shape = [1] * len(axes)
-                    shape[axes[k]] = len(op.kraus)
-                    op = np.reshape(op.kraus, (*shape, dims[j], dims[j]))
-                elif isinstance(op, SelectiveOp):
-                    op = op.kraus[outcomes.get(k, op.chosen)]
-                else:
-                    op = op.matrix
+                op = (np.asarray(op.kraus)[outcomes.get(k, op.chosen)]
+                      if isinstance(op, SelectiveOp) else op.matrix)
                 m = op if m is None else op @ m
         # psi is (*stack, D r); M_j meets it as (*stack, prod dims[:j], d_j, rest)
         lead = psi.shape[:-1]
@@ -219,8 +201,7 @@ def _impossibility(s: Scenario, cut, weight: float) -> str | None:
     for j, length in enumerate(cut):
         if length:
             if vanishes[j] is not None and length > vanishes[j]:
-                chains = s.chains
-                k = int(np.flatnonzero((chains.owner == j) & (chains.rank == vanishes[j]))[0])
+                k = s.chains.ids[j][vanishes[j]]
                 return (f"intervention {k} on {s.names[j]} at tau {s.interventions[k].tau:g} "
                         "annihilates every state the earlier ones leave; "
                         "the recorded outcome cannot occur")

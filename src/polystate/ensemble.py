@@ -16,10 +16,11 @@ and its states come from the engine's pushed factor (`engine.push`), as
 every sector does: a branch weight is its squared norm
 (`engine.branch_weight`), and a retained run's state its Gram matrix on the
 subset over that weight (`linalg.gram_density`). Many branches are pushed
-at once: `engine.push` keeps the outcomes of the selectives it resolves on
-leading axes of one stack, so the branch weights and each empirical
-sector's distinct branches come from stacked pushes, chunk by chunk, not
-from one Python-level push per branch. `analytic_sector` alone pushes the
+at once: `engine.push` takes arrays of outcomes and stacks their branches
+on leading axes, so the branch weights (every assignment, as an `np.ix_`
+mesh) and each empirical sector's distinct retained assignments (a flat
+list) come from stacked pushes, chunk by chunk, not from one Python-level
+push per branch. `analytic_sector` alone pushes the
 full density operator through every channel and traces afterwards, so that
 it stays an independent check of that kernel.
 """
@@ -56,7 +57,7 @@ def enumerate_branches(s: Scenario) -> np.ndarray:
     `RunLog.codes`); its length is the branch count, and the weights sum to
     one. A weight is the squared norm of the initial state pushed through
     every intervention on that assignment's branches. The factors come from
-    stacked pushes of the full cut with every selective resolved
+    stacked pushes of the full cut over every assignment
     (`_stacked_pushes`), and each weight is its row's pairwise sum of
     squares, the bits `engine.branch_weight` gives the single push. More
     branches than `BRANCH_CAP` raise `BranchExplosionError`.
@@ -100,31 +101,39 @@ class RunLog:
 # outcome log itself is allocated once, up front
 _BLOCK = 1 << 16
 
-# bytes one stacked push may hold (`engine.push` with `resolve`); a larger
-# stack is pushed chunk by chunk
+# bytes one stacked push may hold (`engine.push` with outcome arrays); a
+# larger stack is pushed chunk by chunk
 _STACK_BYTES = 1 << 24
 
 
-def _stacked_pushes(s: Scenario, cut, sel, wanted=None):
-    """The factors of every outcome assignment to the selectives `sel` (ids
-    inside the cut), pushed through the cut and yielded chunk by chunk as
-    (first code, stack): the stack has shape (assignments, D, r), with
-    assignments in mixed-radix code order, first selective most significant.
-    Each chunk fixes the leading selectives and resolves the trailing ones,
-    as few fixed as keep it within `_STACK_BYTES`. Given `wanted`, an array
-    of codes, only the chunks that hold one are pushed."""
+def _stacked_pushes(s: Scenario, cut, sel, codes=None):
+    """Factors of outcome assignments to the selectives `sel` (ids inside
+    the cut), pushed through the cut and yielded chunk by chunk as (codes,
+    stack): stack[i], of shape (D, r), is the assignment that codes[i]
+    stands for in mixed-radix order, first selective most significant.
+    Without codes, every assignment in code order: each chunk fixes the
+    leading selectives and passes the trailing ones as an `np.ix_` mesh, as
+    few fixed as keep it within `_STACK_BYTES`. Given ascending codes, just
+    those, in chunks within `_STACK_BYTES`, each chunk's outcomes read off
+    its codes."""
     counts = _outcome_counts(s, sel)
     row = 16 * math.prod(s.dims) * s.initial_factor.shape[1]  # complex factor
-    fixed = 0
-    while fixed < len(sel) and row * math.prod(counts[fixed:]) > _STACK_BYTES:
-        fixed += 1
-    size = math.prod(counts[fixed:])
-    chunks = (range(math.prod(counts[:fixed])) if wanted is None
-              else np.flatnonzero(np.bincount(wanted // size)))
-    for c in map(int, chunks):
-        prefix = map(int, np.unravel_index(c, counts[:fixed]))
-        stack = push(s, cut, dict(zip(sel, prefix)), resolve=sel[fixed:])
-        yield c * size, stack.reshape(size, *stack.shape[-2:])
+    if codes is None:
+        fixed = 0
+        while fixed < len(sel) and row * math.prod(counts[fixed:]) > _STACK_BYTES:
+            fixed += 1
+        size = math.prod(counts[fixed:])
+        mesh = np.ix_(*map(range, counts[fixed:]))
+        for c in range(math.prod(counts[:fixed])):
+            prefix = map(int, np.unravel_index(c, counts[:fixed]))
+            stack = push(s, cut, dict(zip(sel, (*prefix, *mesh))))
+            yield range(c * size, (c + 1) * size), stack.reshape(size, *stack.shape[-2:])
+        return
+    size = max(1, _STACK_BYTES // row)
+    for first in range(0, len(codes), size):
+        chunk = codes[first:first + size]
+        stack = push(s, cut, dict(zip(sel, _digits(chunk, counts).T)))
+        yield chunk, stack.reshape(len(chunk), *stack.shape[-2:])
 
 
 # SplitMix64 (Steele, Lea & Flood 2014): output i of the stream seeded with
@@ -259,9 +268,9 @@ def empirical_sector(log: RunLog, s: Scenario, subset, taus) -> np.ndarray:
     reached the subset stay in the ensemble and contribute their own branch.
 
     A branch state depends only on the outcomes of the selectives in the
-    applied cut, so one stacked push over those (`_stacked_pushes`) gives
-    every retained branch's factor, and each distinct assignment to them is
-    read once, as `branch_state` reads its one branch. The retained runs
+    applied cut, so the distinct assignments to those that retained runs
+    hold are pushed as one flat stack (`_stacked_pushes`), each read once,
+    as `branch_state` reads its one branch. The retained runs
     are counted per outcome code with `np.bincount` and added as count times
     state in code order, the sum `branch_state` would make branch by branch.
     """
@@ -290,9 +299,8 @@ def empirical_sector(log: RunLog, s: Scenario, subset, taus) -> np.ndarray:
     # per key, its state, or None for a branch of weight 0
     states = {}
     distinct = np.flatnonzero(np.bincount(keys))
-    for first, stack in _stacked_pushes(s, applied, tuple(order[j] for j in cols), distinct):
-        for key in distinct[(distinct >= first) & (distinct < first + len(stack))].tolist():
-            states[key] = _read_branch(s, stack[key - first], subset)
+    for chunk, stack in _stacked_pushes(s, applied, tuple(order[j] for j in cols), distinct):
+        states.update(zip(chunk.tolist(), (_read_branch(s, psi, subset) for psi in stack)))
 
     dim = math.prod(s.dims[i] for i in subset)
     acc = np.zeros((dim, dim), dtype=complex)

@@ -78,14 +78,16 @@ class Intervention:
 class Chains(NamedTuple):
     """Each subsystem's recorded operators multiplied up in (tau, id) order
     (`Scenario.chains`). Intervention k is number rank[k] in subsystem
-    owner[k]'s order (read-only int arrays over `Scenario.events`). heads
-    lists the subsystems that have interventions, by the (tau, id) of their
-    first. products[j][L] = op_L @ products[j][L - 1], with products[j][0]
-    the first recorded operator itself, so a cut applies
-    products[j][L_j - 1], in the association `engine.push` multiplies
-    outcome overrides in."""
+    owner[k]'s order (read-only int arrays over `Scenario.events`), and
+    ids[j] lists subsystem j's intervention ids in that order, so a cut
+    applies ids[j][:L_j]. heads lists the subsystems that have
+    interventions, by the (tau, id) of their first. products[j][L] =
+    op_L @ products[j][L - 1], with products[j][0] the first recorded
+    operator itself, so a cut applies products[j][L_j - 1], in the
+    association `engine.push` multiplies outcome overrides in."""
     owner: np.ndarray
     rank: np.ndarray
+    ids: tuple
     heads: tuple
     products: tuple
 
@@ -133,6 +135,7 @@ class Scenario:
         outcomes, builds its own."""
         ivs = self.interventions
         rank = np.empty(len(ivs), dtype=np.intp)
+        ids = [[] for _ in range(self.n)]
         products = [[] for _ in range(self.n)]
         heads = []
         for k in sorted(range(len(ivs)), key=lambda k: (ivs[k].tau, k)):
@@ -141,12 +144,14 @@ class Scenario:
             if not chain:
                 heads.append(j)
             rank[k] = len(chain)
+            ids[j].append(k)
             op = ivs[k].op
             op = op.matrix if isinstance(op, UnitaryOp) else op.kraus[op.chosen]
             chain.append(op @ chain[-1] if chain else op)
         owner = np.array([iv.subsystem for iv in ivs], dtype=np.intp)
         owner.flags.writeable = rank.flags.writeable = False
-        return Chains(owner, rank, tuple(heads), tuple(map(tuple, products)))
+        return Chains(owner, rank, tuple(map(tuple, ids)), tuple(heads),
+                      tuple(map(tuple, products)))
 
     @cached_property
     def chain_norms(self) -> tuple:
@@ -181,8 +186,8 @@ class Scenario:
 
     def cut_ids(self, cut) -> tuple:
         """Ids of the interventions a cut applies, in ascending order."""
-        owner, rank = self.chains.owner.tolist(), self.chains.rank.tolist()
-        return tuple(k for k, (j, r) in enumerate(zip(owner, rank)) if r < cut[j])
+        return tuple(sorted(k for line, length in zip(self.chains.ids, cut)
+                            for k in line[:length]))
 
     @cached_property
     def initial_factor(self) -> np.ndarray:
@@ -628,12 +633,11 @@ def selected_ids(s: Scenario, region: Region) -> tuple:
     return tuple(np.flatnonzero(region_contains(region, s.events)).tolist())
 
 
-def apply_interventions(s: Scenario, ids, rho, subsystem_order=None, outcomes=None) -> np.ndarray:
+def apply_interventions(s: Scenario, ids, rho, outcomes=None) -> np.ndarray:
     """Fold the chosen interventions into rho, per subsystem in (tau, id)
     order, each as a channel rho -> sum_K K rho K^dagger on its factor. The
     cross-subsystem order is immaterial because the local operators act on
-    disjoint tensor factors; `subsystem_order` exists so tests can check
-    exactly that. A unitary is its own Kraus operator. A selective
+    disjoint tensor factors. A unitary is its own Kraus operator. A selective
     intervention takes the branch `outcomes` gives for its scenario index,
     else its recorded outcome; an outcome of None stands for every branch,
     the non-selective channel. The result is unnormalized: its trace is the
@@ -650,7 +654,7 @@ def apply_interventions(s: Scenario, ids, rho, subsystem_order=None, outcomes=No
             kraus = iv.op.kraus if branch is None else (iv.op.kraus[branch],)
         seqs.setdefault(iv.subsystem, []).append(kraus)
     out = np.asarray(rho, dtype=complex)
-    for subsystem in range(s.n) if subsystem_order is None else subsystem_order:
+    for subsystem in range(s.n):
         for kraus in seqs.get(subsystem, ()):
             terms = [linalg.apply_local(k, subsystem, s.dims, out) for k in kraus]
             out = sum(terms[1:], terms[0])

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -70,7 +71,11 @@ def test_usage_errors_exit_one(tmp_path):
     no_selectives = tmp_path / "no_selectives.scn"
     no_selectives.write_text(json.dumps({**json.loads(fixture_text("bell_sigma_z.scn")),
                                          "interventions": []}))
+    not_utf8 = tmp_path / "not_utf8.scn"
+    not_utf8.write_bytes(b"\xff")
     for args in (
+        ("validate", str(not_utf8)),
+        ("eval", str(not_utf8), "--tau", "A=1.0,B=2.0"),
         ("eval", BELL),  # missing --tau
         ("eval", BELL, "--tau", "A=1.0"),  # missing B
         ("eval", BELL, "--tau", "A=1,A=2,B=0"),  # A twice
@@ -374,6 +379,17 @@ def test_all_sector_eval_honours_the_subsystem_cap(tmp_path, monkeypatch, capsys
     assert "--sector" in out.err
     assert cli.main(["eval", str(path), "--tau", taus, "--sector", "AC"]) == 0
     assert set(json.loads(capsys.readouterr().out)["sectors"]) == {"AC"}
+
+
+def test_observable_without_sector_is_refused_before_evaluating(capsys):
+    from polystate import cli, engine
+
+    with mock.patch.object(engine, "polystate_at") as polystate_at:
+        assert cli.main(["eval", BELL, "--tau", "A=1.0,B=1.0", "--observable", "sigma_z"]) == 1
+    polystate_at.assert_not_called()
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "--observable needs --sector" in out.err
 
 
 def test_stdout_carries_only_results():

@@ -1,4 +1,5 @@
 import json
+import math
 from dataclasses import replace
 from unittest import mock
 
@@ -145,6 +146,30 @@ def test_empirical_sector_keeps_a_retained_branch_of_tiny_weight():
     for subset in ((0,), (1,)):
         with pytest.raises(ImpossibleOutcomeError, match=r"^sector \{%s\}: " % "AB"[subset[0]]):
             ensemble.empirical_sector(log, s, subset, (2.0, 0.0))
+
+
+def test_empirical_sector_pushes_only_the_assignments_its_runs_hold():
+    """A Bell pair with 13 readouts on A, z and x alternating, and B read at
+    tau 0, outside A's future: every run is retained and the applied cut
+    holds all 8192 branches, but the stacked pushes hold one row per
+    distinct retained assignment, and no more."""
+    readouts = [{"on": "A", "tau": (k + 1) / 13,
+                 "measure": {"projective_basis": ("pauli_z", "pauli_x")[k % 2], "outcome": 0}}
+                for k in range(13)]
+    s = parse_scenario(json.dumps({
+        "spacetime": {"d": 1},
+        "subsystems": [{"name": name, "dim": 2,
+                        "worldline": {"anchor": [0.0, x], "segments": [], "final_v": [0.0]}}
+                       for name, x in (("A", 0.0), ("B", 1.0))],
+        "initial_state": {"named": "bell_psi_plus"},
+        "interventions": readouts,
+    }))
+    log = ensemble.sample_runs(s, 12, seed=4)
+    with mock.patch.object(ensemble, "push", wraps=ensemble.push) as pushes:
+        ensemble.empirical_sector(log, s, (1,), (2.0, 0.0))
+    rows = sum(math.prod(np.broadcast_shapes(*map(np.shape, call.args[2].values())))
+               for call in pushes.call_args_list)
+    assert rows == len(np.unique(log.codes)) > 1
 
 
 def test_analytic_sector_equals_engine_on_fixtures():

@@ -6,8 +6,8 @@ afterwards; the Gram states of `state_after`, weighed once per cut and
 validated on the small side of their factor, against the dense push, trace
 and full validation; one push per distinct selection; the push of a cut
 against multiplying its operators in (tau, id) order; and the stacked push,
-which keeps resolved outcomes on leading axes, slice by slice against the
-push of each branch.
+which stacks the branches of outcome arrays on leading axes, slice by slice
+against the push of each branch.
 
 Scenario structure (subsystem count, local dimensions, kinds, order and
 proper times of the interventions, worldlines, evaluation times) is drawn by
@@ -20,7 +20,6 @@ from dataclasses import replace
 from itertools import product
 
 import numpy as np
-import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as hs
 
@@ -532,28 +531,42 @@ def ghz5_scenario():
 
 
 def assert_stack_equals_single_pushes(s, cut, fixed: int, backwards: bool):
-    """Resolve the cut's selectives after the first `fixed` of them, in
-    `selective_order` or backwards, for every assignment to those fixed:
-    each slice equals the push with its outcomes fixed, bit for bit, and its
-    row-wise pairwise sum of squares is that push's `branch_weight`, exactly
-    0 where the dense push through the same branches has trace 0."""
+    """Override the cut's selectives after the first `fixed` of them with
+    outcome arrays, in `selective_order` or backwards, for every assignment
+    to those fixed: once as the open mesh of `np.ix_`, one axis per
+    selective, and once as flat arrays listing every assignment in turn.
+    Each slice of either stack equals the push with its outcomes fixed, bit
+    for bit, and its row-wise pairwise sum of squares is that push's
+    `branch_weight`, exactly 0 where the dense push through the same
+    branches has trace 0."""
     inside = set(s.cut_ids(cut))
     sel = tuple(k for k in ensemble.selective_order(s) if k in inside)
     fixed = min(fixed, len(sel))
-    resolve = sel[fixed:][::-1] if backwards else sel[fixed:]
-    counts = [len(s.interventions[k].op.kraus) for k in resolve]
+    opened = sel[fixed:][::-1] if backwards else sel[fixed:]
+    counts = [len(s.interventions[k].op.kraus) for k in opened]
+    assignments = list(product(*map(range, counts)))
+    flat = np.array(assignments, dtype=np.intp).reshape(len(assignments), -1).T
+    factor = (int(np.prod(s.dims)), s.initial_factor.shape[1])
     for prefix in product(*[range(len(s.interventions[k].op.kraus)) for k in sel[:fixed]]):
-        stack = engine.push(s, cut, dict(zip(sel, prefix)), resolve=resolve)
-        assert stack.shape == (*counts, int(np.prod(s.dims)), s.initial_factor.shape[1])
-        rows = stack.reshape(-1, *stack.shape[-2:])
-        weights = np.square(rows.reshape(len(rows), -1).view(float)).sum(axis=1)
-        for rest, row, weight in zip(product(*map(range, counts)), rows, weights):
-            outcomes = {**dict(zip(sel, prefix)), **dict(zip(resolve, rest))}
+        pinned = dict(zip(sel, prefix))
+        mesh = engine.push(s, cut, {**pinned, **dict(zip(opened, np.ix_(*map(range, counts))))})
+        listed = engine.push(s, cut, {**pinned, **dict(zip(opened, flat))})
+        assert mesh.shape == (*counts, *factor)
+        assert listed.shape == ((len(assignments),) if opened else ()) + factor
+        singles = []
+        for rest in assignments:
+            outcomes = {**pinned, **dict(zip(opened, rest))}
             single = engine.push(s, cut, outcomes)
-            assert np.array_equal(row, single), outcomes
-            assert weight == engine.branch_weight(single)
             dense = apply_interventions(s, s.cut_ids(cut), s.initial_state, outcomes=outcomes)
-            assert np.trace(dense) != 0 or weight == 0.0
+            singles.append((outcomes, single, np.trace(dense)))
+        for stack in (mesh, listed):
+            rows = stack.reshape(-1, *factor)
+            weights = np.square(rows.reshape(len(rows), -1).view(float)).sum(axis=1)
+            assert len(rows) == len(singles)
+            for (outcomes, single, trace), row, weight in zip(singles, rows, weights):
+                assert np.array_equal(row, single), outcomes
+                assert weight == engine.branch_weight(single)
+                assert trace != 0 or weight == 0.0
 
 
 @SUITE
@@ -573,9 +586,3 @@ def test_stacked_push_slices_equal_single_pushes_on_ghz5():
         assert_stack_equals_single_pushes(s, every, fixed, backwards)
     weights = ensemble.enumerate_branches(s).tolist()
     assert weights.count(0.0) == 256 - 16
-
-
-def test_push_refuses_to_resolve_what_the_cut_does_not_hold():
-    s = ghz5_scenario()
-    with pytest.raises(ValueError):
-        engine.push(s, (1, 1, 1, 1, 0), resolve=(4,))

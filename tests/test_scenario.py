@@ -176,9 +176,10 @@ def test_apply_interventions_trace_is_branch_weight():
 def test_apply_order_between_subsystems_is_immaterial():
     for _ in range(20):
         s = random_two_qubit_scenario(RNG)
-        ids = tuple(range(len(s.interventions)))
-        a = apply_interventions(s, ids, s.initial_state, subsystem_order=(0, 1))
-        b = apply_interventions(s, ids, s.initial_state, subsystem_order=(1, 0))
+        on_a, on_b = ([k for k, iv in enumerate(s.interventions) if iv.subsystem == j]
+                      for j in (0, 1))
+        a = apply_interventions(s, on_b, apply_interventions(s, on_a, s.initial_state))
+        b = apply_interventions(s, on_a, apply_interventions(s, on_b, s.initial_state))
         assert np.allclose(a, b, atol=1e-12)
 
 

@@ -17,8 +17,8 @@ import numpy as np
 
 from . import audit, engine, ensemble, linalg
 from .errors import EmptyEnsembleError, ImpossibleOutcomeError, PolystateError
-from .scenario import (NAMED_STATES, SelectiveOp, _matrix_from_json, diagnose_document,
-                       parse_scenario)
+from .scenario import (NAMED_STATES, SelectiveOp, _matrix_from_json, axis_angles,
+                       diagnose_document, parse_scenario)
 from .spacetime import Foliation, lightcone_crossings, position, proper_time_at_leaf
 
 SCHEMA_VERSION = 1
@@ -167,15 +167,14 @@ def _parse_observable(spec: str, subset, s) -> np.ndarray:
     for token in _split_factors(spec):
         if token in named:
             parts.append(named[token])
-        elif (token.startswith("pauli_n(") or token.startswith("sigma_n(")) and token.endswith(")"):
-            inner = token[token.index("(") + 1:-1]
-            try:
-                theta, phi = (_finite(v) for v in inner.split(","))
-            except ValueError:
-                raise UsageError(f"bad axis observable {token!r}") from None
-            parts.append(linalg.sigma_n(theta, phi))
-        else:
+            continue
+        try:
+            angles = axis_angles(token, heads=("pauli_n", "sigma_n"))
+        except ValueError as exc:
+            raise UsageError(f"bad axis observable: {exc}") from None
+        if angles is None:
             raise UsageError(f"unknown observable {token!r}")
+        parts.append(linalg.sigma_n(*angles))
     if len(parts) != len(subset):
         raise UsageError(f"observable {spec!r} has {len(parts)} factors for a "
                          f"{len(subset)}-subsystem sector")

@@ -41,9 +41,12 @@ D x D operator is formed or traced unless the subset is everything. Every
 subset of a cut has the same trace, the cut's branch weight ||Psi||_F^2,
 computed once per cut, O(D r). `linalg.gram_density` symmetrizes the Gram
 matrix and divides it by the weight together, so the sector is exactly
-Hermitian with unit trace by construction, and reads only its spectrum, on
-Phi's small side: when d_S > rest, from the rest x rest matrix
-Phi^dagger Phi. No Hermiticity or trace pass runs over a sector. For a
+Hermitian with unit trace by construction. Its spectrum is all that is left
+to decide: a rounding bound on the Gram product decides it when Phi is
+small enough (`linalg._PROVABLE_K`: up to 8 x 135, say), and otherwise
+eigvalsh reads it on Phi's small side: when d_S > rest, from the
+rest x rest matrix Phi^dagger Phi. No Hermiticity or trace pass runs over a
+sector. For a
 full-rank mixed initial state (r = D) the Gram product is O(d_S D^2),
 dearer than a pure one, most for large subsets.
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import os
+from bisect import bisect_right
 from functools import cache, reduce
 
 import numpy as np
@@ -243,17 +244,86 @@ def normalize(rho) -> np.ndarray:
     return check_density(rho / tr)
 
 
+_U = np.finfo(float).eps / 2
+
+
+def _gamma(j: int) -> float:
+    return j * _U / (1 - j * _U)
+
+
+def _gram_error(k: int, m: int) -> float:
+    """How far below zero eigvalsh can put the least eigenvalue of an m x m
+    Gram state of inner dimension k, built as `gram_density` builds it."""
+    trace = (1 + 16 * k * m * _U**3) / (1 - _gamma(2 * k * m))
+    product = math.sqrt(2) * _gamma(2 * k + 3) * trace + 32 * k * m * _U**3
+    return product + m * m * _U * (trace + product)
+
+
+def _provable_inner_dims() -> tuple:
+    """Entry m: the largest inner dimension k >= m whose `_gram_error` is at
+    most half of |CLAMP_TRIGGER|; the tuple ends at the first m with none."""
+    table = [0]
+    while True:
+        m = len(table)
+        # the bound grows with k, so this counts the k that pass
+        count = bisect_right(range(m, 2**20), -CLAMP_TRIGGER / 2,
+                             key=lambda k: _gram_error(k, m))
+        if not count:
+            return tuple(table)
+        table.append(m + count - 1)
+
+
+_PROVABLE_K = _provable_inner_dims()
+# the weights for which the Gram product cannot overflow and its underflow
+# stays below 4 u^3 w per operation
+_SAFE_WEIGHTS = (float(np.finfo(float).tiny / np.finfo(float).eps**2),
+                 float(np.finfo(float).max / 4))
+
+
 def gram_density(phi, weight: float) -> np.ndarray:
-    """The density operator Phi Phi^dagger / weight, where weight is
-    ||Phi||_F^2 computed by the caller (the branch weight of a pushed
-    factor, the same for every subset of a cut).
+    """The density operator Phi Phi^dagger / weight. The weight must be
+    ||Phi||_F^2 of the same entries, summed in any order, as
+    `engine.branch_weight` computes it: the branch weight of a pushed
+    factor, the same for every subset of a cut.
 
     Symmetrized and divided by the weight together, the result is exactly
     Hermitian by construction and its trace is 1 to rounding, so neither is
-    tested again. Only the spectrum is read, on Phi's small side: eigvalsh
-    of the result when Phi has no more rows than columns, else of the
-    smaller Gram matrix Phi^dagger Phi / weight, which has the same nonzero
-    eigenvalues. It is decided, and a clamp made, as in `check_density`.
+    tested again. The spectrum is all that is left to decide, and for small
+    factors a rounding bound decides it without computing it.
+
+    Let m <= k be Phi's two sides and G the exact Gram matrix on the small
+    side, Phi Phi^dagger / w if Phi is wide, Phi^dagger Phi / w if tall: it
+    is m x m with inner dimension k, positive semidefinite, and
+    ||G||_2 <= tr G = ||Phi||_F^2 / w = t. With u = eps / 2 and
+    gamma_j = j u / (1 - j u) (Higham 2002, sections 3.1, 3.5 and 3.6):
+
+    - the weight sums 2km squares, so t <= 1 / (1 - gamma_2km);
+    - each real or imaginary part of a Gram entry is a sum of 2k real
+      products, in whatever order and with or without the fused
+      multiply-adds a BLAS kernel uses; with the symmetrizing sum and the
+      two roundings of the scaling (one division on the tall side), the
+      computed matrix H is G + E with
+      |E| <= sqrt(2) gamma_{2k+3} |Phi| |Phi|^dagger / w entrywise, so
+      ||E||_2 <= sqrt(2) gamma_{2k+3} t, as || |Phi| ||_2^2 <= ||Phi||_F^2;
+    - eigvalsh is backward stable: its eigenvalues are those of H + F with
+      ||F||_2 <= p(m) u ||H||_2, taken as p(m) = m^2, and
+      ||H||_2 <= t + ||E||_2;
+    - by Weyl's inequality, then, the least eigenvalue it returns is at
+      least -(||E||_2 + m^2 u (t + ||E||_2)).
+
+    For a weight in `_SAFE_WEIGHTS` nothing overflows, and gradual
+    underflow, at most u * tiny per real product, adds at most 16 k m u^3
+    to t and 32 k m u^3 to ||E||_2. `_gram_error(k, m)` is that total. When
+    it is at most |CLAMP_TRIGGER| / 2, `_settle` would accept the state as
+    built, so it is returned without eigvalsh and, on the tall side,
+    without Phi^dagger Phi. `_PROVABLE_K[m]`, computed once, is the largest
+    such k: 157 at m = 1, 135 at m = 8, 67 at m = 16, none past m = 19.
+    That covers every sector of GHZ-7 and every fixture sector and branch.
+
+    Otherwise the spectrum is read on the small side: eigvalsh of the result
+    when Phi has no more rows than columns, else of Phi^dagger Phi / weight,
+    which has the same nonzero eigenvalues. It is decided, and a clamp made,
+    as in `check_density`.
     """
     scale = 0.5 / weight if weight > 0 else math.inf
     # NaN, infinite and zero weights fail here, and ones whose inverse overflows
@@ -264,7 +334,12 @@ def gram_density(phi, weight: float) -> np.ndarray:
     rho = phi @ phic.T
     rho += rho.conj().T
     rho *= scale
-    small = rho if phi.shape[0] <= phi.shape[1] else phic.T @ phi / weight
+    rows, cols = phi.shape
+    m, k = (rows, cols) if rows <= cols else (cols, rows)
+    if m < len(_PROVABLE_K) and k <= _PROVABLE_K[m] and (
+            _SAFE_WEIGHTS[0] <= weight <= _SAFE_WEIGHTS[1]):
+        return rho
+    small = rho if rows <= cols else phic.T @ phi / weight
     out = _settle(rho, np.linalg.eigvalsh(small))
     # a clamp's eigh reconstruction is Hermitian only to rounding
     return out if out is rho else (out + out.conj().T) / 2

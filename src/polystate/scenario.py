@@ -25,7 +25,8 @@ Complex numbers are two-element arrays [re, im]; bare reals are accepted.
 `initial_state` takes {"named": ...}, {"ket": [...]} or {"matrix": [[...]]}.
 A measurement is either an explicit {"kraus": [matrix, ...]} list or a
 {"projective_basis": name-or-kets} with basis names pauli_z, pauli_x,
-pauli_y, or pauli_n(theta, phi). `outcome` is the recorded branch index.
+pauli_y, or pauli_n(theta, phi), theta and phi finite decimal numbers.
+`outcome` is the recorded branch index.
 Unitary names: pauli_x, pauli_y, pauli_z, hadamard, identity.
 """
 
@@ -219,21 +220,45 @@ NAMED_UNITARIES = {
     "identity": linalg.ID2,
 }
 
-_PAULI_N = re.compile(r"^pauli_n\(\s*([-+0-9.eE]+)\s*,\s*([-+0-9.eE]+)\s*\)$")
+# a decimal number in ASCII digits, with optional sign, point and exponent
+_ANGLE = re.compile(r"\s*[-+]?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][-+]?[0-9]+)?\s*", re.ASCII)
+
+
+def axis_angles(name: str, heads=("pauli_n",)):
+    """(theta, phi) of an axis named `head(theta, phi)` for a head in
+    `heads`, or None for a name of any other form. Each angle must be a
+    finite decimal number, spaces around it allowed; anything else raises
+    ValueError saying which angle is wrong. The one angle grammar of the
+    scenario file's `pauli_n` basis and the CLI's axis observables."""
+    head, paren, inner = name.partition("(")
+    if not paren or head not in heads or not inner.endswith(")"):
+        return None
+    raws = inner[:-1].split(",")
+    if len(raws) != 2:
+        raise ValueError(f"{name!r} needs two angles, theta and phi")
+    angles = []
+    for raw in raws:
+        if not _ANGLE.fullmatch(raw):
+            raise ValueError(f"angle {raw.strip()!r} of {name!r} is not a decimal number")
+        angles.append(float(raw))
+        if not math.isfinite(angles[-1]):
+            raise ValueError(f"angle {raw.strip()!r} of {name!r} is not finite")
+    return tuple(angles)
 
 
 def named_basis(name: str):
-    """Eigenket pair (+1 branch first) for a named projective basis."""
+    """Eigenket pair (+1 branch first) for a named projective basis; a
+    KeyError for an unknown name, a ValueError for bad `pauli_n` angles."""
     if name == "pauli_z":
         return (linalg.KET0, linalg.KET1)
     if name == "pauli_x":
         return (linalg.KET_PLUS, linalg.KET_MINUS)
     if name == "pauli_y":
         return linalg.spin_basis(math.pi / 2, math.pi / 2)
-    m = _PAULI_N.match(name)
-    if m:
-        return linalg.spin_basis(float(m.group(1)), float(m.group(2)))
-    raise KeyError(name)
+    angles = axis_angles(name)
+    if angles is None:
+        raise KeyError(name)
+    return linalg.spin_basis(*angles)
 
 
 # a parsed JSON number is an int or a float by type: `true` and `false`

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 
 import polystate
-from polystate import ensemble
+from polystate import ensemble, linalg
 from polystate.scenario import Intervention, Scenario, SelectiveOp, UnitaryOp, parse_scenario
 from polystate.spacetime import Segment, Worldline, causally_precedes, position
 
@@ -162,6 +162,20 @@ def prefix_closure(s: Scenario, ids) -> tuple:
     cut = reference_cut(s, ids)
     return tuple(sorted(k for line, length in zip(proper_time_lines(s), cut)
                         for k in line[:length]))
+
+
+def reference_gram_density(phi, weight: float) -> tuple:
+    """`linalg.gram_density` with its spectrum always read: the Gram state
+    built the same way, eigvalsh on the factor's small side, and the same
+    raise, clamp or accept. Returns the state and that least eigenvalue."""
+    phic = phi.conj()
+    rho = phi @ phic.T
+    rho += rho.conj().T
+    rho *= 0.5 / weight
+    small = rho if phi.shape[0] <= phi.shape[1] else phic.T @ phi / weight
+    w = np.linalg.eigvalsh(small)
+    out = linalg._settle(rho, w)
+    return (out if out is rho else (out + out.conj().T) / 2), float(w[0])
 
 
 def splitmix64_uniforms(seed: int):

@@ -441,3 +441,36 @@ def test_main_calls_in_one_process_match_lone_runs(capsys):
         # bytes, so that the CSV's \r\n line ends are compared as written
         alone = subprocess.run([sys.executable, "-m", "polystate", *args], capture_output=True)
         assert (code, out) == (alone.returncode, alone.stdout.decode()), args
+
+
+@pytest.mark.parametrize("axis,reason", [
+    ("pauli_n(1_0,0)", "not a decimal number"),
+    ("pauli_n(١,0)", "not a decimal number"),
+    ("pauli_n(inf,0)", "not a decimal number"),
+    ("sigma_n(nan,0)", "not a decimal number"),
+    ("pauli_n(1e400,0)", "not finite"),
+    ("pauli_n(1,2,3)", "needs two angles"),
+    ("sigma_n(0.5)", "needs two angles"),
+])
+def test_axis_observable_angles_follow_the_scenario_grammar(axis, reason, capsys):
+    """The CLI reads `pauli_n` and `sigma_n` angles as the scenario file
+    reads `pauli_n` bases: finite decimal numbers, else one usage error
+    that names the angle."""
+    from polystate import cli
+
+    args = ["eval", BELL, "--tau", "A=1.0,B=1.0", "--sector", "A", "--observable"]
+    assert cli.main([*args, axis]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("error: bad axis observable") and reason in out.err
+
+
+def test_sigma_n_is_an_alias_of_pauli_n(capsys):
+    from polystate import cli
+
+    args = ["eval", EPR, "--tau", "A=2.0,B=2.0", "--sector", "AB", "--observable"]
+    values = []
+    for axis in ("pauli_n(0.5,0.25),sigma_z", "sigma_n( +.5 , 25e-2 ),sigma_z"):
+        assert cli.main([*args, axis]) == 0
+        values.append(json.loads(capsys.readouterr().out)["expectations"]["AB"]["value"])
+    assert values[0] == values[1]

@@ -5,9 +5,11 @@ every ensemble branch against pushing the whole joint state and tracing
 afterwards; the Gram states of `state_after`, weighed once per cut and
 validated on the small side of their factor, against the dense push, trace
 and full validation; one push per distinct selection; the push of a cut
-against multiplying its operators in (tau, id) order; and the stacked push,
+against multiplying its operators in (tau, id) order; the stacked push,
 which stacks the branches of outcome arrays on leading axes, slice by slice
-against the push of each branch.
+against the push of each branch; and the rounding bound with which
+`linalg.gram_density` accepts a Gram state without eigvalsh, against a
+kernel that always reads the spectrum.
 
 Scenario structure (subsystem count, local dimensions, kinds, order and
 proper times of the interventions, worldlines, evaluation times) is drawn by
@@ -18,6 +20,7 @@ one by one."""
 import json
 from dataclasses import replace
 from itertools import product
+from unittest import mock
 
 import numpy as np
 from hypothesis import HealthCheck, assume, given, settings
@@ -31,7 +34,8 @@ from polystate.scenario import (Intervention, Scenario, SelectiveOp, UnitaryOp,
 from polystate.spacetime import Foliation, Region, position
 
 from helpers import (branch_table, load_fixture, prefix_closure, proper_time_lines,
-                     random_density, random_ket, random_unitary, reference_event_cuts)
+                     random_density, random_ket, random_unitary, reference_event_cuts,
+                     reference_gram_density)
 from test_properties import tau_values, velocities, worldlines
 
 SUITE = settings(max_examples=200, deadline=None, derandomize=True,
@@ -507,27 +511,32 @@ def test_push_equals_multiplication_in_proper_time_order(s, lengths, picks):
                                       reference_push(v, ids, outcomes))
 
 
-def ghz5_scenario():
-    """GHZ-5 on five static worldlines, a z readout on every qubit at tau 1
-    and an x readout on A, C and E at tau 2: 256 branches, of which every
-    one with disagreeing z outcomes has weight exactly 0."""
-    ket = [0.0] * 32
-    ket[0] = ket[31] = 2**-0.5
-    interventions = [{"on": name, "tau": 1.0, "measure": {"projective_basis": "pauli_z",
-                                                          "outcome": 0}}
-                     for name in "ABCDE"]
-    interventions += [{"on": name, "tau": 2.0, "measure": {"projective_basis": "pauli_x",
-                                                           "outcome": 1}}
-                      for name in "ACE"]
+def ghz_scenario(names, interventions):
+    """GHZ over the named qubits, on static worldlines three apart, with
+    the given scenario-file interventions."""
+    ket = [0.0] * 2**len(names)
+    ket[0] = ket[-1] = 2**-0.5
     return parse_scenario(json.dumps({
         "spacetime": {"d": 1},
         "subsystems": [{"name": name, "dim": 2,
                         "worldline": {"anchor": [0.0, 3.0 * x], "segments": [],
                                       "final_v": [0.0]}}
-                       for x, name in enumerate("ABCDE")],
+                       for x, name in enumerate(names)],
         "initial_state": {"ket": ket},
         "interventions": interventions,
     }))
+
+
+def readout(name, tau, basis, outcome):
+    return {"on": name, "tau": tau, "measure": {"projective_basis": basis, "outcome": outcome}}
+
+
+def ghz5_scenario():
+    """GHZ-5 on five static worldlines, a z readout on every qubit at tau 1
+    and an x readout on A, C and E at tau 2: 256 branches, of which every
+    one with disagreeing z outcomes has weight exactly 0."""
+    return ghz_scenario("ABCDE", [readout(name, 1.0, "pauli_z", 0) for name in "ABCDE"]
+                        + [readout(name, 2.0, "pauli_x", 1) for name in "ACE"])
 
 
 def assert_stack_equals_single_pushes(s, cut, fixed: int, backwards: bool):
@@ -586,3 +595,132 @@ def test_stacked_push_slices_equal_single_pushes_on_ghz5():
         assert_stack_equals_single_pushes(s, every, fixed, backwards)
     weights = ensemble.enumerate_branches(s).tolist()
     assert weights.count(0.0) == 256 - 16
+
+
+# The rounding bound of `linalg.gram_density`: where it decides, the Gram
+# state is the always-eigvalsh reference's, bit for bit, no eigvalsh runs,
+# and the reference's least eigenvalue keeps within the proved bound.
+
+PROVABLE = linalg._PROVABLE_K
+
+
+def complex_normal(rng, shape):
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+def provable(phi, weight) -> bool:
+    m, k = sorted(phi.shape)
+    return (m < len(PROVABLE) and k <= PROVABLE[m]
+            and linalg._SAFE_WEIGHTS[0] <= weight <= linalg._SAFE_WEIGHTS[1])
+
+
+def assert_gram_equals_reference(phi, weight):
+    """`gram_density` against `reference_gram_density`, bit for bit; where
+    the bound decides, with no eigvalsh call and the reference's least
+    eigenvalue at or above minus the bound, else with one, on the factor's
+    small side. The least eigenvalue is above the clamp trigger either way."""
+    want, least = reference_gram_density(phi, weight)
+    with mock.patch.object(np.linalg, "eigvalsh", wraps=np.linalg.eigvalsh) as spy:
+        got = linalg.gram_density(phi, weight)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    m, k = sorted(phi.shape)
+    if provable(phi, weight):
+        assert spy.call_count == 0
+        assert least >= -linalg._gram_error(k, m)
+    else:
+        assert [c.args[0].shape for c in spy.call_args_list] == [(m, m)]
+    assert least > linalg.CLAMP_TRIGGER
+
+
+@hs.composite
+def provable_factors(draw):
+    """A factor whose sides m <= k have k <= `_PROVABLE_K[m]`, wide or
+    tall, drawn as one of
+    - rank 1, 2 or full, its rows and columns scaled so that its entries
+      spread over up to 1e-150 to 1;
+    - nearly dependent rows: one row plus 1e-8 to 1e-16 of random ones;
+    - blocked-branch dust: U U^dagger - 1 for a random unitary U, the
+      rounding residue of a branch whose exact weight is 0."""
+    m = draw(hs.integers(1, len(PROVABLE) - 1))
+    k = draw(hs.one_of(hs.just(PROVABLE[m]), hs.integers(m, PROVABLE[m])))
+    rng = np.random.default_rng(draw(seeds))
+    kind = draw(hs.sampled_from(["rank", "dependent", "dust"]))
+    if kind == "rank":
+        rank = min(m, draw(hs.sampled_from([1, 2, m])))
+        phi = complex_normal(rng, (m, rank)) @ complex_normal(rng, (rank, k))
+        spread = draw(hs.sampled_from([0, 16, 150]))
+        phi *= 10.0 ** -rng.uniform(0, spread / 2, (m, 1))
+        phi *= 10.0 ** -rng.uniform(0, spread / 2, (1, k))
+    elif kind == "dependent":
+        phi = complex_normal(rng, (m, k))
+        phi = phi[:1] + 10.0 ** -draw(hs.integers(8, 16)) * phi
+    else:
+        u = random_unitary(rng, k)
+        phi = (u @ u.conj().T - np.eye(k))[:m]
+    return phi.T if draw(hs.booleans()) else phi
+
+
+@SUITE
+@given(phi=provable_factors())
+def test_gram_density_within_the_bound_equals_the_reference(phi):
+    weight = engine.branch_weight(phi)
+    assume(weight > 0)
+    assert_gram_equals_reference(phi, weight)
+
+
+@SUITE
+@given(s=scenarios_with_blocked_branch(scenarios_of_rank(), tilts=(0.0, FAINT_TILT)),
+       lengths=hs.lists(hs.integers(0, 6), min_size=4, max_size=4))
+def test_pushed_gram_states_equal_the_reference(s, lengths):
+    """Every subset's state of a drawn cut, faint readouts and blocked
+    branches included, on factors of rank 1, 2 and full."""
+    psi = engine.push(s, cut_of_lengths(s, lengths))
+    weight = engine.branch_weight(psi)
+    assume(weight > 0)
+    for subset in engine.all_subsets(s.n):
+        assert_gram_equals_reference(engine.subset_factor(s, psi, subset), weight)
+
+
+@SUITE
+@given(m=hs.integers(1, len(PROVABLE)), tall=hs.booleans(), seed=seeds)
+def test_gram_density_reads_the_spectrum_one_size_past_the_bound(m, tall, seed):
+    """One inner dimension past `_PROVABLE_K[m]`, or any factor of an order
+    the table does not reach, keeps eigvalsh."""
+    k = PROVABLE[m] + 1 if m < len(PROVABLE) else m
+    phi = complex_normal(np.random.default_rng(seed), (m, k))
+    phi = phi.T if tall else phi
+    assert not provable(phi, engine.branch_weight(phi))
+    assert_gram_equals_reference(phi, engine.branch_weight(phi))
+
+
+def test_gram_density_reads_the_spectrum_of_weights_outside_the_safe_range():
+    """A factor the bound would decide by its shape keeps eigvalsh when its
+    weight is small enough for underflow to matter, or large enough for the
+    Gram product to overflow."""
+    phi = np.array([[1, 1j, -1], [0.5j, 1, 0.25]])
+    for scale in (1e-145, 5e153):
+        tiny_or_huge = phi * scale
+        weight = engine.branch_weight(tiny_or_huge)
+        assert not linalg._SAFE_WEIGHTS[0] <= weight <= linalg._SAFE_WEIGHTS[1]
+        assert_gram_equals_reference(tiny_or_huge, weight)
+
+
+def test_ghz7_sectors_equal_the_reference_without_eigvalsh():
+    """All 127 sectors of GHZ-7, at proper-time tuples that put between
+    none and all of its readouts and its unitary in their pasts, are
+    decided by the bound and equal the always-eigvalsh reference kernel,
+    bit for bit."""
+    s = ghz_scenario("ABCDEFG", [
+        readout("A", 1.0, "pauli_x", 0), readout("C", 1.2, "pauli_y", 1),
+        readout("E", 0.8, "pauli_n(0.7, 0.3)", 0), readout("G", 2.0, "pauli_x", 1),
+        {"on": "G", "tau": 0.5, "unitary": "hadamard"}])
+    tuples = ([tau] * 7 for tau in (0.0, 2.0, 5.0, 20.0))
+    for taus in [*tuples, [1.1, 4.0, 7.0, 2.5, 9.0, 1.6, 25.0]]:
+        with mock.patch.object(np.linalg, "eigvalsh", side_effect=AssertionError):
+            p = engine.polystate_at(s, taus)
+        assert len(p.sectors) == 127
+        for subset, got in p.sectors.items():
+            psi = engine.push(s, engine.past_cut(s, taus, subset))
+            phi = engine.subset_factor(s, psi, subset)
+            want = reference_gram_density(phi, engine.branch_weight(psi))[0]
+            assert got.tobytes() == want.tobytes(), (taus, subset)

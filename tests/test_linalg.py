@@ -128,12 +128,19 @@ def gram_spectra(monkeypatch, spectrum=None):
     return shapes
 
 
+# taller than `linalg._PROVABLE_K` allows for two columns, so the rounding
+# bound cannot decide these Gram states and their spectrum is read
+TALL = 400
+
+
 def test_gram_density_decides_on_its_small_side_spectrum(monkeypatch):
-    """Given a spectrum on the 2 x 2 small side of a 3 x 2 factor, the
+    """Given a spectrum on the 2 x 2 small side of a 400 x 2 factor, the
     Gram state is accepted as built, rejected beyond the tolerance, and
     clamped for dust below the trigger, which diagonalizes the state
     itself (here clean) and renormalizes it."""
-    phi = np.array([[np.sqrt(0.75), 0], [0, 0.5], [0, 0]], dtype=complex)
+    assert TALL > linalg._PROVABLE_K[2]
+    phi = np.zeros((TALL, 2), dtype=complex)
+    phi[0, 0], phi[1, 1] = np.sqrt(0.75), 0.5
     rho = phi @ phi.conj().T
     shapes = gram_spectra(monkeypatch, [0.25, 0.75])
     assert np.array_equal(linalg.gram_density(phi, 1.0), rho)
@@ -146,7 +153,7 @@ def test_gram_density_decides_on_its_small_side_spectrum(monkeypatch):
     eigh = np.linalg.eigh
     monkeypatch.setattr(np.linalg, "eigh", lambda m: eighs.append(m.shape) or eigh(m))
     clamped = linalg.gram_density(phi, 1.0)
-    assert eighs == [(3, 3)]
+    assert eighs == [(TALL, TALL)]
     assert np.max(np.abs(clamped - rho)) < 1e-15
     assert np.array_equal(clamped, clamped.conj().T)
     assert abs(np.trace(clamped) - 1.0) < 1e-15
@@ -154,10 +161,10 @@ def test_gram_density_decides_on_its_small_side_spectrum(monkeypatch):
 
 def test_gram_density_reads_a_tall_factor_on_its_small_side(monkeypatch):
     """A tall factor's spectrum comes from the 2 x 2 Phi^dagger Phi, never
-    from the 8 x 8 state, and a wide one's from the 2 x 2 state itself;
+    from the 400 x 400 state, and a wide one's from the 2 x 2 state itself;
     either way the state is exactly Hermitian, of unit trace, within 1e-12
     of the dense `normalize`, and `check_density` is never called."""
-    phi = RNG.normal(size=(8, 2)) + 1j * RNG.normal(size=(8, 2))
+    phi = RNG.normal(size=(TALL, 2)) + 1j * RNG.normal(size=(TALL, 2))
     wide = phi.conj().T.copy()
     wants = [linalg.normalize(f @ f.conj().T) for f in (phi, wide)]
     shapes = gram_spectra(monkeypatch)

@@ -9,8 +9,8 @@ import pytest
 from polystate import cli, engine, linalg, validate
 from polystate.errors import ParseError, ScenarioValidationError
 from polystate.scenario import (Intervention, SelectiveOp, UnitaryOp, apply_interventions,
-                                boosted_scenario, diagnose_document, parse_scenario,
-                                selected_ids, serialize_scenario)
+                                axis_angles, boosted_scenario, diagnose_document, named_basis,
+                                parse_scenario, selected_ids, serialize_scenario)
 from polystate.spacetime import Region
 
 from helpers import fixture_text, load_fixture, random_two_qubit_scenario
@@ -399,3 +399,40 @@ def test_long_ket_rejected_before_its_projector():
     assert [d.invariant for d in diags] == ["dimension-mismatch"]
     assert diags[0].message == "state dim 3000 vs joint dim 4"
     assert peak < 4 * 2**20
+
+
+@pytest.mark.parametrize("basis,reason", [
+    ("pauli_n(1e400,0)", "not finite"),
+    ("pauli_n(inf,0)", "not a decimal number"),
+    ("pauli_n(nan, 0)", "not a decimal number"),
+    ("pauli_n(1_0,0)", "not a decimal number"),
+    ("pauli_n(١,0)", "not a decimal number"),
+    ("pauli_n(0x1,0)", "not a decimal number"),
+    ("pauli_n(,0)", "not a decimal number"),
+    ("pauli_n(1)", "needs two angles"),
+    ("pauli_n(1,2,3)", "needs two angles"),
+])
+def test_bad_pauli_n_angles_get_one_diagnostic(basis, reason):
+    """Every angle that is not a finite decimal number gets the same one
+    diagnostic, which names the angle; a name of another form is an
+    unknown basis."""
+    doc = _doc()
+    doc["interventions"][0]["measure"]["projective_basis"] = basis
+    diags = diagnose_document(json.dumps(doc))
+    assert [(d.field, d.invariant) for d in diags] == [
+        ("interventions[0].measure", "well-formed-entries")]
+    assert reason in diags[0].message
+    doc["interventions"][0]["measure"]["projective_basis"] = basis.replace("pauli_n", "pauli_q")
+    assert [d.invariant for d in diagnose_document(json.dumps(doc))] == ["known-name"]
+
+
+def test_pauli_n_angles_take_signs_points_exponents_and_spaces():
+    for basis, angles in (("pauli_n(0.7853981633974483, 0.0)", (0.7853981633974483, 0.0)),
+                          ("pauli_n( +.5 , 1e-3 )", (0.5, 0.001)),
+                          ("pauli_n(-2.,1E+0)", (-2.0, 1.0)),
+                          ("pauli_n(1e-400,0)", (0.0, 0.0))):
+        assert axis_angles(basis) == angles
+        want = linalg.spin_basis(*angles)
+        assert all(np.array_equal(a, b) for a, b in zip(named_basis(basis), want))
+    assert axis_angles("pauli_x") is None and axis_angles("sigma_n(1,0)") is None
+    assert axis_angles("sigma_n(1,0)", heads=("pauli_n", "sigma_n")) == (1.0, 0.0)

@@ -18,7 +18,7 @@ import numpy as np
 from . import audit, engine, ensemble, linalg
 from .errors import EmptyEnsembleError, ImpossibleOutcomeError, PolystateError
 from .scenario import (NAMED_STATES, SelectiveOp, _matrix_from_json, axis_angles,
-                       diagnose_document, parse_scenario)
+                       diagnose_document, parse_scenario, read_number)
 from .spacetime import Foliation, lightcone_crossings, position, proper_time_at_leaf
 
 SCHEMA_VERSION = 1
@@ -38,13 +38,9 @@ def _matrix_json(m) -> list:
     return [[[float(v.real), float(v.imag)] for v in row] for row in np.asarray(m, dtype=complex)]
 
 
-def _finite(raw: str) -> float:
-    """float(raw); ValueError unless it is a finite number, since NaN and
-    infinities have no JSON form and no physical reading here."""
-    value = float(raw)
-    if not math.isfinite(value):
-        raise ValueError(f"{raw!r} is not finite")
-    return value
+def integer(raw: str) -> int:
+    """An integer in ASCII digits, with an optional sign (`read_number`)."""
+    return read_number(raw, int)
 
 
 def _read(path: str) -> str:
@@ -72,7 +68,7 @@ def _parse_taus(spec: str, s) -> tuple:
         if name in values:
             raise UsageError(f"--tau gives {name} twice")
         try:
-            values[name] = _finite(raw)
+            values[name] = read_number(raw)
         except ValueError:
             raise UsageError(f"bad proper time {raw!r} for {name}") from None
     missing = [n for n in s.names if n not in values]
@@ -109,7 +105,7 @@ def _subset_name(subset, s) -> str:
 def _parse_range(spec: str):
     try:
         lo, hi, num = spec.split(":")
-        lo, hi, num = _finite(lo), _finite(hi), int(num)
+        lo, hi, num = read_number(lo), read_number(hi), read_number(num, int)
     except ValueError:
         raise UsageError(f"bad range {spec!r}; expected LO:HI:COUNT, LO and HI finite") from None
     if num < 1:
@@ -123,7 +119,7 @@ def _parse_range(spec: str):
 def _parse_velocity(spec: str, d: int) -> np.ndarray:
     raw = spec[2:] if spec.startswith("v=") else spec
     try:
-        v = np.array([_finite(c) for c in raw.split(",")], dtype=float)
+        v = np.array([read_number(c) for c in raw.split(",")], dtype=float)
     except ValueError:
         raise UsageError(f"bad velocity {spec!r}") from None
     if v.shape != (d,):
@@ -376,7 +372,7 @@ def cmd_diagram(args) -> int:
     t_hi = max(times + [e[0] for e in events], default=0.0) + 2.0
     if args.tau_range:
         try:
-            t_lo, t_hi = (_finite(v) for v in args.tau_range.split(":"))
+            t_lo, t_hi = (read_number(v) for v in args.tau_range.split(":"))
         except ValueError:
             raise UsageError(f"bad --tau-range {args.tau_range!r}; expected LO:HI") from None
         if t_lo > t_hi:
@@ -422,7 +418,7 @@ def cmd_diagram(args) -> int:
         try:
             vraw, traw = spec.split(":")
             v = _parse_velocity(vraw, 1)
-            t = _finite(traw)
+            t = read_number(traw)
         except (ValueError, UsageError):
             raise UsageError(f"bad --leaf {spec!r}; expected V:T") from None
         g = 1.0 / math.sqrt(1.0 - float(v[0]) ** 2)
@@ -485,8 +481,8 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("ensemble", help="Monte Carlo sectors vs the engine")
     p.add_argument("scenario")
-    p.add_argument("--n", type=int, required=True, help="number of runs")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--n", type=integer, required=True, help="number of runs")
+    p.add_argument("--seed", type=integer, default=0)
     p.add_argument("--tau", help="proper times, e.g. A=1.0,B=0.5")
     p.set_defaults(func=cmd_ensemble)
 

@@ -50,17 +50,20 @@ sector. For a
 full-rank mixed initial state (r = D) the Gram product is O(d_S D^2),
 dearer than a pure one, most for large subsets.
 
-A cut whose recorded outcomes cannot occur raises `ImpossibleOutcomeError`,
-judged relative to its operators rather than by an absolute weight floor,
-so long chains of likely outcomes with a tiny joint weight still evaluate.
-Either a subsystem's operator chain collapses within the cut
-(a product below `linalg.ZERO_TRACE` times the one before it, in squared
-spectral norm), whatever the state, or the weight is below `ZERO_TRACE`
-times prod_j ||M_j||_2^2, the most the cut's operators can keep of a
-unit-norm factor. The operators are contractions, so a weight of at least
-`ZERO_TRACE` passes both tests and is accepted as it is: only smaller
-weights are judged, from norms the scenario tables once beside its
-products (`Scenario.chain_norms`), in O(n) scalars per cut.
+A cut whose recorded outcomes cannot occur raises `ImpossibleOutcomeError`
+by `impossibility`, the one verdict of the engine, the ensemble and the
+oracle. It is judged relative to the cut's operators, not by an absolute
+weight floor, so long chains of likely outcomes with a tiny joint weight
+still evaluate: a subsystem's operator chain collapses within the cut (a
+product below eta^2 times the one before it, in squared spectral norm),
+whatever the state, or the weight cannot be told from 0 under the rounding
+of the push that computed it. For a pushed factor that is eta^2
+prod_j ||M_j||_2^2, the most the cut's operators keep of a unit-norm
+factor, times the square of eta, the push's rounding bound
+(`linalg.push_error`); the dense oracle brings the bound of its own push.
+A factor weight of at least eta^2 passes both tests: only smaller ones are
+judged, from norms the scenario tables once beside its products
+(`Scenario.chain_norms`), in O(n) scalars, once per cut.
 
 A subset's cut is the elementwise max of its members' past rows. Member
 i's row at proper time tau is one vectorised test of its evaluation event's
@@ -84,14 +87,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain, combinations
+from functools import reduce
+from itertools import accumulate, chain, combinations
 from typing import NamedTuple
 
 import numpy as np
 
 from . import linalg
 from .errors import ImpossibleOutcomeError
-from .scenario import Scenario, SelectiveOp
+from .scenario import Scenario, SelectiveOp, product_norms
 from .spacetime import (Foliation, PastOfEvent, PastOfLeaf, Worldline,
                         causally_precedes, position)
 
@@ -138,7 +142,6 @@ def push(s: Scenario, cut, outcomes=None) -> np.ndarray:
     for bit, to the push with those outcomes fixed: flat arrays push a list
     of assignments, and the open mesh of `np.ix_` every assignment."""
     dims = s.dims
-    ivs = s.interventions
     products, lines = s.chains.products, s.chains.ids
     psi = s.initial_factor.reshape(-1)
     for j in s.chains.heads:
@@ -146,17 +149,20 @@ def push(s: Scenario, cut, outcomes=None) -> np.ndarray:
             continue
         m = products[j][cut[j] - 1]
         if outcomes and not outcomes.keys().isdisjoint(lines[j][:cut[j]]):
-            m = None
-            for k in lines[j][:cut[j]]:
-                op = ivs[k].op
-                op = (np.asarray(op.kraus)[outcomes.get(k, op.chosen)]
-                      if isinstance(op, SelectiveOp) else op.matrix)
-                m = op if m is None else op @ m
+            m = reduce(lambda m, op: op @ m, _branch_ops(s, lines[j][:cut[j]], outcomes))
         # psi is (*stack, D r); M_j meets it as (*stack, prod dims[:j], d_j, rest)
         lead = psi.shape[:-1]
         psi = m[..., None, :, :] @ psi.reshape(*lead, math.prod(dims[:j]), dims[j], -1)
         psi = psi.reshape(*psi.shape[:-3], -1)
     return psi.reshape(*psi.shape[:-1], math.prod(dims), -1)
+
+
+def _branch_ops(s: Scenario, ids, outcomes):
+    """Interventions `ids`' operators, a selective's on its `outcomes` branch, else its recorded."""
+    for k in ids:
+        op = s.interventions[k].op
+        yield (np.asarray(op.kraus)[outcomes.get(k, op.chosen)]
+               if isinstance(op, SelectiveOp) else op.matrix)
 
 
 def subset_factor(s: Scenario, psi, subset) -> np.ndarray:
@@ -189,29 +195,49 @@ class PushedCut(NamedTuple):
     states: dict
 
 
-def _impossibility(s: Scenario, cut, weight: float) -> str | None:
-    """Why a cut's recorded branches cannot occur, judged relative to its
-    operators rather than by an absolute floor: a subsystem's chain of
-    recorded operators vanishes within the cut (`Scenario.chain_norms`), or
-    the weight is below `linalg.ZERO_TRACE` times prod_j ||M_j||_2^2, the
-    most the cut's operators can keep of a unit-norm factor. O(n) scalars.
-    A weight of at least `ZERO_TRACE` passes at once: the operators are
-    contractions, so neither test can fail on it."""
-    if weight >= linalg.ZERO_TRACE:
+def impossibility(s: Scenario, cut, weight: float, outcomes=None, error=None) -> str | None:
+    """The one verdict of engine, ensemble and oracle: why the cut's
+    branches, recorded or as `outcomes` assigns them (as in `push`), cannot
+    occur, or None when they can. Either a subsystem's operator chain
+    vanishes at a step within the cut (`scenario.product_norms`), or the
+    weight cannot be told from 0 under the rounding of the arithmetic that
+    computed it: `error`, the bound of a dense push, else, for the squared
+    norm of a pushed factor, eta^2 prod_j ||M_j||_2^2 with eta =
+    `linalg.push_error`, the dust the push leaves of a unit-norm factor.
+
+    A factor weight of at least eta^2, or a dense weight above `error`, is
+    accepted at once: the operators are contractions, so a chain that
+    vanished leaves, to rounding, at most eta^2 of weight. Any other weight
+    costs O(n) scalars, from norms tabled once per scenario, plus an SVD per
+    chain `outcomes` changes."""
+    floor = linalg.push_error(s.dims) ** 2
+    if (weight >= floor) if error is None else (weight > error):
         return None
-    norms, vanishes = s.chain_norms
     bound = 1.0
-    for j, length in enumerate(cut):
-        if length:
-            if vanishes[j] is not None and length > vanishes[j]:
-                k = s.chains.ids[j][vanishes[j]]
-                return (f"intervention {k} on {s.names[j]} at tau {s.interventions[k].tau:g} "
-                        "annihilates every state the earlier ones leave; "
-                        "the recorded outcome cannot occur")
-            bound *= norms[j][length - 1]
-    if weight < linalg.ZERO_TRACE * bound:
-        return f"branch weight {weight:.3e} is zero; the recorded outcome cannot occur"
-    return None
+    for j, (length, line, norms, vanishes) in enumerate(zip(cut, s.chains.ids, *s.chain_norms)):
+        if not length:
+            continue
+        line = line[:length]
+        if outcomes and not outcomes.keys().isdisjoint(line):
+            ops = _branch_ops(s, line, outcomes)
+            norms, vanishes = product_norms(list(accumulate(ops, lambda m, op: op @ m)), s.dims)
+        if vanishes is not None and length > vanishes:
+            k = line[vanishes]
+            return (f"intervention {k} on {s.names[j]} at tau {s.interventions[k].tau:g} "
+                    "annihilates every state the earlier ones leave; "
+                    "the recorded outcome cannot occur")
+        bound *= norms[length - 1]
+    if error is None and weight >= floor * bound:
+        return None
+    return f"branch weight {weight:.3e} is zero; the recorded outcome cannot occur"
+
+
+def refuse(s: Scenario, subset, why) -> None:
+    """Raise `ImpossibleOutcomeError`, naming the sector, if `why`, an
+    `impossibility` verdict, says its branches cannot occur."""
+    if why:
+        names = ",".join(s.names[i] for i in subset)
+        raise ImpossibleOutcomeError(f"sector {{{names}}}: {why}")
 
 
 def state_after(s: Scenario, cut, subset, cache=None) -> np.ndarray:
@@ -225,11 +251,9 @@ def state_after(s: Scenario, cut, subset, cache=None) -> np.ndarray:
     if entry is None:
         psi = push(s, cut)
         weight = branch_weight(psi)
-        entry = cache[cut] = PushedCut(psi, weight, _impossibility(s, cut, weight), {})
+        entry = cache[cut] = PushedCut(psi, weight, impossibility(s, cut, weight), {})
     if subset not in entry.states:
-        if entry.impossible:
-            names = ",".join(s.names[i] for i in subset)
-            raise ImpossibleOutcomeError(f"sector {{{names}}}: {entry.impossible}")
+        refuse(s, subset, entry.impossible)
         phi = subset_factor(s, entry.factor, subset)
         entry.states[subset] = linalg.gram_density(phi, entry.weight)
     return entry.states[subset]

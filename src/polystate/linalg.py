@@ -21,13 +21,6 @@ HERMITICITY_TOL = 1e-10
 EIGENVALUE_TOL = 1e-10
 TRACE_TOL = 1e-10
 CLAMP_TRIGGER = -1e-13
-# A branch weight below this counts as conditioning on probability zero.
-# `normalize` applies it as an absolute floor, for the oracle alone. The
-# engine judges a weight below it relative to the cut: one below ZERO_TRACE
-# times the product of the squared spectral norms of the applied operators,
-# or one operator product that falls below ZERO_TRACE times the one before
-# it (`Scenario.chain_norms`), cannot occur.
-ZERO_TRACE = 1e-12
 
 DEFAULT_MAX_DIM = 2**10
 
@@ -232,15 +225,14 @@ def check_density(rho) -> np.ndarray:
 
 
 def normalize(rho) -> np.ndarray:
-    """Divide by the trace and validate with `check_density`; the trace is
-    the branch weight, and one below the absolute floor `ZERO_TRACE` raises.
-    The dense path of the oracle `ensemble.analytic_sector` alone; every
-    other state takes `gram_density`."""
+    """Divide by the trace and validate with `check_density`; a trace with
+    no finite inverse raises. Whether a branch of small weight can occur is
+    `engine.impossibility`'s to decide. The dense path of the oracle
+    `ensemble.analytic_sector` alone; every other state takes `gram_density`."""
     rho = _as_matrix(rho)
     tr = float(np.trace(rho).real)
-    if tr < ZERO_TRACE:
-        raise ImpossibleOutcomeError(
-            f"branch weight {tr:.3e} is zero; the recorded outcome cannot occur")
+    if not (0 < tr < math.inf and 1 / tr < math.inf):
+        raise ImpossibleOutcomeError(f"branch weight {tr:.3e} has no finite inverse")
     return check_density(rho / tr)
 
 
@@ -249,6 +241,49 @@ _U = np.finfo(float).eps / 2
 
 def _gamma(j: int) -> float:
     return j * _U / (1 - j * _U)
+
+
+@cache
+def push_error(dims) -> float:
+    """eta for a scenario of local dimensions `dims`: a pushed factor, or a
+    step of a subsystem's operator chain, no larger than eta times the most
+    its operators can keep is rounding dust, and its outcomes cannot occur
+    (`engine.impossibility`).
+
+    With u = eps / 2, gamma_j = j u / (1 - j u) (Higham 2002, sections 3.5
+    and 3.6), D = prod(dims), and || |A| ||_2 <= ||A||_F <= sqrt(d) ||A||_2
+    for a d x d matrix A:
+
+    - a complex product A B of inner dimension d is computed as A B + E,
+      |E| <= sqrt(2) gamma_2d |A| |B| <= gamma_4d |A| |B| entrywise, as each
+      real or imaginary part of an entry is a sum of 2d real products;
+    - so a step M_L = K_L M_{L-1} of subsystem j's chain, ||K_L||_2 <= 1, is
+      off by at most d_j gamma_{4 d_j} ||M_{L-1}||_2 in spectral norm: a
+      product no larger cannot be told from one that annihilates every state
+      the chain so far leaves;
+    - `engine.push` applies one product M_j per subsystem on its axis of the
+      initial factor Psi, ||Psi||_F = 1, so by Higham's lemma 3.3 the pushed
+      factor is off by at most gamma_{4 sum d} (x_j |M_j|) |Psi| entrywise,
+      and by gamma_{4 sum d} sqrt(D) prod_j ||M_j||_2 in Frobenius norm: a
+      factor no larger cannot be told from 0, and its squared norm, the
+      branch weight, is below eta^2 prod_j ||M_j||_2^2.
+
+    eta = D gamma_{4 sum d} bounds both, and every cut's, whose dims are
+    among the scenario's, so the chain steps are judged once per scenario
+    (`Scenario.chain_norms`): 64 u = 7.1e-15 for two qubits, eta^2 = 5.0e-29;
+    D gamma_80 = 9.1e-12 for ten, eta^2 = 8.3e-23. O(n) scalars. Measured
+    in double precision, eta^2 has two margins on two qubits:
+
+    - it is above the rounding dust of outcomes that cannot occur. The two
+      outcomes of one rotated basis, read in turn, give a step ratio
+      ||K_down K_up||_2^2 / ||K_up||_2^2 of at most 7.8e-34 over 5 axes, and
+      a singlet read along one axis on both sides gives the same outcome a
+      weight of at most 1.5e-32 over 20000 random axes.
+    - it is far below the faint weights that can occur and must pass: a
+      readout of |0> tilted 1e-7 or 1e-6 from z gives outcome 1 the weight
+      2.5e-15 or 2.5e-13.
+    """
+    return math.prod(dims) * _gamma(4 * sum(dims))
 
 
 def _gram_error(k: int, m: int) -> float:
@@ -317,8 +352,8 @@ def gram_density(phi, weight: float) -> np.ndarray:
     it is at most |CLAMP_TRIGGER| / 2, `_settle` would accept the state as
     built, so it is returned without eigvalsh and, on the tall side,
     without Phi^dagger Phi. `_PROVABLE_K[m]`, computed once, is the largest
-    such k: 157 at m = 1, 135 at m = 8, 67 at m = 16, none past m = 19.
-    That covers every sector of GHZ-7 and every fixture sector and branch.
+    such k: 135 at m = 8, none past m = 19, and any k at m = 1 (>= 0 or NaN).
+    That covers every sector of GHZ-8 and every fixture sector and branch.
 
     Otherwise the spectrum is read on the small side: eigvalsh of the result
     when Phi has no more rows than columns, else of Phi^dagger Phi / weight,
@@ -336,7 +371,7 @@ def gram_density(phi, weight: float) -> np.ndarray:
     rho *= scale
     rows, cols = phi.shape
     m, k = (rows, cols) if rows <= cols else (cols, rows)
-    if m < len(_PROVABLE_K) and k <= _PROVABLE_K[m] and (
+    if m == 1 or m < len(_PROVABLE_K) and k <= _PROVABLE_K[m] and (
             _SAFE_WEIGHTS[0] <= weight <= _SAFE_WEIGHTS[1]):
         return rho
     small = rho if rows <= cols else phic.T @ phi / weight

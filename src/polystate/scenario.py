@@ -156,23 +156,8 @@ class Scenario:
 
     @cached_property
     def chain_norms(self) -> tuple:
-        """(norms, vanishes) of the `chains` products, computed on first use.
-        norms[j][L] is the squared spectral norm of products[j][L].
-        vanishes[j] is the first L at which it falls below
-        `linalg.ZERO_TRACE` times the one before (1 before the first): the
-        recorded outcome there annihilates every state the chain so far
-        leaves, so a cut with L_j > vanishes[j] cannot occur; None if no L
-        does."""
-        norms, vanishes = [], []
-        for chain in self.chains.products:
-            norm = []
-            if chain:
-                # the largest singular value of every product, in one batched call
-                norm = (np.linalg.svd(np.array(chain), compute_uv=False)[:, 0] ** 2).tolist()
-            norms.append(tuple(norm))
-            vanishes.append(next((L for L, (before, now) in enumerate(zip([1.0] + norm, norm))
-                                  if now < linalg.ZERO_TRACE * before), None))
-        return tuple(norms), tuple(vanishes)
+        """(norms, vanishes): `product_norms` of each subsystem's `chains` products."""
+        return tuple(zip(*(product_norms(chain, self.dims) for chain in self.chains.products)))
 
     def cut_of(self, mask) -> tuple:
         """The cut of a boolean mask over `events`: per subsystem j, how many
@@ -207,6 +192,19 @@ class Scenario:
         return out
 
 
+def product_norms(chain, dims) -> tuple:
+    """(norms, vanishes) of a chain of operator products, each the last one
+    times the next operator: norms[L] is the squared spectral norm of
+    chain[L], and vanishes the first L at which it is below
+    `linalg.push_error(dims)`^2 times the one before (1 before the first),
+    where to rounding the operator annihilates every state; None if none."""
+    # the largest singular value of every product, in one batched call
+    norms = (np.linalg.svd(np.array(chain), compute_uv=False)[:, 0] ** 2).tolist() if chain else []
+    floor = linalg.push_error(dims) ** 2
+    return tuple(norms), next((L for L, (before, now) in enumerate(zip([1.0] + norms, norms))
+                               if now < floor * before), None)
+
+
 NAMED_STATES = {
     "bell_psi_plus": linalg.BELL_PSI_PLUS,
     "bell_psi_minus": linalg.BELL_PSI_MINUS,
@@ -220,30 +218,37 @@ NAMED_UNITARIES = {
     "identity": linalg.ID2,
 }
 
-# a decimal number in ASCII digits, with optional sign, point and exponent
-_ANGLE = re.compile(r"\s*[-+]?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][-+]?[0-9]+)?\s*", re.ASCII)
+# a decimal number in ASCII digits, with optional sign, point and exponent,
+# and an integer, with neither point nor exponent
+_NUMBER = {float: re.compile(r"\s*[-+]?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][-+]?[0-9]+)?\s*", re.ASCII),
+           int: re.compile(r"\s*[-+]?[0-9]+\s*", re.ASCII)}
+
+
+def read_number(raw: str, kind=float, what=None):
+    """`raw` as a finite `kind`, float or int, spaces around it allowed: the
+    one number grammar of the scenario file's angles and the CLI's
+    arguments. Anything else raises ValueError naming `what`, else `raw`."""
+    if not _NUMBER[kind].fullmatch(raw):
+        raise ValueError(f"{what or repr(raw)} is not a decimal number")
+    value = kind(raw)
+    if kind is float and not math.isfinite(value):
+        raise ValueError(f"{what or repr(raw)} is not finite")
+    return value
 
 
 def axis_angles(name: str, heads=("pauli_n",)):
     """(theta, phi) of an axis named `head(theta, phi)` for a head in
-    `heads`, or None for a name of any other form. Each angle must be a
-    finite decimal number, spaces around it allowed; anything else raises
-    ValueError saying which angle is wrong. The one angle grammar of the
-    scenario file's `pauli_n` basis and the CLI's axis observables."""
+    `heads`, or None for a name of any other form. Each angle is read by
+    `read_number`, and a ValueError says which angle is wrong. The one angle
+    grammar of the scenario file's `pauli_n` basis and the CLI's axis
+    observables."""
     head, paren, inner = name.partition("(")
     if not paren or head not in heads or not inner.endswith(")"):
         return None
     raws = inner[:-1].split(",")
     if len(raws) != 2:
         raise ValueError(f"{name!r} needs two angles, theta and phi")
-    angles = []
-    for raw in raws:
-        if not _ANGLE.fullmatch(raw):
-            raise ValueError(f"angle {raw.strip()!r} of {name!r} is not a decimal number")
-        angles.append(float(raw))
-        if not math.isfinite(angles[-1]):
-            raise ValueError(f"angle {raw.strip()!r} of {name!r} is not finite")
-    return tuple(angles)
+    return tuple(read_number(raw, float, f"angle {raw.strip()!r} of {name!r}") for raw in raws)
 
 
 def named_basis(name: str):
@@ -658,7 +663,7 @@ def selected_ids(s: Scenario, region: Region) -> tuple:
     return tuple(np.flatnonzero(region_contains(region, s.events)).tolist())
 
 
-def apply_interventions(s: Scenario, ids, rho, outcomes=None) -> np.ndarray:
+def apply_interventions(s: Scenario, ids, rho, outcomes=None, absolute=False) -> np.ndarray:
     """Fold the chosen interventions into rho, per subsystem in (tau, id)
     order, each as a channel rho -> sum_K K rho K^dagger on its factor. The
     cross-subsystem order is immaterial because the local operators act on
@@ -666,7 +671,9 @@ def apply_interventions(s: Scenario, ids, rho, outcomes=None) -> np.ndarray:
     intervention takes the branch `outcomes` gives for its scenario index,
     else its recorded outcome; an outcome of None stands for every branch,
     the non-selective channel. The result is unnormalized: its trace is the
-    joint Born weight of the chosen selective branches.
+    joint Born weight of the chosen selective branches. With `absolute`, each
+    operator is replaced by its entrywise absolute value, as a componentwise
+    rounding bound of the push needs.
     """
     outcomes = outcomes or {}
     seqs: dict = {}
@@ -677,7 +684,7 @@ def apply_interventions(s: Scenario, ids, rho, outcomes=None) -> np.ndarray:
         else:
             branch = outcomes.get(k, iv.op.chosen)
             kraus = iv.op.kraus if branch is None else (iv.op.kraus[branch],)
-        seqs.setdefault(iv.subsystem, []).append(kraus)
+        seqs.setdefault(iv.subsystem, []).append(tuple(map(np.abs, kraus)) if absolute else kraus)
     out = np.asarray(rho, dtype=complex)
     for subsystem in range(s.n):
         for kraus in seqs.get(subsystem, ()):

@@ -474,3 +474,32 @@ def test_sigma_n_is_an_alias_of_pauli_n(capsys):
         assert cli.main([*args, axis]) == 0
         values.append(json.loads(capsys.readouterr().out)["expectations"]["AB"]["value"])
     assert values[0] == values[1]
+
+
+@pytest.mark.parametrize("args", [
+    ("eval", BELL, "--tau", "A=1_0,B=1.0"),
+    ("eval", BELL, "--tau", "A=1.0,B=\u0661"),
+    ("eval", BELL, "--tau", "A=0x1,B=1.0"),
+    ("sweep", BELL, "--t-range=0:1_0:3"),
+    ("sweep", BELL, "--t-range=0:1:1_0"),
+    ("sweep", BELL, "--t-range=0:1:\u0663"),
+    ("sweep", BELL, "--t-range=0:1:3.0"),
+    ("sweep", BELL, "--t-range=0:1:3", "--foliation", "v=0.1_0"),
+    ("audit", BELL, "--tau", "A=1.0,B=1.0", "--grid=0:1:\u0663"),
+    ("diagram", BELL, "--tau-range", "0:1_0"),
+    ("diagram", BELL, "--leaf", "0.5:\u0661"),
+    ("ensemble", BELL, "--tau", "A=1.0,B=1.0", "--n", "1_0"),
+    ("ensemble", BELL, "--tau", "A=1.0,B=1.0", "--n", "\u0661\u0660"),
+    ("ensemble", BELL, "--tau", "A=1.0,B=1.0", "--n", "+-5"),
+    ("ensemble", BELL, "--tau", "A=1.0,B=1.0", "--n", "10", "--seed", "1_0"),
+])
+def test_numbers_are_ascii_decimals(args, capsys):
+    """Every number the CLI reads is a decimal in ASCII digits, in the
+    grammar of the scenario file's angles, and every count and seed an
+    integer in ASCII digits: underscores, other scripts' digits and hex are
+    usage errors."""
+    from polystate import cli
+
+    assert cli.main(list(args)) == 1
+    out = capsys.readouterr()
+    assert out.out == "" and "error" in out.err

@@ -110,11 +110,10 @@ def test_empty_ensemble_raises():
         ensemble.empirical_sector(starved, s, (0, 1), (2.0, 3.5))
 
 
-def faint_readout(basis: str):
-    """|00>, A read once at tau 1 in the given basis with outcome 1 recorded,
-    B a thousand units away, and a hand-made log of three runs that all took
-    that outcome."""
-    s = parse_scenario(json.dumps({
+def faint_document(basis: str) -> str:
+    """|00>, A read once at tau 1 in the given basis with outcome 1
+    recorded, B a thousand units away."""
+    return json.dumps({
         "spacetime": {"d": 1},
         "subsystems": [{"name": name, "dim": 2,
                         "worldline": {"anchor": [0.0, x], "segments": [], "final_v": [0.0]}}
@@ -122,18 +121,24 @@ def faint_readout(basis: str):
         "initial_state": {"ket": [1.0, 0.0, 0.0, 0.0]},
         "interventions": [{"on": "A", "tau": 1.0,
                            "measure": {"projective_basis": basis, "outcome": 1}}],
-    }))
-    log = ensemble.RunLog(seed=0, n_runs=3, order=(0,), weights=ensemble.enumerate_branches(s),
-                          codes=np.ones(3, dtype=np.intp))
+    })
+
+
+def faint_readout(basis: str, runs: int = 3):
+    """The scenario of `faint_document`, and a hand-made log of runs that
+    all took the recorded outcome."""
+    s = parse_scenario(faint_document(basis))
+    log = ensemble.RunLog(seed=0, n_runs=runs, order=(0,), weights=ensemble.enumerate_branches(s),
+                          codes=np.ones(runs, dtype=np.intp))
     return s, log
 
 
 def test_empirical_sector_keeps_a_retained_branch_of_tiny_weight():
     """Outcome 1 of a readout tilted 1e-6 from z has weight
-    sin^2(5e-7) = 2.5e-13, below the dense `normalize`'s absolute floor. A
-    log whose runs all took it gets that branch's state, for subsets that
-    condition on the readout and for B, which only shares its runs; a
-    retained branch of weight exactly 0 still raises, naming the sector."""
+    sin^2(5e-7) = 2.5e-13, below 1e-12. A log whose runs all took it gets
+    that branch's state, for subsets that condition on the readout and for
+    B, which only shares its runs; a retained branch of weight exactly 0
+    still raises, naming the sector."""
     s, log = faint_readout("pauli_n(1e-6, 0)")
     assert abs(ensemble.enumerate_branches(s)[1] - 2.5e-13) < 1e-20
     down = linalg.projector(linalg.spin_basis(1e-6, 0.0)[1])
@@ -146,6 +151,33 @@ def test_empirical_sector_keeps_a_retained_branch_of_tiny_weight():
     for subset in ((0,), (1,)):
         with pytest.raises(ImpossibleOutcomeError, match=r"^sector \{%s\}: " % "AB"[subset[0]]):
             ensemble.empirical_sector(log, s, subset, (2.0, 0.0))
+
+
+@pytest.mark.parametrize("tilt,weight", [("1e-6", 2.5e-13), ("1e-7", 2.5e-15)])
+def test_a_faint_recorded_outcome_gives_one_state_on_every_path(tilt, weight, tmp_path, capsys):
+    """Outcome 1 of a readout of |0> tilted 1e-6 or 1e-7 from z can occur:
+    the engine, the dense oracle and a one-run log that took it give one
+    state for every subset, within 1e-12, and `polystate eval` prints it
+    and exits 0."""
+    basis = f"pauli_n({tilt}, 0)"
+    s, log = faint_readout(basis, runs=1)
+    assert abs(ensemble.enumerate_branches(s)[1] - weight) < weight * 1e-6
+    down = linalg.projector(linalg.spin_basis(float(tilt), 0.0)[1])
+    p00 = linalg.projector(linalg.KET0)
+    taus = (2.0, 0.0)
+    for subset, want in (((0,), down), ((1,), p00), ((0, 1), linalg.kron(down, p00))):
+        for got in (engine.sector(s, taus, subset), ensemble.analytic_sector(s, subset, taus),
+                    ensemble.empirical_sector(log, s, subset, taus)):
+            assert np.max(np.abs(got - want)) < 1e-12, subset
+
+    from polystate import cli
+
+    path = tmp_path / "faint.scn"
+    path.write_text(faint_document(basis))
+    assert cli.main(["eval", str(path), "--tau", "A=2.0,B=0.0"]) == 0
+    sectors = json.loads(capsys.readouterr().out)["sectors"]
+    got = np.array([[complex(*entry) for entry in row] for row in sectors["A"]])
+    assert np.max(np.abs(got - down)) < 1e-12
 
 
 def test_empirical_sector_pushes_only_the_assignments_its_runs_hold():

@@ -259,7 +259,7 @@ def test_leaf_states_equal_per_event_reference(s, v, data):
 
 
 # a readout this far off |0> keeps outcome 1 at weight 2.5e-15 on |0>: positive,
-# and below `normalize`'s absolute floor of 1e-12
+# and below 1e-12
 FAINT_TILT = 1e-7
 
 
@@ -268,12 +268,12 @@ def test_branch_weights_and_states_equal_pushed_states():
     intervention, and the state it adds to `empirical_sector`
     (`ensemble.branch_state`) against the full push through the subset's
     applied interventions, traced and normalized; a branch the full push
-    gives weight 0 weighs exactly 0. Where `normalize`'s absolute floor
-    refuses the reference but the branch weight is positive, the state must
-    still be exactly Hermitian with unit trace; only a weight of 0 raises.
-    The readout of `scenarios_with_blocked_branch` is drawn exactly on z or
-    `FAINT_TILT` off it, so that such faint branches occur, and the suite
-    checks that they did. The applied interventions are the region
+    gives weight 0 weighs exactly 0. A positive branch weight below 1e-12
+    is accepted by both paths, and its state is exactly Hermitian with unit
+    trace; only a weight of 0 raises. The readout of
+    `scenarios_with_blocked_branch` is drawn exactly on z or `FAINT_TILT`
+    off it, so that such faint branches occur, and the suite checks that
+    they did. The applied interventions are the region
     selection of the subset's pasts, closed on each worldline, and every
     intervention off the subset."""
     faint = []
@@ -311,15 +311,60 @@ def test_branch_weights_and_states_equal_pushed_states():
                         s.dims, subset))
                 except ImpossibleOutcomeError:
                     ref = None
-                if ref is not None or got is None:
-                    assert_close_or_both_none(got, ref)
-                else:
+                if 0 < weight < 1e-12:
                     faint.append(weight)
+                    assert got is not None and ref is not None
                     assert np.array_equal(got, got.conj().T)
                     assert abs(np.trace(got) - 1) < TOL
+                assert_close_or_both_none(got, ref)
 
     check()
-    assert faint, "no drawn branch had a positive weight below normalize's floor"
+    assert faint, "no drawn branch had a positive weight below 1e-12"
+
+
+# readout tilts from `FAINT_TILT` to 1e-3, outcome 1 of weight 2.5e-15 to 2.5e-7
+# on |0>, and exactly blocked readouts
+FAINT_TILTS = (0.0, FAINT_TILT, 1e-6, 1e-5, 1e-4, 1e-3)
+
+
+def test_engine_oracle_and_ensemble_agree_on_which_branches_occur():
+    """Every subset's sector of a drawn scenario, recorded branch, faint or
+    blocked readout and proper times, by the engine and by the dense oracle
+    `analytic_sector`, and its empirical sector from a one-run log that took
+    the recorded branch against the engine's state on the cut that sector
+    reads: each pair accepts or refuses together, and agrees within 1e-12
+    when it accepts. For the full subset the two cuts are one, so all three
+    paths agree. Faint branches below 1e-12 occur and are accepted, and
+    blocked ones occur and are refused."""
+    seen = {"faint": 0, "refused": 0}
+
+    @SUITE
+    @given(s=scenarios_with_blocked_branch(tilts=FAINT_TILTS),
+           taus=hs.lists(tau_values, min_size=4, max_size=4))
+    def check(s, taus):
+        order = ensemble.selective_order(s)
+        counts = [len(s.interventions[k].op.kraus) for k in order]
+        code = np.ravel_multi_index([s.interventions[k].op.chosen for k in order], counts)
+        log = ensemble.RunLog(seed=0, n_runs=1, order=order,
+                              weights=ensemble.enumerate_branches(s).reshape(counts),
+                              codes=np.array([code], dtype=np.intp))
+        for subset in engine.all_subsets(s.n):
+            _, _, applied = ensemble._selection(s, subset, taus)
+            pairs = ((outcome_of(engine.sector, s, taus, subset),
+                      outcome_of(ensemble.analytic_sector, s, subset, taus)),
+                     (outcome_of(engine.state_after, s, applied, subset),
+                      outcome_of(ensemble.empirical_sector, log, s, subset, taus)))
+            for want, got in pairs:
+                if isinstance(want, type) or isinstance(got, type):
+                    assert want is got is ImpossibleOutcomeError, subset
+                else:
+                    assert np.max(np.abs(got - want)) < TOL, subset
+            weight = engine.branch_weight(engine.push(s, engine.past_cut(s, taus, subset)))
+            seen["refused"] += isinstance(pairs[0][0], type)
+            seen["faint"] += 0 < weight < 1e-12 and not isinstance(pairs[0][0], type)
+
+    check()
+    assert seen["faint"] and seen["refused"], seen
 
 
 def factor_of(rho):
@@ -376,7 +421,7 @@ def outcome_of(f, *args):
 def reference_state_after(s, cut, subset):
     """The dense reference for `state_after`: the full joint state pushed
     through the cut's interventions, traced, normalized and validated on its
-    full spectrum, with `normalize`'s absolute weight floor."""
+    full spectrum."""
     return linalg.normalize(linalg.ptrace(
         apply_interventions(s, s.cut_ids(cut), s.initial_state), s.dims, subset))
 
@@ -392,9 +437,7 @@ def cut_of_lengths(s, lengths):
        lengths=hs.lists(hs.integers(0, 7), min_size=4, max_size=4))
 def test_state_after_equals_normalized_pushed_state(s, lengths):
     """Within 1e-12 of the dense reference, exactly Hermitian and of unit
-    trace within 1e-12. Both raise together, except where the reference's
-    absolute weight floor rejects a cut that the engine, judging the weight
-    relative to the cut's operators, accepts."""
+    trace within 1e-12. Both raise together."""
     cut = cut_of_lengths(s, lengths)
     tall = 0
     for subset in engine.all_subsets(s.n):
@@ -407,10 +450,8 @@ def test_state_after_equals_normalized_pushed_state(s, lengths):
             continue
         assert np.array_equal(got, got.conj().T), subset
         assert abs(np.trace(got).real - 1.0) < TOL, subset
-        if isinstance(want, type):
-            assert want is ImpossibleOutcomeError, subset
-        else:
-            assert np.max(np.abs(got - want)) < TOL, subset
+        assert not isinstance(want, type), subset
+        assert np.max(np.abs(got - want)) < TOL, subset
     if s.initial_factor.shape[1] == 1:
         assert tall  # the full subset's factor is d_S x 1
 
@@ -610,8 +651,8 @@ def complex_normal(rng, shape):
 
 def provable(phi, weight) -> bool:
     m, k = sorted(phi.shape)
-    return (m < len(PROVABLE) and k <= PROVABLE[m]
-            and linalg._SAFE_WEIGHTS[0] <= weight <= linalg._SAFE_WEIGHTS[1])
+    return m == 1 or (m < len(PROVABLE) and k <= PROVABLE[m]
+                      and linalg._SAFE_WEIGHTS[0] <= weight <= linalg._SAFE_WEIGHTS[1])
 
 
 def assert_gram_equals_reference(phi, weight):
@@ -682,10 +723,10 @@ def test_pushed_gram_states_equal_the_reference(s, lengths):
 
 
 @SUITE
-@given(m=hs.integers(1, len(PROVABLE)), tall=hs.booleans(), seed=seeds)
+@given(m=hs.integers(2, len(PROVABLE)), tall=hs.booleans(), seed=seeds)
 def test_gram_density_reads_the_spectrum_one_size_past_the_bound(m, tall, seed):
     """One inner dimension past `_PROVABLE_K[m]`, or any factor of an order
-    the table does not reach, keeps eigvalsh."""
+    the table does not reach, keeps eigvalsh; m = 1 needs no bound."""
     k = PROVABLE[m] + 1 if m < len(PROVABLE) else m
     phi = complex_normal(np.random.default_rng(seed), (m, k))
     phi = phi.T if tall else phi
@@ -719,6 +760,25 @@ def test_ghz7_sectors_equal_the_reference_without_eigvalsh():
         with mock.patch.object(np.linalg, "eigvalsh", side_effect=AssertionError):
             p = engine.polystate_at(s, taus)
         assert len(p.sectors) == 127
+        for subset, got in p.sectors.items():
+            psi = engine.push(s, engine.past_cut(s, taus, subset))
+            phi = engine.subset_factor(s, psi, subset)
+            want = reference_gram_density(phi, engine.branch_weight(psi))[0]
+            assert got.tobytes() == want.tobytes(), (taus, subset)
+
+
+def test_ghz8_sectors_equal_the_reference_without_eigvalsh():
+    """All 255 sectors of pure GHZ-8, with and without readouts in their
+    pasts, are decided without eigvalsh and equal the always-eigvalsh
+    reference kernel, bit for bit: the full sector's factor is 256 x 1, past
+    the bound's table, and a 1 x 1 small side needs no bound."""
+    s = ghz_scenario("ABCDEFGH", [
+        readout("A", 1.0, "pauli_x", 0), readout("D", 1.2, "pauli_y", 1),
+        readout("H", 0.8, "pauli_n(0.7, 0.3)", 0)])
+    for taus in ([0.0] * 8, [30.0] * 8, [1.1, 4.0, 7.0, 2.5, 9.0, 1.6, 25.0, 0.5]):
+        with mock.patch.object(np.linalg, "eigvalsh", side_effect=AssertionError):
+            p = engine.polystate_at(s, taus)
+        assert len(p.sectors) == 255
         for subset, got in p.sectors.items():
             psi = engine.push(s, engine.past_cut(s, taus, subset))
             phi = engine.subset_factor(s, psi, subset)

@@ -314,8 +314,8 @@ def test_every_cut_contains_its_mask_and_is_a_prefix(calls, data):
         inside = _region_selection(s, taus, subset)
         _assert_covers_and_is_prefix(s, cut, inside)
         off = [k for k, iv in enumerate(s.interventions) if iv.subsystem not in subset]
-        _, ids, applied = ensemble._selection(s, subset, taus)
-        assert ids == set(s.cut_ids(cut))
+        _, inside_cut, applied = ensemble._selection(s, subset, taus)
+        assert inside_cut == cut
         _assert_covers_and_is_prefix(s, applied, set(inside).union(off))
         for p in rules:
             for i, rule_cut in enumerate(audit._event_cuts(p, s, taus)):

@@ -75,6 +75,7 @@ def rows_empirical_sector(log, s, subset, taus):
     two agree bit for bit (the kernel itself is checked against the full
     push in `test_kernel_properties`)."""
     subset, inside, applied = ensemble._selection(s, subset, taus)
+    inside = set(s.cut_ids(inside))
     order = log.order
     keep_cols = [j for j, k in enumerate(order) if k in inside]
     recorded = np.array([s.interventions[order[j]].op.chosen for j in keep_cols])

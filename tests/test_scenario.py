@@ -10,7 +10,7 @@ from polystate import cli, engine, linalg, validate
 from polystate.errors import ParseError, ScenarioValidationError
 from polystate.scenario import (Intervention, SelectiveOp, UnitaryOp, apply_interventions,
                                 axis_angles, boosted_scenario, diagnose_document, named_basis,
-                                parse_scenario, selected_ids, serialize_scenario)
+                                parse_scenario, read_number, selected_ids, serialize_scenario)
 from polystate.spacetime import Region
 
 from helpers import fixture_text, load_fixture, random_two_qubit_scenario
@@ -436,3 +436,16 @@ def test_pauli_n_angles_take_signs_points_exponents_and_spaces():
         assert all(np.array_equal(a, b) for a, b in zip(named_basis(basis), want))
     assert axis_angles("pauli_x") is None and axis_angles("sigma_n(1,0)") is None
     assert axis_angles("sigma_n(1,0)", heads=("pauli_n", "sigma_n")) == (1.0, 0.0)
+
+
+def test_read_number_has_one_ascii_grammar_for_decimals_and_integers():
+    """Decimals take a sign, a point and an exponent, integers only a
+    sign; both allow spaces around them and nothing else."""
+    assert read_number(" +.5e1 ") == 5.0 and read_number("-2.") == -2.0
+    assert read_number(" 7 ", int) == 7 and read_number("-12", int) == -12
+    for raw, kind in (("+-5", int), ("5.0", int), ("1e3", int), ("1_0", int), ("\u0663", int),
+                      ("+-5", float), ("0x1", float), ("inf", float), ("", float)):
+        with pytest.raises(ValueError, match="is not a decimal number"):
+            read_number(raw, kind)
+    with pytest.raises(ValueError, match="'1e999' is not finite"):
+        read_number("1e999")

@@ -33,8 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .engine import (all_subsets, branch_weight, impossibility, past_cut, push, refuse, sector,
-                     subset_factor)
+from .engine import (all_subsets, branch_weight, check_subset, impossibility, past_cut, push,
+                     refuse, sector, subset_factor)
 from .errors import BranchExplosionError, EmptyEnsembleError
 from .scenario import Scenario, SelectiveOp, apply_interventions
 
@@ -206,13 +206,14 @@ def sample_runs(s: Scenario, n_runs: int, seed: int) -> RunLog:
         stop = min(start + _BLOCK, n_runs)
         us = _uniforms(seed, start * k, (stop - start) * k).reshape(-1, k)
         # the outcome prefix so far, coded as in `RunLog.codes`; the running
-        # sums never decrease, so the count of those below u is the index
-        # of the first one that reaches it
+        # sums never decrease, so the count of those below u among the first
+        # c - 1 is the index of the first one that reaches it, else c - 1
         prefix = np.zeros(stop - start, dtype=np.intp)
         for j, (total, cum) in enumerate(tables):
             u = us[:, j] * total[prefix]
-            choice = np.minimum(np.count_nonzero(cum[prefix] < u[:, None], axis=1),
-                                weights.shape[j] - 1)
+            choice = np.zeros(stop - start, dtype=np.intp)
+            for outcome in range(weights.shape[j] - 1):
+                choice += cum[prefix, outcome] < u
             prefix = prefix * weights.shape[j] + choice
         codes[start:stop] = prefix
     return log
@@ -228,7 +229,7 @@ def _selection(s: Scenario, subset, taus) -> tuple:
     pasts, and the cut of the interventions that reach its ensemble: those
     inside the past union, and every one on a subsystem outside the subset,
     which happens regardless, just to someone else's qubit."""
-    subset = tuple(sorted(set(subset)))
+    subset = check_subset(s.n, subset)
     inside = past_cut(s, taus, subset)
     applied = tuple(inside[j] if j in subset else len(chain)
                     for j, chain in enumerate(s.chains.products))
@@ -388,9 +389,9 @@ def compare_to_polystate(log: RunLog, s: Scenario, taus) -> ComparisonReport:
     sectors, for every nonempty subset. The analytic column is exact and
     must vanish to numerical precision; the empirical column carries the
     sampling noise of the run log."""
-    rows = []
+    rows, cache = [], {}
     for subset in all_subsets(s.n):
-        eng = sector(s, taus, subset)
+        eng = sector(s, taus, subset, cache)
         emp = empirical_sector(log, s, subset, taus)
         ana = analytic_sector(s, subset, taus)
         rows.append(SectorComparison(

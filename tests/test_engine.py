@@ -1,6 +1,9 @@
+import importlib
 import json
+import re
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +14,8 @@ from polystate.scenario import parse_scenario
 from polystate.spacetime import Foliation, Worldline
 
 from helpers import load_fixture
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 P00 = linalg.projector(linalg.KET0)
 P11 = linalg.projector(linalg.KET1)
@@ -186,6 +191,50 @@ def test_sector_requires_nonempty_subset():
     s = load_fixture("bell_sigma_z.scn")
     with pytest.raises(ValueError):
         engine.sector(s, (0.0, 0.0), ())
+
+
+@pytest.mark.parametrize("subset", [(2,), (-1,), (0, -1), (0, 2), (0.5,), ("A",), 1])
+def test_subsets_outside_the_scenario_are_refused(subset):
+    """A ValueError naming the subset, before any past row is computed."""
+    s = load_fixture("bell_sigma_z.scn")
+    with pytest.raises(ValueError, match=re.escape(repr(subset))):
+        engine.sector(s, (2.0, 2.0), subset)
+    assert s.past_rows == [None, None]
+    p = engine.polystate_at(s, (2.0, 2.0))
+    with pytest.raises(ValueError, match=re.escape(repr(subset))):
+        p.sector(subset)
+    with pytest.raises(ValueError, match=re.escape(repr(subset))):
+        ensemble.analytic_sector(s, subset, (2.0, 2.0))
+
+
+def test_subsets_are_sorted_and_deduplicated():
+    s = load_fixture("bell_sigma_z.scn")
+    p = engine.polystate_at(s, (2.0, 3.5))
+    assert p.sector((1, 0, 1)) is p.sectors[(0, 1)]
+    assert np.array_equal(engine.sector(s, (2.0, 3.5), (1, 0, 1)), p.sectors[(0, 1)])
+    assert np.array_equal(engine.sector(s, (2.0, 3.5), np.array([1, 1])), p.sectors[(1,)])
+
+
+def test_ghz_wide_pass_starts_new_cuts_from_cached_prefixes(monkeypatch):
+    """One pass of the benchmark's `ghz_wide` ops (all 127 sectors of GHZ-7
+    at 8 proper-time tuples, in its order, one cache per tuple) applies at
+    most 300 subsystem products, where pushing each of its 184 cuts from the
+    initial factor applies 677."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    workload = importlib.import_module("workloads").GhzWide(1)
+    applied = []
+    push = engine.push
+
+    def counting(s, cut, outcomes=None, start=None):
+        applied.extend(j for j in s.chains.heads[start[0] if start else 0:] if cut[j])
+        return push(s, cut, outcomes, start)
+
+    monkeypatch.setattr(engine, "push", counting)
+    workload.start_pass(0)
+    for g in range(workload.pass_len):
+        workload.run(g)
+    assert sum(len(cache) for cache in workload.caches) >= 184
+    assert len(applied) <= 300
 
 
 def test_subsystem_cap():

@@ -4,7 +4,8 @@ the pushed-factor states of the engine's sectors, of every audit rule and of
 every ensemble branch against pushing the whole joint state and tracing
 afterwards; the Gram states of `state_after`, weighed once per cut and
 validated on the small side of their factor, against the dense push, trace
-and full validation; one push per distinct selection; the push of a cut
+and full validation; one push per distinct selection or prefix of one, and
+one shared cache against fresh pushes, bit for bit; the push of a cut
 against multiplying its operators in (tau, id) order; the stacked push,
 which stacks the branches of outcome arrays on leading axes, slice by slice
 against the push of each branch; and the rounding bound with which
@@ -475,25 +476,86 @@ def test_blocked_branches_still_raise(s, lengths):
         assert outcome_of(engine.state_after, s, tuple(cut), subset) is ImpossibleOutcomeError
 
 
+def zero_padded_prefixes(s, cut):
+    """The cuts `push` holds on its way to `cut`: after each head the cut
+    applies, the cut with every later head at 0."""
+    prefix, out = [0] * s.n, []
+    for j in s.chains.heads:
+        if cut[j]:
+            prefix[j] = cut[j]
+            out.append(tuple(prefix))
+    return out
+
+
 @SUITE
 @given(s=scenarios_of_rank(), taus=hs.lists(tau_values, min_size=4, max_size=4))
 def test_polystate_pushes_once_per_selection(s, taus):
+    """Every distinct selection is pushed, and every cut, selection or
+    zero-padded prefix of one that a longer push passes through, at most
+    once."""
     selections = {engine.past_cut(s, taus, subset) for subset in engine.all_subsets(s.n)}
+    prefixes = {p for cut in selections for p in zero_padded_prefixes(s, cut)}
     pushes = []
     original = engine.push
 
-    def counting(s, cut, outcomes=None):
+    def counting(s, cut, outcomes=None, start=None):
         pushes.append(cut)
-        return original(s, cut, outcomes)
+        return original(s, cut, outcomes, start)
 
     engine.push = counting
     try:
         engine.polystate_at(s, taus)
-        assert sorted(pushes) == sorted(selections)
+        assert set(pushes) >= selections
     except ImpossibleOutcomeError:
-        assert len(pushes) == len(set(pushes)) and set(pushes) <= selections
+        pass
     finally:
         engine.push = original
+    assert len(pushes) == len(set(pushes)) and set(pushes) <= selections | prefixes
+
+
+def fresh_entry(s, cut, subset):
+    """`state_after`'s factor, weight, verdict and state for one request,
+    pushed from the initial factor with no cache."""
+    psi = engine.push(s, cut)
+    weight = engine.branch_weight(psi)
+    why = engine.impossibility(s, cut, weight)
+    state = (ImpossibleOutcomeError if why else
+             outcome_of(linalg.gram_density, engine.subset_factor(s, psi, subset), weight))
+    return psi, weight, why, state
+
+
+@SUITE
+@given(s=scenarios_with_blocked_branch(scenarios_of_rank(), tilts=(0.0, FAINT_TILT)),
+       cuts=hs.lists(hs.lists(hs.integers(0, 6), min_size=4, max_size=4),
+                     min_size=1, max_size=5),
+       data=hs.data())
+def test_shared_cache_equals_fresh_pushes(s, cuts, data):
+    """Drawn cuts and some of their zero-padded prefixes, requested in a
+    drawn order with drawn subsets through one cache, on initial states of
+    rank 1, 2 and D with blocked and faint readouts: every factor, weight,
+    verdict and state, and every unweighed factor left in the cache, equals
+    a fresh push's, bit for bit."""
+    cuts = {cut_of_lengths(s, lengths) for lengths in cuts}
+    prefixes = sorted({p for cut in cuts for p in zero_padded_prefixes(s, cut)} - cuts)
+    picked = data.draw(hs.lists(hs.booleans(), min_size=len(prefixes), max_size=len(prefixes)))
+    requests = sorted(cuts) + [p for p, pick in zip(prefixes, picked) if pick]
+    requests = data.draw(hs.permutations(requests))
+    subsets = list(engine.all_subsets(s.n))
+    cache = {}
+    for cut in requests:
+        subset = data.draw(hs.sampled_from(subsets))
+        got = outcome_of(engine.state_after, s, cut, subset, cache)
+        psi, weight, why, state = fresh_entry(s, cut, subset)
+        entry = cache[cut]
+        assert entry.factor.tobytes() == psi.tobytes()
+        assert entry.weight.hex() == weight.hex() and entry.impossible == why
+        if isinstance(state, type):
+            assert got is state
+        else:
+            assert got.tobytes() == state.tobytes()
+    for cut, entry in cache.items():
+        assert entry.factor.tobytes() == engine.push(s, cut).tobytes()
+        assert (entry.weight is None) == (cut not in requests)
 
 
 def reference_push(s, ids, outcomes=None):

@@ -81,9 +81,11 @@ and foliation states take the cut of their region's mask.
 Sectors are piecewise constant in the proper times: they change only when an
 intervention event enters or leaves the union of causal pasts. The optional
 cache passed to `sector` and `polystate_at` is a dict keyed by the cut; each
-entry (`PushedCut`) holds the pushed factor, its weight, the verdict on
-whether its outcomes can occur and the sectors already read from it, so a new
-subset on a cut already pushed costs only its Gram product and spectrum.
+entry (`PushedCut`) holds the pushed factor, its weight and the verdict on
+whether its outcomes can occur, so a subset on a cut already pushed costs
+only its Gram product and spectrum. The cache keeps no sector: none of the
+package's callers reads one (cut, subset) twice from one cache, and a
+cache holds D r entries per cut, not d_S^2 per sector read from it.
 `push` skips subsystems with L_j = 0, so the factor it holds after the first
 h heads is, bit for bit, the push of the cut's zero-padded prefix: the cut
 with every later head at 0. A cut not in the cache starts from the cached
@@ -95,12 +97,21 @@ none, so one call pushes each distinct cut, and each prefix of one, once.
 One pass of the benchmark's `ghz_wide` workload (every sector of a GHZ-7 at
 eight proper-time tuples, one cache per tuple) applies 263 subsystem
 products this way, against 677 when each cut is pushed from Psi.
+
+`polystate_at` judges every cut and decides every sector's spectrum when it
+is called, so any raise or clamp happens there, but forms a sector only
+where deciding it did: a wide factor whose spectrum the bound cannot
+decide, or a clamp. Every other sector is formed from its cut's factor on
+its first read from `Polystate.sectors` and kept there. A pure GHZ-10
+holds 1023 sectors, 149 MiB in all, so a caller that reads a few of them
+no longer pays for the rest.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cache, reduce
 from itertools import accumulate, chain, combinations
@@ -119,14 +130,43 @@ MAX_SUBSYSTEMS = 10
 
 @dataclass
 class Polystate:
-    """All 2^n - 1 sectors of a scenario at one proper-time tuple."""
+    """All 2^n - 1 sectors of a scenario at one proper-time tuple. `sectors`
+    is read-only (`Sectors`); a plain dict given for it is copied into one."""
 
     n: int
-    sectors: dict
+    sectors: Mapping
     eval_taus: tuple
+
+    def __post_init__(self):
+        if not isinstance(self.sectors, Sectors):
+            self.sectors = Sectors(None, self.sectors)
 
     def sector(self, subset) -> np.ndarray:
         return self.sectors[check_subset(self.n, subset)]
+
+
+class Sectors(Mapping):
+    """A polystate's sectors by subset, read-only, in the order given. Each
+    value is a state, or the weighed `PushedCut` of the subset's cut when
+    the state was decided without being formed: it is then formed on first
+    read (`linalg.gram_product`) and kept, so a repeat read returns the same
+    array and no read raises."""
+
+    def __init__(self, s: Scenario | None, entries):
+        self._s, self._entries = s, dict(entries)
+
+    def __getitem__(self, subset) -> np.ndarray:
+        entry = self._entries[subset]
+        if isinstance(entry, PushedCut):
+            phi = subset_factor(self._s, entry.factor, subset)
+            entry = self._entries[subset] = linalg.gram_product(phi, entry.weight)
+        return entry
+
+    def __iter__(self):
+        return iter(self._entries)
+
+    def __len__(self) -> int:
+        return len(self._entries)
 
 
 def check_subset(n: int, subset) -> tuple:
@@ -230,14 +270,14 @@ def branch_weight(psi) -> float:
 
 class PushedCut(NamedTuple):
     """A `state_after` cache entry for one cut: the pushed factor Psi, the
-    branch weight ||Psi||_F^2 of its recorded outcomes, why those cannot
-    occur (None when they can), and the states already read from it, by
-    subset. An entry a longer cut's push passed through holds its factor
-    alone, with weight None, until its own cut is requested."""
+    branch weight ||Psi||_F^2 of its recorded outcomes and why those cannot
+    occur (None when they can). No state read from it is kept: each is a
+    Gram product of the factor, formed where it is read. An entry a longer
+    cut's push passed through holds its factor alone, with weight None,
+    until its own cut is requested."""
     factor: np.ndarray
     weight: float | None
     impossible: str | None
-    states: dict
 
 
 def impossibility(s: Scenario, cut, weight: float, outcomes=None, error=None) -> str | None:
@@ -288,23 +328,31 @@ def refuse(s: Scenario, subset, why) -> None:
 def state_after(s: Scenario, cut, subset, cache=None) -> np.ndarray:
     """The subset's state after the cut's interventions: the `push`ed
     factor's Gram matrix on the subset, normalized by the recorded branches'
-    Born weight and validated on its small side (`linalg.gram_density`). A
-    cache, a dict shared across calls for the same scenario, keeps a
-    `PushedCut` entry per cut, so each cut is pushed, weighed and judged
-    once. A cut not in it is pushed from the factor of its longest cached
-    zero-padded prefix (`_extend`), leaving an unweighed entry for each
-    prefix it passes."""
-    cache = {} if cache is None else cache
+    Born weight and validated on its small side (`linalg.gram_density`),
+    formed anew on every call. The subset is checked as `check_subset`
+    does. A cache, a dict shared across calls for the same scenario, keeps
+    a `PushedCut` entry per cut, factor, weight and verdict, so each cut is
+    pushed, weighed and judged once. A cut not in it is pushed from the
+    factor of its longest cached zero-padded prefix (`_extend`), leaving an
+    unweighed entry for each prefix it passes."""
+    return _state(s, cut, check_subset(s.n, subset), cache)
+
+
+def _state(s: Scenario, cut, subset: tuple, cache) -> np.ndarray:
+    """`state_after` for a checked subset."""
+    entry = _weighed(s, cut, {} if cache is None else cache)
+    refuse(s, subset, entry.impossible)
+    return linalg.gram_density(subset_factor(s, entry.factor, subset), entry.weight)
+
+
+def _weighed(s: Scenario, cut, cache: dict) -> PushedCut:
+    """The cut's cache entry, pushed, weighed and judged on first request."""
     entry = cache.get(cut)
     if entry is None or entry.weight is None:
         psi = _extend(s, cut, cache) if entry is None else entry.factor
         weight = branch_weight(psi)
-        entry = cache[cut] = PushedCut(psi, weight, impossibility(s, cut, weight), {})
-    if subset not in entry.states:
-        refuse(s, subset, entry.impossible)
-        phi = subset_factor(s, entry.factor, subset)
-        entry.states[subset] = linalg.gram_density(phi, entry.weight)
-    return entry.states[subset]
+        entry = cache[cut] = PushedCut(psi, weight, impossibility(s, cut, weight))
+    return entry
 
 
 def _extend(s: Scenario, cut, cache: dict) -> np.ndarray:
@@ -327,7 +375,7 @@ def _extend(s: Scenario, cut, cache: dict) -> np.ndarray:
             break
     for h, key in stops[first:]:
         psi = push(s, key, start=start)
-        cache[key] = PushedCut(psi, None, None, {})
+        cache[key] = PushedCut(psi, None, None)
         start = h, psi
     return push(s, cut, start=start)
 
@@ -341,7 +389,7 @@ def sector(s: Scenario, taus, subset, cache=None) -> np.ndarray:
         as in `state_after`.
     """
     subset = check_subset(s.n, subset)
-    return state_after(s, past_cut(s, taus, subset), subset, cache)
+    return _state(s, past_cut(s, taus, subset), subset, cache)
 
 
 def all_subsets(n: int):
@@ -350,12 +398,23 @@ def all_subsets(n: int):
 
 
 def polystate_at(s: Scenario, taus, cache=None) -> Polystate:
-    """Every sector at one proper-time tuple."""
+    """Every sector at one proper-time tuple, each judged and decided here,
+    so that any raise or clamp happens in this call. A sector is formed
+    here only if deciding it formed it (`linalg.gram_verdict`); every other
+    is formed on its first read from the polystate (`Sectors`)."""
     if s.n > MAX_SUBSYSTEMS:
         raise ValueError(f"{s.n} subsystems would need {2**s.n - 1} sectors; cap is {MAX_SUBSYSTEMS}")
     cache = {} if cache is None else cache
-    sectors = {subset: sector(s, taus, subset, cache) for subset in all_subsets(s.n)}
-    return Polystate(n=s.n, sectors=sectors, eval_taus=tuple(taus))
+    sectors = {}
+    for subset in all_subsets(s.n):
+        entry = _weighed(s, past_cut(s, taus, subset), cache)
+        refuse(s, subset, entry.impossible)
+        rows = _subset_plan(s.dims, subset)[1]
+        state = None
+        if not linalg.gram_proved((rows, entry.factor.size // rows), entry.weight):
+            state = linalg.gram_verdict(subset_factor(s, entry.factor, subset), entry.weight)
+        sectors[subset] = entry if state is None else state
+    return Polystate(n=s.n, sectors=Sectors(s, sectors), eval_taus=tuple(taus))
 
 
 def expect_individual(p: Polystate, i: int, obs) -> float:

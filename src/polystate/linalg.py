@@ -209,7 +209,8 @@ def check_density(rho) -> np.ndarray:
     are clamped to zero and the operator is renormalized; anything more
     negative is an error. This is the full check for matrices from outside
     the engine's kernel: parsed inputs and `normalize`; every state the
-    kernel assigns, a sector or a branch state, goes through `gram_density`.
+    kernel assigns, a sector or a branch state, goes through `gram_density`
+    or its two halves, `gram_verdict` and `gram_product`.
     """
     rho = _as_matrix(rho)
     if rho.shape[0] != rho.shape[1]:
@@ -359,25 +360,56 @@ def gram_density(phi, weight: float) -> np.ndarray:
     when Phi has no more rows than columns, else of Phi^dagger Phi / weight,
     which has the same nonzero eigenvalues. It is decided, and a clamp made,
     as in `check_density`.
+
+    The two halves are apart, so that a state can be decided at once and
+    formed later: `gram_verdict` raises or clamps, and returns the state
+    when deciding formed it; `gram_product` forms the state as built.
     """
-    scale = 0.5 / weight if weight > 0 else math.inf
+    state = gram_verdict(phi, weight)
+    return gram_product(phi, weight) if state is None else state
+
+
+def gram_proved(shape, weight: float) -> bool:
+    """Whether the rounding bound alone shows the Gram state of a factor of
+    this shape and weight valid as built (`gram_density`): its small side
+    is 1, or the factor is within `_PROVABLE_K` and the weight within
+    `_SAFE_WEIGHTS`. Reads the shape, not the factor. A weight with no
+    finite inverse raises."""
     # NaN, infinite and zero weights fail here, and ones whose inverse overflows
-    if not (math.isfinite(weight) and math.isfinite(scale)):
+    if not (0 < weight < math.inf and 0.5 / weight < math.inf):
         raise StateValidationError(f"branch weight {weight:.3e} has no finite inverse")
-    # one conjugate copy serves both Gram products
-    phic = phi.conj()
-    rho = phi @ phic.T
-    rho += rho.conj().T
-    rho *= scale
-    rows, cols = phi.shape
+    rows, cols = shape
     m, k = (rows, cols) if rows <= cols else (cols, rows)
-    if m == 1 or m < len(_PROVABLE_K) and k <= _PROVABLE_K[m] and (
-            _SAFE_WEIGHTS[0] <= weight <= _SAFE_WEIGHTS[1]):
+    return m == 1 or m < len(_PROVABLE_K) and k <= _PROVABLE_K[m] and (
+        _SAFE_WEIGHTS[0] <= weight <= _SAFE_WEIGHTS[1])
+
+
+def gram_verdict(phi, weight: float) -> np.ndarray | None:
+    """Decide the Gram state Phi Phi^dagger / weight as `gram_density`
+    does, raising if it is not a state. None when `gram_product` as built
+    is the state: the bound proves it, or the spectrum read on a tall
+    factor's small side passes. Otherwise the state deciding formed: a wide
+    factor's product, or a clamp."""
+    if gram_proved(phi.shape, weight):
+        return None
+    rows, cols = phi.shape
+    rho = gram_product(phi, weight) if rows <= cols else None
+    w = np.linalg.eigvalsh(phi.conj().T @ phi / weight if rho is None else rho)
+    if not w[0] < CLAMP_TRIGGER:
         return rho
-    small = rho if rows <= cols else phic.T @ phi / weight
-    out = _settle(rho, np.linalg.eigvalsh(small))
+    out = _settle(gram_product(phi, weight) if rho is None else rho, w)
     # a clamp's eigh reconstruction is Hermitian only to rounding
-    return out if out is rho else (out + out.conj().T) / 2
+    return (out + out.conj().T) / 2
+
+
+def gram_product(phi, weight: float) -> np.ndarray:
+    """Phi Phi^dagger plus its conjugate transpose, times 0.5 / weight:
+    `gram_density`'s state as built, exactly Hermitian, its spectrum
+    unread. The weight is one `gram_proved` accepts."""
+    rho = phi @ phi.conj().T
+    rho += rho.conj().T
+    rho *= 0.5 / weight
+    return rho
 
 
 # Standard single-qubit and Bell-pair catalog. All kets are unit column vectors.

@@ -1,5 +1,6 @@
 import importlib
 import json
+import random
 import re
 import time
 from dataclasses import replace
@@ -98,19 +99,24 @@ def test_polystate_collects_all_subsets():
     _assert_close(p.sector((0, 1)), linalg.projector(linalg.product_ket("0+")))
 
 
-def cached_sectors(cache) -> int:
-    return sum(len(entry.states) for entry in cache.values())
-
-
-def test_cache_reuses_piecewise_constant_sectors():
+def test_cache_reuses_piecewise_constant_sectors(monkeypatch):
+    """Within one regime the cache holds the same cuts, nothing is pushed
+    again, and every sector is the same, bit for bit; when B crosses A's
+    readout, both the cuts and the pushes grow."""
     s = load_fixture("bell_sigma_z.scn")
+    pushes = []
+    push = engine.push
+    monkeypatch.setattr(engine, "push", lambda *args, **kw: pushes.append(1) or push(*args, **kw))
     cache = {}
-    engine.polystate_at(s, (2.0, 1.5), cache)
-    n_entries = cached_sectors(cache)
-    engine.polystate_at(s, (2.5, 2.9), cache)  # same regime everywhere
-    assert cached_sectors(cache) == n_entries
-    engine.polystate_at(s, (2.5, 3.5), cache)  # B crosses
-    assert cached_sectors(cache) > n_entries
+
+    def evaluate(taus):
+        sectors = engine.polystate_at(s, taus, cache).sectors
+        return {subset: rho.tobytes() for subset, rho in sectors.items()}, set(cache), len(pushes)
+
+    first, cuts, n_pushes = evaluate((0.5, 0.5))
+    assert evaluate((0.9, 2.9)) == (first, cuts, n_pushes)  # same regime everywhere
+    _, crossed, more_pushes = evaluate((0.5, 3.5))  # A's readout enters B's past
+    assert crossed > cuts and more_pushes > n_pushes
 
 
 def test_impossible_outcome_names_the_sector():
@@ -205,6 +211,8 @@ def test_subsets_outside_the_scenario_are_refused(subset):
         p.sector(subset)
     with pytest.raises(ValueError, match=re.escape(repr(subset))):
         ensemble.analytic_sector(s, subset, (2.0, 2.0))
+    with pytest.raises(ValueError, match=re.escape(repr(subset))):
+        engine.state_after(s, (1, 0), subset)
 
 
 def test_subsets_are_sorted_and_deduplicated():
@@ -213,6 +221,43 @@ def test_subsets_are_sorted_and_deduplicated():
     assert p.sector((1, 0, 1)) is p.sectors[(0, 1)]
     assert np.array_equal(engine.sector(s, (2.0, 3.5), (1, 0, 1)), p.sectors[(0, 1)])
     assert np.array_equal(engine.sector(s, (2.0, 3.5), np.array([1, 1])), p.sectors[(1,)])
+
+
+def test_polystate_sectors_are_read_only_and_kept(monkeypatch):
+    """`sectors` keeps all_subsets order and its length, forms a sector on
+    its first read and only then, when the bound decided it, and cannot be
+    assigned to; a plain dict is taken as given."""
+    s = load_fixture("bell_sigma_z.scn")
+    formed = []
+    product = linalg.gram_product
+    monkeypatch.setattr(linalg, "gram_product", lambda *args: formed.append(1) or product(*args))
+    p = engine.polystate_at(s, (2.0, 3.5))
+    assert list(p.sectors) == list(engine.all_subsets(2)) and len(p.sectors) == 3
+    assert not formed
+    assert p.sectors[(0,)] is p.sectors[(0,)] is p.sector([0])
+    assert len(formed) == 1
+    with pytest.raises(TypeError):
+        p.sectors[(0,)] = HALF
+    plain = engine.Polystate(n=1, sectors={(0,): HALF}, eval_taus=(0.0,))
+    assert plain.sector((0,)) is HALF and dict(plain.sectors) == {(0,): HALF}
+
+
+def test_cache_holds_only_pushed_factors(monkeypatch):
+    """Every sector of a `ghz_document` GHZ-7 tuple read through
+    `engine.sector` with one shared cache leaves no array in it of more
+    than D r entries: factors only, no sectors."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    scenarios = importlib.import_module("scenarios")
+    rng = random.Random(1)
+    doc = scenarios.ghz_document(7, rng)
+    s = parse_scenario(doc)
+    taus = scenarios.ghz_taus(doc, rng)[1]  # reach 0: every subset has a cut of its own
+    cache = {}
+    for subset in engine.all_subsets(7):
+        engine.sector(s, taus, subset, cache)
+    held = [a for entry in cache.values() for a in entry if isinstance(a, np.ndarray)]
+    assert len(held) == len(cache) >= 127
+    assert all(a.size <= s.initial_factor.size for a in held)
 
 
 def test_ghz_wide_pass_starts_new_cuts_from_cached_prefixes(monkeypatch):

@@ -36,9 +36,9 @@ applies each M_j on its own tensor axis of Psi, O(D r d) per subsystem, one
 subsystem after another in the order of their first interventions
 (`Scenario.chains.heads`); the pushed factor depends only on the cut, not on
 the subset. Subsets with different members take in different pasts, so
-their cuts often agree on the first heads and part only later: a cut is
-pushed from the factor of the longest prefix already pushed (see the
-cache below), so it pays only for the subsystems after it. A sector moves
+their cuts often agree on the first heads and part only later: the cache
+below forms a cut from its prefix's factor, so it pays for one subsystem
+once the prefix is cached. A sector moves
 the subset's axes to the front and reshapes the pushed factor to Phi, of
 shape d_S x rest with rest = D r / d_S. The
 unnormalized sector is the Gram matrix Phi Phi^dagger, O(d_S D r): no
@@ -86,17 +86,19 @@ whether its outcomes can occur, so a subset on a cut already pushed costs
 only its Gram product and spectrum. The cache keeps no sector: none of the
 package's callers reads one (cut, subset) twice from one cache, and a
 cache holds D r entries per cut, not d_S^2 per sector read from it.
-`push` skips subsystems with L_j = 0, so the factor it holds after the first
-h heads is, bit for bit, the push of the cut's zero-padded prefix: the cut
-with every later head at 0. A cut not in the cache starts from the cached
-factor of its longest zero-padded prefix and applies only the heads after
-it; each prefix it passes stays in the cache under its own cut, unweighed
-(weight None) until that cut is itself requested, when it is weighed and
-judged without a push. `polystate_at` keeps a cache of its own when given
-none, so one call pushes each distinct cut, and each prefix of one, once.
-One pass of the benchmark's `ghz_wide` workload (every sector of a GHZ-7 at
-eight proper-time tuples, one cache per tuple) applies 263 subsystem
-products this way, against 677 when each cut is pushed from Psi.
+An entry is defined by one recursive rule (`_weighed`): the empty cut's
+factor is Psi, and any other cut's is M_j of its last head j (the last in
+`Scenario.chains.heads` order with L_j > 0) applied on axis j to the factor
+of its prefix, the same cut with L_j = 0: Psi if the prefix is empty, else
+its entry, taken from the cache or formed by the same rule. An empty prefix
+gets no entry unless it is requested. `push` applies the heads in that
+order too, so every entry is, bit for bit, the push of its cut. Every entry
+is weighed and judged when it is formed, O(D r), whether its cut was
+requested or only a longer one was. `polystate_at` keeps a cache of its
+own when given none, so one call forms each distinct cut, and each prefix
+of one, once. One pass of the benchmark's `ghz_wide` workload (every sector
+of a GHZ-7 at eight proper-time tuples, one cache per tuple) applies 263
+subsystem products this way, against 677 when each cut is pushed from Psi.
 
 `polystate_at` judges every cut and decides every sector's spectrum when it
 is called, so any raise or clamp happens there, but forms a sector only
@@ -198,10 +200,10 @@ def past_cut(s: Scenario, taus, subset) -> tuple:
     return tuple(map(max, *(rows[i][1] for i in subset)))
 
 
-def push(s: Scenario, cut, outcomes=None, start=None) -> np.ndarray:
+def push(s: Scenario, cut, outcomes=None) -> np.ndarray:
     """The initial factor Psi pushed through a cut's interventions, D x r:
     subsystem j's first L_j operators in (tau, id) order make one M_j,
-    applied on its axis of Psi, one subsystem after another in
+    applied on its axis of Psi (`_apply`), one subsystem after another in
     `Scenario.chains.heads` order, skipping those with L_j = 0. A subsystem
     whose recorded branches all stand reads M_j from `Scenario.chains`; one
     with a selective that `outcomes` overrides multiplies as it goes,
@@ -211,28 +213,27 @@ def push(s: Scenario, cut, outcomes=None, start=None) -> np.ndarray:
     branch index or an int array of them. The arrays broadcast together,
     and their shape leads the result, (*shape, D, r), each slice equal, bit
     for bit, to the push with those outcomes fixed: flat arrays push a list
-    of assignments, and the open mesh of `np.ix_` every assignment.
-
-    `start`, a pair (h, Phi), resumes from a factor Phi that holds the
-    cut's first h heads already applied and applies only heads[h:]. The
-    factor held after heads[:h] is, bit for bit, the push of the cut with
-    every later head at 0, so a push resumed from that cut's factor
-    equals the push from Psi."""
-    dims = s.dims
+    of assignments, and the open mesh of `np.ix_` every assignment."""
     products, lines = s.chains.products, s.chains.ids
-    h, psi = start or (0, s.initial_factor)
-    psi = psi.reshape(*psi.shape[:-2], -1)
-    for j in s.chains.heads[h:]:
+    psi = s.initial_factor
+    for j in s.chains.heads:
         if not cut[j]:
             continue
         m = products[j][cut[j] - 1]
         if outcomes and not outcomes.keys().isdisjoint(lines[j][:cut[j]]):
             m = reduce(lambda m, op: op @ m, _branch_ops(s, lines[j][:cut[j]], outcomes))
-        # psi is (*stack, D r); M_j meets it as (*stack, prod dims[:j], d_j, rest)
-        lead = psi.shape[:-1]
-        psi = m[..., None, :, :] @ psi.reshape(*lead, math.prod(dims[:j]), dims[j], -1)
-        psi = psi.reshape(*psi.shape[:-3], -1)
-    return psi.reshape(*psi.shape[:-1], math.prod(dims), -1)
+            m = m[..., None, :, :]  # the stack meets the factor's; the new axis spans prod dims[:j]
+        psi = _apply(s.dims, j, m, psi)
+    return psi
+
+
+def _apply(dims: tuple, j: int, m, psi) -> np.ndarray:
+    """M_j applied on subsystem j's axis of a factor, D x r or a stack of
+    them: M_j is d_j x d_j, or a stack of them shaped (*stack, 1, d_j, d_j);
+    the stacks broadcast and lead the result, (*stack, D, r)."""
+    # M_j meets psi as (*stack, prod dims[:j], d_j, rest)
+    out = m @ psi.reshape(psi.shape[:-2] + (math.prod(dims[:j]), dims[j], -1))
+    return out.reshape(out.shape[:-3] + psi.shape[-2:])
 
 
 def _branch_ops(s: Scenario, ids, outcomes):
@@ -260,23 +261,26 @@ def _subset_plan(dims: tuple, subset) -> tuple:
     return (*subset, *rest), math.prod(dims[i] for i in subset)
 
 
-def branch_weight(psi) -> float:
+def branch_weight(psi):
     """||Psi||_F^2 of a pushed factor: the Born weight of the branches it
-    was pushed through, and the trace of every Gram matrix read from it."""
+    was pushed through, and the trace of every Gram matrix read from it. A
+    float for one factor, D x r; an array over the stack for a stack of
+    them, (*stack, D, r)."""
     # numpy's pairwise sum, not a BLAS dot: on the fixtures it gives the
     # bits of the Gram trace it stands for, so printed digits stay put
-    return float(np.square(psi.reshape(-1).view(float)).sum())
+    weight = np.add.reduce(np.square(psi.reshape(psi.shape[:-2] + (-1,)).view(float)), axis=-1)
+    return float(weight) if psi.ndim == 2 else weight
 
 
 class PushedCut(NamedTuple):
     """A `state_after` cache entry for one cut: the pushed factor Psi, the
     branch weight ||Psi||_F^2 of its recorded outcomes and why those cannot
-    occur (None when they can). No state read from it is kept: each is a
-    Gram product of the factor, formed where it is read. An entry a longer
-    cut's push passed through holds its factor alone, with weight None,
-    until its own cut is requested."""
+    occur (None when they can), all three formed together, once, from the
+    entry of the cut's prefix (`_weighed`), whether the cut was requested
+    or only a longer one was. No state read from it is kept: each is a Gram
+    product of the factor, formed where it is read."""
     factor: np.ndarray
-    weight: float | None
+    weight: float
     impossible: str | None
 
 
@@ -330,12 +334,23 @@ def state_after(s: Scenario, cut, subset, cache=None) -> np.ndarray:
     factor's Gram matrix on the subset, normalized by the recorded branches'
     Born weight and validated on its small side (`linalg.gram_density`),
     formed anew on every call. The subset is checked as `check_subset`
-    does. A cache, a dict shared across calls for the same scenario, keeps
-    a `PushedCut` entry per cut, factor, weight and verdict, so each cut is
-    pushed, weighed and judged once. A cut not in it is pushed from the
-    factor of its longest cached zero-padded prefix (`_extend`), leaving an
-    unweighed entry for each prefix it passes."""
-    return _state(s, cut, check_subset(s.n, subset), cache)
+    does, and a cut not yet in the cache before anything is pushed: one
+    that is not a tuple of n integers with 0 <= L_j <= the length of
+    subsystem j's chain raises ValueError, naming it. A cache, a dict
+    shared across calls for the same scenario, keeps a `PushedCut` entry
+    per cut, so each cut, and each prefix of one, is pushed, weighed and
+    judged once (`_weighed`)."""
+    subset = check_subset(s.n, subset)
+    cache = {} if cache is None else cache
+    lines = s.chains.ids
+    try:
+        valid = cut in cache or (isinstance(cut, tuple) and len(cut) == len(lines) and all(
+            [0 <= operator.index(c) <= len(line) for c, line in zip(cut, lines)]))
+    except TypeError:  # an unhashable cut, or a count that is not an integer
+        valid = False
+    if not valid:
+        raise ValueError(f"cut {cut!r} is not {len(lines)} counts within {tuple(map(len, lines))}")
+    return _state(s, cut, subset, cache)
 
 
 def _state(s: Scenario, cut, subset: tuple, cache) -> np.ndarray:
@@ -346,38 +361,23 @@ def _state(s: Scenario, cut, subset: tuple, cache) -> np.ndarray:
 
 
 def _weighed(s: Scenario, cut, cache: dict) -> PushedCut:
-    """The cut's cache entry, pushed, weighed and judged on first request."""
+    """The cut's cache entry, formed, weighed and judged on first request:
+    Psi for the empty cut, else M_j of the cut's last head j applied on
+    axis j to the factor of its prefix, the cut with L_j = 0: Psi if that is
+    empty, else the prefix's entry, entered the same way. So the factor is,
+    bit for bit, the cut's `push`."""
     entry = cache.get(cut)
-    if entry is None or entry.weight is None:
-        psi = _extend(s, cut, cache) if entry is None else entry.factor
+    if entry is None:
+        psi = s.initial_factor
+        for j in reversed(s.chains.heads):
+            if cut[j]:
+                prefix = (*cut[:j], 0, *cut[j + 1:])
+                base = _weighed(s, prefix, cache).factor if any(prefix) else psi
+                psi = _apply(s.dims, j, s.chains.products[j][cut[j] - 1], base)
+                break
         weight = branch_weight(psi)
         entry = cache[cut] = PushedCut(psi, weight, impossibility(s, cut, weight))
     return entry
-
-
-def _extend(s: Scenario, cut, cache: dict) -> np.ndarray:
-    """The cut's pushed factor, from the cached factor of its longest
-    zero-padded prefix: the cut with every head after the first h at 0,
-    which is what `push` holds after heads[:h]. Each prefix pushed on the
-    way is cached, unweighed, under its own cut."""
-    stops, prefix = [], [0] * len(cut)
-    for h, j in enumerate(s.chains.heads, 1):
-        if cut[j]:
-            prefix[j] = cut[j]
-            stops.append((h, tuple(prefix)))
-    # the last stop is the cut itself, which `state_after` caches weighed
-    del stops[-1:]
-    start, first = None, 0
-    for i in reversed(range(len(stops))):
-        entry = cache.get(stops[i][1])
-        if entry is not None:
-            start, first = (stops[i][0], entry.factor), i + 1
-            break
-    for h, key in stops[first:]:
-        psi = push(s, key, start=start)
-        cache[key] = PushedCut(psi, None, None)
-        start = h, psi
-    return push(s, cut, start=start)
 
 
 def sector(s: Scenario, taus, subset, cache=None) -> np.ndarray:

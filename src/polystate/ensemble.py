@@ -59,8 +59,7 @@ def enumerate_branches(s: Scenario) -> np.ndarray:
     one. A weight is the squared norm of the initial state pushed through
     every intervention on that assignment's branches. The factors come from
     stacked pushes of the full cut over every assignment
-    (`_stacked_pushes`), and each weight is its row's pairwise sum of
-    squares, the bits `engine.branch_weight` gives the single push. More
+    (`_stacked_pushes`), each row weighed by `engine.branch_weight`. More
     branches than `BRANCH_CAP` raise `BranchExplosionError`.
     """
     order = selective_order(s)
@@ -68,8 +67,7 @@ def enumerate_branches(s: Scenario) -> np.ndarray:
     if total > BRANCH_CAP:
         raise BranchExplosionError(f"{total} branches exceed the cap {BRANCH_CAP}")
     every = tuple(map(len, s.chains.products))
-    return np.concatenate([np.square(stack.reshape(len(stack), -1).view(float)).sum(axis=1)
-                           for _, stack in _stacked_pushes(s, every, order)])
+    return np.concatenate([branch_weight(stack) for _, stack in _stacked_pushes(s, every, order)])
 
 
 def _digits(codes, counts) -> np.ndarray:

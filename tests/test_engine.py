@@ -99,24 +99,32 @@ def test_polystate_collects_all_subsets():
     _assert_close(p.sector((0, 1)), linalg.projector(linalg.product_ket("0+")))
 
 
+def counting_applications(monkeypatch) -> list:
+    """Record the subsystem of every operator product the engine applies on
+    a factor's axis, by `push` or by the cache, from now on."""
+    applied = []
+    apply = engine._apply
+    monkeypatch.setattr(engine, "_apply",
+                        lambda dims, j, m, psi: applied.append(j) or apply(dims, j, m, psi))
+    return applied
+
+
 def test_cache_reuses_piecewise_constant_sectors(monkeypatch):
-    """Within one regime the cache holds the same cuts, nothing is pushed
-    again, and every sector is the same, bit for bit; when B crosses A's
-    readout, both the cuts and the pushes grow."""
+    """Within one regime the cache holds the same cuts, no product is
+    applied again, and every sector is the same, bit for bit; when B crosses
+    A's readout, both the cuts and the applications grow."""
     s = load_fixture("bell_sigma_z.scn")
-    pushes = []
-    push = engine.push
-    monkeypatch.setattr(engine, "push", lambda *args, **kw: pushes.append(1) or push(*args, **kw))
+    applied = counting_applications(monkeypatch)
     cache = {}
 
     def evaluate(taus):
         sectors = engine.polystate_at(s, taus, cache).sectors
-        return {subset: rho.tobytes() for subset, rho in sectors.items()}, set(cache), len(pushes)
+        return {subset: rho.tobytes() for subset, rho in sectors.items()}, set(cache), len(applied)
 
-    first, cuts, n_pushes = evaluate((0.5, 0.5))
-    assert evaluate((0.9, 2.9)) == (first, cuts, n_pushes)  # same regime everywhere
-    _, crossed, more_pushes = evaluate((0.5, 3.5))  # A's readout enters B's past
-    assert crossed > cuts and more_pushes > n_pushes
+    first, cuts, n_applied = evaluate((0.5, 0.5))
+    assert evaluate((0.9, 2.9)) == (first, cuts, n_applied)  # same regime everywhere
+    _, crossed, more_applied = evaluate((0.5, 3.5))  # A's readout enters B's past
+    assert crossed > cuts and more_applied > n_applied
 
 
 def test_impossible_outcome_names_the_sector():
@@ -215,6 +223,22 @@ def test_subsets_outside_the_scenario_are_refused(subset):
         engine.state_after(s, (1, 0), subset)
 
 
+@pytest.mark.parametrize("cut", [(-1, 0), (1, 0, 0), (49, 0), (0, -1)])
+def test_cuts_outside_the_scenario_are_refused(cut, monkeypatch):
+    """On a chain of 48 interventions beside one of 1, a cut with a count
+    out of range or the wrong length raises a ValueError naming it, before
+    any push: a count of -1 would read a product from the chain's far end."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    scenarios = importlib.import_module("scenarios")
+    s = parse_scenario(scenarios.chain_document(48, random.Random(1)))
+    assert tuple(map(len, s.chains.ids)) == (48, 1)
+    applied = counting_applications(monkeypatch)
+    cache = {}
+    with pytest.raises(ValueError, match=re.escape(repr(cut))):
+        engine.state_after(s, cut, (0,), cache)
+    assert applied == [] and cache == {}
+
+
 def test_subsets_are_sorted_and_deduplicated():
     s = load_fixture("bell_sigma_z.scn")
     p = engine.polystate_at(s, (2.0, 3.5))
@@ -267,19 +291,12 @@ def test_ghz_wide_pass_starts_new_cuts_from_cached_prefixes(monkeypatch):
     initial factor applies 677."""
     monkeypatch.syspath_prepend(str(BENCH))
     workload = importlib.import_module("workloads").GhzWide(1)
-    applied = []
-    push = engine.push
-
-    def counting(s, cut, outcomes=None, start=None):
-        applied.extend(j for j in s.chains.heads[start[0] if start else 0:] if cut[j])
-        return push(s, cut, outcomes, start)
-
-    monkeypatch.setattr(engine, "push", counting)
+    applied = counting_applications(monkeypatch)
     workload.start_pass(0)
     for g in range(workload.pass_len):
         workload.run(g)
     assert sum(len(cache) for cache in workload.caches) >= 184
-    assert len(applied) <= 300
+    assert 0 < len(applied) <= 300
 
 
 def test_subsystem_cap():

@@ -490,27 +490,31 @@ def zero_padded_prefixes(s, cut):
 @SUITE
 @given(s=scenarios_of_rank(), taus=hs.lists(tau_values, min_size=4, max_size=4))
 def test_polystate_pushes_once_per_selection(s, taus):
-    """Every distinct selection is pushed, and every cut, selection or
-    zero-padded prefix of one that a longer push passes through, at most
-    once."""
+    """Every distinct selection gets a cache entry; every entry is a
+    selection, a zero-padded prefix of one or the empty cut; and no cut's
+    factor is formed twice: each entry but the empty cut's, which is Psi
+    itself, costs exactly one subsystem application."""
     selections = {engine.past_cut(s, taus, subset) for subset in engine.all_subsets(s.n)}
     prefixes = {p for cut in selections for p in zero_padded_prefixes(s, cut)}
-    pushes = []
-    original = engine.push
+    empty = (0,) * s.n
+    applied = []
+    original = engine._apply
 
-    def counting(s, cut, outcomes=None, start=None):
-        pushes.append(cut)
-        return original(s, cut, outcomes, start)
+    def counting(dims, j, m, psi):
+        applied.append(j)
+        return original(dims, j, m, psi)
 
-    engine.push = counting
+    cache = {}
+    engine._apply = counting
     try:
-        engine.polystate_at(s, taus)
-        assert set(pushes) >= selections
+        engine.polystate_at(s, taus, cache)
+        assert set(cache) >= selections
     except ImpossibleOutcomeError:
         pass
     finally:
-        engine.push = original
-    assert len(pushes) == len(set(pushes)) and set(pushes) <= selections | prefixes
+        engine._apply = original
+    assert set(cache) <= selections | prefixes | {empty}
+    assert len(applied) == len(cache) - (empty in cache)
 
 
 def fresh_entry(s, cut, subset):
@@ -533,8 +537,8 @@ def test_shared_cache_equals_fresh_pushes(s, cuts, data):
     """Drawn cuts and some of their zero-padded prefixes, requested in a
     drawn order with drawn subsets through one cache, on initial states of
     rank 1, 2 and D with blocked and faint readouts: every factor, weight,
-    verdict and state, and every unweighed factor left in the cache, equals
-    a fresh push's, bit for bit."""
+    verdict and state, and every entry left in the cache, prefixes included,
+    equals a fresh push's, bit for bit."""
     cuts = {cut_of_lengths(s, lengths) for lengths in cuts}
     prefixes = sorted({p for cut in cuts for p in zero_padded_prefixes(s, cut)} - cuts)
     picked = data.draw(hs.lists(hs.booleans(), min_size=len(prefixes), max_size=len(prefixes)))
@@ -554,8 +558,9 @@ def test_shared_cache_equals_fresh_pushes(s, cuts, data):
         else:
             assert got.tobytes() == state.tobytes()
     for cut, entry in cache.items():
-        assert entry.factor.tobytes() == engine.push(s, cut).tobytes()
-        assert (entry.weight is None) == (cut not in requests)
+        psi, weight, why, _ = fresh_entry(s, cut, (0,))
+        assert entry.factor.tobytes() == psi.tobytes()
+        assert entry.weight.hex() == weight.hex() and entry.impossible == why
 
 
 def reference_push(s, ids, outcomes=None):

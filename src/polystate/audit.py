@@ -12,9 +12,13 @@ method, which the sector rule shares with the future lightcone rule. That
 shared test is the closed causal past of x, which the engine already keeps
 per member and proper time, so the two lightcone rules read their cuts from
 the engine's member rows (`engine.past_cut`) and the past lightcone and
-foliation rules run `applied`. Every state below is `engine.state_after` on
-the cut of the set a test picks, evaluated once per leaf by `leaf_states`,
-and every charge is read off a diagonal (`linalg.expect_diag`).
+foliation rules run `applied`. Every state below is the engine's read of
+the cut of the set a test picks (`engine._state`, unchecked, as the package
+builds its cuts itself), evaluated once per leaf by `leaf_states`, and every
+charge is read off a diagonal (`linalg.expect_diag`). `criteria_report`
+reads its targets from one `engine.polystate_at`, and varies A's recorded
+outcomes as overrides of the same scenario's branches
+(`ensemble.branch_state`), not as a second scenario.
 
 When the two parties' evaluation events disagree about what has been folded
 in, no single joint operator exists; `leaf_states` then returns the
@@ -25,12 +29,12 @@ rule takes the sector of the union of their causal pasts instead.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from . import engine, linalg
-from .scenario import Intervention, Scenario, SelectiveOp
+from . import engine, ensemble, linalg
+from .scenario import Scenario, SelectiveOp
 from .spacetime import (Foliation, Worldline, causally_precedes,
                         chronologically_precedes, position, proper_time_at_leaf)
 
@@ -85,11 +89,12 @@ def _event_cuts(p, s: Scenario, taus) -> list:
     member and proper time; any other rule runs `p.applied` on the event."""
     if isinstance(p, FutureLightcone):
         return [engine.past_cut(s, taus, (i,)) for i in range(s.n)]
+    engine.check_taus(s, taus)
     return [s.cut_of(p.applied(s.events, position(w, tau))) for w, tau in zip(s.worldlines, taus)]
 
 
 def _reduced(s: Scenario, cuts, cache: dict) -> list:
-    return [engine.state_after(s, cut, (i,), cache) for i, cut in enumerate(cuts)]
+    return [engine._state(s, cut, (i,), cache) for i, cut in enumerate(cuts)]
 
 
 def leaf_states(p, s: Scenario, taus) -> tuple:
@@ -103,7 +108,7 @@ def leaf_states(p, s: Scenario, taus) -> tuple:
     union = tuple(max(lengths) for lengths in zip(*cuts))
     joint = None
     if isinstance(p, PolystateRule) or all(cut == union for cut in cuts):
-        joint = engine.state_after(s, union, range(s.n), cache)
+        joint = engine._state(s, union, tuple(range(s.n)), cache)
     locals_ = _reduced(s, cuts, cache)
     if joint is None:
         # exactly Hermitian, as its validated factors are
@@ -119,22 +124,9 @@ def single_state(p, s: Scenario, taus) -> np.ndarray:
 def reduced_states(p, s: Scenario, taus) -> list:
     """The reduced states of `leaf_states`, computed alone. No union cut is
     formed, so this returns where `leaf_states` raises because the union's
-    recorded branches cannot occur together while each local cut can, as
-    on `criteria_report`'s scenario with flipped outcomes."""
+    recorded branches cannot occur together while each local cut can. No
+    caller in the package is left; `bench/layertrace.py` traces it by name."""
     return _reduced(s, _event_cuts(p, s, taus), {})
-
-
-def _flip_outcomes(s: Scenario, subsystem: int) -> Scenario:
-    """Variant scenario with every recorded outcome on one subsystem moved
-    to the next branch; used for the outcome-independence check."""
-    flipped = []
-    for iv in s.interventions:
-        if iv.subsystem == subsystem and isinstance(iv.op, SelectiveOp):
-            op = replace(iv.op, chosen=(iv.op.chosen + 1) % len(iv.op.kraus))
-            flipped.append(Intervention(iv.subsystem, iv.tau, op))
-        else:
-            flipped.append(iv)
-    return replace(s, interventions=tuple(flipped))
 
 
 @dataclass
@@ -172,12 +164,15 @@ def default_prescriptions(foliation: Foliation | None = None):
 def criteria_report(s: Scenario, taus, foliation: Foliation | None = None) -> CriteriaReport:
     """Score every prescription on a bipartite qubit scenario.
 
-    Targets are the sector values: subsystem marginals of sigma_z from the
-    singleton sectors and the joint sigma_z correlation from the pair
-    sector. A prescription passes a cell when it reproduces the target
-    within 1e-9; the ignorance cell asks that the second subsystem's local
-    description not change when the first subsystem's recorded outcomes are
-    flipped.
+    Targets are the sector values, read from one `engine.polystate_at`:
+    subsystem marginals of sigma_z from the singleton sectors and the joint
+    sigma_z correlation from the pair sector. A prescription passes a cell
+    when it reproduces the target within 1e-9; the ignorance cell asks that
+    the second subsystem's local description not change when the first
+    subsystem's recorded outcomes are flipped, each to its next branch. The
+    flipped description is B's state on the rule's cut with those outcomes
+    overridden (`ensemble.branch_state`), so a flipped branch that cannot
+    occur raises naming B; A's flipped state is never formed.
     """
     if s.n != 2 or any(d != 2 for d in s.dims):
         raise ValueError("criteria report is defined for two-qubit scenarios")
@@ -185,18 +180,21 @@ def criteria_report(s: Scenario, taus, foliation: Foliation | None = None) -> Cr
         foliation = Foliation(np.zeros(s.spatial_dim))
     sz = linalg.SIGMA_Z
     szz = linalg.kron(sz, sz)
-    target_a = linalg.expect(engine.sector(s, taus, (0,)), sz)
-    target_b = linalg.expect(engine.sector(s, taus, (1,)), sz)
-    target_c = linalg.expect(engine.sector(s, taus, (0, 1)), szz)
+    sectors = engine.polystate_at(s, taus).sectors
+    target_a = linalg.expect(sectors[0,], sz)
+    target_b = linalg.expect(sectors[1,], sz)
+    target_c = linalg.expect(sectors[0, 1], szz)
 
-    flipped = _flip_outcomes(s, 0)
+    flips = {k: (iv.op.chosen + 1) % len(iv.op.kraus) for k, iv in enumerate(s.interventions)
+             if iv.subsystem == 0 and isinstance(iv.op, SelectiveOp)}
     rows = []
     for p in default_prescriptions(foliation):
         joint, locals_ = leaf_states(p, s, taus)
         ma = linalg.expect(locals_[0], sz)
         mb = linalg.expect(locals_[1], sz)
         corr = linalg.expect(joint, szz)
-        ign = linalg.trace_distance(locals_[1], reduced_states(p, flipped, taus)[1])
+        flipped = ensemble.branch_state(s, _event_cuts(p, s, taus)[1], (1,), flips)
+        ign = linalg.trace_distance(locals_[1], flipped)
         rows.append(PrescriptionRow(
             name=p.name,
             marginal_a=ma, marginal_b=mb, correlation=corr,

@@ -329,7 +329,10 @@ def cmd_ensemble(args) -> int:
     except (ValueError, MemoryError):
         raise UsageError(f"--n {args.n} runs need more memory than can be allocated") from None
     freq = ensemble.branch_frequencies(log)
-    report = ensemble.compare_to_polystate(log, s, taus)
+    try:
+        report = ensemble.compare_to_polystate(log, s, taus)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
 
     labels = [list(s.interventions[k].op.labels) for k in log.order]
     doc = {

@@ -11,7 +11,9 @@ A sector is two steps: `past_cut` selects the interventions and
 `state_after` computes the state they leave, the `push`ed factor's Gram
 matrix on the subset over its `branch_weight`. Every other state the package
 assigns is read the same way: observer, foliation and audit-rule states by
-`state_after` on their own selections, and the ensemble's branch states by
+`_state`, the read that `state_after` wraps in checks for callers outside
+the package, on the cuts the package builds itself; the ensemble's branch
+states, and the audit's states with flipped outcomes, by
 `ensemble.branch_state` on their outcome assignments.
 
 Cost model: every intervention the engine applies is a single operator, a
@@ -174,21 +176,34 @@ class Sectors(Mapping):
 def check_subset(n: int, subset) -> tuple:
     """A subset of n subsystems as sectors are keyed: its indices sorted,
     each once. Raises ValueError, naming it, unless it is a nonempty
-    collection of integers in range(n)."""
+    collection of integers in range(n); a bool is a mask entry, not an
+    index, and is refused too."""
     try:
-        out = tuple(sorted(set(map(operator.index, subset))))
+        items = tuple(subset)
+        out = tuple(sorted(set(map(operator.index, items))))
     except TypeError:
         out = ()
-    if not out or out[0] < 0 or out[-1] >= n:
+    if not out or out[0] < 0 or out[-1] >= n or bool in map(type, items):
         raise ValueError(f"subset {subset!r} is not a nonempty set of subsystem indices "
                          f"in range({n})")
     return out
 
 
+def check_taus(s: Scenario, taus) -> None:
+    """Raise ValueError, naming them, unless the proper-time tuple has one
+    entry per subsystem; `spacetime.position` refuses an entry that is not
+    finite when it is read."""
+    if len(taus) != s.n:
+        raise ValueError(f"proper times {tuple(taus)!r}: need one per subsystem, "
+                         f"{s.n}, got {len(taus)}")
+
+
 def past_cut(s: Scenario, taus, subset) -> tuple:
     """The cut of the union of the subset's closed causal pasts at the given
     proper times: the elementwise max of its members' past rows, each
-    computed once per member and proper time (`Scenario.past_rows`)."""
+    computed once per member and proper time (`Scenario.past_rows`). The
+    tuple is checked by `check_taus`."""
+    check_taus(s, taus)
     rows = s.past_rows
     for i in subset:
         tau = float(taus[i])
@@ -333,13 +348,17 @@ def state_after(s: Scenario, cut, subset, cache=None) -> np.ndarray:
     """The subset's state after the cut's interventions: the `push`ed
     factor's Gram matrix on the subset, normalized by the recorded branches'
     Born weight and validated on its small side (`linalg.gram_density`),
-    formed anew on every call. The subset is checked as `check_subset`
-    does, and a cut not yet in the cache before anything is pushed: one
-    that is not a tuple of n integers with 0 <= L_j <= the length of
-    subsystem j's chain raises ValueError, naming it. A cache, a dict
-    shared across calls for the same scenario, keeps a `PushedCut` entry
-    per cut, so each cut, and each prefix of one, is pushed, weighed and
-    judged once (`_weighed`)."""
+    formed anew on every call. A cache, a dict shared across calls for the
+    same scenario, keeps a `PushedCut` entry per cut, so each cut, and each
+    prefix of one, is pushed, weighed and judged once (`_weighed`).
+
+    This is the checking entry point for callers outside the package, and
+    only a wrapper: the subset is checked as `check_subset` does, and a cut
+    not yet in the cache before anything is pushed: one that is not a tuple
+    of n integers with 0 <= L_j <= the length of subsystem j's chain raises
+    ValueError, naming it. The read is `_state`, which the package's own
+    callers use directly on the cuts they build (`past_cut`,
+    `Scenario.cut_of`) and the subsets they spell out."""
     subset = check_subset(s.n, subset)
     cache = {} if cache is None else cache
     lines = s.chains.ids
@@ -353,8 +372,9 @@ def state_after(s: Scenario, cut, subset, cache=None) -> np.ndarray:
     return _state(s, cut, subset, cache)
 
 
-def _state(s: Scenario, cut, subset: tuple, cache) -> np.ndarray:
-    """`state_after` for a checked subset."""
+def _state(s: Scenario, cut, subset: tuple, cache=None) -> np.ndarray:
+    """`state_after` unchecked: the read for a valid cut and a sorted
+    subset tuple, as the package builds them."""
     entry = _weighed(s, cut, {} if cache is None else cache)
     refuse(s, subset, entry.impossible)
     return linalg.gram_density(subset_factor(s, entry.factor, subset), entry.weight)
@@ -453,8 +473,12 @@ def conditional_prob(s: Scenario, i: int, proj, conditioning_taus) -> float:
 
 def observer_state(s: Scenario, x) -> np.ndarray:
     """What a maximally informed observer at event x assigns the whole
-    system: the initial state pushed through the causal past of x."""
-    return state_after(s, s.cut_of(PastOfEvent(x).contains(s.events)), range(s.n))
+    system: the initial state pushed through the causal past of x. An event
+    with a coordinate that is not finite raises ValueError, naming it."""
+    past = PastOfEvent(x)
+    if not np.isfinite(past.apex).all():
+        raise ValueError(f"event {past.apex.tolist()} has a coordinate that is not finite")
+    return _state(s, s.cut_of(past.contains(s.events)), tuple(range(s.n)))
 
 
 def recollection(s: Scenario, z: Worldline, tau: float) -> np.ndarray:
@@ -463,5 +487,8 @@ def recollection(s: Scenario, z: Worldline, tau: float) -> np.ndarray:
 
 
 def foliation_state(s: Scenario, f: Foliation, t: float) -> np.ndarray:
-    """State conditioned on everything at or below leaf t of the foliation."""
-    return state_after(s, s.cut_of(PastOfLeaf(f, t).contains(s.events)), range(s.n))
+    """State conditioned on everything at or below leaf t of the foliation.
+    A leaf t that is not finite raises ValueError, naming it."""
+    if not math.isfinite(t):
+        raise ValueError(f"leaf {t} is not a finite number")
+    return _state(s, s.cut_of(PastOfLeaf(f, t).contains(s.events)), tuple(range(s.n)))

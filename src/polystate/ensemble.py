@@ -22,7 +22,12 @@ mesh) and each empirical sector's distinct retained assignments (a flat
 list) come from stacked pushes, chunk by chunk, not from one Python-level
 push per branch. `analytic_sector` alone pushes the
 full density operator through every channel and traces afterwards, so that
-it stays an independent check of that kernel.
+it stays an independent check of that kernel. `compare_to_polystate` sets
+both against the engine's sectors, all read from one `engine.polystate_at`.
+
+`branch_state` is the one read of a state on overridden outcomes: the
+audit's ignorance cell (`audit.criteria_report`) reads a description with
+one party's recorded outcomes flipped through it, on the same scenario.
 """
 
 from __future__ import annotations
@@ -33,8 +38,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .engine import (all_subsets, branch_weight, check_subset, impossibility, past_cut, push,
-                     refuse, sector, subset_factor)
+from .engine import (branch_weight, check_subset, impossibility, past_cut, polystate_at, push,
+                     refuse, subset_factor)
 from .errors import BranchExplosionError, EmptyEnsembleError
 from .scenario import Scenario, SelectiveOp, apply_interventions
 
@@ -384,12 +389,13 @@ class ComparisonReport:
 
 def compare_to_polystate(log: RunLog, s: Scenario, taus) -> ComparisonReport:
     """Trace distances between the ensemble reconstructions and the engine's
-    sectors, for every nonempty subset. The analytic column is exact and
-    must vanish to numerical precision; the empirical column carries the
+    sectors, for every nonempty subset, the sectors read from one
+    `engine.polystate_at`, which refuses more than `engine.MAX_SUBSYSTEMS`
+    subsystems with a ValueError. The analytic column is exact and must
+    vanish to numerical precision; the empirical column carries the
     sampling noise of the run log."""
-    rows, cache = [], {}
-    for subset in all_subsets(s.n):
-        eng = sector(s, taus, subset, cache)
+    rows = []
+    for subset, eng in polystate_at(s, taus).sectors.items():
         emp = empirical_sector(log, s, subset, taus)
         ana = analytic_sector(s, subset, taus)
         rows.append(SectorComparison(

@@ -93,7 +93,11 @@ class Worldline:
 
 
 def position(w: Worldline, tau: float) -> np.ndarray:
-    """Event on the worldline at proper time tau."""
+    """Event on the worldline at proper time tau. Every proper time the
+    package evaluates at becomes an event here, so a tau that is not finite
+    raises ValueError here, naming it."""
+    if not math.isfinite(tau):
+        raise ValueError(f"proper time {tau} is not a finite number")
     for tau_lo, tau_hi, tau_ref, x_ref, _, _, u in w.pieces:
         if tau_lo <= tau <= tau_hi:
             return x_ref + (tau - tau_ref) * u

@@ -110,6 +110,20 @@ def with_outcomes(s: Scenario, assignment) -> Scenario:
     return replace(s, interventions=tuple(new))
 
 
+def flip_outcomes(s: Scenario, subsystem: int) -> Scenario:
+    """Variant scenario with every recorded outcome on one subsystem moved
+    to the next branch: a second scenario, against which the engine's
+    outcome overrides (`engine.push`'s `outcomes`) are checked."""
+    flipped = []
+    for iv in s.interventions:
+        if iv.subsystem == subsystem and isinstance(iv.op, SelectiveOp):
+            op = replace(iv.op, chosen=(iv.op.chosen + 1) % len(iv.op.kraus))
+            flipped.append(Intervention(iv.subsystem, iv.tau, op))
+        else:
+            flipped.append(iv)
+    return replace(s, interventions=tuple(flipped))
+
+
 def crossing_oracle(w: Worldline, apex, past: bool, lo=-300.0, hi=300.0) -> float:
     """Boundary of {tau : the worldline point is causally related to apex},
     found by plain bisection on the membership predicate. Independent of the

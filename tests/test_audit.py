@@ -1,12 +1,20 @@
+import json
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as hs
 
 from polystate import audit, engine, linalg
+from polystate.errors import ImpossibleOutcomeError
+from polystate.scenario import parse_scenario
 from polystate.spacetime import Foliation, Worldline
 
-from helpers import load_fixture, random_worldline
+from helpers import (fixture_text, flip_outcomes, load_fixture, random_two_qubit_scenario,
+                     random_worldline)
+from test_kernel_properties import FAINT_TILTS, SUITE, scenarios_with_blocked_branch, seeds
+from test_properties import tau_values, velocities
 
 RNG = np.random.default_rng(1234)
 
@@ -62,7 +70,8 @@ def test_reduced_states_polystate_delegates_to_engine():
 
 def test_leaf_states_select_once_and_match_separate_calls(monkeypatch):
     """`leaf_states` makes one causal-past test per evaluation event and
-    builds each reduced state once, a patchwork joint state included. The
+    builds each reduced state once, a patchwork joint state included, each
+    by one unchecked read of the engine (`engine._state`). The
     past-lightcone and foliation rules test with `applied`; the two
     lightcone rules read the engine's member rows, so a scenario without
     rows tests each member once, and a second evaluation at the same proper
@@ -71,9 +80,9 @@ def test_leaf_states_select_once_and_match_separate_calls(monkeypatch):
     s = load_fixture("epr_test.scn")
     rules = audit.default_prescriptions(Foliation(np.array([0.4])))
     states, tests = [], []
-    state_after = engine.state_after
-    monkeypatch.setattr(engine, "state_after",
-                        lambda *args, **kw: states.append(args[2]) or state_after(*args, **kw))
+    read = engine._state
+    monkeypatch.setattr(engine, "_state",
+                        lambda *args, **kw: states.append(args[2]) or read(*args, **kw))
     row_test = engine.causally_precedes
     monkeypatch.setattr(engine, "causally_precedes",
                         lambda events, x: tests.append(x) or row_test(events, x))
@@ -138,6 +147,99 @@ def test_criteria_report_failure_shapes():
         # A's record drags it along
         assert not r.marginal_b_ok and abs(r.marginal_b + 1.0) < 1e-12
         assert not r.ignorance_ok and abs(r.ignorance_distance - 1.0) < 1e-12
+
+
+def reference_report(s, taus, foliation):
+    """`criteria_report` as a second scenario computes it: targets from one
+    `engine.sector` per subset, and the ignorance cell's flipped description
+    from `reduced_states` on a copy with A's recorded outcomes flipped
+    (`helpers.flip_outcomes`), which forms A's flipped state too."""
+    sz, szz = linalg.SIGMA_Z, linalg.kron(linalg.SIGMA_Z, linalg.SIGMA_Z)
+    targets = (linalg.expect(engine.sector(s, taus, (0,)), sz),
+               linalg.expect(engine.sector(s, taus, (1,)), sz),
+               linalg.expect(engine.sector(s, taus, (0, 1)), szz))
+    flipped = flip_outcomes(s, 0)
+    rows = []
+    for p in audit.default_prescriptions(foliation):
+        joint, locals_ = audit.leaf_states(p, s, taus)
+        values = (linalg.expect(locals_[0], sz), linalg.expect(locals_[1], sz),
+                  linalg.expect(joint, szz))
+        ign = linalg.trace_distance(locals_[1], audit.reduced_states(p, flipped, taus)[1])
+        rows.append(audit.PrescriptionRow(
+            p.name, *values, *(abs(v - w) <= audit.MATCH_TOL for v, w in zip(values, targets)),
+            ign, ign <= audit.MATCH_TOL))
+    return targets, rows
+
+
+@hs.composite
+def two_qubit_scenarios(draw):
+    """A random bipartite qubit scenario (`helpers.random_two_qubit_scenario`)
+    from a drawn seed, with a blocked or faint readout when a drawn flag is
+    set (`scenarios_with_blocked_branch`)."""
+    rng = np.random.default_rng(draw(seeds))
+    base = hs.just(random_two_qubit_scenario(rng, n_interventions=draw(hs.integers(0, 4))))
+    return draw(scenarios_with_blocked_branch(base, tilts=FAINT_TILTS))
+
+
+def test_criteria_report_equals_the_flipped_scenario_bit_for_bit():
+    """Wherever the flipped-scenario reference returns, `criteria_report`
+    returns too, with the same targets and every row the same, bit for bit
+    (`repr` tells -0.0 from 0.0 and prints every float exactly). The suite
+    checks that the reference both returned and raised on some draws."""
+    seen = {"returned": 0, "raised": 0}
+
+    @SUITE
+    @given(s=two_qubit_scenarios(), taus=hs.lists(tau_values, min_size=2, max_size=2),
+           v=velocities())
+    def check(s, taus, v):
+        f = Foliation(v)
+        try:
+            targets, rows = reference_report(s, taus, f)
+        except ImpossibleOutcomeError:
+            seen["raised"] += 1
+            return
+        seen["returned"] += 1
+        report = audit.criteria_report(s, taus, f)
+        got = (report.target_marginal_a, report.target_marginal_b, report.target_correlation)
+        assert repr(got) == repr(targets)
+        assert repr(report.rows) == repr(rows)
+
+    check()
+    assert seen["returned"] and seen["raised"], seen
+
+
+def bell_with_b_readout():
+    """`bell_sigma_z.scn` with a z readout on B at tau 1 that records 1, as
+    psi+ does once A has read 0: with A's outcome flipped, B's record
+    cannot occur."""
+    doc = json.loads(fixture_text("bell_sigma_z.scn"))
+    doc["interventions"].append({"on": "B", "tau": 1.0,
+                                 "measure": {"projective_basis": "pauli_z", "outcome": 1}})
+    return parse_scenario(json.dumps(doc))
+
+
+@pytest.mark.parametrize("v", [0.0, 0.3])
+def test_ignorance_cell_forms_only_b_flipped_state(v):
+    """At (2.0, 0.5) the past-lightcone rule applies B's readout at A's event
+    and A's measurement at B's, so with A's outcome flipped, A's own state
+    cannot occur while B's can. The cell reads only B's, so the report
+    returns; the flipped-scenario reference forms A's too and raises."""
+    s, f = bell_with_b_readout(), Foliation(np.array([v]))
+    with pytest.raises(ImpossibleOutcomeError, match=r"sector \{A\}: branch weight 0.000e\+00"):
+        reference_report(s, (2.0, 0.5), f)
+    rows = audit.criteria_report(s, (2.0, 0.5), f).rows
+    assert [r.ignorance_distance for r in rows] == [0.0, 0.0, 1.0, 0.0]
+
+
+def test_ignorance_cell_names_b_when_b_flipped_state_cannot_occur():
+    """At (4.0, 4.0) every rule applies both readouts at B's event, so B's
+    flipped state cannot occur and the error names B; the flipped-scenario
+    reference names A, whose flipped state it forms first."""
+    s = bell_with_b_readout()
+    with pytest.raises(ImpossibleOutcomeError, match=r"sector \{A\}"):
+        reference_report(s, (4.0, 4.0), Foliation(np.zeros(1)))
+    with pytest.raises(ImpossibleOutcomeError, match=r"sector \{B\}"):
+        audit.criteria_report(s, (4.0, 4.0))
 
 
 def test_criteria_report_rejects_non_bipartite():

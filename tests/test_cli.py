@@ -381,6 +381,20 @@ def test_all_sector_eval_honours_the_subsystem_cap(tmp_path, monkeypatch, capsys
     assert set(json.loads(capsys.readouterr().out)["sectors"]) == {"AC"}
 
 
+def test_ensemble_honours_the_subsystem_cap(monkeypatch, capsys):
+    """`polystate ensemble` compares every sector with the engine's, read
+    from one `engine.polystate_at`, so a scenario over `MAX_SUBSYSTEMS` is
+    a usage error: exit 1, nothing on stdout and one error line naming the
+    cap."""
+    from polystate import cli, engine
+
+    monkeypatch.setattr(engine, "MAX_SUBSYSTEMS", 1)
+    assert cli.main(["ensemble", DEMO, "--n", "100", "--tau", "A=0.5,B=1.5"]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "error: 2 subsystems would need 3 sectors; cap is 1\n"
+
+
 def test_observable_without_sector_is_refused_before_evaluating(capsys):
     from polystate import cli, engine
 

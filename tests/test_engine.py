@@ -3,6 +3,7 @@ import json
 import random
 import re
 import time
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -207,9 +208,12 @@ def test_sector_requires_nonempty_subset():
         engine.sector(s, (0.0, 0.0), ())
 
 
-@pytest.mark.parametrize("subset", [(2,), (-1,), (0, -1), (0, 2), (0.5,), ("A",), 1])
+@pytest.mark.parametrize("subset", [(2,), (-1,), (0, -1), (0, 2), (0.5,), ("A",), 1,
+                                    [True, False], np.array([True, False])])
 def test_subsets_outside_the_scenario_are_refused(subset):
-    """A ValueError naming the subset, before any past row is computed."""
+    """A ValueError naming the subset, before any past row is computed. A
+    mask of bools is no subset: Python's bools would read as indices 1 and
+    0."""
     s = load_fixture("bell_sigma_z.scn")
     with pytest.raises(ValueError, match=re.escape(repr(subset))):
         engine.sector(s, (2.0, 2.0), subset)
@@ -221,6 +225,39 @@ def test_subsets_outside_the_scenario_are_refused(subset):
         ensemble.analytic_sector(s, subset, (2.0, 2.0))
     with pytest.raises(ValueError, match=re.escape(repr(subset))):
         engine.state_after(s, (1, 0), subset)
+
+
+INF, NAN = float("inf"), float("nan")
+BAD_INPUTS = [
+    ("an infinite proper time", lambda s: engine.sector(s, (INF, 0.0), (0,)), "time inf is"),
+    ("a NaN proper time", lambda s: engine.sector(s, (NAN, 0.0), (0,)), "time nan is"),
+    ("a NaN proper time, all sectors",
+     lambda s: engine.polystate_at(s, (0.0, NAN)), "time nan is"),
+    ("a NaN proper time, foliation rule",
+     lambda s: audit.leaf_states(audit.FixedFoliation(Foliation(np.zeros(1))), s, (NAN, 0.0)),
+     "time nan is"),
+    ("three proper times", lambda s: engine.polystate_at(s, (1.0, 2.0, 3.0)), "(1.0, 2.0, 3.0)"),
+    ("one proper time", lambda s: engine.sector(s, (1.0,), (0,)), "(1.0,)"),
+    ("one proper time, past lightcone rule",
+     lambda s: audit.leaf_states(audit.PastLightcone(), s, (4.0,)), "(4.0,)"),
+    ("an event with a NaN coordinate", lambda s: engine.observer_state(s, [NAN, 0.0]), "nan"),
+    ("a NaN leaf", lambda s: engine.foliation_state(s, Foliation(np.zeros(1)), NAN), "nan"),
+]
+
+
+@pytest.mark.parametrize("what,call,named", BAD_INPUTS, ids=[case[0] for case in BAD_INPUTS])
+def test_inputs_that_are_no_proper_time_event_or_leaf_are_refused(what, call, named):
+    """Each of these once returned a wrong answer, warned, or raised an
+    error that blamed something else: a non-finite proper time became an
+    event at infinity or an uncovered point of the worldline, a tuple of
+    the wrong length was truncated or indexed past its end, and a NaN event
+    or leaf selected nothing. Each now raises a ValueError that names the
+    bad value, and warns nothing."""
+    s = load_fixture("bell_sigma_z.scn")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=re.escape(named)):
+            call(s)
 
 
 @pytest.mark.parametrize("cut", [(-1, 0), (1, 0, 0), (49, 0), (0, -1)])

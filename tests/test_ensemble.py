@@ -242,6 +242,22 @@ def test_compare_report_shape():
     assert report.max_empirical <= max(r.empirical_distance for r in report.rows) + 1e-15
 
 
+def test_compare_refuses_an_impossible_record_before_any_ensemble():
+    """`compare_to_polystate` reads the engine's sectors first, from one
+    `polystate_at`, so a recorded outcome that cannot occur is named by the
+    engine's verdict even where an earlier subset's ensemble is empty: here
+    B records 0 after psi+ gave A 0, and the one run took A's other branch,
+    so A's ensemble holds no run."""
+    s = load_fixture("bell_sigma_z.scn")
+    s = replace(s, interventions=s.interventions + (
+        replace(s.interventions[0], subsystem=1),))
+    log = replace(ensemble.sample_runs(s, 1, seed=0), codes=np.array([2]))
+    with pytest.raises(EmptyEnsembleError):
+        ensemble.empirical_sector(log, s, (0,), (2.0, 4.0))
+    with pytest.raises(ImpossibleOutcomeError, match=r"sector \{B\}"):
+        ensemble.compare_to_polystate(log, s, (2.0, 4.0))
+
+
 def test_sample_runs_draws_from_one_stream_per_seed():
     # one call draws from the seed's one SplitMix64 stream; run r takes its
     # two uniforms at offset 2r and turns each into an outcome by its

@@ -34,9 +34,9 @@ from polystate.scenario import (Intervention, Scenario, SelectiveOp, UnitaryOp,
                                 selected_ids)
 from polystate.spacetime import Foliation, Region, position
 
-from helpers import (branch_table, load_fixture, prefix_closure, proper_time_lines,
-                     random_density, random_ket, random_unitary, reference_event_cuts,
-                     reference_gram_density)
+from helpers import (branch_table, flip_outcomes, load_fixture, prefix_closure,
+                     proper_time_lines, random_density, random_ket, random_unitary,
+                     reference_event_cuts, reference_gram_density)
 from test_properties import tau_values, velocities, worldlines
 
 SUITE = settings(max_examples=200, deadline=None, derandomize=True,
@@ -130,6 +130,7 @@ def assert_close_or_both_none(got, want):
 @SUITE
 @given(s=scenarios(), taus=hs.lists(tau_values, min_size=4, max_size=4))
 def test_factor_kernel_sector_equals_pushed_sector(s, taus):
+    taus = taus[:s.n]  # the draw's first n entries: one proper time per subsystem
     for subset in engine.all_subsets(s.n):
         want = pushed_sector_or_none(s, taus, subset)
         try:
@@ -196,6 +197,7 @@ def scenarios_with_blocked_branch(draw, base=scenarios(), tilts=(0.0,)):
 @given(s=scenarios_with_blocked_branch(), taus=hs.lists(tau_values, min_size=4, max_size=4),
        v=velocities())
 def test_audit_rule_states_equal_pushed_states(s, taus, v):
+    taus = taus[:s.n]  # the draw's first n entries: one proper time per subsystem
     for p in audit.default_prescriptions(Foliation(v)):
         want_reduced, want_single = reference_states(p, s, taus)
         got_reduced, got_single = states_or_none(p, s, taus)
@@ -283,6 +285,7 @@ def test_branch_weights_and_states_equal_pushed_states():
     @given(s=scenarios_with_blocked_branch(tilts=(0.0, FAINT_TILT)),
            taus=hs.lists(tau_values, min_size=4, max_size=4))
     def check(s, taus):
+        taus = taus[:s.n]  # the draw's first n entries: one proper time per subsystem
         order = ensemble.selective_order(s)
         every = range(len(s.interventions))
         applied = {}
@@ -343,6 +346,7 @@ def test_engine_oracle_and_ensemble_agree_on_which_branches_occur():
     @given(s=scenarios_with_blocked_branch(tilts=FAINT_TILTS),
            taus=hs.lists(tau_values, min_size=4, max_size=4))
     def check(s, taus):
+        taus = taus[:s.n]  # the draw's first n entries: one proper time per subsystem
         order = ensemble.selective_order(s)
         counts = [len(s.interventions[k].op.kraus) for k in order]
         code = np.ravel_multi_index([s.interventions[k].op.chosen for k in order], counts)
@@ -494,6 +498,7 @@ def test_polystate_pushes_once_per_selection(s, taus):
     selection, a zero-padded prefix of one or the empty cut; and no cut's
     factor is formed twice: each entry but the empty cut's, which is Psi
     itself, costs exactly one subsystem application."""
+    taus = taus[:s.n]  # the draw's first n entries: one proper time per subsystem
     selections = {engine.past_cut(s, taus, subset) for subset in engine.all_subsets(s.n)}
     prefixes = {p for cut in selections for p in zero_padded_prefixes(s, cut)}
     empty = (0,) * s.n
@@ -595,7 +600,7 @@ def variants(s):
     for its own: a copy with the interventions in reverse order, a boosted
     copy, and every subsystem's outcomes flipped in turn."""
     return ([s, replace(s, interventions=s.interventions[::-1]), boosted_scenario(s, 0.7)]
-            + [audit._flip_outcomes(s, j) for j in range(s.n)])
+            + [flip_outcomes(s, j) for j in range(s.n)])
 
 
 @SUITE

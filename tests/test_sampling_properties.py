@@ -125,6 +125,7 @@ def test_bulk_uniforms_equal_the_sequential_generator(seed, first, count):
 @given(s=scenarios_with_blocked_branch(), n_runs=hs.integers(min_value=1, max_value=300),
        seed=seeds64, taus=hs.lists(tau_values, min_size=4, max_size=4))
 def test_sample_runs_and_counting_equal_scalar_references(s, n_runs, seed, taus):
+    taus = taus[:s.n]  # the draw's first n entries: one proper time per subsystem
     log = ensemble.sample_runs(s, n_runs, seed)
     # the log's only per-run array is its codes; the weights are per branch
     arrays = {f.name for f in fields(log) if isinstance(getattr(log, f.name), np.ndarray)}
@@ -154,6 +155,7 @@ def test_chunked_stacks_equal_one_stack():
            n_runs=hs.integers(min_value=1, max_value=200), seed=seeds64,
            taus=hs.lists(tau_values, min_size=4, max_size=4), rows=hs.integers(1, 3))
     def check(s, n_runs, seed, taus, rows):
+        taus = taus[:s.n]  # the draw's first n entries: one proper time per subsystem
         whole = ensemble.enumerate_branches(s)
         log = ensemble.sample_runs(s, n_runs, seed)
         subsets = ((0,), tuple(range(s.n)))

@@ -62,6 +62,7 @@ def test_sector_reads_equal_fresh_state_after(s, taus, unproved, shift):
     a sector that cannot occur, or is not a state, is refused by
     `polystate_at` itself, with the error the first such sector's
     `state_after` raises."""
+    taus = taus[:s.n]  # the draw's first n entries: one proper time per subsystem
     with mock.patch.object(linalg, "_PROVABLE_K", (0,) if unproved else linalg._PROVABLE_K), \
             mock.patch.object(np.linalg, "eigvalsh", shifted_eigvalsh(shift)):
         want = {subset: fresh_read(s, taus, subset) for subset in engine.all_subsets(s.n)}

@@ -131,6 +131,9 @@ def reduced_states(p, s: Scenario, taus) -> list:
 
 @dataclass
 class PrescriptionRow:
+    """One rule's row of `criteria_report`. Its fields and `all_ok` are the
+    keys of a `polystate audit` criteria row, `name` as "prescription"
+    (`cli._report`), so renaming one changes the CLI schema."""
     name: str
     marginal_a: float
     marginal_b: float
@@ -149,6 +152,9 @@ class PrescriptionRow:
 
 @dataclass
 class CriteriaReport:
+    """The `criteria` object of `polystate audit`: its fields are the keys,
+    each `target_<key>` as <key> of "targets" (`cli._report`), so renaming
+    one changes the CLI schema."""
     taus: tuple
     target_marginal_a: float
     target_marginal_b: float
@@ -215,6 +221,9 @@ def criteria_report(s: Scenario, taus, foliation: Foliation | None = None) -> Cr
 
 @dataclass
 class ChargeLedger:
+    """One rule's `charge_ledgers` entry of `polystate audit`: its fields
+    are the keys, `t_grid` as "t" (`cli._report`), so renaming one changes
+    the CLI schema."""
     t_grid: list
     q_joint: list
     q_sum: list

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import functools
 import json
 import math
@@ -17,9 +18,10 @@ import numpy as np
 
 from . import audit, engine, ensemble, linalg
 from .errors import EmptyEnsembleError, ImpossibleOutcomeError, PolystateError
-from .scenario import (NAMED_STATES, SelectiveOp, _matrix_from_json, axis_angles,
-                       diagnose_document, parse_scenario, read_number)
-from .spacetime import Foliation, lightcone_crossings, position, proper_time_at_leaf
+from .scenario import (NAMED_OPERATORS, NAMED_STATES, SelectiveOp, _matrix_from_json,
+                       _matrix_to_json, axis_angles, diagnose_document, parse_scenario,
+                       read_number)
+from .spacetime import Foliation, gamma, lightcone_crossings, position, proper_time_at_leaf
 
 SCHEMA_VERSION = 1
 
@@ -32,10 +34,6 @@ class _Parser(argparse.ArgumentParser):
     # argparse exits with 2 by default; 2 is reserved for impossible outcomes
     def error(self, message):
         self.exit(1, f"{self.prog}: error: {message}\n")
-
-
-def _matrix_json(m) -> list:
-    return [[[float(v.real), float(v.imag)] for v in row] for row in np.asarray(m, dtype=complex)]
 
 
 def integer(raw: str) -> int:
@@ -157,12 +155,12 @@ def _parse_observable(spec: str, subset, s) -> np.ndarray:
         if any(s.dims[i] != 2 for i in subset):
             raise UsageError("charge_total needs qubit subsystems")
         return linalg.total_charge(len(subset))
-    named = {"sigma_x": linalg.SIGMA_X, "sigma_y": linalg.SIGMA_Y,
-             "sigma_z": linalg.SIGMA_Z, "identity": linalg.ID2, "charge": linalg.CHARGE}
     parts = []
     for token in _split_factors(spec):
-        if token in named:
-            parts.append(named[token])
+        # sigma_x|y|z are pauli_x|y|z, as sigma_n(theta, phi) is pauli_n
+        name = "pauli_" + token[6:] if token.startswith("sigma_") else token
+        if name in NAMED_OPERATORS:
+            parts.append(NAMED_OPERATORS[name])
             continue
         try:
             angles = axis_angles(token, heads=("pauli_n", "sigma_n"))
@@ -193,6 +191,39 @@ def _reference_ket(name: str, s) -> np.ndarray:
     return NAMED_STATES[name] if name in NAMED_STATES else linalg.product_ket(name)
 
 
+# the report fields whose CLI JSON key is not their name; a field
+# `target_<key>` is <key> of the "targets" object
+_KEYS = {"name": "prescription", "t_grid": "t"}
+
+
+def _report(obj, skip=()) -> dict:
+    """A report dataclass (`scenario.Diagnostic`, `audit.CriteriaReport` and
+    its rows, `audit.ChargeLedger`, `ensemble.SectorComparison`) as its CLI
+    JSON object: its fields but `skip`, then its properties, each under its
+    key (`_KEYS`). Read by `getattr`, not `dataclasses.asdict`, which
+    deep-copies every list."""
+    names = [f.name for f in dataclasses.fields(obj) if f.name not in skip]
+    names += [n for n, v in vars(type(obj)).items() if isinstance(v, property)]
+    doc = {}
+    for name in names:
+        value = _json(getattr(obj, name))
+        if name.startswith("target_"):
+            doc.setdefault("targets", {})[name.removeprefix("target_")] = value
+        else:
+            doc[_KEYS.get(name, name)] = value
+    return doc
+
+
+def _json(value):
+    """A report value as JSON: a bool or str as itself, a list or tuple item
+    by item, a report as its object, any other number as a float."""
+    if isinstance(value, (bool, str)):
+        return value
+    if isinstance(value, (list, tuple)):
+        return [_json(v) for v in value]
+    return _report(value) if dataclasses.is_dataclass(value) else float(value)
+
+
 def _emit(doc) -> None:
     json.dump(doc, sys.stdout, indent=2)
     sys.stdout.write("\n")
@@ -203,8 +234,7 @@ def cmd_validate(args) -> int:
     _emit({
         "schema_version": SCHEMA_VERSION,
         "command": "validate",
-        "diagnostics": [{"field": d.field, "invariant": d.invariant, "message": d.message}
-                        for d in diags],
+        "diagnostics": [_report(d) for d in diags],
     })
     return 1 if diags else 0
 
@@ -226,7 +256,7 @@ def cmd_eval(args) -> int:
         "schema_version": SCHEMA_VERSION,
         "command": "eval",
         "taus": {n: float(t) for n, t in zip(s.names, taus)},
-        "sectors": {_subset_name(sub, s): _matrix_json(mat) for sub, mat in sectors.items()},
+        "sectors": {_subset_name(sub, s): _matrix_to_json(mat) for sub, mat in sectors.items()},
     }
     if args.observable:
         obs = _parse_observable(args.observable, sub, s)
@@ -269,46 +299,12 @@ def cmd_audit(args) -> int:
         raise UsageError("audit needs qubit subsystems")
     f = Foliation(_parse_velocity(args.foliation, s.spatial_dim))
     grid = _parse_range(args.grid)
-    doc = {"schema_version": SCHEMA_VERSION, "command": "audit"}
-
     bipartite = s.n == 2
-    ledgers = {}
-    for rule in audit.default_prescriptions(f) if bipartite else [audit.PolystateRule()]:
-        ledger = audit.charge_ledger(s, f, grid, rule)
-        ledgers[rule.name] = {
-            "t": [float(t) for t in ledger.t_grid],
-            "q_joint": [float(v) for v in ledger.q_joint],
-            "q_sum": [float(v) for v in ledger.q_sum],
-            "initial": float(ledger.initial),
-        }
-    doc["charge_ledgers"] = ledgers
-
+    rules = audit.default_prescriptions(f) if bipartite else [audit.PolystateRule()]
+    doc = {"schema_version": SCHEMA_VERSION, "command": "audit", "charge_ledgers": {
+        rule.name: _report(audit.charge_ledger(s, f, grid, rule)) for rule in rules}}
     if bipartite:
-        taus = _parse_taus(args.tau, s)
-        report = audit.criteria_report(s, taus, foliation=f)
-        doc["criteria"] = {
-            "taus": [float(t) for t in report.taus],
-            "targets": {
-                "marginal_a": float(report.target_marginal_a),
-                "marginal_b": float(report.target_marginal_b),
-                "correlation": float(report.target_correlation),
-            },
-            "rows": [
-                {
-                    "prescription": r.name,
-                    "marginal_a": float(r.marginal_a),
-                    "marginal_b": float(r.marginal_b),
-                    "correlation": float(r.correlation),
-                    "marginal_a_ok": r.marginal_a_ok,
-                    "marginal_b_ok": r.marginal_b_ok,
-                    "correlation_ok": r.correlation_ok,
-                    "ignorance_distance": float(r.ignorance_distance),
-                    "ignorance_ok": r.ignorance_ok,
-                    "all_ok": r.all_ok,
-                }
-                for r in report.rows
-            ],
-        }
+        doc["criteria"] = _report(audit.criteria_report(s, _parse_taus(args.tau, s), foliation=f))
         _emit(doc)
         return 0
     _emit(doc)
@@ -324,15 +320,17 @@ def cmd_ensemble(args) -> int:
         raise UsageError("--n must be at least 1")
     if not 0 <= args.seed < 2**64:
         raise UsageError("--seed must be in [0, 2**64)")
+    if s.n > engine.MAX_SUBSYSTEMS:
+        # `compare_to_polystate` reads every sector, which `polystate_at`
+        # refuses above the cap; refused here before any run is sampled
+        raise UsageError(f"{s.n} subsystems would need {2**s.n - 1} sectors; "
+                         f"cap is {engine.MAX_SUBSYSTEMS}")
     try:
         log = ensemble.sample_runs(s, args.n, args.seed)
     except (ValueError, MemoryError):
         raise UsageError(f"--n {args.n} runs need more memory than can be allocated") from None
     freq = ensemble.branch_frequencies(log)
-    try:
-        report = ensemble.compare_to_polystate(log, s, taus)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    report = ensemble.compare_to_polystate(log, s, taus)
 
     labels = [list(s.interventions[k].op.labels) for k in log.order]
     doc = {
@@ -350,13 +348,7 @@ def cmd_ensemble(args) -> int:
             }
             for b in np.ndindex(log.weights.shape)
         ],
-        "sectors": {
-            _subset_name(r.subset, s): {
-                "empirical_distance": float(r.empirical_distance),
-                "analytic_distance": float(r.analytic_distance),
-            }
-            for r in report.rows
-        },
+        "sectors": {_subset_name(r.subset, s): _report(r, skip=("subset",)) for r in report.rows},
         "max_empirical_distance": float(report.max_empirical),
         "max_analytic_distance": float(report.max_analytic),
     }
@@ -424,9 +416,8 @@ def cmd_diagram(args) -> int:
             t = read_number(traw)
         except (ValueError, UsageError):
             raise UsageError(f"bad --leaf {spec!r}; expected V:T") from None
-        g = 1.0 / math.sqrt(1.0 - float(v[0]) ** 2)
         # leaf t: coordinate time = v*x + t/gamma
-        line = [[float(v[0] * x + t / g), float(x)] for x in (x_lo, x_hi)]
+        line = [[float(v[0] * x + t / gamma(v)), float(x)] for x in (x_lo, x_hi)]
         leaves.append({"v": float(v[0]), "t": float(t), "line": line})
 
     _emit({

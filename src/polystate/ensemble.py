@@ -375,6 +375,9 @@ def _dense_error(s: Scenario, ids, channels, weight: float) -> float:
 
 @dataclass
 class SectorComparison:
+    """One sector of `polystate ensemble`: the subset names its entry, and
+    the other fields are the entry's keys (`cli._report`), so renaming one
+    changes the CLI schema."""
     subset: tuple
     empirical_distance: float
     analytic_distance: float

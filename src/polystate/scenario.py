@@ -27,7 +27,10 @@ A measurement is either an explicit {"kraus": [matrix, ...]} list or a
 {"projective_basis": name-or-kets} with basis names pauli_z, pauli_x,
 pauli_y, or pauli_n(theta, phi), theta and phi finite decimal numbers.
 `outcome` is the recorded branch index.
-Unitary names: pauli_x, pauli_y, pauli_z, hadamard, identity.
+A unitary is a matrix or a name from the one operator catalog,
+`NAMED_OPERATORS`: pauli_x, pauli_y, pauli_z, hadamard, identity and charge.
+A named operator must still be unitary, so `charge` is refused as one. The
+CLI's observables name their factors from the same catalog.
 """
 
 from __future__ import annotations
@@ -52,6 +55,8 @@ KRAUS_TOL = 1e-10
 
 @dataclass
 class Diagnostic:
+    """Its fields are the keys of a `polystate validate` diagnostic
+    (`cli._report`), so renaming one changes the CLI schema."""
     field: str
     invariant: str
     message: str
@@ -210,12 +215,15 @@ NAMED_STATES = {
     "bell_psi_minus": linalg.BELL_PSI_MINUS,
 }
 
-NAMED_UNITARIES = {
+# the one catalog of named operators: a file's `unitary` and the CLI's
+# observable factors read their names here
+NAMED_OPERATORS = {
     "pauli_x": linalg.SIGMA_X,
     "pauli_y": linalg.SIGMA_Y,
     "pauli_z": linalg.SIGMA_Z,
     "hadamard": linalg.HADAMARD,
     "identity": linalg.ID2,
+    "charge": linalg.CHARGE,
 }
 
 # a decimal number in ASCII digits, with optional sign, point and exponent,
@@ -297,18 +305,18 @@ def _vector_from_json(entries) -> np.ndarray:
                     dtype=complex)
 
 
-def _complex_to_json(z: complex):
-    # adding 0.0 turns -0.0 into 0.0 and leaves every other value alone,
-    # so re-serializing a parsed document is byte-stable
-    return [z.real + 0.0, z.imag + 0.0]
-
-
-def _matrix_to_json(m: np.ndarray):
-    return [[_complex_to_json(complex(v)) for v in row] for row in np.asarray(m)]
+def _matrix_to_json(m) -> list:
+    """A matrix as rows of [re, im] pairs: the one matrix writer of the
+    scenario document and the CLI. Adding 0.0 turns -0.0 into 0.0 and leaves
+    every other value alone, so re-serializing a parsed document is
+    byte-stable."""
+    return [[[z.real + 0.0, z.imag + 0.0] for z in row]
+            for row in np.asarray(m, dtype=complex).tolist()]
 
 
 class _Builder:
-    """Collects diagnostics while assembling a Scenario from parsed JSON."""
+    """Collects diagnostics while assembling a Scenario from parsed JSON:
+    `build` returns (scenario, diagnostics), the scenario None if any."""
 
     def __init__(self, data):
         self.data = data
@@ -317,6 +325,13 @@ class _Builder:
     def fail(self, field, invariant, message):
         self.diags.append(Diagnostic(field, invariant, message))
 
+    def _object(self, field, raw, what) -> bool:
+        """Whether raw is a JSON object; a diagnostic naming `what` if not."""
+        if isinstance(raw, dict):
+            return True
+        self.fail(field, "object-required", f"{what} must be an object")
+        return False
+
     def _list(self, field, raw) -> list:
         """raw if it is a list, else no entries and a diagnostic."""
         if isinstance(raw, list):
@@ -324,11 +339,11 @@ class _Builder:
         self.fail(field, "well-formed-entries", f"not a list: {raw!r}")
         return []
 
-    def build(self):
+    def build(self) -> tuple:
         # the tolerance tests are written so that a NaN or infinite entry
         # fails them, with a diagnostic; numpy's warnings on the way are noise
         with np.errstate(invalid="ignore", over="ignore"):
-            return self._build()
+            return self._build(), self.diags
 
     def _build(self):
         data = self.data
@@ -348,8 +363,7 @@ class _Builder:
             subsystems = []
         for idx, sub in enumerate(subsystems):
             field = f"subsystems[{idx}]"
-            if not isinstance(sub, dict):
-                self.fail(field, "object-required", "subsystem must be an object")
+            if not self._object(field, sub, "subsystem"):
                 continue
             name = sub.get("name")
             if not isinstance(name, str) or not name:
@@ -399,8 +413,7 @@ class _Builder:
         )
 
     def _worldline(self, field, raw, d):
-        if not isinstance(raw, dict):
-            self.fail(field, "object-required", "worldline must be an object")
+        if not self._object(field, raw, "worldline"):
             return None
         anchor = raw.get("anchor")
         if not isinstance(anchor, list) or len(anchor) != 1 + d:
@@ -415,9 +428,9 @@ class _Builder:
         segments = []
         for k, seg in enumerate(self._list(field + ".segments", raw.get("segments", []))):
             at = f"{field}.segments[{k}]"
-            if not isinstance(seg, dict):
-                self.fail(at, "object-required", "segment must be an object")
-            elif not _finite(seg.get("dtau")) or not seg["dtau"] > 0:
+            if not self._object(at, seg, "segment"):
+                continue
+            if not _finite(seg.get("dtau")) or not seg["dtau"] > 0:
                 self.fail(at + ".dtau", "positive-duration",
                           f"duration must be a finite number > 0, got {seg.get('dtau')!r}")
             elif self._subluminal(at + ".v", seg.get("v"), d):
@@ -490,8 +503,7 @@ class _Builder:
             return None, None
 
     def _intervention(self, field, item, names, dims):
-        if not isinstance(item, dict):
-            self.fail(field, "object-required", "intervention must be an object")
+        if not self._object(field, item, "intervention"):
             return None
         on = item.get("on")
         if on not in names:
@@ -518,10 +530,10 @@ class _Builder:
     def _unitary(self, field, raw, dim):
         try:
             if isinstance(raw, str):
-                if raw not in NAMED_UNITARIES:
+                if raw not in NAMED_OPERATORS:
                     self.fail(field, "known-name", f"unknown unitary {raw!r}")
                     return None
-                mat = NAMED_UNITARIES[raw]
+                mat = NAMED_OPERATORS[raw]
             else:
                 mat = _matrix_from_json(raw)
         except ValueError as exc:
@@ -537,8 +549,7 @@ class _Builder:
         return UnitaryOp(matrix=mat)
 
     def _selective(self, field, raw, dim):
-        if not isinstance(raw, dict):
-            self.fail(field, "object-required", "measure must be an object")
+        if not self._object(field, raw, "measure"):
             return None
         try:
             if "kraus" in raw:
@@ -589,39 +600,48 @@ class _Builder:
         return SelectiveOp(kraus=kraus, chosen=chosen, labels=tuple(str(s) for s in labels))
 
 
+def _decode(text: str):
+    """The JSON value of a document; a syntax error raises `ParseError` at
+    its line and column."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"line {exc.lineno} column {exc.colno}: {exc.msg}",
+                         line=exc.lineno, column=exc.colno) from None
+
+
 def diagnose_document(text: str) -> list[Diagnostic]:
     """All diagnostics for a scenario document, including JSON syntax."""
     try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        return [Diagnostic("document", "json-syntax",
-                           f"line {exc.lineno} column {exc.colno}: {exc.msg}")]
-    builder = _Builder(data)
-    builder.build()
-    return builder.diags
+        data = _decode(text)
+    except ParseError as exc:
+        return [Diagnostic("document", "json-syntax", str(exc))]
+    return _Builder(data).build()[1]
 
 
 def parse_scenario(text: str) -> Scenario:
     """Parse and validate a .scn document; raises on any problem."""
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"line {exc.lineno} column {exc.colno}: {exc.msg}",
-                         line=exc.lineno, column=exc.colno) from None
-    builder = _Builder(data)
-    scenario = builder.build()
-    if builder.diags:
-        raise ScenarioValidationError(builder.diags)
+    scenario, diags = _Builder(_decode(text)).build()
+    if diags:
+        raise ScenarioValidationError(diags)
     return scenario
 
 
 def validate(s: Scenario) -> list[Diagnostic]:
-    """Diagnostics for an already-constructed Scenario value."""
-    return diagnose_document(serialize_scenario(s))
+    """Diagnostics for an already-constructed Scenario value: its document,
+    as `serialize_scenario` writes it, read as a file's is, with no JSON
+    text in between."""
+    return _Builder(_document(s)).build()[1]
 
 
 def serialize_scenario(s: Scenario) -> str:
-    doc = {
+    return json.dumps(_document(s), indent=2)
+
+
+def _document(s: Scenario) -> dict:
+    """The scenario as a parsed .scn document: the initial state as a
+    matrix, every operator by its matrices."""
+    return {
         "spacetime": {"d": s.spatial_dim},
         "subsystems": [
             {
@@ -641,7 +661,6 @@ def serialize_scenario(s: Scenario) -> str:
         "initial_state": {"matrix": _matrix_to_json(s.initial_state)},
         "interventions": [_intervention_to_json(s, iv) for iv in s.interventions],
     }
-    return json.dumps(doc, indent=2)
 
 
 def _intervention_to_json(s: Scenario, iv: Intervention):

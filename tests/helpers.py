@@ -10,7 +10,8 @@ import numpy as np
 
 import polystate
 from polystate import ensemble, linalg
-from polystate.scenario import Intervention, Scenario, SelectiveOp, UnitaryOp, parse_scenario
+from polystate.scenario import (Intervention, Scenario, SelectiveOp, UnitaryOp,
+                                diagnose_document, parse_scenario, serialize_scenario)
 from polystate.spacetime import Segment, Worldline, causally_precedes, position
 
 FIXTURES = Path(polystate.__file__).parent / "fixtures"
@@ -122,6 +123,12 @@ def flip_outcomes(s: Scenario, subsystem: int) -> Scenario:
         else:
             flipped.append(iv)
     return replace(s, interventions=tuple(flipped))
+
+
+def reference_validate(s: Scenario) -> list:
+    """The diagnostics of a Scenario value by a JSON text round trip: its
+    serialized document, parsed and diagnosed as a file is."""
+    return diagnose_document(serialize_scenario(s))
 
 
 def crossing_oracle(w: Worldline, apex, past: bool, lo=-300.0, hi=300.0) -> float:

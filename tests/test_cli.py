@@ -9,7 +9,9 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from helpers import FIXTURES, fixture_text
+from polystate import linalg
+
+from helpers import FIXTURES, fixture_text, load_fixture
 
 BELL = str(FIXTURES / "bell_sigma_z.scn")
 EPR = str(FIXTURES / "epr_test.scn")
@@ -385,14 +387,84 @@ def test_ensemble_honours_the_subsystem_cap(monkeypatch, capsys):
     """`polystate ensemble` compares every sector with the engine's, read
     from one `engine.polystate_at`, so a scenario over `MAX_SUBSYSTEMS` is
     a usage error: exit 1, nothing on stdout and one error line naming the
-    cap."""
-    from polystate import cli, engine
+    cap, given before any run is sampled."""
+    from polystate import cli, engine, ensemble
 
     monkeypatch.setattr(engine, "MAX_SUBSYSTEMS", 1)
-    assert cli.main(["ensemble", DEMO, "--n", "100", "--tau", "A=0.5,B=1.5"]) == 1
+    with mock.patch.object(ensemble, "sample_runs", wraps=ensemble.sample_runs) as sample_runs:
+        assert cli.main(["ensemble", DEMO, "--n", "100", "--tau", "A=0.5,B=1.5"]) == 1
+    assert sample_runs.call_count == 0
     out = capsys.readouterr()
     assert out.out == ""
     assert out.err == "error: 2 subsystems would need 3 sectors; cap is 1\n"
+
+
+def test_eval_writes_a_negative_zero_entry_as_zero(tmp_path, capsys):
+    """Sector matrices go out through the scenario document's one matrix
+    writer (`scenario._matrix_to_json`), which writes -0.0 as 0.0. This
+    input's sectors at (0.5, 0.5) hold a -0.0 entry, which the CLI once
+    wrote as it was."""
+    from polystate import cli, engine
+    from polystate.scenario import parse_scenario
+
+    doc = json.loads(fixture_text("bell_sigma_z.scn"))
+    doc["initial_state"] = {"ket": [[1.0, -0.0], [-0.0, -0.0], 0.0, 0.0]}
+    path = tmp_path / "negative_zero.scn"
+    path.write_text(json.dumps(doc))
+    sectors = engine.polystate_at(parse_scenario(json.dumps(doc)), (0.5, 0.5)).sectors
+    parts = np.concatenate([np.asarray(m).view(float).ravel() for m in sectors.values()])
+    assert np.any((parts == 0) & np.signbit(parts))
+    assert cli.main(["eval", str(path), "--tau", "A=0.5,B=0.5"]) == 0
+    out = capsys.readouterr().out
+    assert "-0.0" not in out
+    written = json.loads(out)["sectors"]
+    for subset, name in (((0,), "A"), ((1,), "B"), ((0, 1), "AB")):
+        assert np.array_equal(as_matrix(written[name]), sectors[subset])
+
+
+OBSERVABLES = (
+    ("sigma_x", "A", linalg.SIGMA_X),
+    ("sigma_y", "A", linalg.SIGMA_Y),
+    ("sigma_z", "A", linalg.SIGMA_Z),
+    ("identity", "A", linalg.ID2),
+    ("charge", "A", linalg.CHARGE),
+    ("charge_total", "AB", linalg.total_charge(2)),
+    ("pauli_n(0.5,0.25)", "A", linalg.sigma_n(0.5, 0.25)),
+    ("sigma_n(0.5,0.25)", "A", linalg.sigma_n(0.5, 0.25)),
+    ("sigma_z,charge", "AB", linalg.kron(linalg.SIGMA_Z, linalg.CHARGE)),
+    # newly accepted: the catalog's names, which a scenario file reads too
+    ("pauli_x", "A", linalg.SIGMA_X),
+    ("pauli_y", "A", linalg.SIGMA_Y),
+    ("pauli_z", "A", linalg.SIGMA_Z),
+    ("hadamard", "A", linalg.HADAMARD),
+)
+
+
+@pytest.mark.parametrize("spec,sector,want", OBSERVABLES, ids=[o[0] for o in OBSERVABLES])
+def test_observable_names_keep_their_matrices(spec, sector, want, capsys):
+    """Every observable name reads its matrix from `scenario.NAMED_OPERATORS`
+    (sigma_x|y|z as pauli_x|y|z), or from `linalg` for charge_total and the
+    axis names, and `eval` reports its expectation on the sector."""
+    from polystate import cli, engine
+
+    s = load_fixture("epr_test.scn")
+    subset = cli._parse_subset(sector, s)
+    obs = cli._parse_observable(spec, subset, s)
+    assert np.array_equal(obs, want)
+    args = ["eval", EPR, "--tau", "A=2.0,B=2.0", "--sector", sector, "--observable", spec]
+    assert cli.main(args) == 0
+    value = json.loads(capsys.readouterr().out)["expectations"][sector]["value"]
+    assert value == linalg.expect(engine.sector(s, (2.0, 2.0), subset), obs)
+
+
+@pytest.mark.parametrize("spec", ["sigma_hadamard", "pauli_charge", "sigma_w", "Sigma_x"])
+def test_unknown_observable_names_are_usage_errors(spec, capsys):
+    from polystate import cli
+
+    args = ["eval", EPR, "--tau", "A=2.0,B=2.0", "--sector", "A", "--observable", spec]
+    assert cli.main(args) == 1
+    out = capsys.readouterr()
+    assert out.out == "" and out.err == f"error: unknown observable {spec!r}\n"
 
 
 def test_observable_without_sector_is_refused_before_evaluating(capsys):

@@ -1,10 +1,15 @@
+import copy
 import json
+import math
 import tracemalloc
 import warnings
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as hs
 
 from polystate import cli, engine, linalg, validate
 from polystate.errors import ParseError, ScenarioValidationError
@@ -13,7 +18,8 @@ from polystate.scenario import (Intervention, SelectiveOp, UnitaryOp, apply_inte
                                 parse_scenario, read_number, selected_ids, serialize_scenario)
 from polystate.spacetime import Region
 
-from helpers import fixture_text, load_fixture, random_two_qubit_scenario
+from helpers import fixture_text, load_fixture, random_two_qubit_scenario, reference_validate
+from test_properties import SUITE, scenarios
 
 RNG = np.random.default_rng(99)
 
@@ -41,24 +47,45 @@ def test_all_bundled_fixtures_are_clean():
         assert diagnose_document(fixture_text(name)) == []
 
 
-def test_validate_diagnoses_scenario_values():
-    """`validate` checks a Scenario value: the fixtures are clean, and each
-    `replace`d variant of foliation_demo.scn gets the diagnostic of the
-    field it broke."""
-    for name in FIXTURE_NAMES:
-        assert validate(load_fixture(name)) == []
+def invalid_variants() -> list:
+    """`replace`d variants of foliation_demo.scn, each with the one
+    (field, invariant) it breaks."""
     s = load_fixture("foliation_demo.scn")
     a, b = s.interventions
     not_unitary = Intervention(0, 2.0, UnitaryOp(np.diag([1.0, 2.0]).astype(complex)))
-    for variant, want in (
+    return [
         (replace(s, interventions=(a, b, not_unitary)),
          ("interventions[2].unitary", "unitary-invariant")),
         (replace(s, interventions=(replace(a, op=replace(a.op, chosen=5)), b)),
          ("interventions[0].measure.outcome", "outcome-range")),
         (replace(s, interventions=(a, replace(b, tau=float("nan")))),
          ("interventions[1].tau", "real-proper-time")),
-    ):
+    ]
+
+
+def test_validate_diagnoses_scenario_values():
+    """`validate` checks a Scenario value: the fixtures are clean, and each
+    `replace`d variant of foliation_demo.scn gets the diagnostic of the
+    field it broke."""
+    for name in FIXTURE_NAMES:
+        assert validate(load_fixture(name)) == []
+    for variant, want in invalid_variants():
         assert [(d.field, d.invariant) for d in validate(variant)] == [want]
+
+
+def test_validate_matches_the_json_text_round_trip():
+    """`validate` reads the document `serialize_scenario` writes as a dict,
+    not as its text: it gives the diagnostics of the round trip through
+    JSON text (`reference_validate`), field, invariant and message, on the
+    fixtures and on every invalid variant, and calls no JSON codec."""
+    values = [load_fixture(name) for name in FIXTURE_NAMES]
+    values += [variant for variant, _ in invalid_variants()]
+    for s in values:
+        want = reference_validate(s)
+        with mock.patch.object(json, "dumps", side_effect=AssertionError("json.dumps")), \
+                mock.patch.object(json, "loads", side_effect=AssertionError("json.loads")):
+            got = validate(s)
+        assert got == want
 
 
 def test_json_syntax_error_has_location():
@@ -449,3 +476,81 @@ def test_read_number_has_one_ascii_grammar_for_decimals_and_integers():
             read_number(raw, kind)
     with pytest.raises(ValueError, match="'1e999' is not finite"):
         read_number("1e999")
+
+
+@pytest.mark.parametrize("name,want", [
+    ("pauli_x", linalg.SIGMA_X), ("pauli_y", linalg.SIGMA_Y), ("pauli_z", linalg.SIGMA_Z),
+    ("hadamard", linalg.HADAMARD), ("identity", linalg.ID2),
+])
+def test_named_unitaries_keep_their_matrices(name, want):
+    doc = _doc()
+    doc["interventions"][0] = {"on": "A", "tau": 1.0, "unitary": name}
+    assert np.array_equal(parse_scenario(json.dumps(doc)).interventions[0].op.matrix, want)
+
+
+def test_named_operators_that_are_not_unitary_are_refused_as_unitaries():
+    """The file's unitaries and the CLI's observables share one catalog,
+    so `charge` is a known name, but it is not unitary: once an unknown
+    name, it is now refused by the unitarity check."""
+    doc = _doc()
+    doc["interventions"][0] = {"on": "A", "tau": 1.0, "unitary": "charge"}
+    assert [(d.field, d.invariant) for d in diagnose_document(json.dumps(doc))] == [
+        ("interventions[0].unitary", "unitary-invariant")]
+    doc["interventions"][0]["unitary"] = "sigma_x"
+    assert [d.invariant for d in diagnose_document(json.dumps(doc))] == ["known-name"]
+
+
+@hs.composite
+def broken_scenarios(draw):
+    """A drawn scenario, as it is or with one field broken: a value that is
+    not finite, a non-unitary or non-density matrix, an outcome or label
+    list of the wrong size, a repeated proper time, a dimension out of
+    range or a superluminal velocity."""
+    s = draw(scenarios())
+    ivs = list(s.interventions)
+    bad = draw(hs.sampled_from([None, "tau", "scale", "chosen", "labels", "repeat",
+                                "state", "dim", "spatial_dim", "velocity"]))
+    if bad in ("tau", "scale", "chosen", "labels", "repeat") and not ivs:
+        bad = "state"
+    number = draw(hs.sampled_from([math.nan, math.inf, -math.inf, 0.5, -2.0]))
+    k = draw(hs.integers(min_value=0, max_value=max(len(ivs) - 1, 0)))
+    if bad == "tau":
+        ivs[k] = replace(ivs[k], tau=draw(hs.sampled_from([math.nan, math.inf, -math.inf])))
+    elif bad in ("scale", "chosen", "labels"):
+        op = ivs[k].op
+        if isinstance(op, UnitaryOp):
+            with np.errstate(invalid="ignore"):
+                op = UnitaryOp(matrix=op.matrix * number)
+        elif bad == "chosen":
+            op = replace(op, chosen=draw(hs.sampled_from([-1, 2, 5, True])))
+        elif bad == "labels":
+            op = replace(op, labels=op.labels[:draw(hs.integers(min_value=0, max_value=1))])
+        else:
+            with np.errstate(invalid="ignore"):
+                op = replace(op, kraus=(op.kraus[0] * number, op.kraus[1]))
+        ivs[k] = replace(ivs[k], op=op)
+    elif bad == "repeat":
+        ivs.append(ivs[k])
+    elif bad == "state":
+        with np.errstate(invalid="ignore"):
+            s = replace(s, initial_state=s.initial_state * number)
+    elif bad == "dim":
+        s = replace(s, dims=(2, draw(hs.integers(min_value=1, max_value=3))))
+    elif bad == "spatial_dim":
+        s = replace(s, spatial_dim=draw(hs.integers(min_value=0, max_value=4)))
+    elif bad == "velocity":
+        # `Worldline` refuses a superluminal final velocity, so it is set
+        # on a copy after construction
+        w = copy.copy(s.worldlines[0])
+        w.final_velocity = np.array([draw(hs.sampled_from([1.0, -1.5, math.nan, math.inf]))])
+        s = replace(s, worldlines=(w, s.worldlines[1]))
+    return replace(s, interventions=tuple(ivs))
+
+
+@SUITE
+@given(s=broken_scenarios())
+def test_validate_matches_the_json_text_round_trip_on_drawn_scenarios(s):
+    """`validate` reads `serialize_scenario`'s document as a dict; its
+    diagnostics, field, invariant and message, are those of the round trip
+    through JSON text."""
+    assert validate(s) == reference_validate(s)

@@ -3,6 +3,7 @@ interpreter on its smallest existing arguments. The scripts call the engine,
 audit and ensemble paths end to end, so a changed signature there shows up
 here even though no other test imports a script."""
 
+import importlib.util
 import os
 import subprocess
 import sys
@@ -23,6 +24,7 @@ RUNS = (
     ("ensemble_convergence.py", "--max-runs", "1"),
     ("selective_ladder.py", "--m", "13", "--repeats", "1"),
     ("cli_digest.py",),
+    ("code_lines.py",),
 )
 
 
@@ -39,3 +41,15 @@ def test_script_runs(script, args):
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
     assert done.stdout
+
+
+def test_code_lines_skip_blanks_comments_and_docstrings():
+    spec = importlib.util.spec_from_file_location("code_lines", SCRIPTS / "code_lines.py")
+    code_lines = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(code_lines)
+    source = ('"""Module\ndocstring."""\n\nimport os  # kept: code before the comment\n\n'
+              '# a comment line\nclass C:\n    """Class docstring."""\n\n'
+              '    def f(self):\n        """Function\n        docstring."""\n'
+              '        s = """a string that is\n        not a docstring"""\n        return s\n')
+    # import, class, def, the two lines of s, return
+    assert code_lines.code_lines(source) == 6

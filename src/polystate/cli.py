@@ -320,11 +320,12 @@ def cmd_ensemble(args) -> int:
         raise UsageError("--n must be at least 1")
     if not 0 <= args.seed < 2**64:
         raise UsageError("--seed must be in [0, 2**64)")
-    if s.n > engine.MAX_SUBSYSTEMS:
+    try:
         # `compare_to_polystate` reads every sector, which `polystate_at`
         # refuses above the cap; refused here before any run is sampled
-        raise UsageError(f"{s.n} subsystems would need {2**s.n - 1} sectors; "
-                         f"cap is {engine.MAX_SUBSYSTEMS}")
+        engine.check_subsystem_cap(s.n)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     try:
         log = ensemble.sample_runs(s, args.n, args.seed)
     except (ValueError, MemoryError):

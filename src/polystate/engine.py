@@ -189,6 +189,13 @@ def check_subset(n: int, subset) -> tuple:
     return out
 
 
+def check_subsystem_cap(n: int) -> None:
+    """Raise ValueError, naming the cap, if n subsystems are more than
+    `MAX_SUBSYSTEMS`: `polystate_at` would form 2^n - 1 sectors."""
+    if n > MAX_SUBSYSTEMS:
+        raise ValueError(f"{n} subsystems would need {2**n - 1} sectors; cap is {MAX_SUBSYSTEMS}")
+
+
 def check_taus(s: Scenario, taus) -> None:
     """Raise ValueError, naming them, unless the proper-time tuple has one
     entry per subsystem; `spacetime.position` refuses an entry that is not
@@ -422,8 +429,7 @@ def polystate_at(s: Scenario, taus, cache=None) -> Polystate:
     so that any raise or clamp happens in this call. A sector is formed
     here only if deciding it formed it (`linalg.gram_verdict`); every other
     is formed on its first read from the polystate (`Sectors`)."""
-    if s.n > MAX_SUBSYSTEMS:
-        raise ValueError(f"{s.n} subsystems would need {2**s.n - 1} sectors; cap is {MAX_SUBSYSTEMS}")
+    check_subsystem_cap(s.n)
     cache = {} if cache is None else cache
     sectors = {}
     for subset in all_subsets(s.n):

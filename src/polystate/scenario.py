@@ -642,11 +642,11 @@ def _document(s: Scenario) -> dict:
     """The scenario as a parsed .scn document: the initial state as a
     matrix, every operator by its matrices."""
     return {
-        "spacetime": {"d": s.spatial_dim},
+        "spacetime": {"d": _plain(s.spatial_dim)},
         "subsystems": [
             {
                 "name": s.names[i],
-                "dim": s.dims[i],
+                "dim": _plain(s.dims[i]),
                 "worldline": {
                     "anchor": [float(c) for c in s.worldlines[i].anchor],
                     "segments": [
@@ -663,6 +663,12 @@ def _document(s: Scenario) -> dict:
     }
 
 
+def _plain(value):
+    """A numpy integer as the Python int it equals, any other value as it
+    is: a bool or a float keeps the diagnostic a file's would get."""
+    return int(value) if isinstance(value, np.integer) else value
+
+
 def _intervention_to_json(s: Scenario, iv: Intervention):
     out = {"on": s.names[iv.subsystem], "tau": float(iv.tau)}
     if isinstance(iv.op, UnitaryOp):
@@ -670,7 +676,7 @@ def _intervention_to_json(s: Scenario, iv: Intervention):
     else:
         out["measure"] = {
             "kraus": [_matrix_to_json(k) for k in iv.op.kraus],
-            "outcome": iv.op.chosen,
+            "outcome": _plain(iv.op.chosen),
             "labels": list(iv.op.labels),
         }
     return out

@@ -132,76 +132,47 @@ def chronologically_precedes(x, y):
     return (dt > 0) & (dt > dr)
 
 
-def _null_gap(w: Worldline, apex, tau: float, past: bool) -> float:
-    """Signed distance from the cone: positive while strictly inside the
-    past (resp. future) open region, zero on the boundary."""
-    p = position(w, tau)
-    dt = apex[0] - p[0] if past else p[0] - apex[0]
-    return dt - float(np.linalg.norm(apex[1:] - p[1:]))
-
-
-def _bisect_crossing(w: Worldline, apex, past: bool) -> float:
-    # _null_gap is strictly decreasing in tau for the past cone and strictly
-    # increasing for the future cone, so one sign change brackets the root.
-    sign = 1.0 if past else -1.0
-    lo, hi = -1.0, 1.0
-    span = 1.0
-    while sign * _null_gap(w, apex, lo, past) < 0:
-        span *= 2
-        lo -= span
-    span = 1.0
-    while sign * _null_gap(w, apex, hi, past) > 0:
-        span *= 2
-        hi += span
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if sign * _null_gap(w, apex, mid, past) >= 0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
-def _quadratic_crossing(w: Worldline, apex, past: bool) -> float | None:
-    apex = np.asarray(apex, dtype=float)
-    for tau_lo, tau_hi, tau_ref, x_ref, v, g, u in w.pieces:
-        # re-reference the piece to tau = 0 so the root is an absolute tau
-        b = apex - x_ref + tau_ref * u
-        m = g * (b[0] - float(np.dot(b[1:], v)))
-        c = b[0] * b[0] - float(np.dot(b[1:], b[1:]))
-        disc = m * m - c
-        if disc < 1e-12:
-            # apex on or numerically near this piece's line, where m*m - c
-            # cancels. Its offset from the line, measured directly, decides:
-            # on the line and inside the piece, the apex is the worldline
-            # point at tau = m and both crossings are there; otherwise try
-            # the other pieces, else the caller falls back to bisection
-            off = b - m * u
-            near = 1e-12 * max(1.0, abs(m), float(np.max(np.abs(apex))))
-            if np.max(np.abs(off)) <= near and tau_lo - near <= m <= tau_hi + near:
-                return m
-            continue
-        root = m - math.sqrt(disc) if past else m + math.sqrt(disc)
-        pad = 1e-9 * max(1.0, abs(root))
-        if tau_lo - pad <= root <= tau_hi + pad:
-            return root
-    return None
-
-
 def lightcone_crossings(w: Worldline, apex) -> tuple[float, float]:
     """Proper times where the worldline meets the past and future lightcones
-    of the apex event. Unique for timelike inextendible curves in flat
-    spacetime; tau_minus <= tau_plus, equal only when the apex lies on the
-    worldline.
+    of the apex event, as Python floats. Unique for timelike inextendible
+    curves in flat spacetime; tau_minus <= tau_plus, equal only when the
+    apex lies on the worldline.
+
+    Bracket: the apex's closed past holds a prefix of the worldline and its
+    closed future a suffix, so `causally_precedes` on the piece starts names
+    the piece of each crossing: the past crossing lies on the piece after
+    the last start inside the past, the future crossing on the piece after
+    the last start outside the future. Solve: on that piece, with
+    b = apex - x_ref and s = tau - tau_ref, the crossing solves
+    s^2 - 2 m s + c = 0 for m = <b, u> and c = <b, b>. The discriminant
+    m^2 - c is read off the apex's offset from the line, b - m u, which is
+    orthogonal to u and does not cancel near the line (a rounding below 0
+    reads as 0, the discriminant of a line through the apex); the roots are
+    q = m + copysign(sqrt(disc), m) and c / q (Higham 2002, section 1.8),
+    the smaller for the past and the larger for the future. Clamp: the
+    root is clamped into the piece's span, so a crossing never disagrees
+    with the membership test at a piece start.
     """
     apex = np.asarray(apex, dtype=float)
-    tau_minus = _quadratic_crossing(w, apex, past=True)
-    if tau_minus is None:
-        tau_minus = _bisect_crossing(w, apex, past=True)
-    tau_plus = _quadratic_crossing(w, apex, past=False)
-    if tau_plus is None:
-        tau_plus = _bisect_crossing(w, apex, past=False)
-    return tau_minus, tau_plus
+    starts = np.array([x_ref for _, _, _, x_ref, *_ in w.pieces[1:]])
+    past_piece = int(np.count_nonzero(causally_precedes(starts, apex)))
+    future_piece = int(np.count_nonzero(~causally_precedes(apex, starts)))
+    return _cone_root(w.pieces[past_piece], apex, min), _cone_root(w.pieces[future_piece], apex, max)
+
+
+def _cone_root(piece, apex, pick) -> float:
+    """The root `pick` (min: past, max: future) of the cone crossing on one
+    inertial piece, clamped into the piece's span."""
+    tau_lo, tau_hi, tau_ref, x_ref, v, g, u = piece
+    b = apex - x_ref
+    m = g * float(b[0] - np.dot(b[1:], v))
+    c = float(b[0] * b[0] - np.dot(b[1:], b[1:]))
+    off = b - m * u
+    disc = float(np.dot(off[1:], off[1:]) - off[0] * off[0])
+    q = m + math.copysign(math.sqrt(max(disc, 0.0)), m)
+    # q is 0 only when m and disc are, where both roots m -+ sqrt(disc) are 0
+    s = pick(q, c / q) if q else 0.0
+    return float(min(max(tau_ref + s, tau_lo), tau_hi))
 
 
 @dataclass

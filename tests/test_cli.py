@@ -399,6 +399,18 @@ def test_ensemble_honours_the_subsystem_cap(monkeypatch, capsys):
     assert out.err == "error: 2 subsystems would need 3 sectors; cap is 1\n"
 
 
+def test_ensemble_refuses_with_the_engines_cap_message(monkeypatch, capsys):
+    """The CLI's refusal and `engine.polystate_at`'s come from one engine
+    check, so the error line is the engine's message, word for word."""
+    from polystate import cli, engine
+
+    monkeypatch.setattr(engine, "MAX_SUBSYSTEMS", 1)
+    with pytest.raises(ValueError) as refused:
+        engine.polystate_at(load_fixture("foliation_demo.scn"), (0.5, 1.5))
+    assert cli.main(["ensemble", DEMO, "--n", "100", "--tau", "A=0.5,B=1.5"]) == 1
+    assert capsys.readouterr().err == f"error: {refused.value}\n"
+
+
 def test_eval_writes_a_negative_zero_entry_as_zero(tmp_path, capsys):
     """Sector matrices go out through the scenario document's one matrix
     writer (`scenario._matrix_to_json`), which writes -0.0 as 0.0. This

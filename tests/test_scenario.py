@@ -73,6 +73,34 @@ def test_validate_diagnoses_scenario_values():
         assert [(d.field, d.invariant) for d in validate(variant)] == [want]
 
 
+def test_numpy_integers_serialize_and_validate_as_python_ints():
+    """A numpy integer `spatial_dim`, `dims` entry or `chosen` is written as
+    the Python int it equals: the variant serializes to the fixture's text,
+    re-parses to an equal document and validates clean. A bool or a float
+    there keeps its diagnostic."""
+    s = load_fixture("foliation_demo.scn")
+    a, b = s.interventions
+    text = serialize_scenario(s)
+    numpy_variants = [
+        replace(s, spatial_dim=np.int64(1)),
+        replace(s, dims=(np.int64(2), np.int32(2))),
+        replace(s, interventions=(replace(a, op=replace(a.op, chosen=np.int64(a.op.chosen))), b)),
+    ]
+    for variant in numpy_variants:
+        assert serialize_scenario(variant) == text
+        assert serialize_scenario(parse_scenario(serialize_scenario(variant))) == text
+        assert validate(variant) == []
+    not_ints = [
+        (replace(s, spatial_dim=1.0), "spacetime.d", "got 1.0"),
+        (replace(s, dims=(True, 2)), "subsystems[0].dim", "got True"),
+        (replace(s, interventions=(replace(a, op=replace(a.op, chosen=False)), b)),
+         "interventions[0].measure.outcome", "got False"),
+    ]
+    for variant, field, got in not_ints:
+        [diagnostic] = validate(variant)
+        assert diagnostic.field == field and diagnostic.message.endswith(got)
+
+
 def test_validate_matches_the_json_text_round_trip():
     """`validate` reads the document `serialize_scenario` writes as a dict,
     not as its text: it gives the diagnostics of the round trip through

@@ -73,11 +73,7 @@ def test_crossing_with_apex_on_worldline():
     assert abs(tm - 1.0) < 1e-9 and abs(tp - 1.0) < 1e-9
 
 
-def test_crossings_of_an_event_on_a_multi_segment_worldline(monkeypatch):
-    def no_bisection(*args):
-        raise AssertionError("an event on the worldline needs no bisection")
-
-    monkeypatch.setattr(st, "_bisect_crossing", no_bisection)
+def test_crossings_of_an_event_on_a_multi_segment_worldline():
     w = st.Worldline(np.array([0.5, -1.0, 2.0]),
                      (st.Segment(1.5, np.array([0.6, 0.0])), st.Segment(0.7, np.array([-0.3, 0.5]))),
                      np.array([0.0, -0.8]))
@@ -85,6 +81,70 @@ def test_crossings_of_an_event_on_a_multi_segment_worldline(monkeypatch):
     for tau in (-2.0, 0.0, 0.4, 1.5, 1.9, 2.2, 5.0):
         tm, tp = st.lightcone_crossings(w, st.position(w, tau))
         assert abs(tm - tau) <= 1e-12 and abs(tp - tau) <= 1e-12
+
+
+def test_crossings_of_near_line_apexes_match_the_oracle():
+    """An apex 1e-11 to 1e-5 off a point of the worldline, in a random
+    direction: each crossing is within 1e-12 of the membership predicate's
+    own boundary (`crossing_oracle`), in order."""
+    rng = np.random.default_rng(11)
+    for _ in range(150):
+        d = int(rng.integers(1, 4))
+        w = random_worldline(rng, d, max_segments=3)
+        direction = rng.normal(size=d + 1)
+        offset = 10 ** rng.uniform(-11, -5) * direction / np.linalg.norm(direction)
+        apex = st.position(w, float(rng.uniform(-2, 5))) + offset
+        tm, tp = st.lightcone_crossings(w, apex)
+        assert tm <= tp
+        assert abs(tm - crossing_oracle(w, apex, past=True)) <= 1e-12
+        assert abs(tp - crossing_oracle(w, apex, past=False)) <= 1e-12
+
+
+def test_crossings_on_fast_pieces_match_the_oracle():
+    """Pieces at speeds 0.9 to 1 - 1e-6: each crossing is within 1e-9,
+    relative, of the oracle on a bracket wide enough for gamma near 700."""
+    rng = np.random.default_rng(12)
+
+    def fast_velocity(d):
+        direction = rng.normal(size=d)
+        return direction / np.linalg.norm(direction) * (1 - 10 ** rng.uniform(-6, -1))
+
+    for _ in range(60):
+        d = int(rng.integers(1, 4))
+        w = st.Worldline(np.concatenate([[rng.uniform(-2, 2)], rng.uniform(-3, 3, size=d)]),
+                         tuple(st.Segment(float(rng.uniform(0.3, 2.0)), fast_velocity(d))
+                               for _ in range(rng.integers(0, 4))),
+                         fast_velocity(d))
+        apex = np.concatenate([[rng.uniform(-2, 2)], rng.uniform(-3, 3, size=d)])
+        for got, past in zip(st.lightcone_crossings(w, apex), (True, False)):
+            want = crossing_oracle(w, apex, past, lo=-1e6, hi=1e6)
+            assert abs(got - want) <= 1e-9 * max(1.0, abs(want))
+
+
+def test_crossings_agree_with_membership_at_piece_starts():
+    """Apexes on the null cones of piece starts: a start the predicate puts
+    in the apex's past is not after tau_minus, one it leaves out is not
+    before it, and likewise for the future and tau_plus. Both crossings are
+    Python floats."""
+    rng = np.random.default_rng(13)
+    for _ in range(80):
+        d = int(rng.integers(1, 4))
+        w = random_worldline(rng, d, max_segments=3)
+        _, _, _, start, *_ = w.pieces[int(rng.integers(1, len(w.pieces)))]
+        ray = rng.normal(size=d)
+        ray = np.concatenate(([1.0], ray / np.linalg.norm(ray))) * rng.uniform(0.1, 4.0)
+        for apex in (start + ray, start - ray):
+            tm, tp = st.lightcone_crossings(w, apex)
+            assert type(tm) is float and type(tp) is float
+            for tau_lo, _, _, x, *_ in w.pieces[1:]:
+                assert (tau_lo <= tm) if st.causally_precedes(x, apex) else (tm <= tau_lo)
+                assert (tp <= tau_lo) if st.causally_precedes(apex, x) else (tau_lo <= tp)
+
+
+@pytest.mark.parametrize("apex", [[1.0], [1.0, 0.0, 0.0]])
+def test_crossings_refuse_an_apex_of_another_dimension(apex):
+    with pytest.raises(st.DimensionMismatchError, match=r"event dims \(1, 2\) vs"):
+        st.lightcone_crossings(st.Worldline(np.array([0.0, 2.0])), apex)
 
 
 def test_foliation_time_and_leaf_crossing():

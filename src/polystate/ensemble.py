@@ -20,10 +20,13 @@ at once: `engine.push` takes arrays of outcomes and stacks their branches
 on leading axes, so the branch weights (every assignment, as an `np.ix_`
 mesh) and each empirical sector's distinct retained assignments (a flat
 list) come from stacked pushes, chunk by chunk, not from one Python-level
-push per branch. `analytic_sector` alone pushes the
-full density operator through every channel and traces afterwards, so that
-it stays an independent check of that kernel. `compare_to_polystate` sets
-both against the engine's sectors, all read from one `engine.polystate_at`.
+push per branch. `analytic_sector` alone pushes the full density operator
+through every channel and traces afterwards, so that it stays an
+independent check of that kernel; within one comparison that dense push is
+made once per key, the applied cut and the selectives taken as channels,
+and every subset of that key is traced from it. `compare_to_polystate`
+sets both against the engine's sectors, all read from one
+`engine.polystate_at`, in one pass over the subsets.
 
 `branch_state` is the one read of a state on overridden outcomes: the
 audit's ignorance cell (`audit.criteria_report`) reads a description with
@@ -34,13 +37,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
+from typing import NamedTuple
 
 import numpy as np
 
 from . import linalg
 from .engine import (branch_weight, check_subset, impossibility, past_cut, polystate_at, push,
                      refuse, subset_factor)
-from .errors import BranchExplosionError, EmptyEnsembleError
+from .errors import (BranchExplosionError, EmptyEnsembleError, ImpossibleOutcomeError,
+                     StateValidationError)
 from .scenario import Scenario, SelectiveOp, apply_interventions
 
 BRANCH_CAP = 10**6
@@ -72,7 +78,7 @@ def enumerate_branches(s: Scenario) -> np.ndarray:
     if total > BRANCH_CAP:
         raise BranchExplosionError(f"{total} branches exceed the cap {BRANCH_CAP}")
     every = tuple(map(len, s.chains.products))
-    return np.concatenate([branch_weight(stack) for _, stack in _stacked_pushes(s, every, order)])
+    return np.concatenate([branch_weight(stack) for stack in _stacked_pushes(s, every, order)])
 
 
 def _digits(codes, counts) -> np.ndarray:
@@ -109,20 +115,24 @@ _BLOCK = 1 << 16
 # larger stack is pushed chunk by chunk
 _STACK_BYTES = 1 << 24
 
+# bytes of difference matrices that may wait for stacked eigvalsh calls
+# (`_TraceDistances`); a matrix this large is read on its own, where the
+# call's own cost outweighs the per-call overhead that stacking saves
+_EIGVALSH_BYTES = 1 << 20
 
-def _stacked_pushes(s: Scenario, cut, sel, codes=None):
+
+def _stacked_pushes(s: Scenario, cut, sel, rows=None):
     """Factors of outcome assignments to the selectives `sel` (ids inside
-    the cut), pushed through the cut and yielded chunk by chunk as (codes,
-    stack): stack[i], of shape (D, r), is the assignment that codes[i]
-    stands for in mixed-radix order, first selective most significant.
-    Without codes, every assignment in code order: each chunk fixes the
-    leading selectives and passes the trailing ones as an `np.ix_` mesh, as
-    few fixed as keep it within `_STACK_BYTES`. Given ascending codes, just
-    those, in chunks within `_STACK_BYTES`, each chunk's outcomes read off
-    its codes."""
+    the cut), pushed through the cut and yielded chunk by chunk as stacks
+    of shape (m, D, r), one factor per assignment, in order. Without rows,
+    every assignment in mixed-radix code order, first selective most
+    significant: each chunk fixes the leading selectives and passes the
+    trailing ones as an `np.ix_` mesh, as few fixed as keep it within
+    `_STACK_BYTES`. Given rows, an (m, len(sel)) int array of assignments,
+    just those, in chunks within `_STACK_BYTES`."""
     counts = _outcome_counts(s, sel)
     row = 16 * math.prod(s.dims) * s.initial_factor.shape[1]  # complex factor
-    if codes is None:
+    if rows is None:
         fixed = 0
         while fixed < len(sel) and row * math.prod(counts[fixed:]) > _STACK_BYTES:
             fixed += 1
@@ -131,13 +141,13 @@ def _stacked_pushes(s: Scenario, cut, sel, codes=None):
         for c in range(math.prod(counts[:fixed])):
             prefix = map(int, np.unravel_index(c, counts[:fixed]))
             stack = push(s, cut, dict(zip(sel, (*prefix, *mesh))))
-            yield range(c * size, (c + 1) * size), stack.reshape(size, *stack.shape[-2:])
+            yield stack.reshape(size, *stack.shape[-2:])
         return
     size = max(1, _STACK_BYTES // row)
-    for first in range(0, len(codes), size):
-        chunk = codes[first:first + size]
-        stack = push(s, cut, dict(zip(sel, _digits(chunk, counts).T)))
-        yield chunk, stack.reshape(len(chunk), *stack.shape[-2:])
+    for first in range(0, len(rows), size):
+        chunk = rows[first:first + size]
+        stack = push(s, cut, dict(zip(sel, chunk.T)))
+        yield stack.reshape(len(chunk), *stack.shape[-2:])
 
 
 # SplitMix64 (Steele, Lea & Flood 2014): output i of the stream seeded with
@@ -227,6 +237,23 @@ def branch_frequencies(log: RunLog) -> np.ndarray:
     return np.bincount(log.codes, minlength=log.weights.size).reshape(log.weights.shape)
 
 
+class _Tally(NamedTuple):
+    """A run log counted once: its selectives, and for each distinct code,
+    in ascending order, the number of runs that hold it and its outcome
+    digits, one row per code."""
+    order: tuple
+    runs: np.ndarray
+    digits: np.ndarray
+
+
+def _tally(log: RunLog) -> _Tally:
+    # one count per code up to the largest held, not one per branch as in
+    # `branch_frequencies`: a hand-made log may name few of many branches
+    freq = np.bincount(log.codes)
+    codes = np.flatnonzero(freq)
+    return _Tally(log.order, freq[codes], _digits(codes, log.weights.shape))
+
+
 def _selection(s: Scenario, subset, taus) -> tuple:
     """The sorted subset, the cut of the union of its members' causal
     pasts, and the cut of the interventions that reach its ensemble: those
@@ -264,47 +291,47 @@ def empirical_sector(log: RunLog, s: Scenario, subset, taus) -> np.ndarray:
     reduced to the subset; runs that differ only in outcomes that never
     reached the subset stay in the ensemble and contribute their own branch.
 
-    A branch state depends only on the outcomes of the selectives in the
-    applied cut, so the distinct assignments to those that retained runs
-    hold are pushed as one flat stack (`_stacked_pushes`), each read once,
-    as `branch_state` reads its one branch. The retained runs
-    are counted per outcome code with `np.bincount` and added as count times
-    state in code order, the sum `branch_state` would make branch by branch.
+    The log is counted once (`_tally`), and the retained runs are read off
+    its distinct codes. A branch state depends only on the outcomes of the
+    selectives in the applied cut, so the distinct assignments to those
+    that retained codes hold are pushed as one flat stack
+    (`_stacked_pushes`), each read once, as `branch_state` reads its one
+    branch, and added as run count times state in code order, the sum
+    `branch_state` would make branch by branch.
     """
-    subset, inside, applied = _selection(s, subset, taus)
+    return _empirical(s, _tally(log), *_selection(s, subset, taus))
+
+
+def _empirical(s: Scenario, tally: _Tally, subset, inside, applied) -> np.ndarray:
+    """`empirical_sector` of a counted log, on the subset's selection."""
+    order = tally.order
+    # a code is retained when its digits match the recorded outcomes inside
+    # the past union
     inside = set(s.cut_ids(inside))
-    order = log.order
-    counts = log.weights.shape
-    freq = np.bincount(log.codes)
-    codes = np.flatnonzero(freq)
-    digits = _digits(codes, counts)
-    # a run is retained when the digits of its code match the recorded
-    # outcomes inside the past union
     keep_cols = [j for j, k in enumerate(order) if k in inside]
     recorded = [s.interventions[order[j]].op.chosen for j in keep_cols]
-    kept = np.all(digits[:, keep_cols] == recorded, axis=1)
-    codes, digits = codes[kept], digits[kept]
-    retained = int(freq[codes].sum())
+    kept = (tally.digits[:, keep_cols] == recorded).all(axis=1)
+    runs, digits = tally.runs[kept], tally.digits[kept]
+    retained = int(runs.sum())
     if retained == 0:
         raise EmptyEnsembleError("no run matches the recorded outcomes inside the causal past")
 
-    # each retained code's assignment to the selectives the applied cut holds
+    # each retained code's assignment to the selectives the applied cut
+    # holds; the distinct ones, in code order, are pushed and read once
     in_cut = set(s.cut_ids(applied))
     cols = [j for j, k in enumerate(order) if k in in_cut]
-    sel, radix = tuple(order[j] for j in cols), [counts[j] for j in cols]
-    keys = (np.ravel_multi_index(tuple(digits[:, cols].T), radix) if cols
-            else np.zeros(codes.shape[0], dtype=np.intp))
-    branches = dict(zip(keys.tolist(), digits[:, cols].tolist()))
-    states = {}
-    distinct = np.flatnonzero(np.bincount(keys))
-    for chunk, stack in _stacked_pushes(s, applied, sel, distinct):
-        for key, psi in zip(chunk.tolist(), stack):
-            states[key] = _read_branch(s, applied, subset, psi, dict(zip(sel, branches[key])))
+    sel = tuple(order[j] for j in cols)
+    assigned = list(map(tuple, digits[:, cols].tolist()))
+    distinct = sorted(set(assigned))
+    stacks = _stacked_pushes(s, applied, sel,
+                             np.array(distinct, dtype=np.intp).reshape(len(distinct), len(sel)))
+    states = {row: _read_branch(s, applied, subset, psi, dict(zip(sel, row)))
+              for row, psi in zip(distinct, chain.from_iterable(stacks))}
 
     dim = math.prod(s.dims[i] for i in subset)
     acc = np.zeros((dim, dim), dtype=complex)
-    for code, key in zip(codes.tolist(), keys.tolist()):
-        acc += freq[code] * states[key]
+    for count, row in zip(runs, assigned):
+        acc += count * states[row]
     return acc / retained
 
 
@@ -315,62 +342,93 @@ def analytic_sector(s: Scenario, subset, taus) -> np.ndarray:
     result is reduced and normalized. Equals the engine's sector because
     channels on traced-out subsystems drop out of the partial trace. The
     channels keep the trace, so it is the weight of the past cut's
-    branches, judged by `engine.impossibility` against `_dense_error`.
+    branches, judged by `engine.impossibility` against the bound of the
+    dense push (`_DensePush.error`).
     """
     subset, inside, applied = _selection(s, subset, taus)
-    recorded, applied = set(s.cut_ids(inside)), s.cut_ids(applied)
-    # outside the past union, only interventions off the subset happen, and
-    # with no outcome recorded they act as their full channel
-    channels = {k: None for k in applied if k not in recorded}
-    out = linalg.ptrace(apply_interventions(s, applied, s.initial_state, outcomes=channels),
-                        s.dims, subset)
-    weight = float(out.trace().real)
-    refuse(s, subset, impossibility(s, inside, weight,
-                                    error=_dense_error(s, applied, channels, weight)))
-    return linalg.normalize(out)
+    return _DensePush(s, *_dense_key(s, inside, applied)).sector(subset, inside)
 
 
-def _dense_error(s: Scenario, ids, channels, weight: float) -> float:
-    """A bound on the rounding error of `analytic_sector`'s weight, the
-    trace of the dense push of `ids` (`apply_interventions`) then of the
-    partial trace: a weight no larger cannot be told from 0.
+def _dense_key(s: Scenario, inside, applied) -> tuple:
+    """The key of a selection's dense push: the applied cut, and the ids of
+    the selectives in it that act as their full channel. Outside the past
+    union only interventions off the subset happen, and with no outcome
+    recorded they act as their full channel; inside it each is pinned to
+    its recorded branch."""
+    recorded = set(s.cut_ids(inside))
+    return applied, tuple(k for k in s.cut_ids(applied) if k not in recorded)
 
-    With gamma_j = j u / (1 - j u) (Higham 2002, sections 3.5 and 3.6), a
-    Kraus operator K on a factor of dimension d is applied as two complex
-    products of inner dimension d, each off by at most gamma_{4d} times the
-    product of the absolute values (as in `linalg.push_error`), and m
-    operators of one channel are summed. By induction, with Higham's lemma
-    3.3, the computed state is off by at most gamma_N P entrywise, where P
-    is the same push of |rho_0| through the |K| and N = sum_k (8 d_k + m_k)
-    + D + 1 covers the pushes, the partial trace and the trace. So the
-    weight is off by at most gamma_N tr(P).
 
-    tr(P) is read in two steps, as the bound of a dense push is first order
-    and only the componentwise one separates a faint weight from dust. Both
-    return gamma_2N times what they read, which covers the rounding of the
-    second:
-    - at once, tr(P) <= sum(P) <= D prod_k d_k^2, since sum|rho_0| <= D for
-      a unit-trace state, and a step multiplies sum(P) by at most
-      sum_K ||K||_1^2 <= d_k^2, as sum_K K^dagger K <= 1 for its Kraus
-      operators. A larger weight is accepted with no more work;
-    - else by pushing |rho_0| through the |K|, in the same arithmetic, to a
-      trace within gamma_N of tr(P). Measured on two qubits, this keeps a
-      readout of |0> tilted 1e-7 from z, outcome 1 of weight 2.5e-15 and
-      bound 1.2e-29, and refuses a singlet read along one axis on both
-      sides, whose same outcome gets at most 3.9e-17 of dust, and at most
-      1.7e-2 of its bound, over 20000 random axes.
-    """
-    n = total = math.prod(s.dims)
-    for k in ids:
-        d, op = s.dims[s.interventions[k].subsystem], s.interventions[k].op
-        n += 8 * d + (len(op.kraus) if k in channels and isinstance(op, SelectiveOp) else 1)
-        total *= float(d) ** 2
-    gamma = linalg._gamma(2 * (n + 1))
-    if weight > gamma * total:
-        return gamma * total
-    pushed = apply_interventions(s, ids, np.abs(s.initial_state), outcomes=channels,
-                                 absolute=True)
-    return gamma * float(np.trace(pushed).real)
+class _DensePush:
+    """The oracle's dense push for one key (`_dense_key`): the initial
+    density operator pushed through the applied cut's interventions
+    (`apply_interventions`), the channel ids as their full channel and the
+    rest on their recorded branches. Every subset whose selection has this
+    key is traced from the one push (`sector`), and the rounding bound of
+    the push is worked out once for them all (`error`)."""
+
+    def __init__(self, s: Scenario, applied, channels):
+        self.s, self.ids, self.channels = s, s.cut_ids(applied), dict.fromkeys(channels)
+        self.state = apply_interventions(s, self.ids, s.initial_state, outcomes=self.channels)
+        n = total = math.prod(s.dims)
+        for k in self.ids:
+            d, op = s.dims[s.interventions[k].subsystem], s.interventions[k].op
+            n += 8 * d + (len(op.kraus) if k in self.channels and isinstance(op, SelectiveOp)
+                          else 1)
+            total *= float(d) ** 2
+        self.gamma = linalg._gamma(2 * (n + 1))
+        self.gate = self.gamma * total
+        self.absolute = None
+
+    def sector(self, subset, inside) -> np.ndarray:
+        """The subset's state from the push: traced, its weight judged with
+        `engine.impossibility` over the past cut `inside`, and normalized."""
+        s = self.s
+        out = linalg.ptrace(self.state, s.dims, subset)
+        weight = float(out.trace().real)
+        refuse(s, subset, impossibility(s, inside, weight, error=self.error(weight)))
+        return linalg.normalize(out)
+
+    def error(self, weight: float) -> float:
+        """A bound on the rounding error of a weight traced from the push,
+        the trace of the dense push of the key's ids (`apply_interventions`)
+        then of the partial trace: a weight no larger cannot be told from 0.
+
+        With gamma_j = j u / (1 - j u) (Higham 2002, sections 3.5 and 3.6),
+        a Kraus operator K on a factor of dimension d is applied as two
+        complex products of inner dimension d, each off by at most
+        gamma_{4d} times the product of the absolute values (as in
+        `linalg.push_error`), and m operators of one channel are summed. By
+        induction, with Higham's lemma 3.3, the computed state is off by at
+        most gamma_N P entrywise, where P is the same push of |rho_0|
+        through the |K| and N = sum_k (8 d_k + m_k) + D + 1 covers the
+        pushes, the partial trace and the trace. So the weight is off by at
+        most gamma_N tr(P).
+
+        tr(P) is read in two steps, as the bound of a dense push is first
+        order and only the componentwise one separates a faint weight from
+        dust. Both return gamma_2N times what they read, which covers the
+        rounding of the second:
+        - at once, tr(P) <= sum(P) <= D prod_k d_k^2, since sum|rho_0| <= D
+          for a unit-trace state, and a step multiplies sum(P) by at most
+          sum_K ||K||_1^2 <= d_k^2, as sum_K K^dagger K <= 1 for its Kraus
+          operators. This gate is one value per key, and a larger weight is
+          accepted with no more work;
+        - else by pushing |rho_0| through the |K|, in the same arithmetic,
+          to a trace within gamma_N of tr(P), once per key, as the trace
+          does not depend on the subset. Measured on two qubits, this keeps
+          a readout of |0> tilted 1e-7 from z, outcome 1 of weight 2.5e-15
+          and bound 1.2e-29, and refuses a singlet read along one axis on
+          both sides, whose same outcome gets at most 3.9e-17 of dust, and
+          at most 1.7e-2 of its bound, over 20000 random axes.
+        """
+        if weight > self.gate:
+            return self.gate
+        if self.absolute is None:
+            pushed = apply_interventions(self.s, self.ids, np.abs(self.s.initial_state),
+                                         outcomes=self.channels, absolute=True)
+            self.absolute = self.gamma * float(np.trace(pushed).real)
+        return self.absolute
 
 
 @dataclass
@@ -396,18 +454,86 @@ def compare_to_polystate(log: RunLog, s: Scenario, taus) -> ComparisonReport:
     `engine.polystate_at`, which refuses more than `engine.MAX_SUBSYSTEMS`
     subsystems with a ValueError. The analytic column is exact and must
     vanish to numerical precision; the empirical column carries the
-    sampling noise of the run log."""
-    rows = []
-    for subset, eng in polystate_at(s, taus).sectors.items():
-        emp = empirical_sector(log, s, subset, taus)
-        ana = analytic_sector(s, subset, taus)
-        rows.append(SectorComparison(
-            subset=subset,
-            empirical_distance=linalg.trace_distance(emp, eng),
-            analytic_distance=linalg.trace_distance(ana, eng),
-        ))
+    sampling noise of the run log.
+
+    One pass over the subsets: the log is counted once (`_tally`), and each
+    subset's selection is worked out once and serves both columns. The
+    subsets are grouped by the key of their dense push (`_dense_key`: the
+    applied cut and the selectives taken as channels), and the groups are
+    taken one after another, so that the oracle pushes the initial density
+    operator once per key, and its absolute value at most once per key,
+    when a weight needs the componentwise bound. One group's push is
+    released before the next is made, so at most one is held at a time.
+    The analytic column is read group by group and the empirical column
+    subset by subset; a refusal is raised in subset order, a subset's
+    empirical one before its analytic one, as reading each subset on its
+    own would raise it. Every distance is `linalg.trace_distance`'s
+    arithmetic, its eigvalsh stacked with those of other pairs of the same
+    dimension (`_TraceDistances`)."""
+    sectors = polystate_at(s, taus).sectors
+    tally = _tally(log)
+    selections = [_selection(s, subset, taus) for subset in sectors]
+    groups = {}
+    for pos, (_, inside, applied) in enumerate(selections):
+        groups.setdefault(_dense_key(s, inside, applied), []).append(pos)
+    distances = _TraceDistances(2 * len(selections))
+    refused = {}
+    for key, members in groups.items():
+        dense = _DensePush(s, *key)
+        for pos in members:
+            subset, inside, _ = selections[pos]
+            try:
+                ana = dense.sector(subset, inside)
+            except (ImpossibleOutcomeError, StateValidationError) as exc:
+                refused[pos] = exc
+            else:
+                distances.add(2 * pos + 1, ana, sectors[subset])
+        del dense  # before the next key's push is made
+    for pos, (subset, inside, applied) in enumerate(selections):
+        distances.add(2 * pos, _empirical(s, tally, subset, inside, applied), sectors[subset])
+        if pos in refused:
+            raise refused[pos]
+    out = distances.read().tolist()
+    rows = [SectorComparison(subset=subset, empirical_distance=out[2 * pos],
+                             analytic_distance=out[2 * pos + 1])
+            for pos, (subset, _, _) in enumerate(selections)]
     return ComparisonReport(
         rows=rows,
         max_empirical=max(r.empirical_distance for r in rows),
         max_analytic=max(r.analytic_distance for r in rows),
     )
+
+
+class _TraceDistances:
+    """`linalg.trace_distance` of many pairs, with stacked eigvalsh calls:
+    each pair's symmetrized difference waits in a queue by dimension, and
+    the queues are read, one stacked eigvalsh each, whenever they hold
+    `_EIGVALSH_BYTES` together, and at the end. Each slice of a stacked
+    eigvalsh is, bit for bit, the call on that matrix alone."""
+
+    def __init__(self, size: int):
+        self.out = np.empty(size)
+        self.queues: dict = {}
+        self.held = 0
+
+    def add(self, slot: int, a, b) -> None:
+        """Queue the distance between a and b for `out[slot]`."""
+        diff = a - b
+        diff = (diff + diff.conj().T) / 2
+        self.queues.setdefault(diff.shape[0], []).append((slot, diff))
+        self.held += diff.nbytes
+        if self.held >= _EIGVALSH_BYTES:
+            self._read()
+
+    def _read(self) -> None:
+        for queue in self.queues.values():
+            slots, diffs = zip(*queue)
+            w = np.linalg.eigvalsh(np.stack(diffs))
+            self.out[list(slots)] = 0.5 * np.sum(np.abs(w), axis=-1)
+        self.queues.clear()
+        self.held = 0
+
+    def read(self) -> np.ndarray:
+        """Every distance, by slot, once all are queued."""
+        self._read()
+        return self.out

@@ -85,6 +85,15 @@ class Worldline:
         return tuple(span + (gamma(span[4]), four_velocity(span[4])) for span in spans)
 
     @cached_property
+    def piece_starts(self) -> np.ndarray:
+        """The start events of the pieces after the first, stacked in
+        order, shape (len(pieces) - 1, d + 1), read-only: the bracket of
+        `lightcone_crossings`, built once, as the pieces are."""
+        starts = np.array([x_ref for _, _, _, x_ref, *_ in self.pieces[1:]])
+        starts.flags.writeable = False
+        return starts
+
+    @cached_property
     def leaf_tables(self) -> dict:
         """`proper_time_at_leaf`'s per-piece crossing data, one table per
         foliation, keyed by the bytes of its frame velocity; empty until a
@@ -139,7 +148,8 @@ def lightcone_crossings(w: Worldline, apex) -> tuple[float, float]:
     apex lies on the worldline.
 
     Bracket: the apex's closed past holds a prefix of the worldline and its
-    closed future a suffix, so `causally_precedes` on the piece starts names
+    closed future a suffix, so `causally_precedes` on the piece starts
+    (`Worldline.piece_starts`, stacked once per worldline) names
     the piece of each crossing: the past crossing lies on the piece after
     the last start inside the past, the future crossing on the piece after
     the last start outside the future. Solve: on that piece, with
@@ -154,7 +164,7 @@ def lightcone_crossings(w: Worldline, apex) -> tuple[float, float]:
     with the membership test at a piece start.
     """
     apex = np.asarray(apex, dtype=float)
-    starts = np.array([x_ref for _, _, _, x_ref, *_ in w.pieces[1:]])
+    starts = w.piece_starts
     past_piece = int(np.count_nonzero(causally_precedes(starts, apex)))
     future_piece = int(np.count_nonzero(~causally_precedes(apex, starts)))
     return _cone_root(w.pieces[past_piece], apex, min), _cone_root(w.pieces[future_piece], apex, max)

@@ -63,7 +63,14 @@ def test_eval_output_is_deterministic():
     assert a.stdout == b.stdout
 
 
-def test_usage_errors_exit_one(tmp_path):
+def test_usage_errors_exit_one(tmp_path, capsys):
+    """Each case exits 1 with no traceback and no JSON document on stdout.
+    The cases run in this process through `cli.main`, stdout and stderr
+    captured, so an exception that escapes it fails the test as a
+    traceback would; one case also runs in its own `python -m polystate`
+    interpreter, for the exit path of a real process."""
+    from polystate import cli
+
     bad_json = tmp_path / "bad_json.json"
     bad_json.write_text('{"rows": ')
     non_numeric = tmp_path / "non_numeric.json"
@@ -75,7 +82,7 @@ def test_usage_errors_exit_one(tmp_path):
                                          "interventions": []}))
     not_utf8 = tmp_path / "not_utf8.scn"
     not_utf8.write_bytes(b"\xff")
-    for args in (
+    cases = (
         ("validate", str(not_utf8)),
         ("eval", str(not_utf8), "--tau", "A=1.0,B=2.0"),
         ("eval", BELL),  # missing --tau
@@ -104,11 +111,20 @@ def test_usage_errors_exit_one(tmp_path):
         ("sweep", BELL, "--t-range=0:1:100000000000000000000"),
         ("ensemble", BELL, "--tau", "A=1.0,B=1.0", "--n", "1000000000000000"),
         ("ensemble", str(no_selectives), "--tau", "A=1.0,B=1.0", "--n", "1000000000000000"),
-    ):
-        res = run_cli(*args)
-        assert res.returncode == 1, (args, res.returncode, res.stderr)
-        assert "Traceback" not in res.stderr, (args, res.stderr)
-        assert res.stdout == "" or "schema_version" not in res.stdout
+    )
+    for args in cases:
+        try:
+            code = cli.main(list(args))
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        assert code == 1, (args, code, err)
+        assert "Traceback" not in err, (args, err)
+        assert out == "" or "schema_version" not in out
+    res = run_cli(*cases[-1])
+    assert res.returncode == 1, (cases[-1], res.returncode, res.stderr)
+    assert "Traceback" not in res.stderr, (cases[-1], res.stderr)
+    assert res.stdout == "" or "schema_version" not in res.stdout
 
 
 def test_impossible_outcome_exits_two(tmp_path):

@@ -22,6 +22,7 @@ RUNS = (
     ("chain_ladder.py", "--repeats", "1"),
     ("ghz_ladder.py", "--repeats", "1", "--max-n", "2", "--max-noisy-n", "2"),
     ("ensemble_convergence.py", "--max-runs", "1"),
+    ("ensemble_ladder.py", "--repeats", "1", "--max-n", "4"),
     ("selective_ladder.py", "--m", "13", "--repeats", "1"),
     ("cli_digest.py",),
     ("code_lines.py",),

@@ -141,6 +141,38 @@ def test_crossings_agree_with_membership_at_piece_starts():
                 assert (tp <= tau_lo) if st.causally_precedes(apex, x) else (tau_lo <= tp)
 
 
+def per_call_crossings(w, apex):
+    """`lightcone_crossings` with the piece starts stacked afresh on every
+    call, as it was before `Worldline.piece_starts` kept them."""
+    apex = np.asarray(apex, dtype=float)
+    starts = np.array([x_ref for _, _, _, x_ref, *_ in w.pieces[1:]])
+    past_piece = int(np.count_nonzero(st.causally_precedes(starts, apex)))
+    future_piece = int(np.count_nonzero(~st.causally_precedes(apex, starts)))
+    return (st._cone_root(w.pieces[past_piece], apex, min),
+            st._cone_root(w.pieces[future_piece], apex, max))
+
+
+def test_crossings_from_kept_piece_starts_equal_per_call_stacks():
+    """On drawn worldlines, apexes off and on them, and a boosted copy of
+    each: the crossings from the kept, read-only starts equal, bit for bit,
+    those from starts stacked on every call, and the boosted copy keeps the
+    starts of its own pieces."""
+    rng = np.random.default_rng(14)
+    for _ in range(120):
+        d = int(rng.integers(1, 4))
+        w = random_worldline(rng, d, max_segments=3)
+        boosted = st.boost_worldline(w, float(rng.uniform(-1.5, 1.5)))
+        assert not w.piece_starts.flags.writeable
+        assert w.piece_starts.shape == (len(w.pieces) - 1, d + 1)
+        for line in (w, boosted):
+            for apex in (np.concatenate([[rng.uniform(-2, 2)], rng.uniform(-3, 3, size=d)]),
+                         st.position(line, float(rng.uniform(-2, 5)))):
+                got = st.lightcone_crossings(line, apex)
+                assert np.array(got).tobytes() == np.array(per_call_crossings(line, apex)).tobytes()
+        assert np.array_equal(boosted.piece_starts,
+                              [x_ref for _, _, _, x_ref, *_ in boosted.pieces[1:]])
+
+
 @pytest.mark.parametrize("apex", [[1.0], [1.0, 0.0, 0.0]])
 def test_crossings_refuse_an_apex_of_another_dimension(apex):
     with pytest.raises(st.DimensionMismatchError, match=r"event dims \(1, 2\) vs"):

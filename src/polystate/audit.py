@@ -9,13 +9,16 @@ except strictly inside the intervention's own causal past, boundary
 included. A fixed foliation folds it once the intervention's leaf lies at
 or below the leaf through x. Each rule's test is its `applied(events, x)`
 method, which the sector rule shares with the future lightcone rule. That
-shared test is the closed causal past of x, which the engine already keeps
-per member and proper time, so the two lightcone rules read their cuts from
-the engine's member rows (`engine.past_cut`) and the past lightcone and
-foliation rules run `applied`. Every state below is the engine's read of
-the cut of the set a test picks (`engine._state`, unchecked, as the package
-builds its cuts itself), evaluated once per leaf by `leaf_states`, and every
-charge is read off a diagonal (`linalg.expect_diag`). `criteria_report`
+shared test is the closed causal past of x, which the engine keeps as its
+member rows, so the two lightcone rules read their cuts from those rows
+(`engine._member_rows`) and the past lightcone and foliation rules run
+`applied`. Either way a leaf makes one stacked test, of every member's
+event at once, or none when the rows are already at those proper times.
+Every state below is the engine's read of the cut of the set a test picks
+(`engine._state`, unchecked, as the package builds its cuts itself),
+evaluated once per leaf by `leaf_states` as one plan (`engine._states`),
+which weighs and judges only the cuts it reads, and every charge is read
+off a diagonal (`linalg.expect_diag`). `criteria_report`
 reads its targets from one `engine.polystate_at`, and varies A's recorded
 outcomes as overrides of the same scenario's branches
 (`ensemble.branch_state`), not as a second scenario.
@@ -84,36 +87,35 @@ class PolystateRule(FutureLightcone):
 
 def _event_cuts(p, s: Scenario, taus) -> list:
     """Per subsystem, the cut of the interventions the rule has applied at
-    its evaluation event. A lightcone rule's test is the closed causal past,
-    so it reads the engine's member rows (`engine.past_cut`), tested once per
-    member and proper time; any other rule runs `p.applied` on the event."""
+    its evaluation event, every member's in one stacked test: a lightcone
+    rule's test is the closed causal past, so it reads the engine's member
+    rows (`engine._member_rows`); any other rule runs `p.applied` once, on
+    the stack of the members' events, one row each, and cuts the rows in
+    one `Scenario.cut_of`."""
     if isinstance(p, FutureLightcone):
-        return [engine.past_cut(s, taus, (i,)) for i in range(s.n)]
+        return engine._member_rows(s, taus, range(s.n))
     engine.check_taus(s, taus)
-    return [s.cut_of(p.applied(s.events, position(w, tau))) for w, tau in zip(s.worldlines, taus)]
-
-
-def _reduced(s: Scenario, cuts, cache: dict) -> list:
-    return [engine._state(s, cut, (i,), cache) for i, cut in enumerate(cuts)]
+    x = np.array([position(w, tau) for w, tau in zip(s.worldlines, taus)])
+    return s.cut_of(p.applied(s.events[None], x[:, None]))
 
 
 def leaf_states(p, s: Scenario, taus) -> tuple:
     """(joint, reduced states) of the prescription at one proper-time tuple,
-    from one evaluation of its applied cuts, each distinct cut pushed once.
-    The joint state is the state after the union of the cuts for the sector
-    rule and when every evaluation event applied all of it; otherwise it is
-    the patchwork, the tensor product of the reduced states."""
+    from one evaluation of its applied cuts, read as one plan
+    (`engine._states`): each distinct cut pushed once, from its prefix, and
+    only the cuts read weighed and judged. The joint state is the state
+    after the union of the cuts for the sector rule and when every
+    evaluation event applied all of it; otherwise it is the patchwork, the
+    tensor product of the reduced states."""
     cuts = _event_cuts(p, s, taus)
-    cache: dict = {}
-    union = tuple(max(lengths) for lengths in zip(*cuts))
-    joint = None
-    if isinstance(p, PolystateRule) or all(cut == union for cut in cuts):
-        joint = engine._state(s, union, tuple(range(s.n)), cache)
-    locals_ = _reduced(s, cuts, cache)
-    if joint is None:
-        # exactly Hermitian, as its validated factors are
-        joint = linalg.kron_all(*locals_)
-    return joint, locals_
+    union = engine._union(cuts)
+    joint = isinstance(p, PolystateRule) or all(cut == union for cut in cuts)
+    states = engine._states(s, [(union, tuple(range(s.n)))] * joint
+                            + [(cut, (i,)) for i, cut in enumerate(cuts)])
+    if joint:
+        return states[0], states[1:]
+    # exactly Hermitian, as its validated factors are
+    return linalg.kron_all(*states), states
 
 
 def single_state(p, s: Scenario, taus) -> np.ndarray:
@@ -126,7 +128,7 @@ def reduced_states(p, s: Scenario, taus) -> list:
     formed, so this returns where `leaf_states` raises because the union's
     recorded branches cannot occur together while each local cut can. No
     caller in the package is left; `bench/layertrace.py` traces it by name."""
-    return _reduced(s, _event_cuts(p, s, taus), {})
+    return engine._states(s, [(cut, (i,)) for i, cut in enumerate(_event_cuts(p, s, taus))])
 
 
 @dataclass

@@ -73,12 +73,19 @@ judged, from norms the scenario tables once beside its products
 (`Scenario.chain_norms`), in O(n) scalars, once per cut.
 
 A subset's cut is the elementwise max of its members' past rows. Member
-i's row at proper time tau is one vectorised test of its evaluation event's
-closed past against the K intervention events (`Scenario.events`), kept as
-a cut in `Scenario.past_rows` until i is asked for at another tau, so a
-`polystate_at` call costs at most n tests, not one per member of each of its
-2^n - 1 subsets. A `replace`d or boosted copy starts without rows. Observer
-and foliation states take the cut of their region's mask.
+i's row at proper time tau is the cut of the closed past of its evaluation
+event among the K intervention events (`Scenario.events`), kept in
+`Scenario.past_rows` until i is asked for at another tau. The members a
+request finds without a row for their tau are tested together: one
+`causally_precedes` call over the m x K stack of their events against the
+events, one event row per member, cut in one `Scenario.cut_of`, whose
+product with the n x K table `Chains.places` and max give the m cuts at
+once. `polystate_at` and the audit's lightcone rules request every member,
+so one call costs at most one stacked test, not one per member of each of
+its 2^n - 1 subsets; `sector` requests its subset's members. A stack gives
+each row the bits of its event tested alone (`spacetime._separation`). A
+`replace`d or boosted copy starts without rows. Observer and foliation
+states take the cut of their region's mask.
 
 Sectors are piecewise constant in the proper times: they change only when an
 intervention event enters or leaves the union of causal pasts. The optional
@@ -95,12 +102,20 @@ of its prefix, the same cut with L_j = 0: Psi if the prefix is empty, else
 its entry, taken from the cache or formed by the same rule. An empty prefix
 gets no entry unless it is requested. `push` applies the heads in that
 order too, so every entry is, bit for bit, the push of its cut. Every entry
-is weighed and judged when it is formed, O(D r), whether its cut was
-requested or only a longer one was. `polystate_at` keeps a cache of its
-own when given none, so one call forms each distinct cut, and each prefix
-of one, once. One pass of the benchmark's `ghz_wide` workload (every sector
-of a GHZ-7 at eight proper-time tuples, one cache per tuple) applies 263
-subsystem products this way, against 677 when each cut is pushed from Psi.
+of a cache a caller holds is weighed and judged when it is formed, O(D r),
+whether its cut was requested or only a longer one was, since a later call
+may read it. `polystate_at` keeps a cache of its own when given none, so
+one call forms each distinct cut, and each prefix of one, once. One pass of
+the benchmark's `ghz_wide` workload (every sector of a GHZ-7 at eight
+proper-time tuples, one cache per tuple) applies 263 subsystem products
+this way, against 677 when each cut is pushed from Psi.
+
+The audit reads a leaf's states as one plan (`_states`): its (cut, subset)
+requests share prefixes by the same rule, but a prefix is held only as a
+bare factor while the plan runs, and only the cuts read are weighed and
+judged. One pass of the benchmark's `chain_sweep` ledger leaves weighs the
+924 cuts it reads, against 1539 entries when every prefix was weighed, and
+applies the same 1460 subsystem products.
 
 `polystate_at` judges every cut and decides every sector's spectrum when it
 is called, so any raise or clamp happens there, but forms a sector only
@@ -207,19 +222,37 @@ def check_taus(s: Scenario, taus) -> None:
 
 def past_cut(s: Scenario, taus, subset) -> tuple:
     """The cut of the union of the subset's closed causal pasts at the given
-    proper times: the elementwise max of its members' past rows, each
-    computed once per member and proper time (`Scenario.past_rows`). The
-    tuple is checked by `check_taus`."""
+    proper times: the elementwise max of its members' past rows
+    (`_member_rows`), each kept until the member is asked for at another
+    proper time. The members without a row at their proper time are tested
+    together, in one `causally_precedes` call on the stack of their events.
+    The tuple is checked by `check_taus`."""
+    return _union(_member_rows(s, taus, subset))
+
+
+def _union(cuts) -> tuple:
+    """The cut of the union of the selections of a nonempty list of cuts:
+    their elementwise max."""
+    return cuts[0] if len(cuts) == 1 else tuple(map(max, *cuts))
+
+
+def _member_rows(s: Scenario, taus, members) -> list:
+    """The members' past rows at the given proper times, in order: member
+    i's is the cut of the interventions in the closed causal past of its
+    event at taus[i], kept in `Scenario.past_rows`. The members whose kept
+    row is for another proper time, or missing, are tested together, in one
+    `causally_precedes` call over the stack of their events, one event row
+    per member, and cut in one `Scenario.cut_of`; `spacetime._separation`
+    gives a stack, row by row, the values of single events, so each row has
+    the bits of a test of its member alone."""
     check_taus(s, taus)
     rows = s.past_rows
-    for i in subset:
-        tau = float(taus[i])
-        if rows[i] is None or rows[i][0] != tau:
-            inside = causally_precedes(s.events, position(s.worldlines[i], tau))
-            rows[i] = (tau, s.cut_of(inside))
-    if len(subset) == 1:
-        return rows[subset[0]][1]
-    return tuple(map(max, *(rows[i][1] for i in subset)))
+    stale = [i for i in members if rows[i] is None or rows[i][0] != float(taus[i])]
+    if stale:
+        x = np.array([position(s.worldlines[i], float(taus[i])) for i in stale])
+        for i, cut in zip(stale, s.cut_of(causally_precedes(s.events[None], x[:, None]))):
+            rows[i] = (float(taus[i]), cut)
+    return [rows[i][1] for i in members]
 
 
 def push(s: Scenario, cut, outcomes=None) -> np.ndarray:
@@ -387,24 +420,49 @@ def _state(s: Scenario, cut, subset: tuple, cache=None) -> np.ndarray:
     return linalg.gram_density(subset_factor(s, entry.factor, subset), entry.weight)
 
 
-def _weighed(s: Scenario, cut, cache: dict) -> PushedCut:
-    """The cut's cache entry, formed, weighed and judged on first request:
-    Psi for the empty cut, else M_j of the cut's last head j applied on
-    axis j to the factor of its prefix, the cut with L_j = 0: Psi if that is
-    empty, else the prefix's entry, entered the same way. So the factor is,
-    bit for bit, the cut's `push`."""
+def _states(s: Scenario, requests) -> list:
+    """The states of (cut, subset) requests, in order, as one plan: each
+    read by `_state`, from an entry of the plan's own, so each raises as
+    `_state` would. The cuts and their prefixes are formed by `_weighed`'s
+    rule, each once, and held as bare factors while the plan runs; only the
+    requested cuts are weighed and judged (`_judged`)."""
+    factors, entries = {}, {}
+    out = []
+    for cut, subset in requests:
+        if cut not in entries:
+            entries[cut] = _judged(s, cut, _weighed(s, cut, factors, weigh=False))
+        out.append(_state(s, cut, subset, entries))
+    return out
+
+
+def _weighed(s: Scenario, cut, cache: dict, weigh: bool = True):
+    """The cut's cache entry, formed on first request by the cache's one
+    rule: the factor is Psi for the empty cut, else M_j of the cut's last
+    head j (the last in `Scenario.chains.heads` order with L_j > 0) applied
+    on axis j to the factor of its prefix, the cut with L_j = 0: Psi if
+    that is empty, else the prefix's, from its entry, entered the same way.
+    So the factor is, bit for bit, the cut's `push`. An entry is the
+    weighed, judged `PushedCut` (`_judged`), or, unless `weigh`, the bare
+    factor."""
     entry = cache.get(cut)
     if entry is None:
         psi = s.initial_factor
         for j in reversed(s.chains.heads):
             if cut[j]:
                 prefix = (*cut[:j], 0, *cut[j + 1:])
-                base = _weighed(s, prefix, cache).factor if any(prefix) else psi
-                psi = _apply(s.dims, j, s.chains.products[j][cut[j] - 1], base)
+                if any(prefix):
+                    psi = _weighed(s, prefix, cache, weigh)
+                    psi = psi.factor if weigh else psi
+                psi = _apply(s.dims, j, s.chains.products[j][cut[j] - 1], psi)
                 break
-        weight = branch_weight(psi)
-        entry = cache[cut] = PushedCut(psi, weight, impossibility(s, cut, weight))
+        entry = cache[cut] = _judged(s, cut, psi) if weigh else psi
     return entry
+
+
+def _judged(s: Scenario, cut, psi) -> PushedCut:
+    """A cut's entry from its pushed factor: weighed and judged."""
+    weight = branch_weight(psi)
+    return PushedCut(psi, weight, impossibility(s, cut, weight))
 
 
 def sector(s: Scenario, taus, subset, cache=None) -> np.ndarray:
@@ -430,10 +488,11 @@ def polystate_at(s: Scenario, taus, cache=None) -> Polystate:
     here only if deciding it formed it (`linalg.gram_verdict`); every other
     is formed on its first read from the polystate (`Sectors`)."""
     check_subsystem_cap(s.n)
+    member_cuts = _member_rows(s, taus, range(s.n))
     cache = {} if cache is None else cache
     sectors = {}
     for subset in all_subsets(s.n):
-        entry = _weighed(s, past_cut(s, taus, subset), cache)
+        entry = _weighed(s, _union([member_cuts[i] for i in subset]), cache)
         refuse(s, subset, entry.impossible)
         rows = _subset_plan(s.dims, subset)[1]
         state = None

@@ -83,15 +83,16 @@ class Intervention:
 
 class Chains(NamedTuple):
     """Each subsystem's recorded operators multiplied up in (tau, id) order
-    (`Scenario.chains`). Intervention k is number rank[k] in subsystem
-    owner[k]'s order (read-only int arrays over `Scenario.events`), and
-    ids[j] lists subsystem j's intervention ids in that order, so a cut
-    applies ids[j][:L_j]. heads lists the subsystems that have
-    interventions, by the (tau, id) of their first. products[j][L] =
+    (`Scenario.chains`). Intervention k is number rank[k] in its subsystem
+    j's order, and places[j, k] = rank[k] + 1, with places[i, k] = 0 for
+    every other subsystem i (read-only int arrays over `Scenario.events`,
+    K and n x K). ids[j] lists subsystem j's intervention ids in that
+    order, so a cut applies ids[j][:L_j]. heads lists the subsystems that
+    have interventions, by the (tau, id) of their first. products[j][L] =
     op_L @ products[j][L - 1], with products[j][0] the first recorded
     operator itself, so a cut applies products[j][L_j - 1], in the
     association `engine.push` multiplies outcome overrides in."""
-    owner: np.ndarray
+    places: np.ndarray
     rank: np.ndarray
     ids: tuple
     heads: tuple
@@ -130,7 +131,7 @@ class Scenario:
     def past_rows(self) -> list:
         """Per subsystem, None or (tau, cut): the interventions in the
         closed causal past of its event at proper time tau, as a cut. It is
-        `engine.past_cut`'s memo of each member's last proper time,
+        `engine._member_rows`' memo of each member's last proper time,
         created empty on first use; `dataclasses.replace` builds a new
         Scenario, so a variant never sees another's rows."""
         return [None] * self.n
@@ -155,8 +156,9 @@ class Scenario:
             op = op.matrix if isinstance(op, UnitaryOp) else op.kraus[op.chosen]
             chain.append(op @ chain[-1] if chain else op)
         owner = np.array([iv.subsystem for iv in ivs], dtype=np.intp)
-        owner.flags.writeable = rank.flags.writeable = False
-        return Chains(owner, rank, tuple(map(tuple, ids)), tuple(heads),
+        places = np.where(owner == np.arange(self.n)[:, None], rank + 1, 0)
+        places.flags.writeable = rank.flags.writeable = False
+        return Chains(places, rank, tuple(map(tuple, ids)), tuple(heads),
                       tuple(map(tuple, products)))
 
     @cached_property
@@ -164,16 +166,17 @@ class Scenario:
         """(norms, vanishes): `product_norms` of each subsystem's `chains` products."""
         return tuple(zip(*(product_norms(chain, self.dims) for chain in self.chains.products)))
 
-    def cut_of(self, mask) -> tuple:
+    def cut_of(self, mask):
         """The cut of a boolean mask over `events`: per subsystem j, how many
         of its interventions are applied in (tau, id) order, 1 + the largest
-        rank the mask selects on j (0 if none). It closes a gap that
-        rounding leaves in a causal past, which meets a worldline in a
-        prefix."""
-        owner, rank = self.chains.owner, self.chains.rank
-        cut = np.zeros(self.n, dtype=np.intp)
-        np.maximum.at(cut, owner[mask], rank[mask] + 1)
-        return tuple(cut.tolist())
+        rank the mask selects on j (0 if none), the largest of the mask
+        times `Chains.places` row j. It closes a gap that rounding leaves in
+        a causal past, which meets a worldline in a prefix. A stack of
+        masks, one row per member (m x K), gives a list of m cuts, row i's
+        the cut of mask row i alone, from one product and one max."""
+        mask = np.asarray(mask)
+        cut = (mask[..., None, :] * self.chains.places).max(axis=-1, initial=0).tolist()
+        return tuple(cut) if mask.ndim == 1 else list(map(tuple, cut))
 
     def cut_ids(self, cut) -> tuple:
         """Ids of the interventions a cut applies, in ascending order."""

@@ -115,13 +115,15 @@ def position(w: Worldline, tau: float) -> np.ndarray:
 
 def _separation(x, y):
     """(dt, |dx|) from x to y, broadcast over leading axes. The spatial norm
-    is one elementwise sum of squares in component order, so a stack of
-    events gets, row by row, exactly the values a single event gets."""
+    is one elementwise sum of squares in component order, written out (the
+    sum `np.linalg.norm` makes, without its argument handling), so a stack
+    of events gets, row by row, exactly the values a single event gets."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.shape[-1] != y.shape[-1]:
         raise DimensionMismatchError(f"event dims {x.shape} vs {y.shape}")
-    return y[..., 0] - x[..., 0], np.linalg.norm(y[..., 1:] - x[..., 1:], axis=-1)
+    dx = y[..., 1:] - x[..., 1:]
+    return y[..., 0] - x[..., 0], np.sqrt(np.add.reduce(dx * dx, axis=-1))
 
 
 def causally_precedes(x, y):
@@ -202,7 +204,7 @@ class Foliation:
         elementwise sum in component order, the same for every row."""
         x = np.asarray(x, dtype=float)
         v = self.frame_velocity
-        return gamma(v) * (x[..., 0] - np.sum(x[..., 1:] * v, axis=-1))
+        return gamma(v) * (x[..., 0] - np.add.reduce(x[..., 1:] * v, axis=-1))
 
 
 @dataclass

@@ -9,7 +9,7 @@ from hypothesis import strategies as hs
 from polystate import audit, engine, linalg
 from polystate.errors import ImpossibleOutcomeError
 from polystate.scenario import parse_scenario
-from polystate.spacetime import Foliation, Worldline
+from polystate.spacetime import Foliation, Worldline, position, proper_time_at_leaf
 
 from helpers import (fixture_text, flip_outcomes, load_fixture, random_two_qubit_scenario,
                      random_worldline)
@@ -69,14 +69,15 @@ def test_reduced_states_polystate_delegates_to_engine():
 
 
 def test_leaf_states_select_once_and_match_separate_calls(monkeypatch):
-    """`leaf_states` makes one causal-past test per evaluation event and
-    builds each reduced state once, a patchwork joint state included, each
-    by one unchecked read of the engine (`engine._state`). The
-    past-lightcone and foliation rules test with `applied`; the two
-    lightcone rules read the engine's member rows, so a scenario without
-    rows tests each member once, and a second evaluation at the same proper
-    times tests none. Its joint state is `single_state` by definition, and
-    its reduced states equal `reduced_states`, computed alone, bit for bit."""
+    """`leaf_states` tests every member's evaluation event in one stacked
+    call, one event row per member, and builds each reduced state once, a
+    patchwork joint state included, each by one unchecked read of the
+    engine (`engine._state`). The past-lightcone and foliation rules test
+    with `applied`; the two lightcone rules read the engine's member rows,
+    so a scenario without rows makes one stacked test per leaf, and a second
+    evaluation at the same proper times tests none. Its joint state is
+    `single_state` by definition, and its reduced states equal
+    `reduced_states`, computed alone, bit for bit."""
     s = load_fixture("epr_test.scn")
     rules = audit.default_prescriptions(Foliation(np.array([0.4])))
     states, tests = [], []
@@ -100,7 +101,9 @@ def test_leaf_states_select_once_and_match_separate_calls(monkeypatch):
             tests.clear()
             states.clear()
             got_joint, got_locals = audit.leaf_states(p, fresh, taus)
-            assert len(tests) == s.n
+            assert len(tests) == 1
+            events = np.array([position(w, tau) for w, tau in zip(s.worldlines, taus)])
+            assert np.array_equal(tests[0], events[:, None])
             assert np.array_equal(got_joint, joint)
             assert all(np.array_equal(a, b) for a, b in zip(got_locals, locals_))
             patchwork = all(len(sub) == 1 for sub in states)
@@ -108,8 +111,58 @@ def test_leaf_states_select_once_and_match_separate_calls(monkeypatch):
             assert len(states) == s.n + (not patchwork)
             tests.clear()
             audit.leaf_states(p, fresh, taus)
-            assert len(tests) == (0 if lightcone else s.n)
+            assert len(tests) == (0 if lightcone else 1)
     assert patchworks
+
+
+def z_x_chain_with_b_readout(m: int = 8):
+    """A Bell pair psi+ on static worldlines, A at x = 0 and B at x = 1,
+    with m alternating z/x measurements on A at tau = (k + 1) / m and one x
+    measurement on B at tau 0.5, every outcome recorded 0."""
+    def measure(on, tau, basis):
+        return {"on": on, "tau": tau, "measure": {"projective_basis": basis, "outcome": 0,
+                                                  "labels": ["+1", "-1"]}}
+    ivs = [measure("A", (k + 1) / m, "pauli_x" if k % 2 else "pauli_z") for k in range(m)]
+    return parse_scenario(json.dumps({
+        "spacetime": {"d": 1},
+        "subsystems": [{"name": name, "dim": 2,
+                        "worldline": {"anchor": [0.0, x], "segments": [], "final_v": [0.0]}}
+                       for name, x in (("A", 0.0), ("B", 1.0))],
+        "initial_state": {"named": "bell_psi_plus"},
+        "interventions": [*ivs, measure("B", 0.5, "pauli_x")],
+    }))
+
+
+def test_leaf_states_weigh_and_judge_only_the_cuts_they_read(monkeypatch):
+    """A leaf's cuts are formed from shared prefixes, but only the cuts its
+    states are read on are weighed (`engine.branch_weight`) and judged
+    (`engine.impossibility`), once each; the prefixes are pushed as before.
+    Over a sweep of a z/x chain on a v = 0.5 foliation under the four
+    default rules, the package weighed 136 cuts for the 87 distinct cuts it
+    read when it weighed every prefix too; it pushes 128 subsystem products
+    either way."""
+    s = z_x_chain_with_b_readout()
+    f = Foliation(np.array([0.5]))
+    counts = {"branch_weight": 0, "impossibility": 0, "_apply": 0}
+    for name in counts:
+        def counted(*args, name=name, run=getattr(engine, name)):
+            counts[name] += 1
+            return run(*args)
+        monkeypatch.setattr(engine, name, counted)
+    read = 0
+    for t in np.arange(-0.5, 3.01, 0.25):
+        taus = [proper_time_at_leaf(w, f, t) for w in s.worldlines]
+        for p in audit.default_prescriptions(f):
+            cuts = audit._event_cuts(p, s, taus)
+            union = tuple(map(max, *cuts))
+            joint = isinstance(p, audit.PolystateRule) or all(cut == union for cut in cuts)
+            distinct = len({*cuts, *[union] * joint})
+            before = dict(counts)
+            audit.leaf_states(p, s, taus)
+            assert counts["branch_weight"] - before["branch_weight"] == distinct
+            assert counts["impossibility"] - before["impossibility"] == distinct
+            read += distinct
+    assert (read, counts["branch_weight"], counts["_apply"]) == (87, 87, 128)
 
 
 def test_criteria_report_bell_probe():

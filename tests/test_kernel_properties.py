@@ -568,6 +568,53 @@ def test_shared_cache_equals_fresh_pushes(s, cuts, data):
         assert entry.weight.hex() == weight.hex() and entry.impossible == why
 
 
+def raised_or_state(read, *args):
+    """What a read returns, or the type and message of what it raises."""
+    try:
+        return read(*args)
+    except (ImpossibleOutcomeError, StateValidationError) as exc:
+        return type(exc), str(exc)
+
+
+@SUITE
+@given(s=scenarios_with_blocked_branch(scenarios_of_rank(), tilts=FAINT_TILTS),
+       cuts=hs.lists(hs.lists(hs.integers(0, 6), min_size=4, max_size=4),
+                     min_size=1, max_size=5),
+       data=hs.data())
+def test_plan_reads_equal_fresh_state_reads(s, cuts, data):
+    """A plan of drawn (cut, subset) requests, cuts repeated and some of
+    their zero-padded prefixes among them, in a drawn order, on initial
+    states of rank 1, 2 and D with blocked and faint readouts
+    (`engine._states`): each state equals `engine._state`'s read of its
+    request with a fresh cache, bit for bit, and a plan that raises raises
+    the type and message of the first request whose fresh read raises. The
+    first cut applies the last intervention, the readout when one was
+    added, so that blocked readouts are read."""
+    cuts = [cut_of_lengths(s, lengths) for lengths in cuts]
+    if s.interventions:
+        last = len(s.interventions) - 1
+        first = list(cuts[0])
+        j = s.interventions[last].subsystem
+        first[j] = max(first[j], int(s.chains.rank[last]) + 1)
+        cuts[0] = tuple(first)
+    prefixes = sorted({p for cut in cuts for p in zero_padded_prefixes(s, cut)})
+    picked = data.draw(hs.lists(hs.booleans(), min_size=len(prefixes), max_size=len(prefixes)))
+    subsets = list(engine.all_subsets(s.n))
+    requests = [(cut, data.draw(hs.sampled_from(subsets)))
+                for cut in cuts + [p for p, pick in zip(prefixes, picked) if pick]]
+    requests = data.draw(hs.permutations(requests))
+    want = []
+    for cut, subset in requests:
+        want.append(raised_or_state(engine._state, s, cut, subset, {}))
+        if isinstance(want[-1], tuple):
+            break
+    got = raised_or_state(engine._states, s, requests)
+    if isinstance(want[-1], tuple):
+        assert got == want[-1]
+    else:
+        assert [state.tobytes() for state in got] == [state.tobytes() for state in want]
+
+
 def reference_push(s, ids, outcomes=None):
     """`engine.push` as a plain loop: each subsystem's operators (recorded
     branches, or the ones `outcomes` assigns) multiplied in (tau, id) order,

@@ -294,6 +294,31 @@ def test_cut_closes_a_rounding_gap_on_one_worldline():
     assert s.cut_ids((2,)) == (0, 1)
 
 
+@SUITE
+@given(calls=memo_calls(), data=hs.data())
+def test_stacked_member_rows_and_rule_cuts_equal_per_member_tests(calls, data):
+    """The members' past rows, from one `causally_precedes` call over the
+    stack of their events (`engine._member_rows`), and every rule's cuts,
+    from one `applied` call over the stack (`audit._event_cuts`), equal the
+    cut of each member's event tested alone, on drawn worldlines, their
+    boosts and proper times on and next to null cones; the stacked masks
+    equal the single ones row by row, and `Scenario.cut_of` of a drawn stack
+    of masks is the list of its rows' cuts."""
+    rules = audit.default_prescriptions(Foliation(data.draw(velocities(calls[0][0].spatial_dim))))
+    for s, taus, subset in calls:
+        x = [position(w, tau) for w, tau in zip(s.worldlines, taus)]
+        alone = [s.cut_of(causally_precedes(s.events, xi)) for xi in x]
+        assert engine._member_rows(s, taus, subset) == [alone[i] for i in subset]
+        for p in rules:
+            stacked = p.applied(s.events[None], np.array(x)[:, None])
+            assert all(np.array_equal(row, p.applied(s.events, xi)) for row, xi in zip(stacked, x))
+            assert audit._event_cuts(p, s, taus) == [s.cut_of(p.applied(s.events, xi)) for xi in x]
+        size = len(x) * len(s.events)
+        masks = np.array(data.draw(hs.lists(hs.booleans(), min_size=size, max_size=size)),
+                         dtype=bool).reshape(len(x), len(s.events))
+        assert s.cut_of(masks) == [s.cut_of(mask) for mask in masks]
+
+
 def _assert_covers_and_is_prefix(s: Scenario, cut, ids):
     """cut_ids(cut) contains ids and is a prefix of every worldline's
     (tau, id) order."""
@@ -324,9 +349,10 @@ def test_every_cut_contains_its_mask_and_is_a_prefix(calls, data):
 
 
 def test_polystate_locates_each_member_once_per_proper_time(monkeypatch):
-    """A fresh `polystate_at` locates and tests each member once; a repeat
-    at the same proper times locates none, and a changed proper time
-    locates only its member. Copies start with no rows."""
+    """A fresh `polystate_at` locates each member once and tests them all in
+    one stacked call, one event row per member; a repeat at the same proper
+    times locates and tests none, and a changed proper time locates and
+    tests only its member. Copies start with no rows."""
     located, tested = [], []
 
     def counting_position(w, tau):
@@ -334,7 +360,7 @@ def test_polystate_locates_each_member_once_per_proper_time(monkeypatch):
         return position(w, tau)
 
     def counting_precedes(x, y):
-        tested.append(1)
+        tested.append(len(np.atleast_2d(y)))  # the event rows tested
         return causally_precedes(x, y)
 
     monkeypatch.setattr(engine, "position", counting_position)
@@ -342,14 +368,14 @@ def test_polystate_locates_each_member_once_per_proper_time(monkeypatch):
     s = load_fixture("foliation_demo.scn")
     taus = (0.5, 1.5)
     engine.polystate_at(s, taus)
-    assert sorted(located) == sorted(taus) and len(tested) == s.n
+    assert sorted(located) == sorted(taus) and tested == [s.n]
     for again in (taus, tuple(np.float64(tau) for tau in taus)):
         located.clear()
         tested.clear()
         engine.polystate_at(s, again)
         assert located == [] and tested == []
     engine.polystate_at(s, (0.5, 2.5))
-    assert located == [2.5] and len(tested) == 1
+    assert located == [2.5] and tested == [1]
     for copy in (replace(s), boosted_scenario(s, 0.3)):
         assert copy.past_rows == [None] * s.n
         located.clear()

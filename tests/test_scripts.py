@@ -19,7 +19,7 @@ SRC = Path(polystate.__file__).resolve().parent.parent
 RUNS = (
     ("audit_bell.py", "--t-steps", "1"),
     ("foliation_sweep.py", "--steps", "1"),
-    ("chain_ladder.py", "--repeats", "1"),
+    ("chain_ladder.py", "--repeats", "1", "--max-n", "5"),
     ("ghz_ladder.py", "--repeats", "1", "--max-n", "2", "--max-noisy-n", "2"),
     ("ensemble_convergence.py", "--max-runs", "1"),
     ("ensemble_ladder.py", "--repeats", "1", "--max-n", "4"),
@@ -42,6 +42,25 @@ def test_script_runs(script, args):
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
     assert done.stdout
+
+
+def test_chain_ladder_times_each_rule_on_chains_and_ghz():
+    """One column per default prescription's one-leaf ledger, on every
+    chain rung and on the GHZ rungs up to --max-n."""
+    path = os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))
+    done = subprocess.run([sys.executable, str(SCRIPTS / "chain_ladder.py"), "--repeats", "1",
+                           "--max-n", "5"], env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=300, check=True)
+    chains, ghz = done.stdout.strip().split("\n\n")
+    rules = [f"{name}_s" for name in ("polystate", "future_lightcone", "past_lightcone",
+                                      "foliation")]
+    header, *lines = chains.splitlines()
+    assert header.split() == ["chain", "m", "polystate_at_s", *rules, "ledger_s"]
+    assert len(lines) == 8 and all(len(line.split()) == 8 for line in lines)
+    header, *lines = ghz.splitlines()
+    assert header.split() == ["ghz", "n", *rules, "ledger_s"]
+    assert [line.split()[:2] for line in lines] == [["ghz", "4"], ["ghz", "5"]]
+    assert all(len(line.split()) == 7 for line in lines)
 
 
 def test_code_lines_skip_blanks_comments_and_docstrings():

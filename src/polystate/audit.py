@@ -16,11 +16,12 @@ member rows, so the two lightcone rules read their cuts from those rows
 event at once, or none when the rows are already at those proper times.
 Every state below is the engine's read of the cut of the set a test picks
 (`engine._state`, unchecked, as the package builds its cuts itself),
-evaluated once per leaf by `leaf_states` as one plan (`engine._states`),
-which weighs and judges only the cuts it reads, and every charge is read
-off a diagonal (`linalg.expect_diag`). `criteria_report`
-reads its targets from one `engine.polystate_at`, and varies A's recorded
-outcomes as overrides of the same scenario's branches
+evaluated once per leaf by `leaf_states` over one dict of the leaf's own,
+which, as every engine cache does, weighs and judges only the cuts it
+reads, and every charge is read off a diagonal (`linalg.expect_diag`).
+`criteria_report` reads its targets from one `engine.polystate_at`,
+evaluates each rule's cuts once for its states and its ignorance cell, and
+varies A's recorded outcomes as overrides of the same scenario's branches
 (`ensemble.branch_state`), not as a second scenario.
 
 When the two parties' evaluation events disagree about what has been folded
@@ -101,21 +102,25 @@ def _event_cuts(p, s: Scenario, taus) -> list:
 
 def leaf_states(p, s: Scenario, taus) -> tuple:
     """(joint, reduced states) of the prescription at one proper-time tuple,
-    from one evaluation of its applied cuts, read as one plan
-    (`engine._states`): each distinct cut pushed once, from its prefix, and
-    only the cuts read weighed and judged. The joint state is the state
-    after the union of the cuts for the sector rule and when every
+    from one evaluation of its applied cuts, each read by `engine._state`
+    over one dict of the leaf's own: each distinct cut pushed once, from its
+    prefix, and only the cuts read weighed and judged. The joint state is
+    the state after the union of the cuts for the sector rule and when every
     evaluation event applied all of it; otherwise it is the patchwork, the
     tensor product of the reduced states."""
-    cuts = _event_cuts(p, s, taus)
+    return _leaf_states(p, s, _event_cuts(p, s, taus))
+
+
+def _leaf_states(p, s: Scenario, cuts) -> tuple:
+    """`leaf_states` on the rule's applied cuts (`_event_cuts`), which
+    `criteria_report` evaluates once and reads for the ignorance cell too."""
     union = engine._union(cuts)
     joint = isinstance(p, PolystateRule) or all(cut == union for cut in cuts)
-    states = engine._states(s, [(union, tuple(range(s.n)))] * joint
-                            + [(cut, (i,)) for i, cut in enumerate(cuts)])
-    if joint:
-        return states[0], states[1:]
-    # exactly Hermitian, as its validated factors are
-    return linalg.kron_all(*states), states
+    cache = {}
+    whole = engine._state(s, union, tuple(range(s.n)), cache) if joint else None
+    states = [engine._state(s, cut, (i,), cache) for i, cut in enumerate(cuts)]
+    # a patchwork is exactly Hermitian, as its validated factors are
+    return (whole if joint else linalg.kron_all(*states)), states
 
 
 def single_state(p, s: Scenario, taus) -> np.ndarray:
@@ -128,7 +133,8 @@ def reduced_states(p, s: Scenario, taus) -> list:
     formed, so this returns where `leaf_states` raises because the union's
     recorded branches cannot occur together while each local cut can. No
     caller in the package is left; `bench/layertrace.py` traces it by name."""
-    return engine._states(s, [(cut, (i,)) for i, cut in enumerate(_event_cuts(p, s, taus))])
+    cache = {}
+    return [engine._state(s, cut, (i,), cache) for i, cut in enumerate(_event_cuts(p, s, taus))]
 
 
 @dataclass
@@ -197,11 +203,12 @@ def criteria_report(s: Scenario, taus, foliation: Foliation | None = None) -> Cr
              if iv.subsystem == 0 and isinstance(iv.op, SelectiveOp)}
     rows = []
     for p in default_prescriptions(foliation):
-        joint, locals_ = leaf_states(p, s, taus)
+        cuts = _event_cuts(p, s, taus)
+        joint, locals_ = _leaf_states(p, s, cuts)
         ma = linalg.expect(locals_[0], sz)
         mb = linalg.expect(locals_[1], sz)
         corr = linalg.expect(joint, szz)
-        flipped = ensemble.branch_state(s, _event_cuts(p, s, taus)[1], (1,), flips)
+        flipped = ensemble.branch_state(s, cuts[1], (1,), flips)
         ign = linalg.trace_distance(locals_[1], flipped)
         rows.append(PrescriptionRow(
             name=p.name,

@@ -10,11 +10,12 @@ construction, so the evaluation never signals across spacelike separation.
 A sector is two steps: `past_cut` selects the interventions and
 `state_after` computes the state they leave, the `push`ed factor's Gram
 matrix on the subset over its `branch_weight`. Every other state the package
-assigns is read the same way: observer, foliation and audit-rule states by
-`_state`, the read that `state_after` wraps in checks for callers outside
-the package, on the cuts the package builds itself; the ensemble's branch
-states, and the audit's states with flipped outcomes, by
-`ensemble.branch_state` on their outcome assignments.
+assigns is read the same way, by one read of a judged entry (`_read`):
+observer, foliation and audit-rule states by `_state`, the read that
+`state_after` wraps in checks for callers outside the package, on the cuts
+the package builds itself; the ensemble's branch states, and the audit's
+states with flipped outcomes, by `ensemble.branch_state` on their outcome
+assignments.
 
 Cost model: every intervention the engine applies is a single operator, a
 unitary or a recorded branch, so subsystem j's selected sequence
@@ -89,33 +90,30 @@ states take the cut of their region's mask.
 
 Sectors are piecewise constant in the proper times: they change only when an
 intervention event enters or leaves the union of causal pasts. The optional
-cache passed to `sector` and `polystate_at` is a dict keyed by the cut; each
-entry (`PushedCut`) holds the pushed factor, its weight and the verdict on
-whether its outcomes can occur, so a subset on a cut already pushed costs
-only its Gram product and spectrum. The cache keeps no sector: none of the
-package's callers reads one (cut, subset) twice from one cache, and a
-cache holds D r entries per cut, not d_S^2 per sector read from it.
-An entry is defined by one recursive rule (`_weighed`): the empty cut's
-factor is Psi, and any other cut's is M_j of its last head j (the last in
-`Scenario.chains.heads` order with L_j > 0) applied on axis j to the factor
-of its prefix, the same cut with L_j = 0: Psi if the prefix is empty, else
-its entry, taken from the cache or formed by the same rule. An empty prefix
-gets no entry unless it is requested. `push` applies the heads in that
-order too, so every entry is, bit for bit, the push of its cut. Every entry
-of a cache a caller holds is weighed and judged when it is formed, O(D r),
-whether its cut was requested or only a longer one was, since a later call
-may read it. `polystate_at` keeps a cache of its own when given none, so
-one call forms each distinct cut, and each prefix of one, once. One pass of
-the benchmark's `ghz_wide` workload (every sector of a GHZ-7 at eight
+cache passed to `sector` and `polystate_at` is a dict keyed by the cut, so a
+subset on a cut already pushed costs only its Gram product and spectrum.
+The cache keeps no sector: none of the package's callers reads one (cut,
+subset) twice from one cache, and a cache holds D r entries per cut, not
+d_S^2 per sector read from it.
+A cut's factor comes from one recursion, `push`'s own (`_pushed`): the
+empty cut's factor is Psi, and any other cut's is M_j of its last head j
+(the last in `Scenario.chains.heads` order with L_j > 0) applied on axis j
+to the factor of its prefix, the same cut with L_j = 0: Psi if the prefix is
+empty, else its entry, taken from the cache or formed by the same rule. So
+every entry is, bit for bit, the push of its cut. Every cache follows one
+rule: a cut is weighed and judged when it is first read (`_weighed`), and
+its entry (`PushedCut`) then holds the pushed factor, its weight and the
+verdict on whether its outcomes can occur, O(D r) once; a prefix that is
+only passed through is kept as a bare factor, and an empty prefix gets no
+entry. `polystate_at` keeps a cache of its own when given none, so one call
+forms each distinct cut, and each prefix of one, once. One pass of the
+benchmark's `ghz_wide` workload (every sector of a GHZ-7 at eight
 proper-time tuples, one cache per tuple) applies 263 subsystem products
-this way, against 677 when each cut is pushed from Psi.
-
-The audit reads a leaf's states as one plan (`_states`): its (cut, subset)
-requests share prefixes by the same rule, but a prefix is held only as a
-bare factor while the plan runs, and only the cuts read are weighed and
-judged. One pass of the benchmark's `chain_sweep` ledger leaves weighs the
-924 cuts it reads, against 1539 entries when every prefix was weighed, and
-applies the same 1460 subsystem products.
+this way, against 677 when each cut is pushed from Psi, and judges the 184
+cuts it reads, against 267 entries when every prefix was judged. The audit
+reads a leaf's states over one dict of the leaf's own by the same rule: one
+pass of the benchmark's `chain_sweep` judges 989 entries, 924 of them in its
+ledger leaves, and applies 1557 subsystem products, 1460 of them there.
 
 `polystate_at` judges every cut and decides every sector's spectrum when it
 is called, so any raise or clamp happens there, but forms a sector only
@@ -262,23 +260,46 @@ def push(s: Scenario, cut, outcomes=None) -> np.ndarray:
     `Scenario.chains.heads` order, skipping those with L_j = 0. A subsystem
     whose recorded branches all stand reads M_j from `Scenario.chains`; one
     with a selective that `outcomes` overrides multiplies as it goes,
-    K_o @ M.
+    K_o @ M. The heads are applied by the cut cache's one recursion
+    (`_pushed`), with no cache, so a cache entry's factor is, bit for bit,
+    its cut's push, and a push never reads or writes a cache a caller
+    holds.
 
     `outcomes` maps selective ids, those outside the cut ignored, to a
     branch index or an int array of them. The arrays broadcast together,
     and their shape leads the result, (*shape, D, r), each slice equal, bit
     for bit, to the push with those outcomes fixed: flat arrays push a list
     of assignments, and the open mesh of `np.ix_` every assignment."""
-    products, lines = s.chains.products, s.chains.ids
+    return _pushed(s, cut, None, outcomes)
+
+
+def _pushed(s: Scenario, cut, cache: dict | None, outcomes=None) -> np.ndarray:
+    """The cut's factor by the one rule of `push` and of every cache: Psi
+    for the empty cut, else M_j of the cut's last head j (the last in
+    `Scenario.chains.heads` order with L_j > 0) applied on axis j to the
+    factor of its prefix, the cut with L_j = 0, formed by the same rule.
+    Given a cache, the factor of each cut but an empty prefix is kept there,
+    bare, unless its cut already has an entry there, bare or judged
+    (`_weighed`), which is read instead. Without one, as in `push`, no
+    prefix outlives its step: a stack of branches would hold one stack per
+    head."""
+    entry = None if cache is None else cache.get(cut)
+    if entry is not None:
+        return entry.factor if isinstance(entry, PushedCut) else entry
     psi = s.initial_factor
-    for j in s.chains.heads:
-        if not cut[j]:
-            continue
-        m = products[j][cut[j] - 1]
-        if outcomes and not outcomes.keys().isdisjoint(lines[j][:cut[j]]):
-            m = reduce(lambda m, op: op @ m, _branch_ops(s, lines[j][:cut[j]], outcomes))
-            m = m[..., None, :, :]  # the stack meets the factor's; the new axis spans prod dims[:j]
-        psi = _apply(s.dims, j, m, psi)
+    for j in reversed(s.chains.heads):
+        if cut[j]:
+            prefix = (*cut[:j], 0, *cut[j + 1:])
+            if any(prefix):
+                psi = _pushed(s, prefix, cache, outcomes)
+            m = s.chains.products[j][cut[j] - 1]
+            if outcomes and not outcomes.keys().isdisjoint(line := s.chains.ids[j][:cut[j]]):
+                m = reduce(lambda m, op: op @ m, _branch_ops(s, line, outcomes))
+                m = m[..., None, :, :]  # the stack meets the factor's; the new axis spans prod dims[:j]
+            psi = _apply(s.dims, j, m, psi)
+            break
+    if cache is not None:
+        cache[cut] = psi
     return psi
 
 
@@ -328,12 +349,13 @@ def branch_weight(psi):
 
 
 class PushedCut(NamedTuple):
-    """A `state_after` cache entry for one cut: the pushed factor Psi, the
-    branch weight ||Psi||_F^2 of its recorded outcomes and why those cannot
-    occur (None when they can), all three formed together, once, from the
-    entry of the cut's prefix (`_weighed`), whether the cut was requested
-    or only a longer one was. No state read from it is kept: each is a Gram
-    product of the factor, formed where it is read."""
+    """A `state_after` cache entry for a cut that was read: the pushed
+    factor Psi, the branch weight ||Psi||_F^2 of its recorded outcomes and
+    why those cannot occur (None when they can), weighed and judged once,
+    on the cut's first read (`_weighed`). A cut that was only passed through
+    on the way to a longer one keeps its bare factor instead. No state read
+    from it is kept: each is a Gram product of the factor, formed where it
+    is read."""
     factor: np.ndarray
     weight: float
     impossible: str | None
@@ -389,8 +411,10 @@ def state_after(s: Scenario, cut, subset, cache=None) -> np.ndarray:
     factor's Gram matrix on the subset, normalized by the recorded branches'
     Born weight and validated on its small side (`linalg.gram_density`),
     formed anew on every call. A cache, a dict shared across calls for the
-    same scenario, keeps a `PushedCut` entry per cut, so each cut, and each
-    prefix of one, is pushed, weighed and judged once (`_weighed`).
+    same scenario, keeps each cut's factor, and each prefix's, so each is
+    pushed once (`_pushed`); a cut that is read is also weighed and judged
+    once, on its first read, and its entry is then a `PushedCut`
+    (`_weighed`), while a prefix only passed through stays a bare factor.
 
     This is the checking entry point for callers outside the package, and
     only a wrapper: the subset is checked as `check_subset` does, and a cut
@@ -415,54 +439,34 @@ def state_after(s: Scenario, cut, subset, cache=None) -> np.ndarray:
 def _state(s: Scenario, cut, subset: tuple, cache=None) -> np.ndarray:
     """`state_after` unchecked: the read for a valid cut and a sorted
     subset tuple, as the package builds them."""
-    entry = _weighed(s, cut, {} if cache is None else cache)
+    return _read(s, subset, _weighed(s, cut, {} if cache is None else cache))
+
+
+def _read(s: Scenario, subset: tuple, entry: PushedCut) -> np.ndarray:
+    """The subset's state from a judged entry: refused by name if its
+    branches cannot occur, else the Gram matrix of its factor on the subset
+    over its weight (`linalg.gram_density`)."""
     refuse(s, subset, entry.impossible)
     return linalg.gram_density(subset_factor(s, entry.factor, subset), entry.weight)
 
 
-def _states(s: Scenario, requests) -> list:
-    """The states of (cut, subset) requests, in order, as one plan: each
-    read by `_state`, from an entry of the plan's own, so each raises as
-    `_state` would. The cuts and their prefixes are formed by `_weighed`'s
-    rule, each once, and held as bare factors while the plan runs; only the
-    requested cuts are weighed and judged (`_judged`)."""
-    factors, entries = {}, {}
-    out = []
-    for cut, subset in requests:
-        if cut not in entries:
-            entries[cut] = _judged(s, cut, _weighed(s, cut, factors, weigh=False))
-        out.append(_state(s, cut, subset, entries))
-    return out
-
-
-def _weighed(s: Scenario, cut, cache: dict, weigh: bool = True):
-    """The cut's cache entry, formed on first request by the cache's one
-    rule: the factor is Psi for the empty cut, else M_j of the cut's last
-    head j (the last in `Scenario.chains.heads` order with L_j > 0) applied
-    on axis j to the factor of its prefix, the cut with L_j = 0: Psi if
-    that is empty, else the prefix's, from its entry, entered the same way.
-    So the factor is, bit for bit, the cut's `push`. An entry is the
-    weighed, judged `PushedCut` (`_judged`), or, unless `weigh`, the bare
-    factor."""
+def _weighed(s: Scenario, cut, cache: dict) -> PushedCut:
+    """The cut's judged entry, for a cut that is read: on its first read
+    its factor is `push`ed through the cache (`_pushed`), from the longest
+    prefix held there, then weighed and judged (`_judged`) and stored in
+    place of the bare factor. A prefix only passed through stays bare."""
     entry = cache.get(cut)
-    if entry is None:
-        psi = s.initial_factor
-        for j in reversed(s.chains.heads):
-            if cut[j]:
-                prefix = (*cut[:j], 0, *cut[j + 1:])
-                if any(prefix):
-                    psi = _weighed(s, prefix, cache, weigh)
-                    psi = psi.factor if weigh else psi
-                psi = _apply(s.dims, j, s.chains.products[j][cut[j] - 1], psi)
-                break
-        entry = cache[cut] = _judged(s, cut, psi) if weigh else psi
+    if not isinstance(entry, PushedCut):
+        entry = cache[cut] = _judged(s, cut, _pushed(s, cut, cache))
     return entry
 
 
-def _judged(s: Scenario, cut, psi) -> PushedCut:
-    """A cut's entry from its pushed factor: weighed and judged."""
+def _judged(s: Scenario, cut, psi, outcomes=None) -> PushedCut:
+    """A cut's entry from its pushed factor, on the recorded branches or on
+    those `outcomes` assigns (as in `push`): weighed, and judged by
+    `impossibility`."""
     weight = branch_weight(psi)
-    return PushedCut(psi, weight, impossibility(s, cut, weight))
+    return PushedCut(psi, weight, impossibility(s, cut, weight, outcomes))
 
 
 def sector(s: Scenario, taus, subset, cache=None) -> np.ndarray:
@@ -471,7 +475,8 @@ def sector(s: Scenario, taus, subset, cache=None) -> np.ndarray:
     :param taus: proper-time tuple, one entry per subsystem; entries outside
         the subset are ignored (singleton sectors depend only on their own).
     :param cache: optional dict shared across calls for the same scenario,
-        as in `state_after`.
+        as in `state_after`: it keeps the judged entry of every cut read and
+        the bare factor of every prefix only passed through.
     """
     subset = check_subset(s.n, subset)
     return _state(s, past_cut(s, taus, subset), subset, cache)

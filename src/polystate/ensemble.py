@@ -15,7 +15,10 @@ A branch goes through one Kraus operator per intervention, so its weight
 and its states come from the engine's pushed factor (`engine.push`), as
 every sector does: a branch weight is its squared norm
 (`engine.branch_weight`), and a retained run's state its Gram matrix on the
-subset over that weight (`linalg.gram_density`). Many branches are pushed
+subset over that weight, read as the engine reads a sector, from the
+branch's judged entry (`engine._judged`, `engine._read`). A push keeps
+no cache: it never reads or writes one a caller holds, and no prefix stack
+outlives its step, so the ensemble passes none. Many branches are pushed
 at once: `engine.push` takes arrays of outcomes and stacks their branches
 on leading axes, so the branch weights (every assignment, as an `np.ix_`
 mesh) and each empirical sector's distinct retained assignments (a flat
@@ -43,8 +46,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import linalg
-from .engine import (branch_weight, check_subset, impossibility, past_cut, polystate_at, push,
-                     refuse, subset_factor)
+from .engine import (_judged, _read, branch_weight, check_subset, impossibility, past_cut,
+                     polystate_at, push, refuse)
 from .errors import (BranchExplosionError, EmptyEnsembleError, ImpossibleOutcomeError,
                      StateValidationError)
 from .scenario import Scenario, SelectiveOp, apply_interventions
@@ -266,20 +269,14 @@ def _selection(s: Scenario, subset, taus) -> tuple:
     return subset, inside, applied
 
 
-def _read_branch(s: Scenario, cut, subset, psi, outcomes) -> np.ndarray:
-    """The subset's state read from a branch's pushed factor, once judged
-    able to occur: its Gram matrix on the subset over the branch weight."""
-    weight = branch_weight(psi)
-    refuse(s, subset, impossibility(s, cut, weight, outcomes))
-    return linalg.gram_density(subset_factor(s, psi, subset), weight)
-
-
 def branch_state(s: Scenario, cut, subset, outcomes) -> np.ndarray:
     """The subset's state after the cut's interventions on the branches
-    `outcomes` assigns: the pushed factor's Gram matrix on the subset over
-    its weight. A branch that cannot occur, which a drawn run never takes
-    but a hand-made log can hold, raises `ImpossibleOutcomeError`."""
-    return _read_branch(s, cut, subset, push(s, cut, outcomes), outcomes)
+    `outcomes` assigns: the pushed factor, weighed and judged on those
+    branches (`engine._judged`), read as every sector is (`engine._read`):
+    its Gram matrix on the subset over its weight. A branch that cannot
+    occur, which a drawn run never takes but a hand-made log can hold,
+    raises `ImpossibleOutcomeError`."""
+    return _read(s, subset, _judged(s, cut, push(s, cut, outcomes), outcomes))
 
 
 def empirical_sector(log: RunLog, s: Scenario, subset, taus) -> np.ndarray:
@@ -325,7 +322,7 @@ def _empirical(s: Scenario, tally: _Tally, subset, inside, applied) -> np.ndarra
     distinct = sorted(set(assigned))
     stacks = _stacked_pushes(s, applied, sel,
                              np.array(distinct, dtype=np.intp).reshape(len(distinct), len(sel)))
-    states = {row: _read_branch(s, applied, subset, psi, dict(zip(sel, row)))
+    states = {row: _read(s, subset, _judged(s, applied, psi, dict(zip(sel, row))))
               for row, psi in zip(distinct, chain.from_iterable(stacks))}
 
     dim = math.prod(s.dims[i] for i in subset)

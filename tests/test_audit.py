@@ -202,6 +202,27 @@ def test_criteria_report_failure_shapes():
         assert not r.ignorance_ok and abs(r.ignorance_distance - 1.0) < 1e-12
 
 
+def test_criteria_report_evaluates_each_rule_once(monkeypatch):
+    """One report on `bell_sigma_z.scn` evaluates each of the four rules'
+    cuts once, for its states and its ignorance cell alike: 4 `_event_cuts`
+    calls, and 2 `applied` calls, one for each rule that does not read the
+    engine's member rows."""
+    s = load_fixture("bell_sigma_z.scn")
+    calls = {"_event_cuts": 0, "applied": 0}
+
+    def counted(name, run):
+        def call(*args):
+            calls[name] += 1
+            return run(*args)
+        return call
+
+    monkeypatch.setattr(audit, "_event_cuts", counted("_event_cuts", audit._event_cuts))
+    for rule in (audit.PastLightcone, audit.FixedFoliation):
+        monkeypatch.setattr(rule, "applied", counted("applied", rule.applied))
+    audit.criteria_report(s, PROBE)
+    assert calls == {"_event_cuts": 4, "applied": 2}
+
+
 def reference_report(s, taus, foliation):
     """`criteria_report` as a second scenario computes it: targets from one
     `engine.sector` per subset, and the ignorance cell's flipped description

@@ -316,22 +316,30 @@ def test_cache_holds_only_pushed_factors(monkeypatch):
     cache = {}
     for subset in engine.all_subsets(7):
         engine.sector(s, taus, subset, cache)
-    held = [a for entry in cache.values() for a in entry if isinstance(a, np.ndarray)]
+    held = [entry.factor if isinstance(entry, engine.PushedCut) else entry
+            for entry in cache.values()]
     assert len(held) == len(cache) >= 127
-    assert all(a.size <= s.initial_factor.size for a in held)
+    assert all(isinstance(a, np.ndarray) and a.size <= s.initial_factor.size for a in held)
 
 
 def test_ghz_wide_pass_starts_new_cuts_from_cached_prefixes(monkeypatch):
     """One pass of the benchmark's `ghz_wide` ops (all 127 sectors of GHZ-7
     at 8 proper-time tuples, in its order, one cache per tuple) applies at
     most 300 subsystem products, where pushing each of its 184 cuts from the
-    initial factor applies 677."""
+    initial factor applies 677. It judges exactly the cuts it reads, each
+    once, and keeps the prefixes it only passes through bare: 184 judged
+    entries, where judging every prefix too made 267."""
     monkeypatch.syspath_prepend(str(BENCH))
     workload = importlib.import_module("workloads").GhzWide(1)
     applied = counting_applications(monkeypatch)
     workload.start_pass(0)
     for g in range(workload.pass_len):
         workload.run(g)
+    read = {(slot, engine.past_cut(workload.s, workload.taus[slot], subset))
+            for slot, subset in workload.ops}
+    judged = [entry for cache in workload.caches for entry in cache.values()
+              if isinstance(entry, engine.PushedCut)]
+    assert len(judged) == len(read) == 184
     assert sum(len(cache) for cache in workload.caches) >= 184
     assert 0 < len(applied) <= 300
 

@@ -19,6 +19,7 @@ integer, since a 3^4-dimensional density operator is too many floats to draw
 one by one."""
 
 import json
+import tracemalloc
 from dataclasses import replace
 from itertools import product
 from unittest import mock
@@ -542,18 +543,24 @@ def test_shared_cache_equals_fresh_pushes(s, cuts, data):
     """Drawn cuts and some of their zero-padded prefixes, requested in a
     drawn order with drawn subsets through one cache, on initial states of
     rank 1, 2 and D with blocked and faint readouts: every factor, weight,
-    verdict and state, and every entry left in the cache, prefixes included,
-    equals a fresh push's, bit for bit."""
+    verdict and state equals a fresh push's, bit for bit. Afterwards every
+    read cut's entry is a `PushedCut` whose factor, weight and verdict equal
+    a fresh push's, judged once; every other entry, a prefix only passed
+    through, is a bare factor equal to its cut's fresh push, and no unread
+    cut is judged."""
     cuts = {cut_of_lengths(s, lengths) for lengths in cuts}
     prefixes = sorted({p for cut in cuts for p in zero_padded_prefixes(s, cut)} - cuts)
     picked = data.draw(hs.lists(hs.booleans(), min_size=len(prefixes), max_size=len(prefixes)))
     requests = sorted(cuts) + [p for p, pick in zip(prefixes, picked) if pick]
     requests = data.draw(hs.permutations(requests))
     subsets = list(engine.all_subsets(s.n))
-    cache = {}
+    cache, judged = {}, []
+    judge = engine.impossibility
     for cut in requests:
         subset = data.draw(hs.sampled_from(subsets))
-        got = outcome_of(engine.state_after, s, cut, subset, cache)
+        with mock.patch.object(engine, "impossibility",
+                               lambda s, cut, *args: judged.append(cut) or judge(s, cut, *args)):
+            got = outcome_of(engine.state_after, s, cut, subset, cache)
         psi, weight, why, state = fresh_entry(s, cut, subset)
         entry = cache[cut]
         assert entry.factor.tobytes() == psi.tobytes()
@@ -562,10 +569,15 @@ def test_shared_cache_equals_fresh_pushes(s, cuts, data):
             assert got is state
         else:
             assert got.tobytes() == state.tobytes()
+    assert sorted(judged) == sorted(requests)
     for cut, entry in cache.items():
         psi, weight, why, _ = fresh_entry(s, cut, (0,))
-        assert entry.factor.tobytes() == psi.tobytes()
-        assert entry.weight.hex() == weight.hex() and entry.impossible == why
+        if cut in requests:
+            assert isinstance(entry, engine.PushedCut)
+            assert entry.factor.tobytes() == psi.tobytes()
+            assert entry.weight.hex() == weight.hex() and entry.impossible == why
+        else:
+            assert isinstance(entry, np.ndarray) and entry.tobytes() == psi.tobytes()
 
 
 def raised_or_state(read, *args):
@@ -582,14 +594,15 @@ def raised_or_state(read, *args):
                      min_size=1, max_size=5),
        data=hs.data())
 def test_plan_reads_equal_fresh_state_reads(s, cuts, data):
-    """A plan of drawn (cut, subset) requests, cuts repeated and some of
-    their zero-padded prefixes among them, in a drawn order, on initial
-    states of rank 1, 2 and D with blocked and faint readouts
-    (`engine._states`): each state equals `engine._state`'s read of its
-    request with a fresh cache, bit for bit, and a plan that raises raises
-    the type and message of the first request whose fresh read raises. The
-    first cut applies the last intervention, the readout when one was
-    added, so that blocked readouts are read."""
+    """Drawn (cut, subset) requests, cuts repeated and some of their
+    zero-padded prefixes among them, read in a drawn order by
+    `engine._state` over one shared dict, as `audit.leaf_states` reads a
+    leaf, on initial states of rank 1, 2 and D with blocked and faint
+    readouts: each state equals `engine._state`'s read of its request with
+    a fresh cache, bit for bit, and the shared reads raise the type and
+    message of the first request whose fresh read raises. The first cut
+    applies the last intervention, the readout when one was added, so that
+    blocked readouts are read."""
     cuts = [cut_of_lengths(s, lengths) for lengths in cuts]
     if s.interventions:
         last = len(s.interventions) - 1
@@ -608,7 +621,9 @@ def test_plan_reads_equal_fresh_state_reads(s, cuts, data):
         want.append(raised_or_state(engine._state, s, cut, subset, {}))
         if isinstance(want[-1], tuple):
             break
-    got = raised_or_state(engine._states, s, requests)
+    cache = {}
+    got = raised_or_state(lambda: [engine._state(s, cut, subset, cache)
+                                   for cut, subset in requests])
     if isinstance(want[-1], tuple):
         assert got == want[-1]
     else:
@@ -755,6 +770,58 @@ def test_stacked_push_slices_equal_single_pushes_on_ghz5():
         assert_stack_equals_single_pushes(s, every, fixed, backwards)
     weights = ensemble.enumerate_branches(s).tolist()
     assert weights.count(0.0) == 256 - 16
+
+
+def test_stacked_push_keeps_no_prefix_stack():
+    """A push of a flat stack of every GHZ-5 assignment holds at most two
+    stacks at once, the one a step reads and the one it writes: no prefix's
+    stack outlives its step, where keeping every head's would hold five."""
+    s = ghz5_scenario()
+    every = tuple(map(len, s.chains.products))
+    sel = ensemble.selective_order(s)
+    outcomes = dict(zip(sel, np.array(list(product(range(2), repeat=len(sel)))).T))
+    engine.push(s, every, outcomes)  # the scenario's tables, formed before tracing
+    tracemalloc.start()
+    try:
+        stack = engine.push(s, every, outcomes)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert stack.shape == (256, 32, 1)
+    assert peak < 3 * stack.nbytes
+
+
+@SUITE
+@given(s=scenarios_with_blocked_branch(scenarios_of_rank(), tilts=FAINT_TILTS),
+       taus=hs.lists(tau_values, min_size=4, max_size=4),
+       cuts=hs.lists(hs.lists(hs.integers(0, 6), min_size=4, max_size=4),
+                     min_size=1, max_size=4),
+       fixed=hs.integers(0, 3), backwards=hs.booleans(), data=hs.data())
+def test_cache_pushes_equal_fresh_pushes(s, taus, cuts, fixed, backwards, data):
+    """`push`'s recursion run through one shared cache (`engine._pushed`),
+    after `sector` and `polystate_at` reads have left judged entries and
+    bare prefixes in it, on drawn cuts and their zero-padded prefixes in a
+    drawn order: every factor equals a fresh `push`'s, bit for bit, and
+    every entry the reads left stays as it was. A push with flat or mesh
+    `outcomes` (`assert_stack_equals_single_pushes`) leaves the cache
+    untouched."""
+    taus = taus[:s.n]  # the draw's first n entries: one proper time per subsystem
+    cache = {}
+    if data.draw(hs.booleans()):
+        outcome_of(engine.polystate_at, s, taus, cache)
+    for subset in data.draw(hs.lists(hs.sampled_from(list(engine.all_subsets(s.n))), max_size=4)):
+        outcome_of(engine.sector, s, taus, subset, cache)
+    held = dict(cache)
+    cuts = [cut_of_lengths(s, lengths) for lengths in cuts]
+    requests = data.draw(hs.permutations(
+        sorted({*cuts, *(p for cut in cuts for p in zero_padded_prefixes(s, cut))})))
+    for cut in requests:
+        assert engine._pushed(s, cut, cache).tobytes() == engine.push(s, cut).tobytes()
+    assert all(cache[cut] is entry for cut, entry in held.items())
+    held = dict(cache)
+    assert_stack_equals_single_pushes(s, cuts[0], fixed, backwards)
+    assert cache.keys() == held.keys()
+    assert all(cache[cut] is entry for cut, entry in held.items())
 
 
 # The rounding bound of `linalg.gram_density`: where it decides, the Gram

@@ -1,12 +1,14 @@
-"""`polystate ensemble` time, memory and dense pushes along a GHZ-n ladder.
+"""`polystate ensemble` time, memory and pushes along a GHZ-n ladder.
 
 For pure GHZ-n, n = 4..10 (the benchmark's `ghz_document` with seed n:
 every qubit carries one z or x measurement near tau = 1, recording 0),
 prints per rung and tau pattern the wall time of one in-process
 `cli.main(["ensemble", ..., "--n", "1000"])`, the peak resident memory of
-the process after it, and how many times the exact oracle pushed the
-initial density operator (`scenario.apply_interventions` called from
-`ensemble`, counted through a wrapper). Two tau patterns:
+the process after it, how many times the exact oracle pushed the initial
+density operator (`scenario.apply_interventions` called from `ensemble`,
+counted through a wrapper), and how many branch rows the empirical column
+pushed as flat stacks of listed assignments (`ensemble._stacked_pushes`
+given rows, counted the same way). Two tau patterns:
 
 - `after`: every qubit is evaluated late enough that every measurement
   lies in every sector's past, so every subset has the same dense-push key
@@ -61,16 +63,21 @@ def ghz_taus(doc: str, n: int, pattern: str) -> str:
 def measure(n: int, pattern: str, repeats: int) -> dict:
     """One rung, in this process: the fastest of `repeats` CLI runs, the
     peak memory after them, and the oracle's pushes of the initial state
-    in one run."""
+    and the stacked branch rows in one run."""
     doc = ghz_document(n, random.Random(n))
-    pushes = []
-    real = ensemble.apply_interventions
+    pushes, rows = [], []
+    real, real_stacked = ensemble.apply_interventions, ensemble._stacked_pushes
 
     def counted(s, ids, rho, outcomes=None, absolute=False):
         pushes.append(absolute)
         return real(s, ids, rho, outcomes=outcomes, absolute=absolute)
 
-    ensemble.apply_interventions = counted
+    def stacked(s, cut, sel, chosen=None):
+        if chosen is not None:
+            rows.append(len(chosen))
+        return real_stacked(s, cut, sel, chosen)
+
+    ensemble.apply_interventions, ensemble._stacked_pushes = counted, stacked
     best = float("inf")
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / f"ghz{n}.scn"
@@ -79,6 +86,7 @@ def measure(n: int, pattern: str, repeats: int) -> dict:
                 "--tau", ghz_taus(doc, n, pattern)]
         for _ in range(repeats):
             pushes.clear()
+            rows.clear()
             t0 = time.perf_counter()
             with contextlib.redirect_stdout(io.StringIO()):
                 code = cli.main(argv)
@@ -88,7 +96,7 @@ def measure(n: int, pattern: str, repeats: int) -> dict:
     # Linux reports ru_maxrss in KiB
     rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     return {"wall_s": best, "rss_mb": rss_mb, "dense_pushes": pushes.count(False),
-            "absolute_pushes": pushes.count(True)}
+            "absolute_pushes": pushes.count(True), "branch_rows": sum(rows)}
 
 
 def main():
@@ -104,7 +112,7 @@ def main():
         return
 
     print(f"{'n':>3} {'D':>5} {'pattern':>12} {'wall_s':>9} {'rss_mb':>8} "
-          f"{'dense_pushes':>13} {'absolute_pushes':>16}")
+          f"{'dense_pushes':>13} {'absolute_pushes':>16} {'branch_rows':>12}")
     for n in range(args.min_n, args.max_n + 1):
         for pattern in PATTERNS:
             rung = subprocess.run([sys.executable, __file__, "--repeats", str(args.repeats),
@@ -112,7 +120,8 @@ def main():
                                   capture_output=True, text=True, check=True)
             r = json.loads(rung.stdout)
             print(f"{n:>3} {2**n:>5} {pattern:>12} {r['wall_s']:>9.4f} {r['rss_mb']:>8.1f} "
-                  f"{r['dense_pushes']:>13} {r['absolute_pushes']:>16}", flush=True)
+                  f"{r['dense_pushes']:>13} {r['absolute_pushes']:>16} {r['branch_rows']:>12}",
+                  flush=True)
 
 
 if __name__ == "__main__":

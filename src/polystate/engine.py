@@ -121,7 +121,9 @@ where deciding it did: a wide factor whose spectrum the bound cannot
 decide, or a clamp. Every other sector is formed from its cut's factor on
 its first read from `Polystate.sectors` and kept there. A pure GHZ-10
 holds 1023 sectors, 149 MiB in all, so a caller that reads a few of them
-no longer pays for the rest.
+no longer pays for the rest. A caller that reads each sector once, as
+`ensemble.compare_to_polystate` does, reads it with `Sectors.formed`,
+which forms it and does not keep it, so it holds one sector at a time.
 """
 
 from __future__ import annotations
@@ -175,8 +177,17 @@ class Sectors(Mapping):
     def __getitem__(self, subset) -> np.ndarray:
         entry = self._entries[subset]
         if isinstance(entry, PushedCut):
+            entry = self._entries[subset] = self.formed(subset)
+        return entry
+
+    def formed(self, subset) -> np.ndarray:
+        """The subset's sector as a read returns it, but not kept: a state
+        not yet formed is formed anew on every call, so a caller that reads
+        each sector once holds one at a time."""
+        entry = self._entries[subset]
+        if isinstance(entry, PushedCut):
             phi = subset_factor(self._s, entry.factor, subset)
-            entry = self._entries[subset] = linalg.gram_product(phi, entry.weight)
+            return linalg.gram_product(phi, entry.weight)
         return entry
 
     def __iter__(self):
@@ -313,10 +324,13 @@ def _apply(dims: tuple, j: int, m, psi) -> np.ndarray:
 
 
 def _branch_ops(s: Scenario, ids, outcomes):
-    """Interventions `ids`' operators, a selective's on its `outcomes` branch, else its recorded."""
+    """Interventions `ids`' operators, a selective's on its `outcomes` branch,
+    else its recorded, read from its stacked Kraus operators
+    (`Scenario.kraus_stacks`)."""
+    stacks = s.kraus_stacks
     for k in ids:
         op = s.interventions[k].op
-        yield (np.asarray(op.kraus)[outcomes.get(k, op.chosen)]
+        yield (stacks[k][outcomes.get(k, op.chosen)]
                if isinstance(op, SelectiveOp) else op.matrix)
 
 

@@ -21,15 +21,27 @@ no cache: it never reads or writes one a caller holds, and no prefix stack
 outlives its step, so the ensemble passes none. Many branches are pushed
 at once: `engine.push` takes arrays of outcomes and stacks their branches
 on leading axes, so the branch weights (every assignment, as an `np.ix_`
-mesh) and each empirical sector's distinct retained assignments (a flat
-list) come from stacked pushes, chunk by chunk, not from one Python-level
-push per branch. `analytic_sector` alone pushes the full density operator
-through every channel and traces afterwards, so that it stays an
-independent check of that kernel; within one comparison that dense push is
-made once per key, the applied cut and the selectives taken as channels,
-and every subset of that key is traced from it. `compare_to_polystate`
-sets both against the engine's sectors, all read from one
-`engine.polystate_at`, in one pass over the subsets.
+mesh) and the distinct retained assignments of the empirical column (a
+flat list) come from stacked pushes, chunk by chunk, not from one
+Python-level push per branch. `analytic_sector` alone pushes the full
+density operator through every channel and traces afterwards, so that it
+stays an independent check of that kernel.
+
+`compare_to_polystate` sets both against the engine's sectors, all read
+from one `engine.polystate_at`, in one pass over the subsets grouped by
+the key of their dense push: the applied cut, and the interventions in it
+outside the past union, which act as channels. The subsets of one group
+share more than the push: they retain the same runs, and those runs hold
+the same branches. So per group the oracle pushes the density operator
+once and every subset is traced from it, the retained codes and their
+distinct branches are worked out once (`_Retained`), and each branch is
+pushed and judged once, the recorded one read as the applied cut's own
+entry in the cut cache of the `polystate_at`. Per subset there is one read
+of each distinct branch and one of the engine's sector, which is not kept;
+its two distances are queued against it, and each group's push, branches
+and sectors are released before the next group's are made. A refusal is
+the one reading each subset on its own raises: the first refused subset in
+subset order, its empirical refusal before its analytic one.
 
 `branch_state` is the one read of a state on overridden outcomes: the
 audit's ignorance cell (`audit.criteria_report`) reads a description with
@@ -38,6 +50,7 @@ one party's recorded outcomes flipped through it, on the same scenario.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from itertools import chain
@@ -46,8 +59,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import linalg
-from .engine import (_judged, _read, branch_weight, check_subset, impossibility, past_cut,
-                     polystate_at, push, refuse)
+from .engine import (_judged, _read, _weighed, branch_weight, check_subset, impossibility,
+                     past_cut, polystate_at, push, refuse)
 from .errors import (BranchExplosionError, EmptyEnsembleError, ImpossibleOutcomeError,
                      StateValidationError)
 from .scenario import Scenario, SelectiveOp, apply_interventions
@@ -288,48 +301,81 @@ def empirical_sector(log: RunLog, s: Scenario, subset, taus) -> np.ndarray:
     reduced to the subset; runs that differ only in outcomes that never
     reached the subset stay in the ensemble and contribute their own branch.
 
-    The log is counted once (`_tally`), and the retained runs are read off
-    its distinct codes. A branch state depends only on the outcomes of the
-    selectives in the applied cut, so the distinct assignments to those
-    that retained codes hold are pushed as one flat stack
-    (`_stacked_pushes`), each read once, as `branch_state` reads its one
-    branch, and added as run count times state in code order, the sum
-    `branch_state` would make branch by branch.
+    The log is counted once (`_tally`), and its retained codes are read off
+    as for a dense-key group of one subset (`_Retained`): the distinct
+    assignments to the applied cut's selectives are pushed as one flat
+    stack and judged once each, each read on the subset as `branch_state`
+    reads its one branch, and added as run count times state in code order,
+    the sum `branch_state` would make branch by branch.
     """
-    return _empirical(s, _tally(log), *_selection(s, subset, taus))
+    subset, inside, applied = _selection(s, subset, taus)
+    key = _dense_key(s.cut_ids, inside, applied)
+    return _Retained(s, _tally(log), key, s.cut_ids).sector(subset)
 
 
-def _empirical(s: Scenario, tally: _Tally, subset, inside, applied) -> np.ndarray:
-    """`empirical_sector` of a counted log, on the subset's selection."""
-    order = tally.order
-    # a code is retained when its digits match the recorded outcomes inside
-    # the past union
-    inside = set(s.cut_ids(inside))
-    keep_cols = [j for j, k in enumerate(order) if k in inside]
-    recorded = [s.interventions[order[j]].op.chosen for j in keep_cols]
-    kept = (tally.digits[:, keep_cols] == recorded).all(axis=1)
-    runs, digits = tally.runs[kept], tally.digits[kept]
-    retained = int(runs.sum())
-    if retained == 0:
-        raise EmptyEnsembleError("no run matches the recorded outcomes inside the causal past")
+class _Retained:
+    """The empirical column's share of one dense-key group (`_dense_key`).
 
-    # each retained code's assignment to the selectives the applied cut
-    # holds; the distinct ones, in code order, are pushed and read once
-    in_cut = set(s.cut_ids(applied))
-    cols = [j for j, k in enumerate(order) if k in in_cut]
-    sel = tuple(order[j] for j in cols)
-    assigned = list(map(tuple, digits[:, cols].tolist()))
-    distinct = sorted(set(assigned))
-    stacks = _stacked_pushes(s, applied, sel,
-                             np.array(distinct, dtype=np.intp).reshape(len(distinct), len(sel)))
-    states = {row: _read(s, subset, _judged(s, applied, psi, dict(zip(sel, row))))
-              for row, psi in zip(distinct, chain.from_iterable(stacks))}
+    Every subset of a group has the same applied cut, and the same
+    selectives inside its past union: the applied cut's, less the channels.
+    So the subsets retain the same codes of the tally, and those codes hold
+    the same assignments to the applied cut's selectives, the same
+    branches. The selection is made once per group, and each distinct
+    branch is pushed and judged once. The branches other than the recorded
+    one are pushed as one flat stack (`_stacked_pushes`) and judged one by
+    one (`engine._judged`). Given the cut cache of the pass's
+    `polystate_at`, the recorded branch is the applied cut's own entry there
+    (`engine._weighed`), bit for bit the push and judgement of its
+    assignment; without one it is pushed with the rest. Per subset
+    (`sector`), only the Gram reads and the run-weighted sum are left. A
+    group with no retained run raises `EmptyEnsembleError`."""
 
-    dim = math.prod(s.dims[i] for i in subset)
-    acc = np.zeros((dim, dim), dtype=complex)
-    for count, row in zip(runs, assigned):
-        acc += count * states[row]
-    return acc / retained
+    def __init__(self, s: Scenario, tally: _Tally, key, cut_ids, cache: dict | None = None):
+        applied, channels = key
+        in_cut, channels = set(cut_ids(applied)), set(channels)
+        order = tally.order
+        # a code is retained when its digits match the recorded outcomes inside
+        # the past union: the applied cut's selectives that are not channels
+        keep_cols = [j for j, k in enumerate(order) if k in in_cut and k not in channels]
+        recorded = [s.interventions[order[j]].op.chosen for j in keep_cols]
+        self.s, self.runs, digits = s, tally.runs, tally.digits
+        if keep_cols:
+            kept = (digits[:, keep_cols] == recorded).all(axis=1)
+            self.runs, digits = self.runs[kept], digits[kept]
+        self.retained = int(self.runs.sum())
+        if self.retained == 0:
+            raise EmptyEnsembleError("no run matches the recorded outcomes inside the causal past")
+
+        # each retained code's assignment to the selectives the applied cut
+        # holds; the distinct ones, in code order, are pushed and judged once
+        cols = [j for j, k in enumerate(order) if k in in_cut]
+        sel = tuple(order[j] for j in cols)
+        assigned = list(map(tuple, digits[:, cols].tolist()))
+        distinct = sorted(set(assigned))
+        where = {row: i for i, row in enumerate(distinct)}
+        self.index = [where[row] for row in assigned]
+        own = None if cache is None else tuple(s.interventions[k].op.chosen for k in sel)
+        pushed = [row for row in distinct if row != own]
+        entries = {}
+        if pushed:
+            stacks = _stacked_pushes(s, applied, sel, np.array(pushed, dtype=np.intp))
+            entries = {row: _judged(s, applied, psi, dict(zip(sel, row)))
+                       for row, psi in zip(pushed, chain.from_iterable(stacks))}
+        if own in where:
+            entries[own] = _weighed(s, applied, cache)
+        self.entries = [entries[row] for row in distinct]
+
+    def sector(self, subset) -> np.ndarray:
+        """The subset's ensemble average: each distinct branch read on the
+        subset (`engine._read`), in code order, then run count times state
+        added code by code, over the retained runs."""
+        s = self.s
+        states = [_read(s, subset, entry) for entry in self.entries]
+        dim = math.prod(s.dims[i] for i in subset)
+        acc = np.zeros((dim, dim), dtype=complex)
+        for count, i in zip(self.runs, self.index):
+            acc += count * states[i]
+        return acc / self.retained
 
 
 def analytic_sector(s: Scenario, subset, taus) -> np.ndarray:
@@ -343,29 +389,30 @@ def analytic_sector(s: Scenario, subset, taus) -> np.ndarray:
     dense push (`_DensePush.error`).
     """
     subset, inside, applied = _selection(s, subset, taus)
-    return _DensePush(s, *_dense_key(s, inside, applied)).sector(subset, inside)
+    applied, channels = _dense_key(s.cut_ids, inside, applied)
+    return _DensePush(s, s.cut_ids(applied), channels).sector(subset, inside)
 
 
-def _dense_key(s: Scenario, inside, applied) -> tuple:
+def _dense_key(cut_ids, inside, applied) -> tuple:
     """The key of a selection's dense push: the applied cut, and the ids of
-    the selectives in it that act as their full channel. Outside the past
-    union only interventions off the subset happen, and with no outcome
-    recorded they act as their full channel; inside it each is pinned to
-    its recorded branch."""
-    recorded = set(s.cut_ids(inside))
-    return applied, tuple(k for k in s.cut_ids(applied) if k not in recorded)
+    the interventions in it outside the past union, `cut_ids` listing a
+    cut's ids. Outside the past union only interventions off the subset
+    happen, and with no outcome recorded a selective acts as its full
+    channel; inside it each is pinned to its recorded branch."""
+    recorded = set(cut_ids(inside))
+    return applied, tuple(k for k in cut_ids(applied) if k not in recorded)
 
 
 class _DensePush:
-    """The oracle's dense push for one key (`_dense_key`): the initial
-    density operator pushed through the applied cut's interventions
-    (`apply_interventions`), the channel ids as their full channel and the
-    rest on their recorded branches. Every subset whose selection has this
-    key is traced from the one push (`sector`), and the rounding bound of
-    the push is worked out once for them all (`error`)."""
+    """The oracle's dense push for one key (`_dense_key`), given the ids of
+    its applied cut: the initial density operator pushed through those
+    interventions (`apply_interventions`), the channel ids as their full
+    channel and the rest on their recorded branches. Every subset whose
+    selection has this key is traced from the one push (`sector`), and the
+    rounding bound of the push is worked out once for them all (`error`)."""
 
-    def __init__(self, s: Scenario, applied, channels):
-        self.s, self.ids, self.channels = s, s.cut_ids(applied), dict.fromkeys(channels)
+    def __init__(self, s: Scenario, ids, channels):
+        self.s, self.ids, self.channels = s, ids, dict.fromkeys(channels)
         self.state = apply_interventions(s, self.ids, s.initial_state, outcomes=self.channels)
         n = total = math.prod(s.dims)
         for k in self.ids:
@@ -424,7 +471,7 @@ class _DensePush:
         if self.absolute is None:
             pushed = apply_interventions(self.s, self.ids, np.abs(self.s.initial_state),
                                          outcomes=self.channels, absolute=True)
-            self.absolute = self.gamma * float(np.trace(pushed).real)
+            self.absolute = self.gamma * float(pushed.trace().real)
         return self.absolute
 
 
@@ -453,43 +500,62 @@ def compare_to_polystate(log: RunLog, s: Scenario, taus) -> ComparisonReport:
     vanish to numerical precision; the empirical column carries the
     sampling noise of the run log.
 
-    One pass over the subsets: the log is counted once (`_tally`), and each
-    subset's selection is worked out once and serves both columns. The
-    subsets are grouped by the key of their dense push (`_dense_key`: the
-    applied cut and the selectives taken as channels), and the groups are
-    taken one after another, so that the oracle pushes the initial density
-    operator once per key, and its absolute value at most once per key,
-    when a weight needs the componentwise bound. One group's push is
-    released before the next is made, so at most one is held at a time.
-    The analytic column is read group by group and the empirical column
-    subset by subset; a refusal is raised in subset order, a subset's
-    empirical one before its analytic one, as reading each subset on its
-    own would raise it. Every distance is `linalg.trace_distance`'s
-    arithmetic, its eigvalsh stacked with those of other pairs of the same
-    dimension (`_TraceDistances`)."""
-    sectors = polystate_at(s, taus).sectors
+    One pass over the subsets, grouped by the key of their dense push
+    (`_dense_key`: the applied cut and the interventions outside the past
+    union, which act as channels). The log is counted once (`_tally`), and
+    each cut's ids are listed once. The groups are taken one after
+    another, and each is read once for all its subsets:
+    - the oracle pushes the initial density operator once per key, and its
+      absolute value at most once per key, when a weight needs the
+      componentwise bound (`_DensePush`);
+    - the retained codes, their assignments to the applied cut's
+      selectives and the distinct branches are worked out once per group,
+      and each branch is pushed and judged once (`_Retained`), the
+      recorded one read from the cut cache of the `polystate_at`.
+    Per subset, the empirical sector is its Gram reads and their
+    run-weighted sum, the analytic one is traced from the group's push,
+    and the engine's sector is formed once and not kept
+    (`engine.Sectors.formed`); both distances are queued against it
+    before the next subset's sectors are made. A group's push, branches
+    and sectors are released before the next group's are made.
+
+    A subset that cannot be read is refused as reading it on its own would
+    refuse it: the first such subset in subset order, its empirical
+    refusal before its analytic one. Every distance is
+    `linalg.trace_distance`'s arithmetic, its eigvalsh stacked with those
+    of other pairs of the same dimension (`_TraceDistances`)."""
+    cache = {}
+    sectors = polystate_at(s, taus, cache).sectors
     tally = _tally(log)
+    cut_ids = functools.cache(s.cut_ids)
     selections = [_selection(s, subset, taus) for subset in sectors]
     groups = {}
     for pos, (_, inside, applied) in enumerate(selections):
-        groups.setdefault(_dense_key(s, inside, applied), []).append(pos)
+        groups.setdefault(_dense_key(cut_ids, inside, applied), []).append(pos)
     distances = _TraceDistances(2 * len(selections))
     refused = {}
     for key, members in groups.items():
-        dense = _DensePush(s, *key)
+        try:
+            retained = _Retained(s, tally, key, cut_ids, cache)
+        except EmptyEnsembleError as exc:
+            refused.update(dict.fromkeys(members, exc))
+            continue
+        dense = _DensePush(s, cut_ids(key[0]), key[1])
         for pos in members:
             subset, inside, _ = selections[pos]
             try:
+                emp = retained.sector(subset)
                 ana = dense.sector(subset, inside)
             except (ImpossibleOutcomeError, StateValidationError) as exc:
                 refused[pos] = exc
-            else:
-                distances.add(2 * pos + 1, ana, sectors[subset])
-        del dense  # before the next key's push is made
-    for pos, (subset, inside, applied) in enumerate(selections):
-        distances.add(2 * pos, _empirical(s, tally, subset, inside, applied), sectors[subset])
-        if pos in refused:
-            raise refused[pos]
+                continue
+            eng = sectors.formed(subset)
+            distances.add(2 * pos, emp, eng)
+            distances.add(2 * pos + 1, ana, eng)
+            del emp, ana, eng  # before the next subset's are made
+        del dense, retained  # before the next key's are made
+    if refused:
+        raise refused[min(refused)]
     out = distances.read().tolist()
     rows = [SectorComparison(subset=subset, empirical_distance=out[2 * pos],
                              analytic_distance=out[2 * pos + 1])
@@ -526,7 +592,7 @@ class _TraceDistances:
         for queue in self.queues.values():
             slots, diffs = zip(*queue)
             w = np.linalg.eigvalsh(np.stack(diffs))
-            self.out[list(slots)] = 0.5 * np.sum(np.abs(w), axis=-1)
+            self.out[list(slots)] = 0.5 * abs(w).sum(axis=-1)
         self.queues.clear()
         self.held = 0
 

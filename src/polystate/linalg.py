@@ -172,7 +172,7 @@ def trace_distance(a, b) -> float:
         raise DimensionMismatchError(f"shapes {a.shape} vs {b.shape}")
     diff = a - b
     diff = (diff + diff.conj().T) / 2
-    return float(0.5 * np.sum(np.abs(np.linalg.eigvalsh(diff))))
+    return float(0.5 * abs(np.linalg.eigvalsh(diff)).sum())
 
 
 def fidelity_to_ket(rho, ket) -> float:
@@ -197,7 +197,7 @@ def _settle(rho, w) -> np.ndarray:
     if w[0] < CLAMP_TRIGGER:
         w_full, v = np.linalg.eigh(rho)
         rho = (v * np.clip(w_full, 0, None)) @ v.conj().T
-        rho = rho / float(np.trace(rho).real)
+        rho = rho / float(rho.trace().real)
     return rho
 
 
@@ -216,10 +216,10 @@ def check_density(rho) -> np.ndarray:
     if rho.shape[0] != rho.shape[1]:
         raise DimensionMismatchError(f"density operator must be square, got {rho.shape}")
     # the tolerance tests are written so that a NaN or infinite entry fails
-    if not np.max(np.abs(rho - rho.conj().T)) <= HERMITICITY_TOL:
+    if not abs(rho - rho.conj().T).max() <= HERMITICITY_TOL:
         raise StateValidationError("matrix is not Hermitian within 1e-10")
     rho = (rho + rho.conj().T) / 2
-    tr = float(np.trace(rho).real)
+    tr = float(rho.trace().real)
     if not abs(tr - 1.0) <= TRACE_TOL:
         raise StateValidationError(f"trace {tr} is not 1 within 1e-10")
     return _settle(rho, np.linalg.eigvalsh(rho))
@@ -231,7 +231,7 @@ def normalize(rho) -> np.ndarray:
     `engine.impossibility`'s to decide. The dense path of the oracle
     `ensemble.analytic_sector` alone; every other state takes `gram_density`."""
     rho = _as_matrix(rho)
-    tr = float(np.trace(rho).real)
+    tr = float(rho.trace().real)
     if not (0 < tr < math.inf and 1 / tr < math.inf):
         raise ImpossibleOutcomeError(f"branch weight {tr:.3e} has no finite inverse")
     return check_density(rho / tr)
@@ -449,7 +449,7 @@ def spin_basis(theta: float, phi: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
 
 def projector(ket) -> np.ndarray:
     ket = np.asarray(ket, dtype=complex).reshape(-1)
-    return np.outer(ket, ket.conj())
+    return ket[:, None] * ket.conj()
 
 
 _SYMBOL_KETS = {"0": KET0, "1": KET1, "+": KET_PLUS, "-": KET_MINUS}

@@ -162,6 +162,14 @@ class Scenario:
                       tuple(map(tuple, products)))
 
     @cached_property
+    def kraus_stacks(self) -> tuple:
+        """Per intervention, a selective's Kraus operators as one (m, d, d)
+        array, or None for a unitary: the stack `engine` indexes with
+        outcome overrides, built once on first use."""
+        return tuple(np.asarray(iv.op.kraus) if isinstance(iv.op, SelectiveOp) else None
+                     for iv in self.interventions)
+
+    @cached_property
     def chain_norms(self) -> tuple:
         """(norms, vanishes): `product_norms` of each subsystem's `chains` products."""
         return tuple(zip(*(product_norms(chain, self.dims) for chain in self.chains.products)))
@@ -546,7 +554,7 @@ class _Builder:
             self.fail(field, "operator-dimension", f"unitary shape {mat.shape} vs subsystem dim {dim}")
             return None
         # written so that a NaN or infinite entry fails too
-        if not np.max(np.abs(mat.conj().T @ mat - np.eye(dim))) <= UNITARY_TOL:
+        if not abs(mat.conj().T @ mat - np.eye(dim)).max() <= UNITARY_TOL:
             self.fail(field, "unitary-invariant", "matrix is not unitary within 1e-10")
             return None
         return UnitaryOp(matrix=mat)
@@ -584,7 +592,7 @@ class _Builder:
                 return None
         total = sum(m.conj().T @ m for m in kraus)
         # written so that a NaN or infinite Kraus entry or basis ket fails too
-        if not np.max(np.abs(total - np.eye(dim))) <= KRAUS_TOL:
+        if not abs(total - np.eye(dim)).max() <= KRAUS_TOL:
             self.fail(field, "kraus-incomplete",
                       "kraus operators do not sum to the identity within 1e-10")
             return None

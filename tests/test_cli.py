@@ -8,6 +8,8 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 from polystate import linalg
 
@@ -617,3 +619,60 @@ def test_numbers_are_ascii_decimals(args, capsys):
     assert cli.main(list(args)) == 1
     out = capsys.readouterr()
     assert out.out == "" and "error" in out.err
+
+
+# the CLI's document writer against `json`, byte for byte
+
+json_floats = hs.one_of(hs.floats(), hs.sampled_from(
+    [-0.0, 0.0, 5e-324, -5e-324, 1e16, 1e-7, 1.0, 123456789012345678.0,
+     float("nan"), float("inf"), float("-inf")]))
+json_strings = hs.one_of(hs.text(), hs.sampled_from(
+    ['"', "\\", '\\"', "\x00", "\x1f\x7f\n\t\r\b\f", "é", " ", "\U0001f600", ""]))
+json_scalars = hs.one_of(hs.none(), hs.booleans(), json_floats, json_strings,
+                         hs.integers(), hs.integers(min_value=10**30, max_value=10**60),
+                         hs.integers(min_value=-10**60, max_value=-10**30))
+
+
+def json_documents(depth: int):
+    """Scalars, and lists, tuples and dicts of up to 4 items (empty ones
+    too), nested up to `depth` containers deep."""
+    if depth == 0:
+        return json_scalars
+    inner = json_documents(depth - 1)
+    return hs.one_of(json_scalars, hs.lists(inner, max_size=4),
+                     hs.lists(inner, max_size=4).map(tuple),
+                     hs.dictionaries(json_strings, inner, max_size=4))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(doc=json_documents(4))
+def test_document_writer_equals_json_dumps(doc):
+    """`cli._emit` writes what `json.dump(doc, fp, indent=2)` and a
+    newline write, byte for byte."""
+    from polystate import cli
+
+    out = io.StringIO()
+    with mock.patch.object(sys, "stdout", out):
+        cli._emit(doc)
+    assert out.getvalue() == json.dumps(doc, indent=2) + "\n"
+
+
+def test_document_writer_streams_and_refuses_what_json_refuses():
+    """The writer hands the stream one scalar at a time, with the text
+    before it, as `json.dump` does, never the document joined; a value
+    or a key `json` would not write raises TypeError, as do non-str keys
+    and numpy scalars that are not floats. A float subclass is written as
+    a float."""
+    from polystate import cli
+
+    doc = {"a": [1.5, [2, {"b": None}], ()], "c": {}, "d": "x"}
+    pieces = []
+    cli._write_json(doc, pieces.append)
+    assert "".join(pieces) == json.dumps(doc, indent=2)
+    assert len(pieces) >= 6 and max(map(len, pieces)) < len("".join(pieces)) / 3
+    for bad in ({1: 2}, {None: 0}, {(1,): 0}, [{1, 2}], [np.int64(3)], [np.bool_(True)], b"x"):
+        with pytest.raises(TypeError):
+            cli._write_json(bad, pieces.append)
+    got = []
+    cli._write_json([np.float64(0.1), np.float64("nan")], got.append)
+    assert "".join(got) == json.dumps([np.float64(0.1), np.float64("nan")], indent=2)

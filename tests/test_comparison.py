@@ -19,6 +19,7 @@ from polystate import engine, ensemble, linalg
 from polystate.errors import PolystateError
 from polystate.scenario import parse_scenario
 
+from helpers import load_fixture
 from test_engine import measure, two_qubit_document
 from test_kernel_properties import (FAINT_TILTS, SUITE, scenarios_of_rank,
                                     scenarios_with_blocked_branch)
@@ -173,3 +174,129 @@ def test_long_zx_chain_pushes_the_absolute_value_once_per_key(monkeypatch):
         report = ensemble.compare_to_polystate(log, s, (k + 0.5, 0.0))
         assert report.max_analytic < 1e-12
         assert calls.count(False) == 2 and calls.count(True) == 2
+
+
+def counting_branches(monkeypatch) -> tuple:
+    """Wrap `_stacked_pushes` and `engine._judged` as the pass calls them:
+    the first list gets the row count of each stacked push of listed
+    assignments, the second the (cut, assignment) of each judgement, the
+    assignment None for a cut's recorded branches."""
+    rows, judged = [], []
+    real_push, real_judged = ensemble._stacked_pushes, engine._judged
+
+    def pushed(s, cut, sel, chosen=None):
+        if chosen is not None:
+            rows.append(len(chosen))
+        return real_push(s, cut, sel, chosen)
+
+    def judging(s, cut, psi, outcomes=None):
+        judged.append((cut, None if outcomes is None else tuple(sorted(outcomes.items()))))
+        return real_judged(s, cut, psi, outcomes)
+
+    monkeypatch.setattr(ensemble, "_stacked_pushes", pushed)
+    monkeypatch.setattr(engine, "_judged", judging)
+    monkeypatch.setattr(ensemble, "_judged", judging)
+    return rows, judged
+
+
+def non_recorded_branches(log, s, taus) -> int:
+    """Per dense-key group, the distinct assignments to the applied cut's
+    selectives that the retained runs hold, less the recorded one, summed
+    over the groups: worked out run by run from the log."""
+    order = log.order
+    groups = {}
+    for subset in engine.all_subsets(s.n):
+        _, inside, applied = ensemble._selection(s, subset, taus)
+        groups[applied, s.cut_ids(inside)] = None
+    total = 0
+    for applied, inside in groups:
+        sel = [j for j, k in enumerate(order) if k in s.cut_ids(applied)]
+        recorded = tuple(s.interventions[order[j]].op.chosen for j in sel)
+        held = {tuple(int(row[j]) for j in sel) for row in log.outcomes
+                if all(row[j] == s.interventions[k].op.chosen
+                       for j, k in enumerate(order) if k in inside)}
+        total += len(held - {recorded})
+    return total
+
+
+def test_each_branch_is_pushed_and_judged_once_per_group(monkeypatch):
+    """The stacked pushes of one comparison hold one row per dense-key
+    group and distinct non-recorded assignment that its retained runs
+    hold, and no branch or cut is judged twice: GHZ-6 evaluated after
+    every measurement pushes no row, as every subset reads the full cut's
+    own entry; with three qubits evaluated before their measurement, the
+    rows follow the groups; `foliation_demo.scn` at A=0.5, B=1.5 pushes 2
+    of its 5 branch reads as stack rows, and reads the other 3 as applied
+    cuts' entries of the cut cache, 2 of them already there."""
+    s, meas = ghz6(monkeypatch)
+    log = ensemble.sample_runs(s, 1000, seed=6)
+    late = [t + 6.5 for t in meas]
+    half = [t - 0.5 for t in meas[:3]] + late[3:]
+    demo = load_fixture("foliation_demo.scn")
+    demo_log = ensemble.sample_runs(demo, 1000, seed=0)
+    rows, judged = counting_branches(monkeypatch)
+    counts = []
+    for scenario, run_log, taus in ((s, log, late), (s, log, half), (demo, demo_log, (0.5, 1.5))):
+        rows.clear()
+        judged.clear()
+        ensemble.compare_to_polystate(run_log, scenario, taus)
+        counts.append(sum(rows))
+        assert sum(rows) == non_recorded_branches(run_log, scenario, taus)
+        assert len(set(judged)) == len(judged)
+        assert sum(assignment is not None for _, assignment in judged) == sum(rows)
+    assert counts[0] == 0 and counts[1] > 0 and counts[2] == 2
+
+
+@SUITE
+@given(s=scenarios_with_blocked_branch(base=scenarios_of_rank(), tilts=FAINT_TILTS),
+       taus=hs.lists(hs.one_of(tau_values, hs.just(LATE)), min_size=4, max_size=4))
+def test_recorded_branch_is_the_applied_cuts_entry(s, taus):
+    """The recorded assignment to an applied cut's selectives, read as the
+    cut's entry from the cut cache `polystate_at` filled (`_weighed`),
+    equals its push and judgement as an assignment, the judged row of a
+    flat stack of it: the factor by `tobytes()`, the weight and the
+    verdict by `==`, whether the cut was in the cache already or not, and
+    whether the polystate could be read or was refused."""
+    taus = taus[:s.n]
+    cache = {}
+    try:
+        engine.polystate_at(s, taus, cache)
+    except PolystateError:
+        pass
+    for subset in engine.all_subsets(s.n):
+        _, _, applied = ensemble._selection(s, subset, taus)
+        sel = tuple(k for k in ensemble.selective_order(s) if k in s.cut_ids(applied))
+        recorded = {k: s.interventions[k].op.chosen for k in sel}
+        entry = engine._weighed(s, applied, cache)
+        single = engine._judged(s, applied, engine.push(s, applied, recorded), recorded)
+        row = np.array([list(recorded.values())], dtype=np.intp).reshape(1, len(sel))
+        stacked = next(ensemble._stacked_pushes(s, applied, sel, row))[0]
+        for want in (single, engine._judged(s, applied, stacked, recorded)):
+            assert entry.factor.tobytes() == want.factor.tobytes()
+            assert entry.weight == want.weight and entry.impossible == want.impossible
+
+
+def test_no_formed_sector_outlives_its_two_distances(monkeypatch):
+    """On GHZ-5 evaluated after every measurement, every sector the pass
+    forms, engine, empirical and analytic, is released once its two
+    distances are queued: when a subset's distance is queued, no array
+    queued for an earlier subset is alive, so the pass holds one subset's
+    sectors at a time."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    scenarios = importlib.import_module("scenarios")
+    doc = scenarios.ghz_document(5, random.Random(5))
+    s = parse_scenario(doc)
+    taus = [iv["tau"] + 5.5 for iv in json.loads(doc)["interventions"]]
+    log = ensemble.sample_runs(s, 1000, seed=5)
+    queued = []
+    real = ensemble._TraceDistances.add
+
+    def add(self, slot, a, b):
+        alive = [pos for pos, ref in queued if ref() is not None and pos != slot // 2]
+        assert not alive, f"subset {slot // 2} is queued with arrays of {alive} alive"
+        queued.extend((slot // 2, weakref.ref(m)) for m in (a, b))
+        return real(self, slot, a, b)
+
+    monkeypatch.setattr(ensemble._TraceDistances, "add", add)
+    report = ensemble.compare_to_polystate(log, s, taus)
+    assert len(report.rows) == 31 and len(queued) == 4 * 31

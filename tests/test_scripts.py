@@ -15,6 +15,7 @@ import polystate
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 SRC = Path(polystate.__file__).resolve().parent.parent
+DEMO = str(SCRIPTS.parent / "src" / "polystate" / "fixtures" / "foliation_demo.scn")
 
 RUNS = (
     ("audit_bell.py", "--t-steps", "1"),
@@ -26,6 +27,9 @@ RUNS = (
     ("selective_ladder.py", "--m", "13", "--repeats", "1"),
     ("cli_digest.py",),
     ("code_lines.py",),
+    # the tree against itself
+    ("op_ab.py", "--base", str(SCRIPTS.parent), "--ops", "20", "--",
+     "ensemble", DEMO, "--n", "1000", "--tau", "A=0.5,B=1.5"),
 )
 
 

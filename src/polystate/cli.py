@@ -202,16 +202,25 @@ def _report(obj, skip=()) -> dict:
     JSON object: its fields but `skip`, then its properties, each under its
     key (`_KEYS`). Read by `getattr`, not `dataclasses.asdict`, which
     deep-copies every list."""
-    names = [f.name for f in dataclasses.fields(obj) if f.name not in skip]
-    names += [n for n, v in vars(type(obj)).items() if isinstance(v, property)]
     doc = {}
-    for name in names:
+    for name, key, target in _layout(type(obj), skip):
         value = _json(getattr(obj, name))
-        if name.startswith("target_"):
-            doc.setdefault("targets", {})[name.removeprefix("target_")] = value
+        if target:
+            doc.setdefault("targets", {})[key] = value
         else:
-            doc[_KEYS.get(name, name)] = value
+            doc[key] = value
     return doc
+
+
+@functools.cache
+def _layout(cls, skip) -> tuple:
+    """A report type's layout, read once per process for each `skip`: per
+    field but `skip`, then per property, (name, key, whether the key is of
+    the "targets" object)."""
+    names = [f.name for f in dataclasses.fields(cls) if f.name not in skip]
+    names += [n for n, v in vars(cls).items() if isinstance(v, property)]
+    return tuple((name, name.removeprefix("target_"), True) if name.startswith("target_")
+                 else (name, _KEYS.get(name, name), False) for name in names)
 
 
 def _json(value):

@@ -582,7 +582,10 @@ class _TraceDistances:
     def add(self, slot: int, a, b) -> None:
         """Queue the distance between a and b for `out[slot]`."""
         diff = a - b
-        diff = (diff + diff.conj().T) / 2
+        # in place on the fresh difference; `/ 2`, as `*= 0.5` would not
+        # keep the sign of every zero
+        diff += diff.conj().T
+        diff /= 2
         self.queues.setdefault(diff.shape[0], []).append((slot, diff))
         self.held += diff.nbytes
         if self.held >= _EIGVALSH_BYTES:

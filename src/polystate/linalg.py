@@ -215,10 +215,11 @@ def check_density(rho) -> np.ndarray:
     rho = _as_matrix(rho)
     if rho.shape[0] != rho.shape[1]:
         raise DimensionMismatchError(f"density operator must be square, got {rho.shape}")
+    adjoint = rho.conj().T
     # the tolerance tests are written so that a NaN or infinite entry fails
-    if not abs(rho - rho.conj().T).max() <= HERMITICITY_TOL:
+    if not abs(rho - adjoint).max() <= HERMITICITY_TOL:
         raise StateValidationError("matrix is not Hermitian within 1e-10")
-    rho = (rho + rho.conj().T) / 2
+    rho = (rho + adjoint) / 2
     tr = float(rho.trace().real)
     if not abs(tr - 1.0) <= TRACE_TOL:
         raise StateValidationError(f"trace {tr} is not 1 within 1e-10")
@@ -430,6 +431,12 @@ CHARGE = (SIGMA_Z - ID2) / 2
 
 BELL_PSI_PLUS = np.array([0, 1, 1, 0], dtype=complex) / math.sqrt(2)
 BELL_PSI_MINUS = np.array([0, 1, -1, 0], dtype=complex) / math.sqrt(2)
+
+# every scenario that names one of these shares it, so none may write to it
+for _constant in (KET0, KET1, KET_PLUS, KET_MINUS, SIGMA_X, SIGMA_Y, SIGMA_Z, ID2, HADAMARD,
+                  CHARGE, BELL_PSI_PLUS, BELL_PSI_MINUS):
+    _constant.flags.writeable = False
+del _constant
 
 
 def sigma_n(theta: float, phi: float = 0.0) -> np.ndarray:

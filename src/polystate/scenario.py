@@ -31,6 +31,16 @@ A unitary is a matrix or a name from the one operator catalog,
 `NAMED_OPERATORS`: pauli_x, pauli_y, pauli_z, hadamard, identity and charge.
 A named operator must still be unitary, so `charge` is refused as one. The
 CLI's observables name their factors from the same catalog.
+
+What depends only on a catalog name is formed and checked once per process
+and shared read-only: the projector pair of pauli_x, pauli_y and pauli_z with
+its completeness verdict (`_catalog_basis`) and each `NAMED_STATES` projector
+(`_catalog_state`). Every parse still checks what its document supplies or
+what depends on it: an operator's shape against its subsystem's dim, the
+outcome, the labels, explicit kets, Kraus matrices, every unitary, named or
+not, and the projectors of each `pauli_n(theta, phi)`, formed afresh. So a
+named operator gets the diagnostics a document's own would, `charge` its
+`unitary-invariant`.
 """
 
 from __future__ import annotations
@@ -40,7 +50,7 @@ import math
 import re
 import sys
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cache, cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -268,6 +278,42 @@ def axis_angles(name: str, heads=("pauli_n",)):
     if len(raws) != 2:
         raise ValueError(f"{name!r} needs two angles, theta and phi")
     return tuple(read_number(raw, float, f"angle {raw.strip()!r} of {name!r}") for raw in raws)
+
+
+def _unitary(mat) -> bool:
+    """Whether a square matrix is unitary within `UNITARY_TOL`; a NaN or
+    infinite entry fails."""
+    return abs(mat.conj().T @ mat - np.eye(mat.shape[0])).max() <= UNITARY_TOL
+
+
+def _complete(kraus, dim: int) -> bool:
+    """Whether dim x dim Kraus operators sum to the identity within
+    `KRAUS_TOL`; a NaN or infinite entry fails, and so does an empty list."""
+    total = sum(m.conj().T @ m for m in kraus)
+    return abs(total - np.eye(dim)).max() <= KRAUS_TOL
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+@cache
+def _catalog_state(name: str) -> np.ndarray:
+    """The read-only projector of `NAMED_STATES[name]`, formed once per process."""
+    return _frozen(linalg.projector(NAMED_STATES[name]))
+
+
+# the named projective bases with no angles, whose projectors are shared
+_CATALOG_BASES = ("pauli_z", "pauli_x", "pauli_y")
+
+
+@cache
+def _catalog_basis(name: str) -> tuple:
+    """(kraus, complete) of a basis in `_CATALOG_BASES`: its read-only
+    projector pair and whether it sums to the identity, once per process."""
+    kraus = tuple(_frozen(linalg.projector(k)) for k in named_basis(name))
+    return kraus, _complete(kraus, 2)
 
 
 def named_basis(name: str):
@@ -502,7 +548,8 @@ class _Builder:
                 self.fail("initial_state", "dimension-mismatch",
                           f"state dim {len(ket)} vs joint dim {total}")
                 return None, None
-            return linalg.projector(ket), ket
+            return (_catalog_state(raw["named"]) if "named" in raw
+                    else linalg.projector(ket)), ket
         if total and state.shape != (total, total):
             self.fail("initial_state", "dimension-mismatch",
                       f"state dim {state.shape[0]} vs joint dim {total}")
@@ -553,8 +600,7 @@ class _Builder:
         if mat.shape != (dim, dim):
             self.fail(field, "operator-dimension", f"unitary shape {mat.shape} vs subsystem dim {dim}")
             return None
-        # written so that a NaN or infinite entry fails too
-        if not abs(mat.conj().T @ mat - np.eye(dim)).max() <= UNITARY_TOL:
+        if not _unitary(mat):
             self.fail(field, "unitary-invariant", "matrix is not unitary within 1e-10")
             return None
         return UnitaryOp(matrix=mat)
@@ -562,10 +608,13 @@ class _Builder:
     def _selective(self, field, raw, dim):
         if not self._object(field, raw, "measure"):
             return None
+        complete = None  # the verdict of a catalog basis
         try:
             if "kraus" in raw:
                 kraus = tuple(_matrix_from_json(k)
                               for k in _list_from_json(raw["kraus"], "a list of matrices"))
+            elif raw.get("projective_basis") in _CATALOG_BASES:
+                kraus, complete = _catalog_basis(raw["projective_basis"])
             elif "projective_basis" in raw:
                 basis = raw["projective_basis"]
                 if isinstance(basis, str):
@@ -590,9 +639,7 @@ class _Builder:
                 self.fail(f"{field}[{k}]", "operator-dimension",
                           f"kraus shape {mat.shape} vs subsystem dim {dim}")
                 return None
-        total = sum(m.conj().T @ m for m in kraus)
-        # written so that a NaN or infinite Kraus entry or basis ket fails too
-        if not abs(total - np.eye(dim)).max() <= KRAUS_TOL:
+        if not (_complete(kraus, dim) if complete is None else complete):
             self.fail(field, "kraus-incomplete",
                       "kraus operators do not sum to the identity within 1e-10")
             return None

@@ -33,9 +33,15 @@ def gamma(velocity) -> float:
 
 
 def four_velocity(velocity) -> np.ndarray:
-    """gamma * (1, v); the tangent per unit proper time."""
+    """gamma * (1, v); the tangent per unit proper time, written entry by
+    entry with no concatenated copy. Since gamma * 1.0 is gamma, u[0] holds
+    gamma's own bits."""
     v = np.asarray(velocity, dtype=float)
-    return gamma(v) * np.concatenate(([1.0], v))
+    g = gamma(v)
+    u = np.empty(1 + v.shape[0])
+    u[0] = g
+    np.multiply(g, v, out=u[1:])
+    return u
 
 
 @dataclass
@@ -74,15 +80,18 @@ class Worldline:
         worldline after construction (a boost builds a new one), so the
         pieces never go stale."""
         first_v = self.segments[0].velocity if self.segments else self.final_velocity
-        spans = [(-math.inf, 0.0, 0.0, self.anchor, first_v)]
+        u = four_velocity(first_v)
+        pieces = [(-math.inf, 0.0, 0.0, self.anchor, first_v, float(u[0]), u)]
         x = self.anchor
         tau = 0.0
         for seg in self.segments:
-            spans.append((tau, tau + seg.dtau, tau, x, seg.velocity))
-            x = x + seg.dtau * four_velocity(seg.velocity)
+            u = four_velocity(seg.velocity)
+            pieces.append((tau, tau + seg.dtau, tau, x, seg.velocity, float(u[0]), u))
+            x = x + seg.dtau * u
             tau += seg.dtau
-        spans.append((tau, math.inf, tau, x, self.final_velocity))
-        return tuple(span + (gamma(span[4]), four_velocity(span[4])) for span in spans)
+        u = four_velocity(self.final_velocity)
+        pieces.append((tau, math.inf, tau, x, self.final_velocity, float(u[0]), u))
+        return tuple(pieces)
 
     @cached_property
     def piece_starts(self) -> np.ndarray:

@@ -273,3 +273,25 @@ def test_sample_runs_draws_from_one_stream_per_seed():
         first = 0 if u[0] <= marginal[0] else 1
         second = 0 if u[1] * marginal[first] <= p[(first, 0)] else 1
         assert tuple(log.outcomes[r]) == (first, second)
+
+
+def test_stacked_trace_distances_keep_the_bits_of_trace_distance():
+    """The queue's in-place Hermitian part of a difference is the
+    out-of-place one bit for bit, signed zeros included, so every stacked
+    distance is `linalg.trace_distance` of its pair."""
+    rng = np.random.default_rng(7)
+
+    def draw(d):
+        return (rng.choice([0.0, -0.0, 0.5, -1.5], (d, d))
+                + 1j * rng.choice([0.0, -0.0, 0.25], (d, d)))
+
+    pairs = [(draw(d), draw(d)) for d in rng.integers(1, 5, 200).tolist()]
+    distances = ensemble._TraceDistances(len(pairs))
+    for slot, (a, b) in enumerate(pairs):
+        distances.add(slot, a, b)
+    for queue in distances.queues.values():
+        for slot, held in queue:
+            diff = pairs[slot][0] - pairs[slot][1]
+            want = (diff + diff.conj().T) / 2
+            assert np.array_equal(held.view(np.uint64), want.view(np.uint64))
+    assert distances.read().tolist() == [linalg.trace_distance(a, b) for a, b in pairs]

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as hs
 
-from polystate import cli, engine, linalg, validate
+from polystate import cli, engine, linalg, scenario, validate
 from polystate.errors import ParseError, ScenarioValidationError
 from polystate.scenario import (Intervention, SelectiveOp, UnitaryOp, apply_interventions,
                                 axis_angles, boosted_scenario, diagnose_document, named_basis,
@@ -526,6 +526,106 @@ def test_named_operators_that_are_not_unitary_are_refused_as_unitaries():
         ("interventions[0].unitary", "unitary-invariant")]
     doc["interventions"][0]["unitary"] = "sigma_x"
     assert [d.invariant for d in diagnose_document(json.dumps(doc))] == ["known-name"]
+
+
+def _clear_catalog():
+    for entry in (scenario._catalog_basis, scenario._catalog_state):
+        entry.cache_clear()
+
+
+def _counting_projector(monkeypatch) -> list:
+    """Patch `linalg.projector` to record each call; the list of calls."""
+    calls, projector = [], linalg.projector
+
+    def counted(ket):
+        calls.append(ket)
+        return projector(ket)
+
+    monkeypatch.setattr(linalg, "projector", counted)
+    return calls
+
+
+def _readouts_doc():
+    doc = _doc()
+    for k, (on, basis) in enumerate((("B", "pauli_x"), ("A", "pauli_y"))):
+        doc["interventions"].append({"on": on, "tau": 2.0 + k,
+                                     "measure": {"projective_basis": basis, "outcome": 1}})
+    return json.dumps(doc)
+
+
+def test_named_readouts_and_state_share_read_only_catalog_arrays(monkeypatch):
+    """Two parses of one document hold the same projectors for each named
+    readout and for the named state, formed by the first parse alone; no
+    write to them goes through."""
+    _clear_catalog()
+    text = _readouts_doc()
+    first = parse_scenario(text)
+    calls = _counting_projector(monkeypatch)
+    second = parse_scenario(text)
+    assert calls == []
+    pairs = [(first.initial_state, second.initial_state)]
+    pairs += [(a, b) for u, v in zip(first.interventions, second.interventions)
+              for a, b in zip(u.op.kraus, v.op.kraus)]
+    assert len(pairs) == 7
+    for a, b in pairs:
+        assert a is b and not a.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            a[0, 0] = 2.0
+    assert np.array_equal(first.initial_state, linalg.projector(linalg.BELL_PSI_PLUS))
+    want = (linalg.projector(linalg.KET_MINUS), linalg.projector(linalg.spin_basis(math.pi / 2,
+                                                                                   math.pi / 2)[1]))
+    assert all(np.array_equal(iv.op.kraus[1], p) for iv, p in zip(first.interventions[1:], want))
+
+
+def test_pauli_n_readouts_get_fresh_projectors_on_every_parse(monkeypatch):
+    doc = _doc()
+    doc["interventions"][0]["measure"]["projective_basis"] = "pauli_n(0.3, 1.1)"
+    first = parse_scenario(json.dumps(doc))
+    calls = _counting_projector(monkeypatch)
+    second = parse_scenario(json.dumps(doc))
+    assert len(calls) == 2
+    for a, b in zip(first.interventions[0].op.kraus, second.interventions[0].op.kraus):
+        assert a is not b and np.array_equal(a, b)
+
+
+def _charge_unitary(doc):
+    doc["interventions"][0] = {"on": "A", "tau": 1.0, "unitary": "charge"}
+
+
+def _qutrit(doc):
+    doc["subsystems"][0]["dim"] = 3
+
+
+def _incomplete_basis(doc):
+    doc["interventions"][0]["measure"]["projective_basis"] = [[1.0, 0.0], [0.6, 0.8]]
+
+
+def _unknown_basis(doc):
+    doc["interventions"][0]["measure"]["projective_basis"] = "pauli_w"
+
+
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+@pytest.mark.parametrize("breaks,want", [
+    (_charge_unitary, [("interventions[0].unitary", "unitary-invariant")]),
+    (_qutrit, [("initial_state", "dimension-mismatch"),
+               ("interventions[0].measure[0]", "operator-dimension")]),
+    (_incomplete_basis, [("interventions[0].measure", "kraus-incomplete")]),
+    (_unknown_basis, [("interventions[0].measure.projective_basis", "known-name")]),
+])
+def test_catalog_hides_no_diagnostic(breaks, want, warm):
+    """A document that misuses a catalog name, or breaks what a catalog
+    entry would check, gets its diagnostics whether the catalog was formed
+    before or not."""
+    _clear_catalog()
+    if warm:
+        parse_scenario(_readouts_doc())
+        diagnose_document(json.dumps({**_doc(), "interventions": [
+            {"on": "A", "tau": 1.0, "unitary": name} for name in scenario.NAMED_OPERATORS]}))
+    doc = _doc()
+    breaks(doc)
+    assert [(d.field, d.invariant) for d in diagnose_document(json.dumps(doc))] == want
+    with pytest.raises(ScenarioValidationError):
+        parse_scenario(json.dumps(doc))
 
 
 @hs.composite

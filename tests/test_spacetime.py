@@ -325,3 +325,24 @@ def test_superluminal_rejected():
         st.Segment(1.0, np.array([1.0]))
     with pytest.raises(ValueError):
         st.Segment(-1.0, np.array([0.1]))
+
+
+def test_pieces_hold_the_bits_of_gamma_and_four_velocity():
+    """Each piece's gamma and four-velocity are gamma and gamma * (1, v) of
+    its velocity bit for bit, as `four_velocity` is, and each piece after
+    the first starts at the anchor advanced, segment by segment, by dtau
+    times that four-velocity."""
+    def tangent(v):
+        return st.gamma(v) * np.concatenate(([1.0], v))
+
+    for d in (1, 2, 3):
+        for _ in range(20):
+            w = random_worldline(RNG, d)
+            for _, _, _, _, v, g, u in w.pieces:
+                assert g == st.gamma(v) and u.dtype == float
+                assert np.array_equal(u, tangent(v)) and np.array_equal(st.four_velocity(v), u)
+            x = w.anchor
+            for seg, piece in zip(w.segments + (None,), w.pieces[1:]):
+                assert np.array_equal(piece[3], x)
+                if seg is not None:
+                    x = x + seg.dtau * tangent(seg.velocity)

@@ -27,6 +27,11 @@ REFERENCES = {
 }
 
 
+def fidelity(rho, ket) -> float:
+    """<k| rho |k> of a formed state and a reference ket."""
+    return float((ket.conj() @ rho @ ket).real)
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--scenario", default=str(FIXTURES / "foliation_demo.scn"))
@@ -48,7 +53,7 @@ def main():
         a = engine.foliation_state(s, fwd, t)
         b = engine.foliation_state(s, bwd, t)
         cells = "  ".join(
-            f"{linalg.fidelity_to_ket(a, ket):>7.4f} {linalg.fidelity_to_ket(b, ket):>7.4f}"
+            f"{fidelity(a, ket):>7.4f} {fidelity(b, ket):>7.4f}"
             for ket in REFERENCES.values())
         print(f"{t:>6.2f}  {cells}  {linalg.trace_distance(a, b):>9.4f}")
 

@@ -18,7 +18,10 @@ Every state below is the engine's read of the cut of the set a test picks
 (`engine._state`, unchecked, as the package builds its cuts itself),
 evaluated once per leaf by `leaf_states` over one dict of the leaf's own,
 which, as every engine cache does, weighs and judges only the cuts it
-reads, and every charge is read off a diagonal (`linalg.expect_diag`).
+reads. The charge ledgers and the CLI's sweep form no state at all:
+`leaf_charges` reads the same leaf's charges and fidelities off its judged
+entries (`engine.readout`), a charge as one dot product with a state's
+populations, and a patchwork one axis at a time.
 `criteria_report` reads its targets from one `engine.polystate_at`,
 evaluates each rule's cuts once for its states and its ignorance cell, and
 varies A's recorded outcomes as overrides of the same scenario's branches
@@ -239,29 +242,55 @@ class ChargeLedger:
     initial: float
 
 
+def _charge(r: engine.Readout) -> float:
+    """The total charge of a qubit readout's state: one dot product of its
+    populations with the charges of the product basis states."""
+    return float(r.populations() @ linalg.charges(len(r.axes)))
+
+
 def _initial_charge(s: Scenario) -> float:
-    """The total charge of a qubit scenario's initial state."""
+    """The total charge of a qubit scenario's initial state, read off the
+    diagonal of the state as parsed, O(D)."""
     if any(d != 2 for d in s.dims):
         raise ValueError("charge audits are defined for qubit scenarios")
-    return linalg.expect_diag(s.initial_state, linalg.charges(s.n))
+    return float((s.initial_state.diagonal() * linalg.charges(s.n)).sum().real)
 
 
-def leaf_charges(joint, locals_) -> tuple:
-    """(joint total charge, sum of the local charges) of one leaf's qubit
-    `leaf_states`, each read off a diagonal (`linalg.expect_diag`)."""
-    return (linalg.expect_diag(joint, linalg.charges(len(locals_))),
-            sum(linalg.expect_diag(r, linalg.charges(1)) for r in locals_))
+def leaf_charges(p, s: Scenario, taus, kets=()) -> tuple:
+    """(joint total charge, sum of the local charges, fidelity of the joint
+    state to each of `kets`) of the prescription at one qubit proper-time
+    tuple. The states are `leaf_states`', with its raises in its order, but
+    none is formed: each is read off its judged entry (`engine.readout`),
+    over one dict of the leaf's own, a charge off its populations and a
+    fidelity off its factor. A patchwork is read one axis at a time: its
+    charge is the sum of the local ones, and its fidelity to a ket the
+    expectation, in the ket, of the product of the local states."""
+    cuts = _event_cuts(p, s, taus)
+    union, cache, everything = engine._union(cuts), {}, tuple(range(s.n))
+    whole = None
+    if isinstance(p, PolystateRule) or all(cut == union for cut in cuts):
+        whole = engine.readout(s, everything, engine._weighed(s, union, cache))
+    locals_ = [engine.readout(s, (i,), engine._weighed(s, cut, cache))
+               for i, cut in enumerate(cuts)]
+    local = sum(map(_charge, locals_))
+    if whole is not None:
+        return _charge(whole), local, [whole.fidelity(k) for k in kets]
+    states = [r.density() for r in locals_] if kets else ()
+    kets = [np.reshape(k, (-1, 1)) for k in kets]
+    return local, local, [engine.Readout(s.dims, everything, k, k, 1.0).expectation(states)
+                          for k in kets]
 
 
 def charge_ledger(s: Scenario, f: Foliation, t_grid, source) -> ChargeLedger:
     """Total-charge bookkeeping along a foliation under one prescription:
     the joint total charge versus the sum of per-subsystem local charges,
-    each read off its state's diagonal by `linalg.expect_diag`."""
+    each read off its state's populations by `leaf_charges`, with no joint
+    state formed."""
     initial = _initial_charge(s)
     q_joint, q_sum = [], []
     for t in t_grid:
         taus = [proper_time_at_leaf(s.worldlines[i], f, t) for i in range(s.n)]
-        q, local = leaf_charges(*leaf_states(source, s, taus))
+        q, local, _ = leaf_charges(source, s, taus)
         q_joint.append(q)
         q_sum.append(local)
     return ChargeLedger(t_grid=list(t_grid), q_joint=q_joint, q_sum=q_sum, initial=initial)
@@ -276,12 +305,13 @@ class ConservationReport:
 
 def recollection_conservation(s: Scenario, z: Worldline, t_grid, f: Foliation) -> ConservationReport:
     """Total charge in the recollection along a worldline, sampled where the
-    worldline crosses each leaf; reports the largest deviation from the
-    initial value. Deviations are findings, not errors."""
+    worldline crosses each leaf, read off the populations of its factor;
+    reports the largest deviation from the initial value. Deviations are
+    findings, not errors."""
     initial = _initial_charge(s)
     values = []
     for t in t_grid:
-        tau = proper_time_at_leaf(z, f, t)
-        values.append(linalg.expect_diag(engine.recollection(s, z, tau), linalg.charges(s.n)))
+        cut = engine.observer_cut(s, position(z, proper_time_at_leaf(z, f, t)))
+        values.append(_charge(engine.readout(s, tuple(range(s.n)), engine._weighed(s, cut, {}))))
     max_dev = max((abs(v - initial) for v in values), default=0.0)
     return ConservationReport(initial=initial, values=values, max_deviation=max_dev)

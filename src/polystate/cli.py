@@ -361,18 +361,15 @@ def cmd_sweep(args) -> int:
     grid = _parse_range(args.t_range)
     source = next(p for p in audit.default_prescriptions(f) if p.name == args.source)
     refs = args.ref or ["bell_psi_plus", "bell_psi_minus"]
-    ref_kets = {name: _reference_ket(name, s) for name in refs}
+    kets = [_reference_ket(name, s) for name in refs]
 
     writer = csv.writer(sys.stdout)
     writer.writerow(["t"] + [f"tau_{n}" for n in s.names] + [f"fid_{name}" for name in refs]
                     + ["charge_joint", "charge_sum"])
     for t in grid:
         taus = [proper_time_at_leaf(s.worldlines[i], f, t) for i in range(s.n)]
-        joint, locals_ = audit.leaf_states(source, s, taus)
-        row = [repr(float(t))] + [repr(float(tau)) for tau in taus]
-        row += [repr(float(linalg.fidelity_to_ket(joint, ref_kets[name]))) for name in refs]
-        row += [repr(float(q)) for q in audit.leaf_charges(joint, locals_)]
-        writer.writerow(row)
+        q, local, fids = audit.leaf_charges(source, s, taus, kets)
+        writer.writerow([repr(float(x)) for x in (t, *taus, *fids, q, local)])
     return 0
 
 

@@ -58,6 +58,22 @@ sector. For a
 full-rank mixed initial state (r = D) the Gram product is O(d_S D^2),
 dearer than a pure one, most for large subsets.
 
+A caller that wants a few numbers of a state, not the state, reads them off
+the judged entry without forming it (`readout`): the populations
+sum_c |Psi_ic|^2 / w over the D basis states, summed over the axes outside
+the subset, of which a diagonal observable such as a charge is one dot
+product; a ket's fidelity ||k^dagger Phi||^2 / w; and a product observable's
+expectation tr(Psi^dagger (x)_j O_j Psi) / w, each O_j applied on its own
+axis as a push applies M_j. Each is O(D r d) at most, where the state's Gram
+product is O(d_S D r), O(D^2 r) for the joint state: a 200-leaf sweep of
+pure GHZ-10 reads a 1024 x 1 factor per leaf, not a 1024 x 1024 state. The
+readout decides the state first, exactly as forming it would: by the
+rounding bound where it proves the state, else by `linalg.gram_verdict`,
+whose raise or clamp is the read's and whose formed state is the one read.
+The audit's charge ledgers, the CLI's sweep and the outcome probabilities
+below (`joint_outcome_prob`, `marginal_prob`, `conditional_prob`) read this
+way.
+
 A cut whose recorded outcomes cannot occur raises `ImpossibleOutcomeError`
 by `impossibility`, the one verdict of the engine, the ensemble and the
 oracle. It is judged relative to the cut's operators, not by an absolute
@@ -139,7 +155,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import linalg
-from .errors import ImpossibleOutcomeError
+from .errors import DimensionMismatchError, ImpossibleOutcomeError
 from .scenario import Scenario, SelectiveOp, product_norms
 from .spacetime import (Foliation, PastOfEvent, PastOfLeaf, Worldline,
                         causally_precedes, position)
@@ -158,7 +174,7 @@ class Polystate:
 
     def __post_init__(self):
         if not isinstance(self.sectors, Sectors):
-            self.sectors = Sectors(None, self.sectors)
+            self.sectors = Sectors(self.sectors)
 
     def sector(self, subset) -> np.ndarray:
         return self.sectors[check_subset(self.n, subset)]
@@ -166,18 +182,18 @@ class Polystate:
 
 class Sectors(Mapping):
     """A polystate's sectors by subset, read-only, in the order given. Each
-    value is a state, or the weighed `PushedCut` of the subset's cut when
-    the state was decided without being formed: it is then formed on first
-    read (`linalg.gram_product`) and kept, so a repeat read returns the same
-    array and no read raises."""
+    value is a state, or the subset's `Readout` on its cut's judged entry
+    when the state was decided without being formed: it is then formed on
+    first read (`Readout.density`) and kept, so a repeat read returns the
+    same array and no read raises."""
 
-    def __init__(self, s: Scenario | None, entries):
-        self._s, self._entries = s, dict(entries)
+    def __init__(self, entries):
+        self._entries = dict(entries)
 
     def __getitem__(self, subset) -> np.ndarray:
         entry = self._entries[subset]
-        if isinstance(entry, PushedCut):
-            entry = self._entries[subset] = self.formed(subset)
+        if isinstance(entry, Readout):
+            entry = self._entries[subset] = entry.density()
         return entry
 
     def formed(self, subset) -> np.ndarray:
@@ -185,10 +201,7 @@ class Sectors(Mapping):
         not yet formed is formed anew on every call, so a caller that reads
         each sector once holds one at a time."""
         entry = self._entries[subset]
-        if isinstance(entry, PushedCut):
-            phi = subset_factor(self._s, entry.factor, subset)
-            return linalg.gram_product(phi, entry.weight)
-        return entry
+        return entry.density() if isinstance(entry, Readout) else entry
 
     def __iter__(self):
         return iter(self._entries)
@@ -334,12 +347,13 @@ def _branch_ops(s: Scenario, ids, outcomes):
                if isinstance(op, SelectiveOp) else op.matrix)
 
 
-def subset_factor(s: Scenario, psi, subset) -> np.ndarray:
-    """Phi: a pushed factor with the subset's axes moved to the front, in
-    the order given, reshaped to d_S x rest: Phi Phi^dagger is the
-    subset's unnormalized state Tr_complement[K rho K^dagger]."""
-    axes, rows = _subset_plan(s.dims, tuple(subset))
-    return psi.reshape(*s.dims, -1).transpose(axes).reshape(rows, -1)
+def subset_factor(dims: tuple, psi, subset) -> np.ndarray:
+    """Phi: a pushed factor on subsystems of local dimensions `dims` with
+    the subset's axes moved to the front, in the order given, reshaped to
+    d_S x rest: Phi Phi^dagger is the subset's unnormalized state
+    Tr_complement[K rho K^dagger]."""
+    axes, rows = _subset_plan(dims, tuple(subset))
+    return psi.reshape(*dims, -1).transpose(axes).reshape(rows, -1)
 
 
 @cache
@@ -459,9 +473,81 @@ def _state(s: Scenario, cut, subset: tuple, cache=None) -> np.ndarray:
 def _read(s: Scenario, subset: tuple, entry: PushedCut) -> np.ndarray:
     """The subset's state from a judged entry: refused by name if its
     branches cannot occur, else the Gram matrix of its factor on the subset
-    over its weight (`linalg.gram_density`)."""
+    over its weight (`linalg.gram_density`): the state a `readout` of it
+    reads, decided the same way."""
     refuse(s, subset, entry.impossible)
-    return linalg.gram_density(subset_factor(s, entry.factor, subset), entry.weight)
+    return linalg.gram_density(subset_factor(s.dims, entry.factor, subset), entry.weight)
+
+
+class Readout(NamedTuple):
+    """A subset's state on a judged entry, decided but not formed: the
+    partial trace of rows cols^dagger / weight over the axes of `dims` not
+    in `axes`. Unless deciding formed the state, rows and cols are both the
+    entry's pushed factor Psi, `dims` the scenario's and `axes` the
+    subset's, and no read forms a d_S x d_S product of Psi: each costs
+    O(D r d) at most. When deciding formed it (a wide factor's product, or a
+    clamp), rows is that state, cols the identity and the weight 1, on the
+    subset's own axes, so that every read is of the state as it stands."""
+    dims: tuple
+    axes: tuple
+    rows: np.ndarray
+    cols: np.ndarray
+    weight: float
+
+    def density(self) -> np.ndarray:
+        """The state, formed here unless deciding formed it: the bits of
+        `linalg.gram_density`."""
+        if self.cols is not self.rows:
+            return self.rows
+        return linalg.gram_product(subset_factor(self.dims, self.rows, self.axes), self.weight)
+
+    def populations(self) -> np.ndarray:
+        """The state's diagonal, d_S reals: the populations
+        sum_c |Psi_ic|^2 / weight over the D basis states, summed over the
+        axes not in the subset."""
+        terms = (self.rows * self.cols.conj()).real.reshape(*self.dims, -1)
+        rest = _subset_plan(self.dims, self.axes)[0][len(self.axes):]
+        return np.add.reduce(terms, axis=rest).ravel() / self.weight
+
+    def fidelity(self, ket) -> float:
+        """<k| rho |k> for a ket of length d_S: ||k^dagger Phi||^2 / weight
+        for Phi the factor on the subset, or k^dagger rho k for a formed
+        state, whose cols are the identity."""
+        amp = (np.conj(ket)[:, None] * subset_factor(self.dims, self.rows, self.axes)).sum(axis=0)
+        other = amp if self.cols is self.rows else np.conj(ket)
+        return float(np.vdot(other, amp).real) / self.weight
+
+    def expectation(self, ops) -> float:
+        """tr(rho (x)_j O_j) for one d_j x d_j factor O_j per member, None
+        for the identity: tr(cols^dagger (x)_j O_j rows) / weight, each O_j
+        applied on its member's axis of rows as `_apply` applies a product.
+        Its imaginary part must be negligible, as in `linalg.expect`."""
+        out = self.rows
+        for j, op in zip(self.axes, ops):
+            if op is not None:
+                if np.shape(op) != (self.dims[j],) * 2:
+                    raise DimensionMismatchError(f"operator {np.shape(op)} on dimension "
+                                                 f"{self.dims[j]}")
+                out = _apply(self.dims, j, np.asarray(op, dtype=complex), out)
+        return linalg.real_part(np.vdot(self.cols, out) / self.weight)
+
+
+def readout(s: Scenario, subset: tuple, entry: PushedCut) -> Readout:
+    """The subset's `Readout` on a judged entry: refused by name if its
+    branches cannot occur (`refuse`), then decided as `linalg.gram_density`
+    decides it, so that it raises and clamps where forming the state would:
+    by the rounding bound from Phi's shape alone where it proves the Gram
+    state (`linalg.gram_proved`), else by `linalg.gram_verdict`, whose
+    formed state, if any, is the one read."""
+    refuse(s, subset, entry.impossible)
+    d_s = _subset_plan(s.dims, subset)[1]
+    state = None
+    if not linalg.gram_proved((d_s, entry.factor.size // d_s), entry.weight):
+        state = linalg.gram_verdict(subset_factor(s.dims, entry.factor, subset), entry.weight)
+    if state is None:
+        return Readout(s.dims, subset, entry.factor, entry.factor, entry.weight)
+    return Readout(tuple(s.dims[i] for i in subset), tuple(range(len(subset))), state,
+                   np.eye(d_s), 1.0)
 
 
 def _weighed(s: Scenario, cut, cache: dict) -> PushedCut:
@@ -502,23 +588,19 @@ def all_subsets(n: int):
 
 
 def polystate_at(s: Scenario, taus, cache=None) -> Polystate:
-    """Every sector at one proper-time tuple, each judged and decided here,
-    so that any raise or clamp happens in this call. A sector is formed
-    here only if deciding it formed it (`linalg.gram_verdict`); every other
-    is formed on its first read from the polystate (`Sectors`)."""
+    """Every sector at one proper-time tuple, each judged and decided here
+    (`readout`), so that any raise or clamp happens in this call. A sector
+    is formed here only if deciding it formed it (`linalg.gram_verdict`);
+    every other is formed on its first read from the polystate
+    (`Sectors`)."""
     check_subsystem_cap(s.n)
     member_cuts = _member_rows(s, taus, range(s.n))
     cache = {} if cache is None else cache
     sectors = {}
     for subset in all_subsets(s.n):
-        entry = _weighed(s, _union([member_cuts[i] for i in subset]), cache)
-        refuse(s, subset, entry.impossible)
-        rows = _subset_plan(s.dims, subset)[1]
-        state = None
-        if not linalg.gram_proved((rows, entry.factor.size // rows), entry.weight):
-            state = linalg.gram_verdict(subset_factor(s, entry.factor, subset), entry.weight)
-        sectors[subset] = entry if state is None else state
-    return Polystate(n=s.n, sectors=Sectors(s, sectors), eval_taus=tuple(taus))
+        r = readout(s, subset, _weighed(s, _union([member_cuts[i] for i in subset]), cache))
+        sectors[subset] = r if r.cols is r.rows else r.rows
+    return Polystate(n=s.n, sectors=Sectors(sectors), eval_taus=tuple(taus))
 
 
 def expect_individual(p: Polystate, i: int, obs) -> float:
@@ -529,21 +611,25 @@ def expect_joint(p: Polystate, subset, obs) -> float:
     return linalg.expect(p.sector(subset), obs)
 
 
+def sector_readout(s: Scenario, taus, subset) -> Readout:
+    """The `readout` of the subset's sector at the given proper times, on a
+    cache of its own; the subset is checked as `sector` checks it."""
+    subset = check_subset(s.n, subset)
+    return readout(s, subset, _weighed(s, past_cut(s, taus, subset), {}))
+
+
 def joint_outcome_prob(s: Scenario, taus, projectors) -> float:
-    """Probability of a simultaneous outcome tuple, read from the full joint
-    sector: the expectation of the tensor product of the projectors. Pass
+    """Probability of a simultaneous outcome tuple, read off the full joint
+    sector's factor: the expectation of the tensor product of the
+    projectors, each applied on its own axis (`Readout.expectation`). Pass
     None to leave a subsystem unprobed (identity)."""
-    full = sector(s, taus, range(s.n))
-    mats = [np.eye(s.dims[i], dtype=complex) if projectors[i] is None
-            else np.asarray(projectors[i], dtype=complex)
-            for i in range(s.n)]
-    return linalg.expect(full, linalg.kron_all(*mats))
+    return sector_readout(s, taus, range(s.n)).expectation(projectors[:s.n])
 
 
 def marginal_prob(s: Scenario, taus, i: int, proj) -> float:
     """Outcome probability from subsystem i's own sector; independent of the
     other entries of taus by construction."""
-    return linalg.expect(sector(s, taus, (i,)), proj)
+    return sector_readout(s, taus, (i,)).expectation([proj])
 
 
 def conditional_prob(s: Scenario, i: int, proj, conditioning_taus) -> float:
@@ -559,10 +645,15 @@ def observer_state(s: Scenario, x) -> np.ndarray:
     """What a maximally informed observer at event x assigns the whole
     system: the initial state pushed through the causal past of x. An event
     with a coordinate that is not finite raises ValueError, naming it."""
+    return _state(s, observer_cut(s, x), tuple(range(s.n)))
+
+
+def observer_cut(s: Scenario, x) -> tuple:
+    """The cut of the causal past of event x, as `observer_state` reads it."""
     past = PastOfEvent(x)
     if not np.isfinite(past.apex).all():
         raise ValueError(f"event {past.apex.tolist()} has a coordinate that is not finite")
-    return _state(s, s.cut_of(past.contains(s.events)), tuple(range(s.n)))
+    return s.cut_of(past.contains(s.events))
 
 
 def recollection(s: Scenario, z: Worldline, tau: float) -> np.ndarray:

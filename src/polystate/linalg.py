@@ -141,23 +141,12 @@ def expect(rho, obs) -> float:
     obs = _as_matrix(obs)
     if rho.shape != obs.shape:
         raise DimensionMismatchError(f"state {rho.shape} vs observable {obs.shape}")
-    val = np.trace(rho @ obs)
-    if abs(val.imag) > HERMITICITY_TOL:
-        raise StateValidationError(
-            f"expectation has imaginary part {val.imag:.3e}; non-Hermitian input")
-    return float(val.real)
+    return real_part(np.trace(rho @ obs))
 
 
-def expect_diag(rho, q) -> float:
-    """Tr(rho diag(q)) = sum_i rho_ii q_i for a real vector q, such as
-    `charges(n)`; the imaginary part must be negligible, as in `expect`.
-    Summed in the order np.trace sums, it equals `expect(rho, diag(q))`
-    bit for bit: every term of (rho diag(q))_ii but rho_ii q_i is an exact
-    zero, so no D x D product is needed."""
-    rho = _as_matrix(rho)
-    if rho.shape != (len(q), len(q)):
-        raise DimensionMismatchError(f"state {rho.shape} vs diagonal of length {len(q)}")
-    val = (rho.diagonal() * q).sum()
+def real_part(val) -> float:
+    """The real part of an expectation value, whose imaginary part must be
+    negligible: a larger one means a non-Hermitian state or observable."""
     if abs(val.imag) > HERMITICITY_TOL:
         raise StateValidationError(
             f"expectation has imaginary part {val.imag:.3e}; non-Hermitian input")
@@ -173,16 +162,6 @@ def trace_distance(a, b) -> float:
     diff = a - b
     diff = (diff + diff.conj().T) / 2
     return float(0.5 * abs(np.linalg.eigvalsh(diff)).sum())
-
-
-def fidelity_to_ket(rho, ket) -> float:
-    """<psi|rho|psi> for a pure reference state."""
-    ket = np.asarray(ket, dtype=complex).reshape(-1)
-    rho = _as_matrix(rho)
-    if rho.shape[0] != ket.shape[0]:
-        raise DimensionMismatchError(f"state {rho.shape} vs ket dim {ket.shape[0]}")
-    val = ket.conj() @ rho @ ket
-    return float(val.real)
 
 
 def _settle(rho, w) -> np.ndarray:

@@ -10,6 +10,7 @@ import numpy as np
 
 import polystate
 from polystate import ensemble, linalg
+from polystate.errors import DimensionMismatchError
 from polystate.scenario import (Intervention, Scenario, SelectiveOp, UnitaryOp,
                                 diagnose_document, parse_scenario, serialize_scenario)
 from polystate.spacetime import Segment, Worldline, causally_precedes, position
@@ -197,6 +198,28 @@ def reference_gram_density(phi, weight: float) -> tuple:
     w = np.linalg.eigvalsh(small)
     out = linalg._settle(rho, w)
     return (out if out is rho else (out + out.conj().T) / 2), float(w[0])
+
+
+def reference_fidelity_to_ket(rho, ket) -> float:
+    """<psi|rho|psi> for a pure reference state, read off a formed density
+    operator: the dense read that `engine.Readout.fidelity` replaces."""
+    ket = np.asarray(ket, dtype=complex).reshape(-1)
+    rho = np.asarray(rho, dtype=complex)
+    if rho.ndim != 2 or rho.shape[0] != ket.shape[0]:
+        raise DimensionMismatchError(f"state {rho.shape} vs ket dim {ket.shape[0]}")
+    return float((ket.conj() @ rho @ ket).real)
+
+
+def reference_expect_diag(rho, q) -> float:
+    """Tr(rho diag(q)) = sum_i rho_ii q_i for a real vector q, such as
+    `linalg.charges(n)`, off a formed density operator, with the imaginary
+    part checked as `linalg.expect` checks it: the dense read that
+    `engine.Readout.populations` replaces. Summed in the order np.trace
+    sums, it equals `expect(rho, diag(q))` bit for bit."""
+    rho = np.asarray(rho, dtype=complex)
+    if rho.shape != (len(q), len(q)):
+        raise DimensionMismatchError(f"state {rho.shape} vs diagonal of length {len(q)}")
+    return linalg.real_part((rho.diagonal() * q).sum())
 
 
 def splitmix64_uniforms(seed: int):

@@ -165,6 +165,47 @@ def test_leaf_states_weigh_and_judge_only_the_cuts_they_read(monkeypatch):
     assert (read, counts["branch_weight"], counts["_apply"]) == (87, 87, 128)
 
 
+def test_leaf_charges_judge_what_leaf_states_judges_and_form_no_joint_state(monkeypatch):
+    """Over the z/x chain sweep above, `leaf_charges` weighs, judges and
+    pushes exactly what `leaf_states` does at the same leaf, and forms no
+    joint state, union or patchwork: the only states it forms are the
+    one-qubit states of a patchwork, for its fidelities, which apply them
+    on the ket's axes."""
+    s = z_x_chain_with_b_readout()
+    f = Foliation(np.array([0.5]))
+    counts = {"branch_weight": 0, "impossibility": 0, "_apply": 0}
+    for name in counts:
+        def counted(*args, name=name, run=getattr(engine, name)):
+            counts[name] += 1
+            return run(*args)
+        monkeypatch.setattr(engine, name, counted)
+    formed = []
+    product = linalg.gram_product
+
+    def forming(phi, weight):
+        formed.append(phi.shape[0])
+        return product(phi, weight)
+
+    def no_kron(*states):
+        raise AssertionError("a patchwork is read one axis at a time")
+
+    kets = [linalg.BELL_PSI_PLUS, linalg.product_ket("01")]
+    for t in np.arange(-0.5, 3.01, 0.25):
+        taus = [proper_time_at_leaf(w, f, t) for w in s.worldlines]
+        for p in audit.default_prescriptions(f):
+            before = dict(counts)
+            audit.leaf_charges(p, s, taus)
+            by_charges = {k: counts[k] - before[k] for k in counts}
+            before = dict(counts)
+            audit.leaf_states(p, s, taus)
+            assert by_charges == {k: counts[k] - before[k] for k in counts}, (t, p.name)
+            with monkeypatch.context() as m:
+                m.setattr(linalg, "gram_product", forming)
+                m.setattr(linalg, "kron_all", no_kron)
+                audit.leaf_charges(p, s, taus, kets)
+    assert formed and set(formed) == {2}
+
+
 def test_criteria_report_bell_probe():
     s = load_fixture("bell_sigma_z.scn")
     report = audit.criteria_report(s, PROBE)

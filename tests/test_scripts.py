@@ -24,6 +24,7 @@ RUNS = (
     ("ghz_ladder.py", "--repeats", "1", "--max-n", "2", "--max-noisy-n", "2"),
     ("ensemble_convergence.py", "--max-runs", "1"),
     ("ensemble_ladder.py", "--repeats", "1", "--max-n", "4"),
+    ("leaf_ladder.py", "--repeats", "1", "--min-n", "6", "--max-n", "6"),
     ("selective_ladder.py", "--m", "13", "--repeats", "1"),
     ("cli_digest.py",),
     ("code_lines.py",),
@@ -65,6 +66,19 @@ def test_chain_ladder_times_each_rule_on_chains_and_ghz():
     assert header.split() == ["ghz", "n", *rules, "ledger_s"]
     assert [line.split()[:2] for line in lines] == [["ghz", "4"], ["ghz", "5"]]
     assert all(len(line.split()) == 7 for line in lines)
+
+
+def test_leaf_ladder_times_sweep_and_audit_per_rung():
+    """One row per GHZ rung asked for, with the sweep and audit times and
+    the rung's peak memory."""
+    path = os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))
+    done = subprocess.run([sys.executable, str(SCRIPTS / "leaf_ladder.py"), "--repeats", "1",
+                           "--min-n", "6", "--max-n", "7"], env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=300, check=True)
+    header, *lines = done.stdout.splitlines()
+    assert header.split() == ["n", "D", "leaves", "sweep_s", "audit_s", "rss_mb"]
+    assert [line.split()[:3] for line in lines] == [["6", "64", "200"], ["7", "128", "200"]]
+    assert all(float(x) > 0 for line in lines for x in line.split()[3:])
 
 
 def test_code_lines_skip_blanks_comments_and_docstrings():

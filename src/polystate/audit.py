@@ -15,13 +15,13 @@ member rows, so the two lightcone rules read their cuts from those rows
 `applied`. Either way a leaf makes one stacked test, of every member's
 event at once, or none when the rows are already at those proper times.
 Every state below is the engine's read of the cut of the set a test picks
-(`engine._state`, unchecked, as the package builds its cuts itself),
-evaluated once per leaf by `leaf_states` over one dict of the leaf's own,
-which, as every engine cache does, weighs and judges only the cuts it
-reads. The charge ledgers and the CLI's sweep form no state at all:
-`leaf_charges` reads the same leaf's charges and fidelities off its judged
-entries (`engine.readout`), a charge as one dot product with a state's
-populations, and a patchwork one axis at a time.
+(`engine.readout`, unchecked, as the package builds its cuts itself),
+judged and decided once per leaf by `_leaf_readouts` over one dict of the
+leaf's own, which, as every engine cache does, weighs and judges only the
+cuts it reads. `leaf_states` forms the states from those readouts; the
+charge ledgers and the CLI's sweep form none (`leaf_charges`): a charge is
+one dot product with a readout's populations, a union's fidelity is read
+off its factor, and a patchwork's one axis at a time.
 `criteria_report` reads its targets from one `engine.polystate_at`,
 evaluates each rule's cuts once for its states and its ignorance cell, and
 varies A's recorded outcomes as overrides of the same scenario's branches
@@ -105,9 +105,10 @@ def _event_cuts(p, s: Scenario, taus) -> list:
 
 def leaf_states(p, s: Scenario, taus) -> tuple:
     """(joint, reduced states) of the prescription at one proper-time tuple,
-    from one evaluation of its applied cuts, each read by `engine._state`
-    over one dict of the leaf's own: each distinct cut pushed once, from its
-    prefix, and only the cuts read weighed and judged. The joint state is
+    from one evaluation of its applied cuts, each formed from its
+    `engine.readout` over one dict of the leaf's own (`_leaf_readouts`):
+    each distinct cut pushed once, from its prefix, and only the cuts read
+    weighed and judged. The joint state is
     the state after the union of the cuts for the sector rule and when every
     evaluation event applied all of it; otherwise it is the patchwork, the
     tensor product of the reduced states."""
@@ -117,13 +118,24 @@ def leaf_states(p, s: Scenario, taus) -> tuple:
 def _leaf_states(p, s: Scenario, cuts) -> tuple:
     """`leaf_states` on the rule's applied cuts (`_event_cuts`), which
     `criteria_report` evaluates once and reads for the ignorance cell too."""
-    union = engine._union(cuts)
-    joint = isinstance(p, PolystateRule) or all(cut == union for cut in cuts)
-    cache = {}
-    whole = engine._state(s, union, tuple(range(s.n)), cache) if joint else None
-    states = [engine._state(s, cut, (i,), cache) for i, cut in enumerate(cuts)]
+    whole, locals_ = _leaf_readouts(p, s, cuts)
+    states = [r.density() for r in locals_]
     # a patchwork is exactly Hermitian, as its validated factors are
-    return (whole if joint else linalg.kron_all(*states)), states
+    return (linalg.kron_all(*states) if whole is None else whole.density()), states
+
+
+def _leaf_readouts(p, s: Scenario, cuts) -> tuple:
+    """(joint, local) `engine.readout`s of one leaf's states on the rule's
+    applied cuts, judged and decided, so raised or clamped, in that order,
+    over one dict of the leaf's own: the joint one on the union of the cuts
+    for the sector rule and when every evaluation event applied all of it,
+    else None for a patchwork."""
+    union, cache = engine._union(cuts), {}
+    whole = None
+    if isinstance(p, PolystateRule) or all(cut == union for cut in cuts):
+        whole = engine.readout(s, tuple(range(s.n)), engine._weighed(s, union, cache))
+    return whole, [engine.readout(s, (i,), engine._weighed(s, cut, cache))
+                   for i, cut in enumerate(cuts)]
 
 
 def single_state(p, s: Scenario, taus) -> np.ndarray:
@@ -259,26 +271,29 @@ def _initial_charge(s: Scenario) -> float:
 def leaf_charges(p, s: Scenario, taus, kets=()) -> tuple:
     """(joint total charge, sum of the local charges, fidelity of the joint
     state to each of `kets`) of the prescription at one qubit proper-time
-    tuple. The states are `leaf_states`', with its raises in its order, but
-    none is formed: each is read off its judged entry (`engine.readout`),
-    over one dict of the leaf's own, a charge off its populations and a
-    fidelity off its factor. A patchwork is read one axis at a time: its
-    charge is the sum of the local ones, and its fidelity to a ket the
-    expectation, in the ket, of the product of the local states."""
-    cuts = _event_cuts(p, s, taus)
-    union, cache, everything = engine._union(cuts), {}, tuple(range(s.n))
-    whole = None
-    if isinstance(p, PolystateRule) or all(cut == union for cut in cuts):
-        whole = engine.readout(s, everything, engine._weighed(s, union, cache))
-    locals_ = [engine.readout(s, (i,), engine._weighed(s, cut, cache))
-               for i, cut in enumerate(cuts)]
+    tuple: `leaf_states`' states, decided as it decides them
+    (`_leaf_readouts`), but none formed but a patchwork's local states for
+    its fidelities. A charge is read off a readout's populations and a
+    union's fidelity off its factor; a patchwork's charge is the sum of the
+    local ones, and its fidelity is read one axis at a time
+    (`_patchwork_fidelity`)."""
+    whole, locals_ = _leaf_readouts(p, s, _event_cuts(p, s, taus))
     local = sum(map(_charge, locals_))
     if whole is not None:
         return _charge(whole), local, [whole.fidelity(k) for k in kets]
     states = [r.density() for r in locals_] if kets else ()
-    kets = [np.reshape(k, (-1, 1)) for k in kets]
-    return local, local, [engine.Readout(s.dims, everything, k, k, 1.0).expectation(states)
-                          for k in kets]
+    return local, local, [_patchwork_fidelity(s.dims, states, k) for k in kets]
+
+
+def _patchwork_fidelity(dims: tuple, states, ket) -> float:
+    """<k| (x)_j rho_j |k> for a ket on subsystems of local dimensions
+    `dims`, each rho_j applied on its own axis (`engine._apply`), with no
+    Kronecker product formed."""
+    ket = linalg.as_ket(ket, int(np.prod(dims)))
+    out = ket[:, None]
+    for j, rho in enumerate(states):
+        out = engine._apply(dims, j, rho, out)
+    return float(np.vdot(ket, out).real)
 
 
 def charge_ledger(s: Scenario, f: Foliation, t_grid, source) -> ChargeLedger:
@@ -312,6 +327,7 @@ def recollection_conservation(s: Scenario, z: Worldline, t_grid, f: Foliation) -
     values = []
     for t in t_grid:
         cut = engine.observer_cut(s, position(z, proper_time_at_leaf(z, f, t)))
-        values.append(_charge(engine.readout(s, tuple(range(s.n)), engine._weighed(s, cut, {}))))
+        values.append(_charge(engine.readout(s, tuple(range(s.n)),
+                                             engine._weighed(s, cut, {}))))
     max_dev = max((abs(v - initial) for v in values), default=0.0)
     return ConservationReport(initial=initial, values=values, max_deviation=max_dev)

@@ -10,12 +10,12 @@ construction, so the evaluation never signals across spacelike separation.
 A sector is two steps: `past_cut` selects the interventions and
 `state_after` computes the state they leave, the `push`ed factor's Gram
 matrix on the subset over its `branch_weight`. Every other state the package
-assigns is read the same way, by one read of a judged entry (`_read`):
-observer, foliation and audit-rule states by `_state`, the read that
-`state_after` wraps in checks for callers outside the package, on the cuts
-the package builds itself; the ensemble's branch states, and the audit's
-states with flipped outcomes, by `ensemble.branch_state` on their outcome
-assignments.
+assigns is read the same way, from a judged entry (`_read`, `readout`):
+observer and foliation states by `_state`, the read that `state_after`
+wraps in checks for callers outside the package, on the cuts the package
+builds itself; the audit rules' states by `readout` on their own cuts; the
+ensemble's branch states, and the audit's states with flipped outcomes, by
+`ensemble.branch_state` on their outcome assignments.
 
 Cost model: every intervention the engine applies is a single operator, a
 unitary or a recorded branch, so subsystem j's selected sequence
@@ -191,9 +191,7 @@ class Sectors(Mapping):
         self._entries = dict(entries)
 
     def __getitem__(self, subset) -> np.ndarray:
-        entry = self._entries[subset]
-        if isinstance(entry, Readout):
-            entry = self._entries[subset] = entry.density()
+        entry = self._entries[subset] = self.formed(subset)
         return entry
 
     def formed(self, subset) -> np.ndarray:
@@ -365,6 +363,15 @@ def _subset_plan(dims: tuple, subset) -> tuple:
     return (*subset, *rest), math.prod(dims[i] for i in subset)
 
 
+@cache
+def _diagonal_plan(dims: tuple, axes: tuple) -> tuple:
+    """`Readout.populations`' plan: the factor's axes outside the subset,
+    summed over, and the order that puts the subset's axes, which the sum
+    keeps in natural order, in the order given."""
+    order = sorted(axes)
+    return _subset_plan(dims, axes)[0][len(axes):], tuple(order.index(j) for j in axes)
+
+
 def branch_weight(psi):
     """||Psi||_F^2 of a pushed factor: the Born weight of the branches it
     was pushed through, and the trace of every Gram matrix read from it. A
@@ -473,8 +480,9 @@ def _state(s: Scenario, cut, subset: tuple, cache=None) -> np.ndarray:
 def _read(s: Scenario, subset: tuple, entry: PushedCut) -> np.ndarray:
     """The subset's state from a judged entry: refused by name if its
     branches cannot occur, else the Gram matrix of its factor on the subset
-    over its weight (`linalg.gram_density`): the state a `readout` of it
-    reads, decided the same way."""
+    over its weight (`linalg.gram_density`): the bits of the entry's
+    `readout` formed (`Readout.density`), read without building a readout
+    on the path every sector read takes."""
     refuse(s, subset, entry.impossible)
     return linalg.gram_density(subset_factor(s.dims, entry.factor, subset), entry.weight)
 
@@ -504,24 +512,30 @@ class Readout(NamedTuple):
     def populations(self) -> np.ndarray:
         """The state's diagonal, d_S reals: the populations
         sum_c |Psi_ic|^2 / weight over the D basis states, summed over the
-        axes not in the subset."""
+        axes not in the subset, in the order of `axes`, as the state's
+        diagonal is."""
         terms = (self.rows * self.cols.conj()).real.reshape(*self.dims, -1)
-        rest = _subset_plan(self.dims, self.axes)[0][len(self.axes):]
-        return np.add.reduce(terms, axis=rest).ravel() / self.weight
+        rest, order = _diagonal_plan(self.dims, self.axes)
+        return np.add.reduce(terms, axis=rest).transpose(order).ravel() / self.weight
 
     def fidelity(self, ket) -> float:
-        """<k| rho |k> for a ket of length d_S: ||k^dagger Phi||^2 / weight
-        for Phi the factor on the subset, or k^dagger rho k for a formed
-        state, whose cols are the identity."""
-        amp = (np.conj(ket)[:, None] * subset_factor(self.dims, self.rows, self.axes)).sum(axis=0)
-        other = amp if self.cols is self.rows else np.conj(ket)
+        """<k| rho |k> for a ket of length d_S, however shaped
+        (`linalg.as_ket`): ||k^dagger Phi||^2 / weight for Phi the factor on
+        the subset, or k^dagger rho k for a formed state, whose cols are the
+        identity."""
+        ket = linalg.as_ket(ket, _subset_plan(self.dims, self.axes)[1])
+        amp = (ket.conj()[:, None] * subset_factor(self.dims, self.rows, self.axes)).sum(axis=0)
+        other = amp if self.cols is self.rows else ket.conj()
         return float(np.vdot(other, amp).real) / self.weight
 
     def expectation(self, ops) -> float:
-        """tr(rho (x)_j O_j) for one d_j x d_j factor O_j per member, None
-        for the identity: tr(cols^dagger (x)_j O_j rows) / weight, each O_j
-        applied on its member's axis of rows as `_apply` applies a product.
-        Its imaginary part must be negligible, as in `linalg.expect`."""
+        """tr(rho (x)_j O_j) for exactly one d_j x d_j factor O_j per
+        member, None for the identity: tr(cols^dagger (x)_j O_j rows) /
+        weight, each O_j applied on its member's axis of rows as `_apply`
+        applies a product. Its imaginary part must be negligible, as in
+        `linalg.expect`."""
+        if len(ops := list(ops)) != len(self.axes):
+            raise ValueError(f"{len(ops)} operators for {len(self.axes)} subsystems")
         out = self.rows
         for j, op in zip(self.axes, ops):
             if op is not None:
@@ -598,8 +612,8 @@ def polystate_at(s: Scenario, taus, cache=None) -> Polystate:
     cache = {} if cache is None else cache
     sectors = {}
     for subset in all_subsets(s.n):
-        r = readout(s, subset, _weighed(s, _union([member_cuts[i] for i in subset]), cache))
-        sectors[subset] = r if r.cols is r.rows else r.rows
+        sectors[subset] = readout(s, subset,
+                                  _weighed(s, _union([member_cuts[i] for i in subset]), cache))
     return Polystate(n=s.n, sectors=Sectors(sectors), eval_taus=tuple(taus))
 
 
@@ -622,8 +636,9 @@ def joint_outcome_prob(s: Scenario, taus, projectors) -> float:
     """Probability of a simultaneous outcome tuple, read off the full joint
     sector's factor: the expectation of the tensor product of the
     projectors, each applied on its own axis (`Readout.expectation`). Pass
-    None to leave a subsystem unprobed (identity)."""
-    return sector_readout(s, taus, range(s.n)).expectation(projectors[:s.n])
+    None to leave a subsystem unprobed (identity); a list of any length
+    but n raises ValueError."""
+    return sector_readout(s, taus, range(s.n)).expectation(projectors)
 
 
 def marginal_prob(s: Scenario, taus, i: int, proj) -> float:

@@ -153,6 +153,15 @@ def real_part(val) -> float:
     return float(val.real)
 
 
+def as_ket(ket, d: int) -> np.ndarray:
+    """A ket of length d, however shaped (a row, a column or flat), as a
+    flat complex vector; any other length raises."""
+    ket = np.asarray(ket, dtype=complex).reshape(-1)
+    if ket.shape[0] != d:
+        raise DimensionMismatchError(f"state dim {d} vs ket dim {ket.shape[0]}")
+    return ket
+
+
 def trace_distance(a, b) -> float:
     """Half the trace norm of (a - b), via the Hermitian eigenvalues."""
     a = _as_matrix(a)

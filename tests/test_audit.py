@@ -71,8 +71,8 @@ def test_reduced_states_polystate_delegates_to_engine():
 def test_leaf_states_select_once_and_match_separate_calls(monkeypatch):
     """`leaf_states` tests every member's evaluation event in one stacked
     call, one event row per member, and builds each reduced state once, a
-    patchwork joint state included, each by one unchecked read of the
-    engine (`engine._state`). The past-lightcone and foliation rules test
+    patchwork joint state included, each off one readout of the engine
+    (`engine.readout`). The past-lightcone and foliation rules test
     with `applied`; the two lightcone rules read the engine's member rows,
     so a scenario without rows makes one stacked test per leaf, and a second
     evaluation at the same proper times tests none. Its joint state is
@@ -81,9 +81,9 @@ def test_leaf_states_select_once_and_match_separate_calls(monkeypatch):
     s = load_fixture("epr_test.scn")
     rules = audit.default_prescriptions(Foliation(np.array([0.4])))
     states, tests = [], []
-    read = engine._state
-    monkeypatch.setattr(engine, "_state",
-                        lambda *args, **kw: states.append(args[2]) or read(*args, **kw))
+    read = engine.readout
+    monkeypatch.setattr(engine, "readout",
+                        lambda *args, **kw: states.append(args[1]) or read(*args, **kw))
     row_test = engine.causally_precedes
     monkeypatch.setattr(engine, "causally_precedes",
                         lambda events, x: tests.append(x) or row_test(events, x))

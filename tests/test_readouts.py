@@ -18,11 +18,13 @@ from hypothesis import example, given
 from hypothesis import strategies as hs
 
 from polystate import audit, engine, linalg
-from polystate.errors import ImpossibleOutcomeError, StateValidationError
+from polystate.errors import (DimensionMismatchError, ImpossibleOutcomeError,
+                              StateValidationError)
 from polystate.scenario import Scenario
 from polystate.spacetime import Foliation, Worldline
 
-from helpers import random_ket, reference_expect_diag, reference_fidelity_to_ket
+from helpers import (random_density, random_ket, reference_expect_diag,
+                     reference_fidelity_to_ket)
 from test_kernel_properties import (FAINT_TILT, FAINT_TILTS, SUITE, outcome_of, scenarios,
                                     scenarios_of_rank, scenarios_with_blocked_branch, seeds,
                                     tilted_readout)
@@ -180,3 +182,50 @@ def test_leaf_charges_equal_dense_reads_of_leaf_states():
 
     check()
     assert all(seen.values()), seen
+
+
+def test_readout_reads_a_subset_in_the_order_given():
+    """A subset given out of order is read in that order, as its formed
+    state is: its populations are the diagonal of that state, not of the
+    state in natural order. A qubit and a qutrit in a random mixed state
+    of full rank, so the two orders differ."""
+    rho = random_density(np.random.default_rng(7), 6)
+    s = Scenario(spatial_dim=1, names=("A", "B"), dims=(2, 3),
+                 worldlines=(Worldline(np.array([0.0, 0.0])), Worldline(np.array([0.0, 5.0]))),
+                 initial_state=rho, interventions=())
+    entry = engine._weighed(s, (0, 0), {})
+    got, want = engine.readout(s, (1, 0), entry), dense_read(s, (1, 0), entry)
+    assert np.array_equal(got.density(), want)
+    assert np.max(np.abs(got.populations() - want.diagonal().real)) < TOL
+    natural = engine.readout(s, (0, 1), entry).populations()
+    assert np.max(np.abs(got.populations() - natural)) > 1e-3
+
+
+def test_fidelities_read_a_ket_of_any_shape_and_refuse_another_length():
+    """`audit.leaf_charges` reads a ket flat, whether given flat, as a
+    column or as a row, on a union leaf and on a patchwork leaf alike, the
+    same bits each way; a ket of any other length, 1 included, raises
+    `DimensionMismatchError` on both."""
+    s, taus = tilted_readout(0.3), [1.0, 1.0]
+    ket = random_ket(np.random.default_rng(5), 4)
+    kinds = set()
+    for p in audit.default_prescriptions(Foliation(np.zeros(1))):
+        whole, _ = audit._leaf_readouts(p, s, audit._event_cuts(p, s, taus))
+        kinds.add("patchwork" if whole is None else "union")
+        fids = audit.leaf_charges(p, s, taus, [ket, ket[:, None], ket[None, :]])[2]
+        assert fids == [fids[0]] * 3, p.name
+        for bad in (ket[:1], ket[:3], np.ones((8, 1))):
+            with pytest.raises(DimensionMismatchError):
+                audit.leaf_charges(p, s, taus, [bad])
+    assert kinds == {"union", "patchwork"}
+
+
+def test_joint_outcome_prob_takes_one_projector_per_subsystem():
+    """`engine.joint_outcome_prob` reads one projector, or None, per
+    subsystem; a list of any other length raises ValueError rather than
+    leaving the missing subsystems unprobed."""
+    s, p0 = tilted_readout(0.3), linalg.projector(linalg.KET0)
+    assert 0 < engine.joint_outcome_prob(s, (1.0, 1.0), [p0, None]) < 1
+    for projectors in ([], [p0], [p0, None, None]):
+        with pytest.raises(ValueError):
+            engine.joint_outcome_prob(s, (1.0, 1.0), projectors)

@@ -28,10 +28,14 @@ time of one `polystate_at`, of one single-leaf `charge_ledger` per default
 prescription, and of the four ledgers together; for each GHZ-n, the same
 without `polystate_at`. A rule's ledger runs on a scenario of its own, parsed
 afresh with its per-scenario set-up (events, operator chains and their
-norms, initial factor) done before the clock starts and no member rows, so
-each rule's column shows its own causal tests and reads. `polystate_at` and
-the four-rule sum start from a freshly parsed scenario, so they include that
-set-up, once, and the later rules read the member rows the first kept. The
+norms, initial factor) done before the clock starts, no member rows and an
+empty leaf memo, so each rule's column shows its own causal tests and reads.
+`polystate_at` and the four-rule sum start from a freshly parsed scenario,
+so they include that set-up, once. In the four-rule sum the later rules
+read the member rows the first kept, and share the cut entries and
+readouts the earlier rules left in the scenario's leaf memo
+(`Scenario.leaf_memo`), as the rules of one leaf do in a sweep: it is less
+than the sum of the rule columns wherever the rules read a common cut. The
 tables give the fastest of the repeats. BLAS runs on one thread.
 
     python3 scripts/chain_ladder.py --repeats 5

@@ -13,12 +13,18 @@ shared test is the closed causal past of x, which the engine keeps as its
 member rows, so the two lightcone rules read their cuts from those rows
 (`engine._member_rows`) and the past lightcone and foliation rules run
 `applied`. Either way a leaf makes one stacked test, of every member's
-event at once, or none when the rows are already at those proper times.
-Every state below is the engine's read of the cut of the set a test picks
-(`engine.readout`, unchecked, as the package builds its cuts itself),
-judged and decided once per leaf by `_leaf_readouts` over one dict of the
-leaf's own, which, as every engine cache does, weighs and judges only the
-cuts it reads. `leaf_states` forms the states from those readouts; the
+event at once, or none when the rows are already at those proper times;
+the foliation rule keeps the leaf times of the scenario's events, which do
+not move, per frame velocity. Every state below is the engine's read of
+the cut of the set a test picks (`engine.readout`, unchecked, as the
+package builds its cuts itself), judged and decided by `_leaf_readouts` in
+the scenario's leaf memo (`Scenario.leaf_memo`), a cut cache by the
+engine's one rule (only the cuts read are weighed and judged) that every
+rule's reads at one proper-time tuple share with each other and with the
+tuple read before: a rule's cuts change only when an event enters or
+leaves a past, so along a sweep most of a leaf's cuts were read at the
+leaf before. The memo holds the reads of those two tuples only, and keeps
+no refusal. `leaf_states` forms the states from those readouts; the
 charge ledgers and the CLI's sweep form none (`leaf_charges`): a charge is
 one dot product with a readout's populations, a union's fidelity is read
 off its factor, and a patchwork's one axis at a time.
@@ -77,9 +83,19 @@ class FixedFoliation:
     observer at once, regardless of their location."""
     foliation: Foliation
     name = "foliation"
+    _held = (None,)  # (events, frame velocity bytes, the events' leaf times)
 
     def applied(self, events, x):
-        return self.foliation.time(events) <= self.foliation.time(x)
+        """Whether each event's leaf lies at or below x's. A read-only stack
+        of events, such as `Scenario.events`, cannot change, so the leaf
+        times of the last one tested are kept, with the frame velocity's
+        bytes they were computed at."""
+        key = self.foliation.frame_velocity.tobytes()
+        if (held := self._held)[0] is not events or held[1] != key:
+            held = (events, key, self.foliation.time(events))
+            if isinstance(events, np.ndarray) and not events.flags.writeable:
+                self._held = held
+        return held[2] <= self.foliation.time(x)
 
 
 @dataclass
@@ -100,42 +116,57 @@ def _event_cuts(p, s: Scenario, taus) -> list:
         return engine._member_rows(s, taus, range(s.n))
     engine.check_taus(s, taus)
     x = np.array([position(w, tau) for w, tau in zip(s.worldlines, taus)])
-    return s.cut_of(p.applied(s.events[None], x[:, None]))
+    return s.cut_of(p.applied(s.events, x[:, None]))
 
 
 def leaf_states(p, s: Scenario, taus) -> tuple:
     """(joint, reduced states) of the prescription at one proper-time tuple,
     from one evaluation of its applied cuts, each formed from its
-    `engine.readout` over one dict of the leaf's own (`_leaf_readouts`):
-    each distinct cut pushed once, from its prefix, and only the cuts read
-    weighed and judged. The joint state is
+    `engine.readout` in the scenario's leaf memo (`_leaf_readouts`): each
+    distinct cut pushed once, from its prefix, and only the cuts read
+    weighed and judged, once while the memo holds them. The joint state is
     the state after the union of the cuts for the sector rule and when every
     evaluation event applied all of it; otherwise it is the patchwork, the
-    tensor product of the reduced states."""
-    return _leaf_states(p, s, _event_cuts(p, s, taus))
+    tensor product of the reduced states. A state that deciding formed (a
+    clamp, or a wide factor's product) is the memo's, so it is read-only."""
+    return _leaf_states(p, s, taus, _event_cuts(p, s, taus))
 
 
-def _leaf_states(p, s: Scenario, cuts) -> tuple:
+def _leaf_states(p, s: Scenario, taus, cuts) -> tuple:
     """`leaf_states` on the rule's applied cuts (`_event_cuts`), which
     `criteria_report` evaluates once and reads for the ignorance cell too."""
-    whole, locals_ = _leaf_readouts(p, s, cuts)
+    whole, locals_ = _leaf_readouts(p, s, taus, cuts)
     states = [r.density() for r in locals_]
     # a patchwork is exactly Hermitian, as its validated factors are
     return (linalg.kron_all(*states) if whole is None else whole.density()), states
 
 
-def _leaf_readouts(p, s: Scenario, cuts) -> tuple:
+def _leaf_readouts(p, s: Scenario, taus, cuts) -> tuple:
     """(joint, local) `engine.readout`s of one leaf's states on the rule's
-    applied cuts, judged and decided, so raised or clamped, in that order,
-    over one dict of the leaf's own: the joint one on the union of the cuts
-    for the sector rule and when every evaluation event applied all of it,
-    else None for a patchwork."""
-    union, cache = engine._union(cuts), {}
-    whole = None
-    if isinstance(p, PolystateRule) or all(cut == union for cut in cuts):
-        whole = engine.readout(s, tuple(range(s.n)), engine._weighed(s, union, cache))
-    return whole, [engine.readout(s, (i,), engine._weighed(s, cut, cache))
-                   for i, cut in enumerate(cuts)]
+    applied cuts at proper times taus, judged and decided, so raised or
+    clamped, in that order: the joint one on the union of the cuts for the
+    sector rule and when every evaluation event applied all of it, else None
+    for a patchwork. Each is read from the scenario's leaf memo at taus
+    (`Scenario.leaf_memo`), which every rule's leaves share: a cut's entry
+    is pushed from its prefix, weighed and judged only once while the memo
+    holds it, and a readout decided once, its arrays made read-only. A
+    refusal or a rejected state keeps no readout, so it raises again on
+    every read."""
+    memo, union = s.leaf_memo.at(taus), engine._union(cuts)
+    joint = isinstance(p, PolystateRule) or all(cut == union for cut in cuts)
+    whole = _memo_readout(s, memo, union, tuple(range(s.n))) if joint else None
+    return whole, [_memo_readout(s, memo, cut, (i,)) for i, cut in enumerate(cuts)]
+
+
+def _memo_readout(s: Scenario, memo, cut, subset: tuple) -> engine.Readout:
+    """The subset's decided readout on the cut, from the leaf memo or
+    decided and kept there, its state read-only."""
+    # a read moves the cut's entry forward with its readouts
+    entry = engine._weighed(s, cut, memo)
+    if (r := memo.get((cut, subset))) is None:
+        r = memo[cut, subset] = engine.readout(s, subset, entry)
+        r.rows.flags.writeable = False
+    return r
 
 
 def single_state(p, s: Scenario, taus) -> np.ndarray:
@@ -219,7 +250,7 @@ def criteria_report(s: Scenario, taus, foliation: Foliation | None = None) -> Cr
     rows = []
     for p in default_prescriptions(foliation):
         cuts = _event_cuts(p, s, taus)
-        joint, locals_ = _leaf_states(p, s, cuts)
+        joint, locals_ = _leaf_states(p, s, taus, cuts)
         ma = linalg.expect(locals_[0], sz)
         mb = linalg.expect(locals_[1], sz)
         corr = linalg.expect(joint, szz)
@@ -260,11 +291,16 @@ def _charge(r: engine.Readout) -> float:
     return float(r.populations() @ linalg.charges(len(r.axes)))
 
 
+def _check_qubits(s: Scenario) -> None:
+    """The one check of every charge audit: each subsystem a qubit."""
+    if any(d != 2 for d in s.dims):
+        raise ValueError("charge audits are defined for qubit scenarios")
+
+
 def _initial_charge(s: Scenario) -> float:
     """The total charge of a qubit scenario's initial state, read off the
     diagonal of the state as parsed, O(D)."""
-    if any(d != 2 for d in s.dims):
-        raise ValueError("charge audits are defined for qubit scenarios")
+    _check_qubits(s)
     return float((s.initial_state.diagonal() * linalg.charges(s.n)).sum().real)
 
 
@@ -276,8 +312,10 @@ def leaf_charges(p, s: Scenario, taus, kets=()) -> tuple:
     its fidelities. A charge is read off a readout's populations and a
     union's fidelity off its factor; a patchwork's charge is the sum of the
     local ones, and its fidelity is read one axis at a time
-    (`_patchwork_fidelity`)."""
-    whole, locals_ = _leaf_readouts(p, s, _event_cuts(p, s, taus))
+    (`_patchwork_fidelity`). A scenario with a subsystem other than a qubit
+    raises ValueError before anything is read."""
+    _check_qubits(s)
+    whole, locals_ = _leaf_readouts(p, s, taus, _event_cuts(p, s, taus))
     local = sum(map(_charge, locals_))
     if whole is not None:
         return _charge(whole), local, [whole.fidelity(k) for k in kets]

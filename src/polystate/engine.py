@@ -127,9 +127,12 @@ benchmark's `ghz_wide` workload (every sector of a GHZ-7 at eight
 proper-time tuples, one cache per tuple) applies 263 subsystem products
 this way, against 677 when each cut is pushed from Psi, and judges the 184
 cuts it reads, against 267 entries when every prefix was judged. The audit
-reads a leaf's states over one dict of the leaf's own by the same rule: one
-pass of the benchmark's `chain_sweep` judges 989 entries, 924 of them in its
-ledger leaves, and applies 1557 subsystem products, 1460 of them there.
+reads its leaves by the same rule, in a memo that the reads of the last two
+proper-time tuples share (`Scenario.leaf_memo`), with the decided readouts
+beside the entries: one pass of the benchmark's `chain_sweep` judges 212
+entries, 147 of them in its ledger leaves, applies 353 subsystem products,
+256 of them there, and decides 670 readouts, where a dict per leaf judged
+989 (924), applied 1557 (1460) and decided 1893.
 
 `polystate_at` judges every cut and decides every sector's spectrum when it
 is called, so any raise or clamp happens there, but forms a sector only

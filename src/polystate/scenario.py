@@ -109,6 +109,39 @@ class Chains(NamedTuple):
     products: tuple
 
 
+class LeafMemo:
+    """`Scenario.leaf_memo`: what the audit read at its last proper-time
+    tuple, `taus`, in `now`, and at the tuple read before it in `before`:
+    judged cut entries and bare prefixes, keyed by cut as every cut cache is
+    (`engine._weighed`), and decided readouts, keyed by (cut, subset). A key
+    read that only `before` holds moves into `now`, so the memo holds the
+    entries of two tuples at most, and the bare prefixes of one."""
+
+    def __init__(self):
+        self.taus, self.now, self.before = None, {}, {}
+
+    def at(self, taus) -> LeafMemo:
+        """The memo at a proper-time tuple: one other than the last makes
+        the last one's judged entries and readouts `before`, and drops the
+        rest, with those before them."""
+        if (taus := tuple(map(float, taus))) != self.taus:
+            # a bare prefix is pushed for the cuts of its own tuple; at the
+            # cap, each is a D x r factor that a later tuple's cuts seldom reach
+            kept = {key: e for key, e in self.now.items() if not isinstance(e, np.ndarray)}
+            self.taus, self.now, self.before = taus, {}, kept
+        return self
+
+    def get(self, key):
+        """The entry at key, moved into `now` if only `before` holds it, or
+        None; every read of a cut cache goes through here."""
+        if key in self.before:
+            self.now[key] = self.before.pop(key)
+        return self.now.get(key)
+
+    def __setitem__(self, key, entry):
+        self.now[key] = entry
+
+
 @dataclass
 class Scenario:
     spatial_dim: int
@@ -145,6 +178,13 @@ class Scenario:
         created empty on first use; `dataclasses.replace` builds a new
         Scenario, so a variant never sees another's rows."""
         return [None] * self.n
+
+    @cached_property
+    def leaf_memo(self) -> LeafMemo:
+        """The audit's memo of its leaf reads (`audit._leaf_readouts`),
+        created empty on first use; a `replace`d variant starts without
+        one, as it does without `past_rows`."""
+        return LeafMemo()
 
     @cached_property
     def chains(self) -> Chains:

@@ -7,8 +7,8 @@ from hypothesis import given
 from hypothesis import strategies as hs
 
 from polystate import audit, engine, linalg
-from polystate.errors import ImpossibleOutcomeError
-from polystate.scenario import parse_scenario
+from polystate.errors import ImpossibleOutcomeError, StateValidationError
+from polystate.scenario import Scenario, parse_scenario
 from polystate.spacetime import Foliation, Worldline, position, proper_time_at_leaf
 
 from helpers import (fixture_text, flip_outcomes, load_fixture, random_two_qubit_scenario,
@@ -35,6 +35,43 @@ def test_applied_sets_per_prescription():
     rest = audit.FixedFoliation(Foliation(np.zeros(1)))
     assert rest.applied(event, x_probe_b)
     assert not rest.applied(event, np.array([0.5, 2.0]))
+
+
+def test_foliation_rule_keeps_the_leaf_times_only_of_events_that_cannot_change():
+    """The foliation rule computes the leaf times of a scenario's read-only
+    events once per frame velocity: a second test of them reads the kept
+    times, one at another velocity, or after the foliation is replaced,
+    computes them anew, and a writeable stack, which may have changed in
+    place, is never read from a kept copy. Every answer is the bits of
+    `Foliation.time` on both sides."""
+    s = load_fixture("epr_test.scn")
+    rule = audit.FixedFoliation(Foliation(np.array([0.4])))
+    x = np.array([position(w, 1.0) for w in s.worldlines])[:, None]
+    times = []
+    time = Foliation.time
+
+    def counted(f, events):
+        times.append(np.shape(events))
+        return time(f, events)
+
+    def fresh(events):
+        return rule.foliation.time(events) <= rule.foliation.time(x)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(Foliation, "time", counted)
+        first = rule.applied(s.events, x)
+        assert np.array_equal(rule.applied(s.events, x), first)
+        assert times.count(s.events.shape) == 1
+        rule.foliation.frame_velocity[0] = -0.4
+        assert np.array_equal(rule.applied(s.events, x), fresh(s.events))
+        rule.foliation = Foliation(np.array([0.7]))
+        assert np.array_equal(rule.applied(s.events, x), fresh(s.events))
+        assert times.count(s.events.shape) == 5
+    events = s.events.copy()
+    rule.applied(events, x)
+    events[:, 0] += 3.0
+    assert np.array_equal(rule.applied(events, x), fresh(events))
+    assert not np.array_equal(fresh(events), fresh(s.events))
 
 
 def test_single_state_agreeing_events():
@@ -133,14 +170,24 @@ def z_x_chain_with_b_readout(m: int = 8):
     }))
 
 
+def held_judged(s, taus) -> set:
+    """The cuts the scenario's leaf memo holds judged for a read at taus:
+    those of the last tuple and, if taus is that tuple, of the one before."""
+    memo = s.leaf_memo
+    held = {**memo.before, **memo.now} if memo.taus == tuple(map(float, taus)) else memo.now
+    return {cut for cut, entry in held.items() if isinstance(entry, engine.PushedCut)}
+
+
 def test_leaf_states_weigh_and_judge_only_the_cuts_they_read(monkeypatch):
     """A leaf's cuts are formed from shared prefixes, but only the cuts its
     states are read on are weighed (`engine.branch_weight`) and judged
-    (`engine.impossibility`), once each; the prefixes are pushed as before.
-    Over a sweep of a z/x chain on a v = 0.5 foliation under the four
-    default rules, the package weighed 136 cuts for the 87 distinct cuts it
-    read when it weighed every prefix too; it pushes 128 subsystem products
-    either way."""
+    (`engine.impossibility`), and each once while the scenario's leaf memo
+    holds it: a call weighs exactly the distinct cuts it reads that the
+    memo does not hold judged, from this leaf or the one before. Over a
+    sweep of a z/x chain on a v = 0.5 foliation under the four default
+    rules, the 87 distinct cuts of the 60 calls are weighed 17 times, with
+    20 subsystem products; with a dict per call, each of the 87 was weighed
+    (136 when every prefix was weighed too), with 128 products."""
     s = z_x_chain_with_b_readout()
     f = Foliation(np.array([0.5]))
     counts = {"branch_weight": 0, "impossibility": 0, "_apply": 0}
@@ -156,22 +203,25 @@ def test_leaf_states_weigh_and_judge_only_the_cuts_they_read(monkeypatch):
             cuts = audit._event_cuts(p, s, taus)
             union = tuple(map(max, *cuts))
             joint = isinstance(p, audit.PolystateRule) or all(cut == union for cut in cuts)
-            distinct = len({*cuts, *[union] * joint})
+            distinct = {*cuts, *[union] * joint}
+            new = len(distinct - held_judged(s, taus))
             before = dict(counts)
             audit.leaf_states(p, s, taus)
-            assert counts["branch_weight"] - before["branch_weight"] == distinct
-            assert counts["impossibility"] - before["impossibility"] == distinct
-            read += distinct
-    assert (read, counts["branch_weight"], counts["_apply"]) == (87, 87, 128)
+            assert counts["branch_weight"] - before["branch_weight"] == new
+            assert counts["impossibility"] - before["impossibility"] == new
+            read += len(distinct)
+    assert (read, counts["branch_weight"], counts["_apply"]) == (87, 17, 20)
 
 
 def test_leaf_charges_judge_what_leaf_states_judges_and_form_no_joint_state(monkeypatch):
-    """Over the z/x chain sweep above, `leaf_charges` weighs, judges and
-    pushes exactly what `leaf_states` does at the same leaf, and forms no
-    joint state, union or patchwork: the only states it forms are the
-    one-qubit states of a patchwork, for its fidelities, which apply them
-    on the ket's axes."""
+    """Over the z/x chain sweep above, `leaf_charges` on one scenario
+    weighs, judges and pushes exactly what `leaf_states` does at the same
+    leaf on a copy of it, each with a leaf memo of its own, 17, 17 and 20
+    in all, and forms no joint state, union or patchwork: the only states
+    it forms are the one-qubit states of a patchwork, for its fidelities,
+    which apply them on the ket's axes."""
     s = z_x_chain_with_b_readout()
+    copy = replace(s)
     f = Foliation(np.array([0.5]))
     counts = {"branch_weight": 0, "impossibility": 0, "_apply": 0}
     for name in counts:
@@ -190,6 +240,7 @@ def test_leaf_charges_judge_what_leaf_states_judges_and_form_no_joint_state(monk
         raise AssertionError("a patchwork is read one axis at a time")
 
     kets = [linalg.BELL_PSI_PLUS, linalg.product_ket("01")]
+    totals = dict.fromkeys(counts, 0)
     for t in np.arange(-0.5, 3.01, 0.25):
         taus = [proper_time_at_leaf(w, f, t) for w in s.worldlines]
         for p in audit.default_prescriptions(f):
@@ -197,13 +248,167 @@ def test_leaf_charges_judge_what_leaf_states_judges_and_form_no_joint_state(monk
             audit.leaf_charges(p, s, taus)
             by_charges = {k: counts[k] - before[k] for k in counts}
             before = dict(counts)
-            audit.leaf_states(p, s, taus)
+            audit.leaf_states(p, copy, taus)
             assert by_charges == {k: counts[k] - before[k] for k in counts}, (t, p.name)
+            totals = {k: totals[k] + by_charges[k] for k in counts}
             with monkeypatch.context() as m:
                 m.setattr(linalg, "gram_product", forming)
                 m.setattr(linalg, "kron_all", no_kron)
                 audit.leaf_charges(p, s, taus, kets)
     assert formed and set(formed) == {2}
+    assert totals == {"branch_weight": 17, "impossibility": 17, "_apply": 20}
+
+
+def read_bits(read, p, s, taus):
+    """One leaf read as bytes: every state of `leaf_states`, or every value
+    of `leaf_charges` with two ket fidelities, or the error it raised, by
+    type and message."""
+    try:
+        if read == "states":
+            joint, locals_ = audit.leaf_states(p, s, taus)
+            return [joint.tobytes(), *(r.tobytes() for r in locals_)]
+        q, local, fids = audit.leaf_charges(p, s, taus, [linalg.BELL_PSI_PLUS,
+                                                         linalg.product_ket("01")])
+        return np.array([q, local, *fids]).tobytes()
+    except (ImpossibleOutcomeError, StateValidationError) as exc:
+        return type(exc), str(exc)
+
+
+def assert_memo_reads_equal_fresh_reads(s, f, leaves, picks) -> dict:
+    """Reads `picks(t)`, (rule index, "states" or "charges") pairs, at each
+    leaf t in the order given, each through the scenario's leaf memo and on
+    a `replace`d copy, whose memo is empty, asserted equal (`read_bits`);
+    returns how many returned and how many raised."""
+    rules = audit.default_prescriptions(f)
+    seen = {"returned": 0, "raised": 0}
+    for t in leaves:
+        taus = [proper_time_at_leaf(w, f, t) for w in s.worldlines]
+        for k, read in picks(t):
+            want = read_bits(read, rules[k], replace(s), taus)
+            assert read_bits(read, rules[k], s, taus) == want, (t, rules[k].name, read)
+            seen["raised" if isinstance(want, tuple) else "returned"] += 1
+    return seen
+
+
+def test_leaf_memo_reads_equal_reads_with_an_empty_memo():
+    """In any order of leaves, forward, reverse or shuffled, with the four
+    rules interleaved in a drawn order at each leaf, every `leaf_states`
+    state and every `leaf_charges` value read through the scenario's leaf
+    memo equals, bit for bit, the same read on a `replace`d copy, whose memo
+    is empty; a refusal raises the same error with the same message. The
+    z/x chain sweep is read forward and in reverse with every rule and both
+    reads at each leaf; the suite asserts that it met refusals too."""
+    every = [(k, read) for k in range(4) for read in ("states", "charges")]
+    chain_leaves = list(np.arange(-0.5, 3.01, 0.25))
+    for leaves in (chain_leaves, chain_leaves[::-1]):
+        seen = assert_memo_reads_equal_fresh_reads(
+            z_x_chain_with_b_readout(), Foliation(np.array([0.5])), leaves, lambda t: every)
+        assert seen == {"returned": 120, "raised": 0}
+    seen = {"returned": 0, "raised": 0}
+
+    @SUITE
+    @given(s=two_qubit_scenarios(), v=velocities(),
+           order=hs.sampled_from(["forward", "reverse", "shuffled"]), data=hs.data())
+    def check(s, v, order, data):
+        leaves = list(np.linspace(-1.0, 4.0, 7))
+        if order == "reverse":
+            leaves.reverse()
+        elif order == "shuffled":
+            leaves = data.draw(hs.permutations(leaves))
+        picks = hs.lists(hs.tuples(hs.integers(0, 3), hs.sampled_from(["states", "charges"])),
+                         min_size=1, max_size=4)
+        got = assert_memo_reads_equal_fresh_reads(s, Foliation(v), leaves,
+                                                  lambda t: data.draw(picks))
+        for key in seen:
+            seen[key] += got[key]
+
+    check()
+    assert all(seen.values()), seen
+
+
+def test_leaf_memo_holds_the_reads_of_two_proper_time_tuples_at_most():
+    """Along a 120-leaf sweep of the z/x chain under the four rules, both
+    reads at each leaf, the memo holds, after each leaf, only what was read
+    there (`now`) and at the leaf before (`before`): an entry of an older
+    leaf is dropped unless read again, an entry read again moves from
+    `before` into `now`, and a bare prefix is kept only at the leaf that
+    pushed it. After the sweep, the entries of the first leaves, read
+    nowhere since, are gone."""
+    s, f = z_x_chain_with_b_readout(), Foliation(np.array([0.5]))
+    rules = audit.default_prescriptions(f)
+    read_at = []
+    for t in np.linspace(-0.5, 3.0, 120):
+        taus = [proper_time_at_leaf(w, f, t) for w in s.worldlines]
+        for p in rules:
+            audit.leaf_states(p, s, taus)
+            audit.leaf_charges(p, s, taus)
+        memo = s.leaf_memo
+        assert memo.taus == tuple(taus)
+        assert not memo.now.keys() & memo.before.keys()
+        if read_at:
+            assert memo.before.keys() <= read_at[-1] - memo.now.keys()
+        assert not any(isinstance(e, np.ndarray) for e in memo.before.values())
+        read_at.append(set(memo.now))
+    assert len(memo.now) + len(memo.before) <= len(read_at[-1] | read_at[-2])
+    first = read_at[0] - read_at[-1] - read_at[-2]
+    assert first and not first & (memo.now.keys() | memo.before.keys())
+
+
+def test_a_leaf_that_cannot_occur_raises_the_same_on_every_read():
+    """A leaf whose recorded outcomes cannot occur keeps no readout in the
+    memo, so every repeat read at that leaf, of its states or its charges,
+    raises the same error with the same message as a read with an empty
+    memo, for every rule."""
+    s = flip_outcomes(bell_with_b_readout(), 0)
+    for p in audit.default_prescriptions():
+        want = read_bits("states", p, replace(s), (4.0, 4.0))
+        assert want[0] is ImpossibleOutcomeError
+        for _ in range(3):
+            for read in ("states", "charges"):
+                assert read_bits(read, p, s, (4.0, 4.0)) == want, p.name
+
+
+@pytest.mark.parametrize("spectrum", [None, [-1e-12, 1.0]])
+def test_a_formed_state_a_read_returns_is_read_only(monkeypatch, spectrum):
+    """A state that deciding formed, the wide product of a qubit beside a
+    256-level system, or its clamp, is the one the memo holds, so
+    `leaf_states` returns it read-only, as `Scenario.initial_factor` is:
+    writing to it raises, and a later read returns the same bits; a copy
+    can be changed freely. The arrays of every readout the memo holds are
+    read-only too."""
+    from test_readouts import unprovable_pair
+    s = unprovable_pair()
+    if spectrum is not None:
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh",
+                            lambda m: np.asarray(spectrum) if m.shape == (2, 2) else eigvalsh(m))
+    p = audit.FutureLightcone()
+    state = audit.leaf_states(p, s, (1.0, 1.0))[1][0]
+    bits = state.tobytes()
+    with pytest.raises(ValueError):
+        state[0, 0] = 2.0
+    with pytest.raises(ValueError):
+        state *= 2.0
+    copy = state.copy()
+    copy[0, 0] = 2.0
+    again = audit.leaf_states(p, s, (1.0, 1.0))[1][0]
+    assert again is state and again.tobytes() == bits
+    held = [r for key, r in s.leaf_memo.now.items() if isinstance(r, engine.Readout)]
+    assert held and not any(r.rows.flags.writeable for r in held)
+
+
+def test_leaf_charges_refuse_a_scenario_with_a_qutrit():
+    """`leaf_charges` on a qutrit-qubit scenario raises the ValueError that
+    `charge_ledger` gives, before anything is read."""
+    s = Scenario(spatial_dim=1, names=("A", "B"), dims=(3, 2),
+                 worldlines=(Worldline(np.array([0.0, 0.0])), Worldline(np.array([0.0, 1.0]))),
+                 initial_state=np.eye(6, dtype=complex) / 6, interventions=())
+    for p in audit.default_prescriptions():
+        with pytest.raises(ValueError, match="charge audits are defined for qubit scenarios"):
+            audit.leaf_charges(p, s, (1.0, 1.0))
+    with pytest.raises(ValueError, match="charge audits are defined for qubit scenarios"):
+        audit.charge_ledger(s, Foliation(np.zeros(1)), [0.0], audit.PolystateRule())
+    assert not s.leaf_memo.now
 
 
 def test_criteria_report_bell_probe():

@@ -210,7 +210,7 @@ def test_fidelities_read_a_ket_of_any_shape_and_refuse_another_length():
     ket = random_ket(np.random.default_rng(5), 4)
     kinds = set()
     for p in audit.default_prescriptions(Foliation(np.zeros(1))):
-        whole, _ = audit._leaf_readouts(p, s, audit._event_cuts(p, s, taus))
+        whole, _ = audit._leaf_readouts(p, s, taus, audit._event_cuts(p, s, taus))
         kinds.add("patchwork" if whole is None else "union")
         fids = audit.leaf_charges(p, s, taus, [ket, ket[:, None], ket[None, :]])[2]
         assert fids == [fids[0]] * 3, p.name

@@ -32,9 +32,10 @@ norms, initial factor) done before the clock starts, no member rows and an
 empty leaf memo, so each rule's column shows its own causal tests and reads.
 `polystate_at` and the four-rule sum start from a freshly parsed scenario,
 so they include that set-up, once. In the four-rule sum the later rules
-read the member rows the first kept, and share the cut entries and
-readouts the earlier rules left in the scenario's leaf memo
-(`Scenario.leaf_memo`), as the rules of one leaf do in a sweep: it is less
+read the member rows the first kept, share the cut entries, readouts and
+charges the earlier rules left in the scenario's leaf memo
+(`Scenario.leaf_memo`), with its initial charge, and the leaf crossings the
+first rule solved, as the rules of one leaf do in a sweep: it is less
 than the sum of the rule columns wherever the rules read a common cut. The
 tables give the fastest of the repeats. BLAS runs on one thread.
 

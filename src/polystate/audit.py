@@ -26,8 +26,13 @@ leaves a past, so along a sweep most of a leaf's cuts were read at the
 leaf before. The memo holds the reads of those two tuples only, and keeps
 no refusal. `leaf_states` forms the states from those readouts; the
 charge ledgers and the CLI's sweep form none (`leaf_charges`): a charge is
-one dot product with a readout's populations, a union's fidelity is read
-off its factor, and a patchwork's one axis at a time.
+one dot product with a readout's populations, read once while the memo
+holds the readout and kept beside it, a union's fidelity is read off its
+factor, and a patchwork's one axis at a time. What every leaf of a scenario
+shares is computed once too: the initial charge, held in the memo while the
+initial state is the same array, and each worldline's crossing of a leaf,
+which `proper_time_at_leaf` keeps until another leaf is crossed at that
+frame velocity, so the rules of one leaf solve it once.
 `criteria_report` reads its targets from one `engine.polystate_at`,
 evaluates each rule's cuts once for its states and its ignorance cell, and
 varies A's recorded outcomes as overrides of the same scenario's branches
@@ -136,13 +141,14 @@ def _leaf_states(p, s: Scenario, taus, cuts) -> tuple:
     """`leaf_states` on the rule's applied cuts (`_event_cuts`), which
     `criteria_report` evaluates once and reads for the ignorance cell too."""
     whole, locals_ = _leaf_readouts(p, s, taus, cuts)
-    states = [r.density() for r in locals_]
+    states = [r.density() for r, _ in locals_]
     # a patchwork is exactly Hermitian, as its validated factors are
-    return (linalg.kron_all(*states) if whole is None else whole.density()), states
+    return (linalg.kron_all(*states) if whole is None else whole[0].density()), states
 
 
 def _leaf_readouts(p, s: Scenario, taus, cuts) -> tuple:
-    """(joint, local) `engine.readout`s of one leaf's states on the rule's
+    """(joint, local) `engine.readout`s, each as the memo holds it,
+    [readout, charge] (`_memo_readout`), of one leaf's states on the rule's
     applied cuts at proper times taus, judged and decided, so raised or
     clamped, in that order: the joint one on the union of the cuts for the
     sector rule and when every evaluation event applied all of it, else None
@@ -158,15 +164,16 @@ def _leaf_readouts(p, s: Scenario, taus, cuts) -> tuple:
     return whole, [_memo_readout(s, memo, cut, (i,)) for i, cut in enumerate(cuts)]
 
 
-def _memo_readout(s: Scenario, memo, cut, subset: tuple) -> engine.Readout:
-    """The subset's decided readout on the cut, from the leaf memo or
-    decided and kept there, its state read-only."""
+def _memo_readout(s: Scenario, memo, cut, subset: tuple) -> list:
+    """The subset's decided readout on the cut as the leaf memo holds it,
+    [readout, charge], from the memo or decided and kept there, its state
+    read-only and its charge None until `_held_charge` reads it."""
     # a read moves the cut's entry forward with its readouts
     entry = engine._weighed(s, cut, memo)
-    if (r := memo.get((cut, subset))) is None:
-        r = memo[cut, subset] = engine.readout(s, subset, entry)
-        r.rows.flags.writeable = False
-    return r
+    if (held := memo.get((cut, subset))) is None:
+        held = memo[cut, subset] = [engine.readout(s, subset, entry), None]
+        held[0].rows.flags.writeable = False
+    return held
 
 
 def single_state(p, s: Scenario, taus) -> np.ndarray:
@@ -297,11 +304,27 @@ def _check_qubits(s: Scenario) -> None:
         raise ValueError("charge audits are defined for qubit scenarios")
 
 
+def _held_charge(held: list) -> float:
+    """The charge of a readout the leaf memo holds as [readout, charge]:
+    read (`_charge`) once while the memo holds the readout, and kept with
+    it."""
+    if held[1] is None:
+        held[1] = _charge(held[0])
+    return held[1]
+
+
 def _initial_charge(s: Scenario) -> float:
     """The total charge of a qubit scenario's initial state, read off the
-    diagonal of the state as parsed, O(D)."""
+    diagonal of the state as parsed, O(D), once: it is held in the leaf
+    memo (`LeafMemo.initial`) while `initial_state` is the array it was
+    read off, as `pure_input` holds its ket. The qubit check runs first on
+    every call."""
     _check_qubits(s)
-    return float((s.initial_state.diagonal() * linalg.charges(s.n)).sum().real)
+    memo = s.leaf_memo
+    if memo.initial[0] is not s.initial_state:
+        charge = float((s.initial_state.diagonal() * linalg.charges(s.n)).sum().real)
+        memo.initial = (s.initial_state, charge)
+    return memo.initial[1]
 
 
 def leaf_charges(p, s: Scenario, taus, kets=()) -> tuple:
@@ -309,17 +332,18 @@ def leaf_charges(p, s: Scenario, taus, kets=()) -> tuple:
     state to each of `kets`) of the prescription at one qubit proper-time
     tuple: `leaf_states`' states, decided as it decides them
     (`_leaf_readouts`), but none formed but a patchwork's local states for
-    its fidelities. A charge is read off a readout's populations and a
-    union's fidelity off its factor; a patchwork's charge is the sum of the
-    local ones, and its fidelity is read one axis at a time
+    its fidelities. A charge is read off a readout's populations, once
+    while the leaf memo holds the readout (`_held_charge`), and a union's
+    fidelity off its factor; a patchwork's charge is the sum of the local
+    ones, and its fidelity is read one axis at a time
     (`_patchwork_fidelity`). A scenario with a subsystem other than a qubit
     raises ValueError before anything is read."""
     _check_qubits(s)
     whole, locals_ = _leaf_readouts(p, s, taus, _event_cuts(p, s, taus))
-    local = sum(map(_charge, locals_))
+    local = sum(map(_held_charge, locals_))
     if whole is not None:
-        return _charge(whole), local, [whole.fidelity(k) for k in kets]
-    states = [r.density() for r in locals_] if kets else ()
+        return _held_charge(whole), local, [whole[0].fidelity(k) for k in kets]
+    states = [r.density() for r, _ in locals_] if kets else ()
     return local, local, [_patchwork_fidelity(s.dims, states, k) for k in kets]
 
 
@@ -338,7 +362,11 @@ def charge_ledger(s: Scenario, f: Foliation, t_grid, source) -> ChargeLedger:
     """Total-charge bookkeeping along a foliation under one prescription:
     the joint total charge versus the sum of per-subsystem local charges,
     each read off its state's populations by `leaf_charges`, with no joint
-    state formed."""
+    state formed. The initial charge is computed once per scenario
+    (`_initial_charge`), and each leaf's proper times are the worldlines'
+    crossings of it (`proper_time_at_leaf`), solved once for every rule's
+    ledger at that leaf; a leaf that is not finite raises ValueError,
+    naming it."""
     initial = _initial_charge(s)
     q_joint, q_sum = [], []
     for t in t_grid:

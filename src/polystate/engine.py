@@ -497,18 +497,20 @@ class Readout(NamedTuple):
     entry's pushed factor Psi, `dims` the scenario's and `axes` the
     subset's, and no read forms a d_S x d_S product of Psi: each costs
     O(D r d) at most. When deciding formed it (a wide factor's product, or a
-    clamp), rows is that state, cols the identity and the weight 1, on the
-    subset's own axes, so that every read is of the state as it stands."""
+    clamp), rows is that state, cols None and the weight 1, on the subset's
+    own axes, so that every read is of the state as it stands: its
+    diagonal, its trace or the state itself, with no other d_S x d_S array
+    held or formed."""
     dims: tuple
     axes: tuple
     rows: np.ndarray
-    cols: np.ndarray
+    cols: np.ndarray | None
     weight: float
 
     def density(self) -> np.ndarray:
         """The state, formed here unless deciding formed it: the bits of
         `linalg.gram_density`."""
-        if self.cols is not self.rows:
+        if self.cols is None:
             return self.rows
         return linalg.gram_product(subset_factor(self.dims, self.rows, self.axes), self.weight)
 
@@ -516,7 +518,9 @@ class Readout(NamedTuple):
         """The state's diagonal, d_S reals: the populations
         sum_c |Psi_ic|^2 / weight over the D basis states, summed over the
         axes not in the subset, in the order of `axes`, as the state's
-        diagonal is."""
+        diagonal is; a formed state's own diagonal."""
+        if self.cols is None:
+            return self.rows.diagonal().real.copy()
         terms = (self.rows * self.cols.conj()).real.reshape(*self.dims, -1)
         rest, order = _diagonal_plan(self.dims, self.axes)
         return np.add.reduce(terms, axis=rest).transpose(order).ravel() / self.weight
@@ -524,19 +528,18 @@ class Readout(NamedTuple):
     def fidelity(self, ket) -> float:
         """<k| rho |k> for a ket of length d_S, however shaped
         (`linalg.as_ket`): ||k^dagger Phi||^2 / weight for Phi the factor on
-        the subset, or k^dagger rho k for a formed state, whose cols are the
-        identity."""
+        the subset, or k^dagger rho k for a formed state."""
         ket = linalg.as_ket(ket, _subset_plan(self.dims, self.axes)[1])
         amp = (ket.conj()[:, None] * subset_factor(self.dims, self.rows, self.axes)).sum(axis=0)
-        other = amp if self.cols is self.rows else ket.conj()
+        other = ket.conj() if self.cols is None else amp
         return float(np.vdot(other, amp).real) / self.weight
 
     def expectation(self, ops) -> float:
         """tr(rho (x)_j O_j) for exactly one d_j x d_j factor O_j per
         member, None for the identity: tr(cols^dagger (x)_j O_j rows) /
-        weight, each O_j applied on its member's axis of rows as `_apply`
-        applies a product. Its imaginary part must be negligible, as in
-        `linalg.expect`."""
+        weight, or the trace of (x)_j O_j rows for a formed state, each O_j
+        applied on its member's axis of rows as `_apply` applies a product.
+        Its imaginary part must be negligible, as in `linalg.expect`."""
         if len(ops := list(ops)) != len(self.axes):
             raise ValueError(f"{len(ops)} operators for {len(self.axes)} subsystems")
         out = self.rows
@@ -546,7 +549,8 @@ class Readout(NamedTuple):
                     raise DimensionMismatchError(f"operator {np.shape(op)} on dimension "
                                                  f"{self.dims[j]}")
                 out = _apply(self.dims, j, np.asarray(op, dtype=complex), out)
-        return linalg.real_part(np.vdot(self.cols, out) / self.weight)
+        return linalg.real_part((np.trace(out) if self.cols is None
+                                 else np.vdot(self.cols, out)) / self.weight)
 
 
 def readout(s: Scenario, subset: tuple, entry: PushedCut) -> Readout:
@@ -563,8 +567,7 @@ def readout(s: Scenario, subset: tuple, entry: PushedCut) -> Readout:
         state = linalg.gram_verdict(subset_factor(s.dims, entry.factor, subset), entry.weight)
     if state is None:
         return Readout(s.dims, subset, entry.factor, entry.factor, entry.weight)
-    return Readout(tuple(s.dims[i] for i in subset), tuple(range(len(subset))), state,
-                   np.eye(d_s), 1.0)
+    return Readout(tuple(s.dims[i] for i in subset), tuple(range(len(subset))), state, None, 1.0)
 
 
 def _weighed(s: Scenario, cut, cache: dict) -> PushedCut:

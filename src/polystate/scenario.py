@@ -113,12 +113,15 @@ class LeafMemo:
     """`Scenario.leaf_memo`: what the audit read at its last proper-time
     tuple, `taus`, in `now`, and at the tuple read before it in `before`:
     judged cut entries and bare prefixes, keyed by cut as every cut cache is
-    (`engine._weighed`), and decided readouts, keyed by (cut, subset). A key
-    read that only `before` holds moves into `now`, so the memo holds the
-    entries of two tuples at most, and the bare prefixes of one."""
+    (`engine._weighed`), and decided readouts, keyed by (cut, subset), each
+    held as [readout, charge], its total charge None until a charge audit
+    reads it (`audit._held_charge`). A key read that only `before` holds
+    moves into `now`, so the memo holds the entries of two tuples at most,
+    and the bare prefixes of one. `initial` holds the total charge of the
+    initial state with the array it was read off (`audit._initial_charge`)."""
 
     def __init__(self):
-        self.taus, self.now, self.before = None, {}, {}
+        self.taus, self.now, self.before, self.initial = None, {}, {}, (None, None)
 
     def at(self, taus) -> LeafMemo:
         """The memo at a proper-time tuple: one other than the last makes

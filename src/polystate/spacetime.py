@@ -105,8 +105,10 @@ class Worldline:
     @cached_property
     def leaf_tables(self) -> dict:
         """`proper_time_at_leaf`'s per-piece crossing data, one table per
-        foliation, keyed by the bytes of its frame velocity; empty until a
-        foliation is first crossed."""
+        foliation, keyed by the bytes of its frame velocity, each held as
+        [table, t, tau] beside the last leaf t crossed at that frame
+        velocity and its crossing tau; empty until a foliation is first
+        crossed."""
         return {}
 
 
@@ -282,15 +284,30 @@ def proper_time_at_leaf(w: Worldline, f: Foliation, t: float) -> float:
     The leaf parameter along the worldline is piecewise linear in tau with
     strictly positive slope gamma_f * gamma_v * (1 - v_f . v), so the
     crossing is solved in closed form on the first piece that brackets it,
-    within a pad of 1e-9 relative. Each piece's reference leaf parameter
-    and slope are computed once per worldline and frame velocity, on first
-    use (`Worldline.leaf_tables`), so a call is a few float operations per
-    piece.
+    within a pad of 1e-9 relative (`_leaf_crossing`). Each piece's reference
+    leaf parameter and slope are computed once per worldline and frame
+    velocity, on first use (`Worldline.leaf_tables`), so a solve is a few
+    float operations per piece. The last crossing at each frame velocity is
+    kept beside its table and returned again for a leaf of the same float
+    bits, so the evaluators of one leaf solve it once; -0.0 and 0.0 are
+    different leaves there. A leaf t that is not finite raises ValueError,
+    naming it.
     """
+    if not math.isfinite(t):
+        raise ValueError(f"leaf {t} is not a finite number")
     key = f.frame_velocity.tobytes()
-    table = w.leaf_tables.get(key)
-    if table is None:
-        table = w.leaf_tables[key] = _leaf_table(w, f)
+    held = w.leaf_tables.get(key)
+    if held is None:
+        # no leaf equals NaN, so the first leaf is solved
+        held = w.leaf_tables[key] = [_leaf_table(w, f), math.nan, None]
+    if held[1] != t or math.copysign(1.0, held[1]) != math.copysign(1.0, t):
+        held[1:] = float(t), _leaf_crossing(held[0], t)
+    return held[2]
+
+
+def _leaf_crossing(table: tuple, t: float) -> float:
+    """The crossing of leaf t on the first piece of a `_leaf_table` that
+    brackets it."""
     for tau_lo, tau_hi, tau_ref, t_ref, slope in table:
         tau = tau_ref + (t - t_ref) / slope
         pad = 1e-9 * max(1.0, abs(tau))

@@ -1,4 +1,5 @@
 import json
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -326,6 +327,86 @@ def test_leaf_memo_reads_equal_reads_with_an_empty_memo():
     assert all(seen.values()), seen
 
 
+def fresh_copy(s: Scenario) -> Scenario:
+    """A `replace`d copy on worldlines of its own: an empty leaf memo, no
+    initial charge held and no leaf crossing kept."""
+    return replace(s, worldlines=tuple(Worldline(w.anchor, w.segments, w.final_velocity)
+                                       for w in s.worldlines))
+
+
+def ledger_bits(s, f, t, p):
+    """A one-leaf `charge_ledger` as bytes, `initial` included, or the error
+    it raised, by type and message."""
+    try:
+        led = audit.charge_ledger(s, f, [t], p)
+    except (ImpossibleOutcomeError, StateValidationError) as exc:
+        return type(exc), str(exc)
+    return np.array([*led.t_grid, *led.q_joint, *led.q_sum, led.initial]).tobytes()
+
+
+def test_one_leaf_ledgers_equal_ledgers_on_a_fresh_copy_and_share_their_charges():
+    """The four rules' one-leaf ledgers, in a drawn order at each leaf, over
+    forward, reverse and shuffled grids with repeated leaves and both -0.0
+    and 0.0, equal bit for bit, `initial` included, the same ledgers on a
+    fresh copy (`fresh_copy`); a refusal raises the same error with the
+    same message. Through the scenario's leaf memo, a kept readout's
+    populations are read at most once (no more `Readout.populations` calls
+    than `engine.readout` calls), and the initial charge once: every other
+    `linalg.charges` call is a readout's charge. The suite asserts that it
+    met refusals too."""
+    seen = {"returned": 0, "raised": 0}
+    counts = dict.fromkeys(("readout", "populations", "charges"), 0)
+
+    def counted(name, run):
+        def wrapper(*args):
+            counts[name] += 1
+            return run(*args)
+        return wrapper
+
+    @SUITE
+    @given(s=two_qubit_scenarios(), v=velocities(),
+           order=hs.sampled_from(["forward", "reverse", "shuffled"]), data=hs.data())
+    def check(s, v, order, data):
+        f = Foliation(v)
+        rules = audit.default_prescriptions(f)
+        grid = [-1.0, -0.0, 0.0, 0.75, 2.5]
+        leaves = sorted(grid + data.draw(hs.lists(hs.sampled_from(grid), max_size=3)))
+        if order == "reverse":
+            leaves.reverse()
+        elif order == "shuffled":
+            leaves = data.draw(hs.permutations(leaves))
+        counts.update(dict.fromkeys(counts, 0))
+        for t in leaves:
+            for k in data.draw(hs.permutations(range(4))):
+                want = ledger_bits(fresh_copy(s), f, t, rules[k])
+                with pytest.MonkeyPatch.context() as m:
+                    m.setattr(engine, "readout", counted("readout", engine.readout))
+                    m.setattr(engine.Readout, "populations",
+                              counted("populations", engine.Readout.populations))
+                    m.setattr(linalg, "charges", counted("charges", linalg.charges))
+                    got = ledger_bits(s, f, t, rules[k])
+                assert got == want, (t, rules[k].name)
+                seen["raised" if isinstance(want, tuple) else "returned"] += 1
+        assert counts["populations"] <= counts["readout"], counts
+        assert counts["charges"] == counts["populations"] + 1, counts
+
+    check()
+    assert all(seen.values()), seen
+
+
+@pytest.mark.parametrize("t", [float("nan"), float("inf"), float("-inf")])
+def test_a_leaf_that_is_not_finite_is_named(t):
+    """A charge ledger, or a recollection, at a leaf that is not a finite
+    number raises ValueError naming the leaf, as `engine.foliation_state`
+    does, not a broken worldline."""
+    s, f = load_fixture("bell_sigma_z.scn"), Foliation(np.zeros(1))
+    message = re.escape(f"leaf {t} is not a finite number")
+    with pytest.raises(ValueError, match=message):
+        audit.charge_ledger(s, f, [0.5, t], audit.PolystateRule())
+    with pytest.raises(ValueError, match=message):
+        audit.recollection_conservation(s, s.worldlines[0], [t], f)
+
+
 def test_leaf_memo_holds_the_reads_of_two_proper_time_tuples_at_most():
     """Along a 120-leaf sweep of the z/x chain under the four rules, both
     reads at each leaf, the memo holds, after each leaf, only what was read
@@ -393,7 +474,7 @@ def test_a_formed_state_a_read_returns_is_read_only(monkeypatch, spectrum):
     copy[0, 0] = 2.0
     again = audit.leaf_states(p, s, (1.0, 1.0))[1][0]
     assert again is state and again.tobytes() == bits
-    held = [r for key, r in s.leaf_memo.now.items() if isinstance(r, engine.Readout)]
+    held = [e[0] for e in s.leaf_memo.now.values() if isinstance(e, list)]
     assert held and not any(r.rows.flags.writeable for r in held)
 
 

@@ -138,6 +138,31 @@ def test_readout_takes_the_verdict_of_an_unprovable_state(monkeypatch, spectrum,
     assert got.expectation([linalg.SIGMA_Z]) == linalg.expect(want, linalg.SIGMA_Z)
 
 
+@pytest.mark.parametrize("spectrum", [None, [-1e-12, 1.0]])
+def test_a_formed_readout_holds_its_state_alone(monkeypatch, spectrum):
+    """A readout whose state deciding formed, A's Gram state of a wide
+    factor or its clamp, holds no d_S x d_S array but that state, and reads
+    the values it read beside the identity: the same populations as floats,
+    and fidelities and expectations within 1e-12."""
+    s = unprovable_pair()
+    if spectrum is not None:
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh",
+                            lambda m: np.asarray(spectrum) if m.shape == (2, 2) else eigvalsh(m))
+    got = engine.readout(s, (0,), engine._weighed(s, (0, 0), {}))
+    arrays = [f for f in got if isinstance(f, np.ndarray)]
+    assert len(arrays) == 1 and arrays[0] is got.rows and got.rows.shape == (2, 2)
+    assert got.density() is got.rows
+    # the reads of the same state held beside the identity, as `cols`
+    eye = engine.Readout(got.dims, got.axes, got.rows, np.eye(2), 1.0)
+    assert list(got.populations()) == list(eye.populations())
+    rng = np.random.default_rng(3)
+    for _ in range(5):
+        ket, op = random_ket(rng, 2), random_hermitian(rng, 2)
+        assert abs(got.fidelity(ket) - reference_fidelity_to_ket(got.rows, ket)) < TOL
+        assert abs(got.expectation([op]) - eye.expectation([op])) < TOL
+
+
 def dense_leaf_reads(p, s, taus, kets):
     """`audit.leaf_charges` off `audit.leaf_states`' formed states: the
     joint total charge and the ket fidelities off the joint state, a union

@@ -25,6 +25,7 @@ RUNS = (
     ("ensemble_convergence.py", "--max-runs", "1"),
     ("ensemble_ladder.py", "--repeats", "1", "--max-n", "4"),
     ("leaf_ladder.py", "--repeats", "1", "--min-n", "6", "--max-n", "6"),
+    ("leaf_counts.py", "--seed", "2"),
     ("selective_ladder.py", "--m", "13", "--repeats", "1"),
     ("cli_digest.py",),
     ("code_lines.py",),
@@ -79,6 +80,26 @@ def test_leaf_ladder_times_sweep_and_audit_per_rung():
     assert header.split() == ["n", "D", "leaves", "sweep_s", "audit_s", "rss_mb"]
     assert [line.split()[:3] for line in lines] == [["6", "64", "200"], ["7", "128", "200"]]
     assert all(float(x) > 0 for line in lines for x in line.split()[3:])
+
+
+def test_leaf_counts_one_chain_sweep_pass_shares_each_leaf_quantity():
+    """One 141-leaf `chain_sweep` pass (seed 1) reads each kept readout's
+    populations at most once (no more calls than readouts its ledger ops
+    decide), computes the initial charge once, and solves one crossing per
+    worldline per leaf; every other `linalg.charges` call is a readout's
+    charge."""
+    path = os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))
+    done = subprocess.run([sys.executable, str(SCRIPTS / "leaf_counts.py"), "--seed", "1"],
+                          env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=300, check=True)
+    title, header, *rows = done.stdout.splitlines()
+    assert title == "chain_sweep seed 1: 705 ops, 0 failed"
+    assert header.split() == ["count", "pass", "ledger_ops"]
+    counts = {row.split()[0]: tuple(map(int, row.split()[1:])) for row in rows}
+    assert 0 < counts["populations_read"][0] <= counts["readouts_decided"][1]
+    assert counts["initial_charges"] == (1, 1)
+    assert counts["charges_calls"][0] == counts["populations_read"][0] + 1
+    assert counts["leaf_crossings_solved"][0] == 2 * 141
 
 
 def test_code_lines_skip_blanks_comments_and_docstrings():

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as hs
 
 from polystate import spacetime as st
 
 from helpers import crossing_oracle, random_worldline
+from test_kernel_properties import SUITE, seeds
 
 RNG = np.random.default_rng(42)
 
@@ -249,6 +252,49 @@ def test_leaf_crossing_table_matches_the_per_piece_formula_bit_for_bit():
                         assert np.float64(got).tobytes() == np.float64(want).tobytes()
                         assert type(got) is type(want)
                 assert len(line.leaf_tables) == 3
+
+
+def test_a_kept_leaf_crossing_is_returned_only_for_a_leaf_of_the_same_bits(monkeypatch):
+    """Over drawn sequences of leaves, repeats, -0.0 and 0.0, one-ulp
+    neighbours and three frame velocities (two of them one ulp apart) among
+    them, and a foliation whose frame velocity is changed midway, every
+    crossing equals, bit for bit and in type, the crossing on a fresh
+    `Worldline` with nothing kept. A crossing is solved exactly when the
+    leaf's float bits differ from the last leaf crossed at that frame
+    velocity: a kept one is never returned for another leaf."""
+    solved = []
+    solve = st._leaf_crossing
+    monkeypatch.setattr(st, "_leaf_crossing", lambda table, t: solved.append(t) or solve(table, t))
+
+    @SUITE
+    @given(seed=seeds, d=hs.integers(1, 3), data=hs.data())
+    def check(seed, d, data):
+        rng = np.random.default_rng(seed)
+        w = random_worldline(rng, d, max_segments=3)
+        v = rng.uniform(-0.5, 0.5, size=d)
+        ulp = v.copy()
+        ulp[0] = np.nextafter(v[0], 1.0)
+        foliations = [st.Foliation(v), st.Foliation(rng.uniform(-0.5, 0.5, size=d)),
+                      st.Foliation(ulp)]
+        pool = [-0.0, 0.0, 1.5, float(np.nextafter(1.5, 2.0)), -2.25, float(rng.uniform(-5, 5))]
+        steps = data.draw(hs.lists(hs.tuples(hs.integers(0, 3), hs.sampled_from(pool)),
+                                   min_size=1, max_size=12))
+        last = {}
+        for k, t in steps:
+            if k == 3:  # the first foliation now moves at another frame velocity
+                foliations[0].frame_velocity = data.draw(hs.sampled_from([v, ulp, -v]))
+                continue
+            f = foliations[k]
+            key, bits = f.frame_velocity.tobytes(), np.float64(t).tobytes()
+            before = len(solved)
+            got = st.proper_time_at_leaf(w, f, t)
+            fresh = st.Worldline(w.anchor, w.segments, w.final_velocity)
+            want = st.proper_time_at_leaf(fresh, f, t)
+            assert np.float64(got).tobytes() == np.float64(want).tobytes() and type(got) is type(want)
+            assert len(solved) - before == 2 - (last.get(key) == bits), (k, t)
+            last[key] = bits
+
+    check()
 
 
 def test_past_region_predicates():
